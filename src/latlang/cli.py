@@ -379,6 +379,9 @@ def run(argv: list[str] | None = None) -> tuple[int, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for bound in ("max_len", "horizon"):
+            if getattr(args, bound, 0) < 0:
+                raise _CliUsage(f"argument --{bound.replace('_', '-')}: must be non-negative")
         code, doc = _handle(args)
     except _CliUsage as exc:
         return EXIT_ERROR, _dumps({"error": {"kind": "Usage", "message": str(exc), "witness": None}}, "json")

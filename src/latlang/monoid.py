@@ -4,7 +4,8 @@ An ordered monoid is a finite monoid together with a partial order that is
 compatible with multiplication on both sides.  Construction validates
 associativity over all triples, the unit laws, antisymmetry of the closed
 order, and one-sided translation monotonicity (the two-sided form follows
-by composing the two one-sided ones).
+by composing the two one-sided ones).  A table known to be generated by
+some of its elements is validated through them by ``check_generated``.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def build_ordered_monoid(
     is computed here.  Antisymmetry failure is an error, never silently
     quotiented.
     """
+    if isinstance(element_names, str):
+        raise MalformedDocument("element names must be a list, not a string")
     names = tuple(element_names)
     if not all(isinstance(n, str) for n in names):
         raise MalformedDocument("element names must be strings")
@@ -143,18 +146,12 @@ def build_ordered_monoid(
                 f"{names[ident]!r} is not a two-sided unit at {names[x]!r}",
                 witness=names[x],
             )
-    for x in range(n):
-        for y in range(n):
-            xy = mul[x][y]
-            for z in range(n):
-                if mul[xy][z] != mul[x][mul[y][z]]:
-                    raise NotAssociative(
-                        "multiplication is not associative",
-                        witness=[names[x], names[y], names[z]],
-                    )
+    _check_associative(names, mul, range(n))
 
     leq = [[False] * n for _ in range(n)]
     for pair in leq_pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MalformedDocument(f"order pair {pair!r} must list two elements")
         lo, hi = pair
         leq[resolve(lo)][resolve(hi)] = True
     for i in range(n):
@@ -167,6 +164,52 @@ def build_ordered_monoid(
                 for j in range(n):
                     if row_k[j]:
                         row_i[j] = True
+    _check_order(names, mul, leq, range(n))
+
+    return _make_unchecked(names, ident, mul, leq)
+
+
+def check_generated(monoid: OrderedMonoid, generators: Iterable[int]) -> None:
+    """Validate a table that the identity and ``generators`` generate.
+
+    Light's test: the elements g with (xg)y = x(gy) for all x, y form a
+    submonoid, so checking the generators proves associativity; then
+    compatibility with each generator extends to every element.  The order
+    must already be reflexive and transitive.  Cost is O(c^2 * |generators|)
+    for c elements.
+    """
+    gens = list(generators)
+    _check_associative(monoid.elements, monoid.mul, gens)
+    _check_order(monoid.elements, monoid.mul, monoid.leq, gens)
+
+
+def _check_associative(
+    names: Sequence[str], mul: Sequence[Sequence[int]], gens: Sequence[int]
+) -> None:
+    """Raise NotAssociative unless (xg)y = x(gy) for all x, y and each g."""
+    n = len(names)
+    for x in range(n):
+        mul_x = mul[x]
+        for g in gens:
+            row_xg = mul[mul_x[g]]
+            mul_g = mul[g]
+            for y in range(n):
+                if row_xg[y] != mul_x[mul_g[y]]:
+                    raise NotAssociative(
+                        "multiplication is not associative",
+                        witness=[names[x], names[g], names[y]],
+                    )
+
+
+def _check_order(
+    names: Sequence[str],
+    mul: Sequence[Sequence[int]],
+    leq: Sequence[Sequence[bool]],
+    gens: Sequence[int],
+) -> None:
+    """Raise NotAntisymmetric or NotCompatible unless ``leq`` is antisymmetric
+    and x <= y implies zx <= zy and xz <= yz for each z in ``gens``."""
+    n = len(names)
     for i in range(n):
         for j in range(i + 1, n):
             if leq[i][j] and leq[j][i]:
@@ -174,12 +217,11 @@ def build_ordered_monoid(
                     f"{names[i]!r} and {names[j]!r} are mutually comparable",
                     witness=[names[i], names[j]],
                 )
-
     for x in range(n):
         for y in range(n):
             if x == y or not leq[x][y]:
                 continue
-            for z in range(n):
+            for z in gens:
                 if not leq[mul[z][x]][mul[z][y]]:
                     raise NotCompatible(
                         "order is not compatible with left translation",
@@ -190,8 +232,6 @@ def build_ordered_monoid(
                         "order is not compatible with right translation",
                         witness={"le": [names[x], names[y]], "z": names[z], "side": "right"},
                     )
-
-    return _make_unchecked(names, ident, mul, leq)
 
 
 def trivial_monoid(name: str = "1") -> OrderedMonoid:
@@ -271,18 +311,7 @@ def generated_submonoid(
     morphism into the ambient monoid.  Elements are listed in breadth-first
     discovery order starting from the identity.
     """
-    gens = [monoid.index(g) for g in generators]
-    carrier = [monoid.identity]
-    seen = {monoid.identity}
-    queue = deque([monoid.identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = monoid.mul[x][g]
-            if y not in seen:
-                seen.add(y)
-                carrier.append(y)
-                queue.append(y)
+    carrier = _closure_of(monoid, [monoid.index(g) for g in generators])
     sub_index = {x: i for i, x in enumerate(carrier)}
     names = tuple(monoid.elements[x] for x in carrier)
     mul = [[sub_index[monoid.mul[a][b]] for b in carrier] for a in carrier]
@@ -443,6 +472,7 @@ class DivisionVerdict:
 
 
 def _closure_of(monoid: OrderedMonoid, gens: Sequence[int]) -> list[int]:
+    """Elements generated by ``gens``, in breadth-first order from the identity."""
     carrier = [monoid.identity]
     seen = {monoid.identity}
     queue = deque([monoid.identity])

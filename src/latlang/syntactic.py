@@ -1,12 +1,12 @@
 """Recognition by finite ordered monoids and the syntactic ordered monoid.
 
-The syntactic ordered monoid of a language is computed from its automaton:
-state maps of words are ordered by the simulation preorder on states (the
-greatest relation refining output comparison that is closed under
-successors), and the monoid is the quotient of the transition monoid by
-the induced equivalence.  Because contexts act through state maps and
-reachable states, this preorder coincides with the two-sided word-context
-preorder; well-definedness of the quotient is asserted, not assumed.
+The syntactic ordered monoid of a language is the transition monoid of its
+minimal machine, with state maps ordered pointwise by the simulation
+preorder on states (the greatest relation refining output comparison that
+is closed under successors).  Because contexts act through state maps and
+reachable states, this order coincides with the two-sided word-context
+preorder, and on the minimal machine it is antisymmetric, so no quotient
+is needed.  The resulting table is validated through its generators.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -37,6 +37,9 @@ from .errors import (
     MismatchedAlphabet,
     MismatchedCarrier,
     MismatchedLattice,
+    NotAntisymmetric,
+    NotAssociative,
+    NotCompatible,
     SizeCapExceeded,
     WitnessNotFound,
 )
@@ -45,7 +48,7 @@ from .lattice import threshold
 from .monoid import (
     OrderedMonoid,
     _make_unchecked,
-    build_ordered_monoid,
+    check_generated,
     direct_product,
     identity_is_greatest,
     product_index,
@@ -162,17 +165,20 @@ def transition_monoid(
     """
     a = trim(a)
     maps, witnesses, gen_ids = _word_maps(a, max_size)
-    index = {m: i for i, m in enumerate(maps)}
     k = len(maps)
-    n = len(a.states)
-    mul = [
-        [index[tuple(maps[j][maps[i][q]] for q in range(n))] for j in range(k)]
-        for i in range(k)
-    ]
     leq = [[i == j for j in range(k)] for i in range(k)]
     names = tuple(word_name(w) for w in witnesses)
-    monoid = _make_unchecked(names, 0, mul, leq)
+    monoid = _make_unchecked(names, 0, _composition_table(maps), leq)
     return monoid, tuple(gen_ids)
+
+
+def _composition_table(maps: list[tuple[int, ...]]) -> list[list[int]]:
+    """Row i, column j: the index of the map that applies maps[i], then maps[j].
+
+    ``maps`` must be distinct and closed under composition.
+    """
+    index = {m: i for i, m in enumerate(maps)}
+    return [[index[tuple(mj[q] for q in mi)] for mj in maps] for mi in maps]
 
 
 def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
@@ -204,80 +210,31 @@ def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
 def syntactic(a: LatticeAutomaton, *, max_size: int = TRANSITION_MONOID_CAP) -> SyntacticResult:
     """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
 
-    Steps: trim; state preorder; word maps; map preorder (pointwise state
-    preorder over all reachable states); quotient by mutual comparability.
-    Multiplication, order, and coloring must be well defined on classes;
+    Steps: minimize; state preorder; word maps of the minimal machine, named
+    by their length-lex-least words; pointwise order of the maps.  The
+    table is validated through the letter images with ``check_generated``;
     a failure raises InternalInconsistency since it can only be a bug.
+    ``max_size`` caps the number of word maps of the minimal machine.
     """
-    a = trim(a)
+    a = minimize(a)
     pre = _state_preorder(a)
     maps, witnesses, gen_ids = _word_maps(a, max_size)
-    index = {m: i for i, m in enumerate(maps)}
-    k = len(maps)
-    n = len(a.states)
-
-    below = [
-        [all(pre[maps[i][q]][maps[j][q]] for q in range(n)) for j in range(k)]
-        for i in range(k)
+    leq = [
+        [all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps
     ]
-
-    class_of = [-1] * k
-    reps: list[int] = []
-    for i in range(k):
-        for c, r in enumerate(reps):
-            if below[i][r] and below[r][i]:
-                class_of[i] = c
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(i)
-    n_classes = len(reps)
-
-    def compose(i: int, j: int) -> int:
-        return index[tuple(maps[j][maps[i][q]] for q in range(n))]
-
-    mul_q = [[class_of[compose(r1, r2)] for r2 in reps] for r1 in reps]
-    for i in range(k):
-        for j in range(k):
-            if class_of[compose(i, j)] != mul_q[class_of[i]][class_of[j]]:
-                raise InternalInconsistency(
-                    "multiplication is not well defined on syntactic classes"
-                )
-    leq_q = [[below[r1][r2] for r2 in reps] for r1 in reps]
-    for i in range(k):
-        for j in range(k):
-            if below[i][j] != leq_q[class_of[i]][class_of[j]]:
-                raise InternalInconsistency(
-                    "order is not well defined on syntactic classes"
-                )
-    values = [a.output[maps[r][a.initial]] for r in reps]
-    for i in range(k):
-        if a.output[maps[i][a.initial]] != values[class_of[i]]:
-            raise InternalInconsistency(
-                "coloring is not well defined on syntactic classes"
-            )
-
-    class_witnesses = tuple(witnesses[r] for r in reps)
-    names = tuple(word_name(w) for w in class_witnesses)
-    order_pairs = [
-        (c1, c2)
-        for c1 in range(n_classes)
-        for c2 in range(n_classes)
-        if c1 != c2 and leq_q[c1][c2]
-    ]
+    names = tuple(word_name(w) for w in witnesses)
+    monoid = _make_unchecked(names, 0, _composition_table(maps), leq)
     try:
-        monoid = build_ordered_monoid(
-            names, class_of[0], mul_q, order_pairs, max_size=max(max_size, n_classes)
-        )
-    except Exception as exc:  # validation failure can only be a library bug
-        raise InternalInconsistency(f"syntactic quotient failed validation: {exc}") from exc
-    coloring = make_op_coloring(monoid, a.lattice, values)
+        check_generated(monoid, gen_ids)
+    except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
+        raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
+    values = [a.output[m[a.initial]] for m in maps]
     return SyntacticResult(
         alphabet=a.alphabet,
         monoid=monoid,
-        generator_images=tuple(class_of[g] for g in gen_ids),
-        coloring=coloring,
-        witnesses=class_witnesses,
+        generator_images=tuple(gen_ids),
+        coloring=make_op_coloring(monoid, a.lattice, values),
+        witnesses=tuple(witnesses),
     )
 
 
@@ -341,7 +298,7 @@ def reconstruct_from_cuts(
     recognizes the original language (exact equivalence check).
     """
     lat = a.lattice
-    synts = [syntactic(minimize(cut(a, v))) for v in range(lat.size)]
+    synts = [syntactic(cut(a, v)) for v in range(lat.size)]
     factors = [s.monoid for s in synts]
     product, _ = direct_product(factors, max_size=max_product)
     sizes = [m.size for m in factors]

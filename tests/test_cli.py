@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,18 @@ def test_monoid_commands(tmp_path):
     assert json.loads(out)["witness"]["period"] == 2
 
 
+def test_malformed_monoid_documents_are_errors(tmp_path):
+    u1_doc = {"elements": ["1", "z"], "identity": "1", "mul": [["1", "z"], ["z", "z"]]}
+    for bad in (
+        dict(u1_doc, leq=[["z", "1", "z"]]),
+        dict(u1_doc, leq=[["z"]]),
+        dict(u1_doc, elements="1z"),
+    ):
+        code, out = run(["monoid", "check", write(tmp_path, "bad.json", bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "MalformedDocument"
+
+
 def test_divides_budget_exit(tmp_path):
     from latlang import direct_product
     from conftest import u1
@@ -280,6 +293,19 @@ def test_unknown_flag_is_error():
     assert json.loads(out)["error"]["kind"] == "Usage"
 
 
+def test_negative_bounds_are_usage_errors():
+    for argv in (
+        ["lang", "shuffle-check", AUTOMATON, "--max-len", "-3"],
+        ["markov", "analyze", CHAIN, "--max-len", "-1"],
+        ["markov", "analyze", CHAIN, "--horizon", "-2"],
+    ):
+        code, out = run(argv)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "Usage"
+    code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "0"])
+    assert code == 2 and json.loads(out)["bound"] == 0
+
+
 def test_missing_file_is_error():
     code, out = run(["lattice", "check", "/nonexistent.json"])
     assert code == 1
@@ -304,10 +330,17 @@ def test_cli_determinism():
 
 
 def test_console_entry_point():
+    import latlang
+
+    # the child imports the same latlang as this process, however pytest found it
+    package_root = str(Path(latlang.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "latlang", "lang", "eval", AUTOMATON, "--word", "ab"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == '{"value":["1"]}\n'

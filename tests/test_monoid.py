@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from latlang import (
     DivisionBudget,
@@ -13,7 +14,9 @@ from latlang import (
     standard_lattice,
     trivial_monoid,
 )
+from latlang.monoid import OrderedMonoid, check_generated
 from latlang.errors import (
+    LatlangError,
     NoIdentity,
     NotAssociative,
     NotCompatible,
@@ -235,3 +238,73 @@ def test_ideal_coloring_through_embedding():
             for x in range(sub.size)
         ]
         assert list(pulled.colors) == direct
+
+
+def _unchecked(names, mul, pairs):
+    """An OrderedMonoid over ``mul`` with the reflexive-transitive closure of ``pairs``."""
+    n = len(names)
+    leq = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    return OrderedMonoid(
+        tuple(names), 0, tuple(map(tuple, mul)), tuple(map(tuple, leq))
+    )
+
+
+def _error_doc(check):
+    try:
+        check()
+    except LatlangError as exc:
+        return exc.to_doc()
+    return None
+
+
+def _assert_same_verdict(names, mul, pairs):
+    """With every element as a generator, check_generated fails exactly
+    when build_ordered_monoid does, with the same error document."""
+    built = _error_doc(lambda: build_ordered_monoid(names, 0, mul, pairs))
+    checked = _error_doc(
+        lambda: check_generated(_unchecked(names, mul, pairs), range(len(names)))
+    )
+    assert checked == built
+
+
+def test_check_generated_matches_build_on_enumerated_monoids():
+    from latlang.variety import enumerate_ordered_monoids
+
+    for m in enumerate_ordered_monoids(3):
+        pairs = {(i, j) for i in range(m.size) for j in range(m.size) if m.leq[i][j]}
+        _assert_same_verdict(m.elements, m.mul, pairs)
+        for extra in [(i, j) for i in range(m.size) for j in range(m.size)]:
+            _assert_same_verdict(m.elements, m.mul, pairs | {extra})
+
+
+@given(st.data())
+def test_check_generated_matches_build_on_random_tables(data):
+    n = data.draw(st.integers(1, 4))
+    entries = st.integers(0, n - 1)
+    mul = [
+        [x if r == 0 else r if x == 0 else data.draw(entries) for x in range(n)]
+        for r in range(n)
+    ]
+    pairs = set(data.draw(st.lists(st.tuples(entries, entries), max_size=4)))
+    _assert_same_verdict([f"e{i}" for i in range(n)], mul, pairs)
+
+
+def test_check_generated_through_generators_only():
+    # generated by x (x*x = y) but (x*x)*x != x*(x*x)
+    table = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
+    with pytest.raises(NotAssociative):
+        check_generated(_unchecked(("1", "x", "y"), table, set()), [1])
+    # Z2 ordered by 1 < g: translation by the generator g breaks the order
+    with pytest.raises(NotCompatible):
+        check_generated(_unchecked(("1", "g"), [[0, 1], [1, 0]], {(0, 1)}), [1])
+    # left-zero band {a, b} with a < 1: only right translation by b breaks it
+    left_zero = _unchecked(("1", "a", "b"), [[0, 1, 2], [1, 1, 1], [2, 2, 2]], {(1, 0)})
+    with pytest.raises(NotCompatible) as err:
+        check_generated(left_zero, [1, 2])
+    assert err.value.witness == {"le": ["a", "1"], "z": "b", "side": "right"}
+    product, _ = direct_product([u1("z<1"), u1("1<z")])
+    check_generated(product, [product.index("(z,1)"), product.index("(1,z)")])

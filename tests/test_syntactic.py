@@ -128,21 +128,24 @@ def test_syntactic_order_matches_bounded_contexts(rng):
 
 
 def test_syntactic_order_matches_literal_context_quantifier(rng):
-    """Recompute the syntactic order by quantifying over all contexts.
+    """Recompute the syntactic monoid by quantifying over all contexts.
 
     Every word acts through its state map, so context pairs range exactly
     over pairs of transition-monoid elements.  This second route never
-    touches the state-simulation fixpoint used by the implementation.
+    touches the state-simulation fixpoint or the minimal machine used by
+    the implementation: it quotients the transition monoid of the trimmed
+    machine by mutual domination, and the classes, their length-lex-least
+    names, the order and the products must match ``syntactic``.
     """
     from latlang import trim
 
     checked = 0
-    while checked < 5:
+    while checked < 60:
         lattice = random_lattice(rng, 4)
-        machine = trim(random_automaton(rng, lattice, 2))
+        machine = trim(random_automaton(rng, lattice, 4, min_states=3))
         monoid, _ = transition_monoid(machine)
         k = monoid.size
-        if k > 12:
+        if k > 16:
             continue
         words = [
             () if name == "ε" else tuple(name) for name in monoid.elements
@@ -162,11 +165,27 @@ def test_syntactic_order_matches_literal_context_quantifier(rng):
                 for v in range(k)
             )
 
+        below = [[dominated(m1, m2) for m2 in range(k)] for m1 in range(k)]
+        classes: list[list[int]] = []
+        for m in range(k):  # elements come in length-lex order of their words
+            for c in classes:
+                if below[m][c[0]] and below[c[0]][m]:
+                    c.append(m)
+                    break
+            else:
+                classes.append([m])
+
         s = syntactic(machine)
-        classes = [s.triple.image_of(w) for w in words]
+        assert s.monoid.size == len(classes)
+        assert s.monoid.elements == tuple(monoid.elements[c[0]] for c in classes)
+        image = [s.triple.image_of(w) for w in words]
+        for index, c in enumerate(classes):
+            assert {image[m] for m in c} == {index}
         for m1 in range(k):
             for m2 in range(k):
-                assert dominated(m1, m2) == s.monoid.leq[classes[m1]][classes[m2]]
+                assert s.monoid.leq[image[m1]][image[m2]] == below[m1][m2]
+                concatenation = s.triple.image_of(words[m1] + words[m2])
+                assert s.monoid.mul[image[m1]][image[m2]] == concatenation
         checked += 1
 
 
