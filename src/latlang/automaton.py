@@ -19,10 +19,9 @@ from .errors import (
     MismatchedAlphabet,
     MismatchedLattice,
     SizeCapExceeded,
-    UnknownElement,
     UnknownLetter,
 )
-from .lattice import Lattice, LatticeMorphism
+from .lattice import Lattice, LatticeMorphism, resolve
 
 COMBINE_STATE_CAP = 200_000
 
@@ -126,14 +125,7 @@ class LatticeAutomaton:
         return idx
 
     def state(self, s: int | str) -> int:
-        if isinstance(s, int) and not isinstance(s, bool):
-            if 0 <= s < len(self.states):
-                return s
-            raise UnknownElement(f"state index {s} out of range")
-        idx = self._state_index.get(s)
-        if idx is None:
-            raise UnknownElement(f"unknown state {s!r}")
-        return idx
+        return resolve(self._state_index, s, "state")
 
     def run(self, word: str | Sequence[str], start: int | None = None) -> int:
         """The state reached from ``start`` (default: initial) on ``word``."""
@@ -160,15 +152,6 @@ def make_automaton(
         raise MalformedDocument("states must be a nonempty list of distinct names")
     state_index = {s: i for i, s in enumerate(names)}
 
-    def resolve_state(s: int | str) -> int:
-        if isinstance(s, int) and not isinstance(s, bool):
-            if 0 <= s < len(names):
-                return s
-            raise UnknownElement(f"state index {s} out of range")
-        if s in state_index:
-            return state_index[s]
-        raise UnknownElement(f"unknown state {s!r}")
-
     table: list[list[int]] = []
     if isinstance(delta, Mapping):
         for s in names:
@@ -184,7 +167,7 @@ def make_automaton(
                         f"partial automaton: no transition for ({s!r}, {a!r})",
                         witness=[s, a],
                     )
-                row.append(resolve_state(row_map[a]))
+                row.append(resolve(state_index, row_map[a], "state"))
             for a in row_map:
                 if a not in set(letters):
                     raise UnknownLetter(f"unknown letter {a!r} in delta", witness=a)
@@ -192,7 +175,7 @@ def make_automaton(
     else:
         if len(delta) != len(names) or any(len(r) != len(letters) for r in delta):
             raise MalformedDocument("delta table must be states x alphabet")
-        table = [[resolve_state(t) for t in row] for row in delta]
+        table = [[resolve(state_index, t, "state") for t in row] for row in delta]
 
     if isinstance(output, Mapping):
         missing = [s for s in names if s not in output]
@@ -208,7 +191,7 @@ def make_automaton(
         lattice=lattice,
         alphabet=letters,
         states=names,
-        initial=resolve_state(initial),
+        initial=resolve(state_index, initial, "state"),
         delta=tuple(tuple(row) for row in table),
         output=tuple(values),
     )

@@ -250,7 +250,7 @@ def _handle(args: argparse.Namespace) -> tuple[int, Any]:
         return EXIT_OK, {
             "absorption": {
                 f"C{c + 1}": {
-                    state: markov_mod.fraction_str(p)
+                    state: str(p)
                     for state, p in sorted(per_state.items())
                 }
                 for c, per_state in absorption.items()
@@ -379,7 +379,7 @@ def run(argv: list[str] | None = None) -> tuple[int, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for bound in ("max_len", "horizon"):
+        for bound in ("max_len", "horizon", "budget"):
             if getattr(args, bound, 0) < 0:
                 raise _CliUsage(f"argument --{bound.replace('_', '-')}: must be non-negative")
         code, doc = _handle(args)

@@ -8,7 +8,6 @@ its result, so a validation failure flags a library bug.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +17,7 @@ from .errors import (
     MismatchedLattice,
     NotOrderPreserving,
 )
-from .lattice import Lattice, LatticeMorphism
+from .lattice import Lattice, LatticeMorphism, monotone_violation
 from .monoid import (
     DEFAULT_PRODUCT_CAP,
     MonoidMorphism,
@@ -61,20 +60,17 @@ def make_op_coloring(
         if len(colors) != monoid.size:
             raise MalformedDocument("coloring has the wrong length")
         values = tuple(lattice.index(c) for c in colors)
-    for a in range(monoid.size):
-        for b in range(monoid.size):
-            if monoid.leq[a][b] and not lattice.leq[values[a]][values[b]]:
-                raise NotOrderPreserving(
-                    f"{monoid.elements[a]!r} <= {monoid.elements[b]!r} "
-                    "but colors are not ordered",
-                    witness={
-                        "pair": [monoid.elements[a], monoid.elements[b]],
-                        "colors": [
-                            lattice.elements[values[a]],
-                            lattice.elements[values[b]],
-                        ],
-                    },
-                )
+    bad = monotone_violation(monoid.leq, lattice.leq, values)
+    if bad is not None:
+        a, b = bad
+        raise NotOrderPreserving(
+            f"{monoid.elements[a]!r} <= {monoid.elements[b]!r} "
+            "but colors are not ordered",
+            witness={
+                "pair": [monoid.elements[a], monoid.elements[b]],
+                "colors": [lattice.elements[values[a]], lattice.elements[values[b]]],
+            },
+        )
     return OpColoring(monoid=monoid, lattice=lattice, colors=values)
 
 
@@ -121,11 +117,13 @@ def product_coloring(
         fold = lattice.meet_all
     else:
         raise MalformedDocument(f"unknown product coloring kind {kind!r}")
-    product, _ = direct_product([p.monoid for p in colorings], max_size=max_size)
-    sizes = [p.monoid.size for p in colorings]
-    values = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        values.append(fold(p.colors[c] for p, c in zip(colorings, combo)))
+    product, projections = direct_product(
+        [p.monoid for p in colorings], max_size=max_size
+    )
+    values = [
+        fold(p.colors[pi.mapping[x]] for p, pi in zip(colorings, projections))
+        for x in range(product.size)
+    ]
     return make_op_coloring(product, lattice, values)
 
 

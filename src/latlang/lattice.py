@@ -5,13 +5,17 @@ the reflexive-transitive closure must be a partial order and every pair of
 elements must have a unique least upper bound and greatest lower bound.
 Element identity is the positional index; names are presentation only.
 All values are immutable after construction.
+
+The finite-order kernel lives here too, for lattices, monoids, colorings,
+automata and chains alike: resolving an element by position or name,
+closing order pairs, and scanning for antisymmetry and monotonicity.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     MalformedDocument,
@@ -28,22 +32,89 @@ from .errors import (
 DEFAULT_MAX_SIZE = 64
 
 
-def _transitive_reflexive_closure(matrix: list[list[bool]]) -> None:
-    """Close a relation matrix reflexively and transitively, in place."""
-    n = len(matrix)
-    for i in range(n):
-        matrix[i][i] = True
+def resolve(index: Mapping[str, int], element: int | str, what: str) -> int:
+    """Position of an element given by position or by name.
+
+    ``index`` maps every name to its position, so its length is the size.
+    A boolean is a name, never a position; an unhashable name is unknown.
+    """
+    if isinstance(element, int) and not isinstance(element, bool):
+        if 0 <= element < len(index):
+            return element
+        raise UnknownElement(f"{what} index {element} out of range")
+    try:
+        position = index.get(element)
+    except TypeError:
+        position = None
+    if position is None:
+        raise UnknownElement(f"unknown {what} {element!r}")
+    return position
+
+
+def order_from_pairs(
+    index: Mapping[str, int], pairs: Iterable[Sequence[int | str]], what: str
+) -> list[list[bool]]:
+    """The reflexive-transitive closure of [lo, hi] pairs, as a boolean matrix."""
+    if not isinstance(pairs, Iterable):
+        raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
+    n = len(index)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MalformedDocument(f"order pair {pair!r} must list two elements")
+        lo, hi = pair
+        leq[resolve(index, lo, what)][resolve(index, hi, what)] = True
     for k in range(n):
-        row_k = matrix[k]
-        for i in range(n):
-            if matrix[i][k]:
-                row_i = matrix[i]
+        row_k = leq[k]
+        for row_i in leq:
+            if row_i[k]:
                 for j in range(n):
                     if row_k[j]:
                         row_i[j] = True
+    return leq
 
 
-def _check_names(element_names: Sequence[str]) -> tuple[str, ...]:
+def mutual_pair(leq: Sequence[Sequence[bool]]) -> tuple[int, int] | None:
+    """The first pair i < j with i <= j and j <= i; None iff ``leq`` is antisymmetric."""
+    n = len(leq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                return i, j
+    return None
+
+
+def check_antisymmetric(names: Sequence[str], leq: Sequence[Sequence[bool]]) -> None:
+    """Raise NotAntisymmetric, naming the pair ``mutual_pair`` finds, if there is one."""
+    pair = mutual_pair(leq)
+    if pair is not None:
+        i, j = pair
+        raise NotAntisymmetric(
+            f"{names[i]!r} and {names[j]!r} are mutually comparable",
+            witness=[names[i], names[j]],
+        )
+
+
+def monotone_violation(
+    src_leq: Sequence[Sequence[bool]],
+    dst_leq: Sequence[Sequence[bool]],
+    images: Sequence[int],
+) -> tuple[int, int] | None:
+    """The first pair a <= b whose images are not ordered; None iff the map is monotone."""
+    n = len(images)
+    for a in range(n):
+        src_row = src_leq[a]
+        dst_row = dst_leq[images[a]]
+        for b in range(n):
+            if src_row[b] and not dst_row[images[b]]:
+                return a, b
+    return None
+
+
+def check_names(element_names: Iterable[str]) -> tuple[str, ...]:
+    """Element names as a tuple; they must be distinct strings."""
+    if not isinstance(element_names, Iterable):
+        raise MalformedDocument("element names must be a list")
     names = tuple(element_names)
     if not all(isinstance(name, str) for name in names):
         raise MalformedDocument("element names must be strings")
@@ -76,16 +147,7 @@ class Lattice:
 
     def index(self, element: int | str) -> int:
         """Resolve an element given by index or name."""
-        if isinstance(element, bool):
-            raise UnknownElement(f"not a lattice element: {element!r}")
-        if isinstance(element, int):
-            if 0 <= element < len(self.elements):
-                return element
-            raise UnknownElement(f"lattice element index {element} out of range")
-        idx = self._name_index.get(element)
-        if idx is None:
-            raise UnknownElement(f"unknown lattice element {element!r}")
-        return idx
+        return resolve(self._name_index, element, "lattice element")
 
     def name(self, index: int) -> str:
         return self.elements[index]
@@ -130,37 +192,15 @@ def build_lattice(
     """
     if relation not in ("cover", "full"):
         raise MalformedDocument(f"unknown relation kind {relation!r}")
-    names = _check_names(element_names)
+    names = check_names(element_names)
     n = len(names)
     if n == 0:
         raise TrivialLattice("a lattice needs at least two elements")
     if n > max_size:
         raise SizeCapExceeded(f"lattice size {n} exceeds cap {max_size}")
-
     index = {name: i for i, name in enumerate(names)}
-
-    def resolve(e: int | str) -> int:
-        if isinstance(e, int) and not isinstance(e, bool):
-            if 0 <= e < n:
-                return e
-            raise UnknownElement(f"lattice element index {e} out of range")
-        if e in index:
-            return index[e]
-        raise UnknownElement(f"unknown lattice element {e!r}")
-
-    leq = [[False] * n for _ in range(n)]
-    for pair in pairs:
-        lo, hi = pair
-        leq[resolve(lo)][resolve(hi)] = True
-    _transitive_reflexive_closure(leq)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAntisymmetric(
-                    f"{names[i]!r} and {names[j]!r} are mutually comparable",
-                    witness=[names[i], names[j]],
-                )
+    leq = order_from_pairs(index, pairs, "lattice element")
+    check_antisymmetric(names, leq)
 
     if n == 1:
         raise TrivialLattice("bottom equals top in a one-element lattice")
@@ -309,16 +349,16 @@ def make_lattice_morphism(
         if len(mapping) != lattice.size:
             raise MalformedDocument("morphism mapping has the wrong length")
         images = tuple(lattice.index(v) for v in mapping)
-    for a in range(lattice.size):
-        for b in range(lattice.size):
-            if lattice.leq[a][b] and not lattice.leq[images[a]][images[b]]:
-                raise NotOrderPreserving(
-                    f"{lattice.elements[a]!r} <= {lattice.elements[b]!r} but images are not ordered",
-                    witness={
-                        "pair": [lattice.elements[a], lattice.elements[b]],
-                        "images": [lattice.elements[images[a]], lattice.elements[images[b]]],
-                    },
-                )
+    bad = monotone_violation(lattice.leq, lattice.leq, images)
+    if bad is not None:
+        a, b = bad
+        raise NotOrderPreserving(
+            f"{lattice.elements[a]!r} <= {lattice.elements[b]!r} but images are not ordered",
+            witness={
+                "pair": [lattice.elements[a], lattice.elements[b]],
+                "images": [lattice.elements[images[a]], lattice.elements[images[b]]],
+            },
+        )
     return LatticeMorphism(lattice=lattice, mapping=images)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     SingularSystem,
     UnknownElement,
 )
-from .lattice import Lattice, standard_lattice, subset_name
+from .lattice import Lattice, resolve, standard_lattice, subset_name
 from .monoid import identity_is_greatest, is_aperiodic
 from .syntactic import shuffle_ideal_falsify, syntactic
 
@@ -53,10 +54,6 @@ def parse_fraction(text: str | int) -> Fraction:
     return Fraction(num, den)
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True, repr=False)
 class MarkovChain:
     """A stochastic matrix over named states, entries as exact fractions."""
@@ -71,15 +68,12 @@ class MarkovChain:
     def size(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _state_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
     def state(self, s: int | str) -> int:
-        if isinstance(s, int) and not isinstance(s, bool):
-            if 0 <= s < len(self.states):
-                return s
-            raise UnknownElement(f"state index {s} out of range")
-        try:
-            return self.states.index(s)
-        except ValueError:
-            raise UnknownElement(f"unknown state {s!r}") from None
+        return resolve(self._state_index, s, "state")
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
@@ -105,7 +99,7 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
         total = sum(matrix[i], Fraction(0))
         if total != 1:
             raise RowSumNotOne(
-                f"row {s!r} sums to {total}", witness=[s, fraction_str(total)]
+                f"row {s!r} sums to {total}", witness=[s, str(total)]
             )
     return MarkovChain(states=names, matrix=tuple(tuple(r) for r in matrix))
 
@@ -260,8 +254,8 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
                     witness=[
                         chain.states[s],
                         chain.states[t],
-                        fraction_str(chain.matrix[s][t]),
-                        fraction_str(total),
+                        str(chain.matrix[s][t]),
+                        str(total),
                     ],
                 )
 
@@ -549,14 +543,14 @@ def analyze(
         },
         "absorption": {
             f"C{c + 1}": {
-                state: fraction_str(p) for state, p in sorted(per_state.items())
+                state: str(p) for state, p in sorted(per_state.items())
             }
             for c, per_state in absorption.items()
         },
         "word_measure": {
             "horizon": horizon,
             "masses": {
-                analyzed.lattice.elements[e]: fraction_str(m)
+                analyzed.lattice.elements[e]: str(m)
                 for e, m in sorted(masses.items())
             },
         },

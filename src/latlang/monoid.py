@@ -20,13 +20,12 @@ from .errors import (
     MalformedDocument,
     NoIdentity,
     NotAMorphism,
-    NotAntisymmetric,
     NotAssociative,
     NotCompatible,
     NotOrderPreserving,
     SizeCapExceeded,
-    UnknownElement,
 )
+from .lattice import check_antisymmetric, check_names, order_from_pairs, resolve
 
 DEFAULT_MAX_SIZE = 512
 DEFAULT_PRODUCT_CAP = 1024
@@ -53,16 +52,7 @@ class OrderedMonoid:
         return len(self.elements)
 
     def index(self, element: int | str) -> int:
-        if isinstance(element, bool):
-            raise UnknownElement(f"not a monoid element: {element!r}")
-        if isinstance(element, int):
-            if 0 <= element < len(self.elements):
-                return element
-            raise UnknownElement(f"monoid element index {element} out of range")
-        idx = self._name_index.get(element)
-        if idx is None:
-            raise UnknownElement(f"unknown monoid element {element!r}")
-        return idx
+        return resolve(self._name_index, element, "monoid element")
 
     def name(self, index: int) -> str:
         return self.elements[index]
@@ -114,31 +104,19 @@ def build_ordered_monoid(
     """
     if isinstance(element_names, str):
         raise MalformedDocument("element names must be a list, not a string")
-    names = tuple(element_names)
-    if not all(isinstance(n, str) for n in names):
-        raise MalformedDocument("element names must be strings")
-    if len(set(names)) != len(names):
-        raise MalformedDocument("element names must be distinct")
+    names = check_names(element_names)
     n = len(names)
     if n == 0:
         raise MalformedDocument("a monoid needs at least one element")
     if n > max_size:
         raise SizeCapExceeded(f"monoid size {n} exceeds cap {max_size}")
     index = {name: i for i, name in enumerate(names)}
-
-    def resolve(e: int | str) -> int:
-        if isinstance(e, int) and not isinstance(e, bool):
-            if 0 <= e < n:
-                return e
-            raise UnknownElement(f"monoid element index {e} out of range")
-        if e in index:
-            return index[e]
-        raise UnknownElement(f"unknown monoid element {e!r}")
-
-    if len(mul_table) != n or any(len(row) != n for row in mul_table):
+    if not isinstance(mul_table, (list, tuple)) or len(mul_table) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
+    ):
         raise MalformedDocument("multiplication table must be n x n")
-    mul = [[resolve(e) for e in row] for row in mul_table]
-    ident = resolve(identity)
+    mul = [[resolve(index, e, "monoid element") for e in row] for row in mul_table]
+    ident = resolve(index, identity, "monoid element")
 
     for x in range(n):
         if mul[ident][x] != x or mul[x][ident] != x:
@@ -148,22 +126,7 @@ def build_ordered_monoid(
             )
     _check_associative(names, mul, range(n))
 
-    leq = [[False] * n for _ in range(n)]
-    for pair in leq_pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise MalformedDocument(f"order pair {pair!r} must list two elements")
-        lo, hi = pair
-        leq[resolve(lo)][resolve(hi)] = True
-    for i in range(n):
-        leq[i][i] = True
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                row_i = leq[i]
-                row_k = leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+    leq = order_from_pairs(index, leq_pairs, "monoid element")
     _check_order(names, mul, leq, range(n))
 
     return _make_unchecked(names, ident, mul, leq)
@@ -208,30 +171,36 @@ def _check_order(
     gens: Sequence[int],
 ) -> None:
     """Raise NotAntisymmetric or NotCompatible unless ``leq`` is antisymmetric
-    and x <= y implies zx <= zy and xz <= yz for each z in ``gens``."""
-    n = len(names)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAntisymmetric(
-                    f"{names[i]!r} and {names[j]!r} are mutually comparable",
-                    witness=[names[i], names[j]],
-                )
+    and compatible with translation by each element of ``gens``."""
+    check_antisymmetric(names, leq)
+    bad = compatibility_violation(mul, leq, gens)
+    if bad is not None:
+        x, y, z, side = bad
+        raise NotCompatible(
+            f"order is not compatible with {side} translation",
+            witness={"le": [names[x], names[y]], "z": names[z], "side": side},
+        )
+
+
+def compatibility_violation(
+    mul: Sequence[Sequence[int]],
+    leq: Sequence[Sequence[bool]],
+    gens: Sequence[int],
+) -> tuple[int, int, int, str] | None:
+    """The first (x, y, z, side) with x <= y but not zx <= zy (side "left")
+    or not xz <= yz (side "right"), for z in ``gens``; None iff compatible."""
+    n = len(mul)
     for x in range(n):
+        leq_x = leq[x]
         for y in range(n):
-            if x == y or not leq[x][y]:
+            if x == y or not leq_x[y]:
                 continue
             for z in gens:
                 if not leq[mul[z][x]][mul[z][y]]:
-                    raise NotCompatible(
-                        "order is not compatible with left translation",
-                        witness={"le": [names[x], names[y]], "z": names[z], "side": "left"},
-                    )
+                    return x, y, z, "left"
                 if not leq[mul[x][z]][mul[y][z]]:
-                    raise NotCompatible(
-                        "order is not compatible with right translation",
-                        witness={"le": [names[x], names[y]], "z": names[z], "side": "right"},
-                    )
+                    return x, y, z, "right"
+    return None
 
 
 def trivial_monoid(name: str = "1") -> OrderedMonoid:
@@ -397,33 +366,8 @@ def identity_is_greatest(monoid: OrderedMonoid) -> bool:
 
 
 def is_isomorphic(m1: OrderedMonoid, m2: OrderedMonoid) -> bool:
-    """Brute-force isomorphism test over identity-preserving bijections.
-
-    A bijective morphism need not be an isomorphism, so the order is
-    checked in both directions.
-    """
-    n = m1.size
-    if n != m2.size:
-        return False
-    rest1 = [i for i in range(n) if i != m1.identity]
-    rest2 = [i for i in range(n) if i != m2.identity]
-    for perm in itertools.permutations(rest2):
-        phi = {m1.identity: m2.identity}
-        phi.update(zip(rest1, perm))
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if phi[m1.mul[a][b]] != m2.mul[phi[a]][phi[b]]:
-                    ok = False
-                    break
-                if m1.leq[a][b] != m2.leq[phi[a]][phi[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    """Isomorphism of ordered monoids: equal sizes and equal canonical keys."""
+    return m1.size == m2.size and canonical_key(m1) == canonical_key(m2)
 
 
 def canonical_key(monoid: OrderedMonoid) -> tuple:

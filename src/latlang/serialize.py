@@ -25,7 +25,6 @@ from .lattice import Lattice, LatticeMorphism, build_lattice, make_lattice_morph
 from .markov import (
     Decomposition,
     MarkovChain,
-    fraction_str,
     make_chain,
     parse_fraction,
     validate_decomposition,
@@ -228,7 +227,7 @@ def chain_to_doc(chain: MarkovChain) -> dict:
     rows: dict = {}
     for i, s in enumerate(chain.states):
         row = {
-            chain.states[j]: fraction_str(p)
+            chain.states[j]: str(p)
             for j, p in enumerate(chain.matrix[i])
             if p != 0
         }
@@ -246,7 +245,7 @@ def decomposition_to_doc(decomposition: Decomposition, chain: MarkovChain) -> di
         "letters": [
             {
                 "name": name,
-                "weight": fraction_str(weight),
+                "weight": str(weight),
                 "map": {
                     chain.states[s]: chain.states[mapping[s]]
                     for s in range(chain.size)

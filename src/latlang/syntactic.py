@@ -300,20 +300,19 @@ def reconstruct_from_cuts(
     lat = a.lattice
     synts = [syntactic(cut(a, v)) for v in range(lat.size)]
     factors = [s.monoid for s in synts]
-    product, _ = direct_product(factors, max_size=max_product)
+    product, projections = direct_product(factors, max_size=max_product)
     sizes = [m.size for m in factors]
     images = tuple(
         product_index(sizes, [s.generator_images[l] for s in synts])
         for l in range(len(a.alphabet))
     )
-    colors = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        colors.append(
-            lat.meet_all(
-                lat.join_table[synts[v].coloring.colors[combo[v]]][v]
-                for v in range(lat.size)
-            )
+    colors = [
+        lat.meet_all(
+            lat.join_table[synts[v].coloring.colors[projections[v].mapping[x]]][v]
+            for v in range(lat.size)
         )
+        for x in range(product.size)
+    ]
     coloring = make_op_coloring(product, lat, colors)
     triple = RecognitionTriple(
         alphabet=a.alphabet,

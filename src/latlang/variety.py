@@ -31,12 +31,20 @@ from .coloring import (
     product_coloring,
 )
 from .errors import LatlangError, MismatchedCarrier, NotARecognizer, SizeCapExceeded
-from .lattice import Lattice, build_lattice, cons as cons_morphism, standard_lattice
+from .lattice import (
+    Lattice,
+    build_lattice,
+    cons as cons_morphism,
+    mutual_pair,
+    order_from_pairs,
+    standard_lattice,
+)
 from .monoid import (
     DivisionBudget,
     OrderedMonoid,
     _make_unchecked,
     canonical_key,
+    compatibility_violation,
     direct_product,
     divides,
     identity_monoid_morphism,
@@ -57,37 +65,15 @@ ENUMERATION_MAX_N = 4
 
 @lru_cache(maxsize=None)
 def _partial_orders(n: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
-    """All partial orders on n labeled points, as boolean matrices."""
+    """All partial orders on n labeled points, as boolean matrices: every set
+    of pairs that is already reflexively-transitively closed and antisymmetric."""
+    points = {str(i): i for i in range(n)}
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     orders = []
     for mask in range(2 ** len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if mask >> k & 1:
-                leq[i][j] = True
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for i in range(n):
-            for j in range(n):
-                if not leq[i][j]:
-                    continue
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        leq = order_from_pairs(points, chosen, "point")
+        if sum(map(sum, leq)) == n + len(chosen) and mutual_pair(leq) is None:
             orders.append(tuple(tuple(row) for row in leq))
     return tuple(orders)
 
@@ -122,19 +108,6 @@ def _unital_associative_tables(n: int):
             yield mul
 
 
-def _compatible(n: int, mul, leq) -> bool:
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq[x][y]:
-                continue
-            for z in range(n):
-                if not leq[mul[z][x]][mul[z][y]]:
-                    return False
-                if not leq[mul[x][z]][mul[y][z]]:
-                    return False
-    return True
-
-
 def enumerate_ordered_monoids(n: int, *, max_n: int = ENUMERATION_MAX_N) -> list[OrderedMonoid]:
     """All ordered monoids on n elements up to isomorphism.
 
@@ -148,7 +121,7 @@ def enumerate_ordered_monoids(n: int, *, max_n: int = ENUMERATION_MAX_N) -> list
     found: dict[tuple, OrderedMonoid] = {}
     for mul in _unital_associative_tables(n):
         for leq in _partial_orders(n):
-            if not _compatible(n, mul, leq):
+            if compatibility_violation(mul, leq, range(n)) is not None:
                 continue
             monoid = _make_unchecked(names, 0, mul, leq)
             key = canonical_key(monoid)
@@ -244,14 +217,6 @@ class VerificationReport:
         }
 
 
-def _components_of(product: OrderedMonoid, factors: Sequence[OrderedMonoid]) -> list[tuple[int, ...]]:
-    """Component tuples of the product's elements, in element order."""
-    combos = list(itertools.product(*(range(m.size) for m in factors)))
-    if len(combos) != product.size:
-        raise MismatchedCarrier("monoid is not the expected direct product")
-    return combos
-
-
 def verify_recog_by_synt(
     automata: Sequence[LatticeAutomaton], triple: RecognitionTriple
 ) -> VerificationReport:
@@ -267,13 +232,12 @@ def verify_recog_by_synt(
 
     synts = [syntactic(a) for a in automata]
     factors = [s.monoid for s in synts]
-    product, _ = direct_product(factors)
+    product, projections = direct_product(factors)
     if product != triple.monoid:
         raise MismatchedCarrier(
             "triple's monoid is not the product of the syntactic monoids"
         )
     lat = triple.coloring.lattice
-    combos = _components_of(product, factors)
     instance = {
         "factor_sizes": [m.size for m in factors],
         "lattice": list(lat.elements),
@@ -303,9 +267,9 @@ def verify_recog_by_synt(
         rhs_colors = [
             lat.join_all(
                 lat.bottom
-                if factors[i].leq[combos[x][i]][combos[m][i]]
+                if p.target.leq[p.mapping[x]][p.mapping[m]]
                 else lat.top
-                for i in range(len(factors))
+                for p in projections
             )
             for x in range(product.size)
         ]

@@ -213,10 +213,36 @@ def test_malformed_monoid_documents_are_errors(tmp_path):
         dict(u1_doc, leq=[["z", "1", "z"]]),
         dict(u1_doc, leq=[["z"]]),
         dict(u1_doc, elements="1z"),
+        dict(u1_doc, elements=5),
+        dict(u1_doc, leq=5),
+        dict(u1_doc, mul=["1z", "zz"]),
+        dict(u1_doc, mul=5),
     ):
         code, out = run(["monoid", "check", write(tmp_path, "bad.json", bad)])
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "MalformedDocument"
+    for bad, kind in (
+        (dict(u1_doc, leq=[["z", ["1"]]]), "UnknownElement"),
+        (dict(u1_doc, identity=["1"]), "UnknownElement"),
+    ):
+        code, out = run(["monoid", "check", write(tmp_path, "bad.json", bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == kind
+
+
+def test_malformed_lattice_documents_are_errors(tmp_path):
+    chain = {"elements": ["a", "b"], "cover": [["a", "b"]]}
+    for bad, kind in (
+        (dict(chain, cover=[["a", "b", "a"]]), "MalformedDocument"),
+        (dict(chain, cover=["ab"]), "MalformedDocument"),
+        (dict(chain, cover=5), "MalformedDocument"),
+        (dict(chain, elements=5), "MalformedDocument"),
+        (dict(chain, relation="full", leq=5), "MalformedDocument"),
+        (dict(chain, cover=[["a", ["b"]]]), "UnknownElement"),
+    ):
+        code, out = run(["lattice", "check", write(tmp_path, "bad.json", bad)])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == kind
 
 
 def test_divides_budget_exit(tmp_path):
@@ -293,11 +319,15 @@ def test_unknown_flag_is_error():
     assert json.loads(out)["error"]["kind"] == "Usage"
 
 
-def test_negative_bounds_are_usage_errors():
+def test_negative_bounds_are_usage_errors(tmp_path):
+    from conftest import u1
+
+    u1_path = write(tmp_path, "u1.json", monoid_to_doc(u1()))
     for argv in (
         ["lang", "shuffle-check", AUTOMATON, "--max-len", "-3"],
         ["markov", "analyze", CHAIN, "--max-len", "-1"],
         ["markov", "analyze", CHAIN, "--horizon", "-2"],
+        ["monoid", "divides", u1_path, u1_path, "--budget", "-1"],
     ):
         code, out = run(argv)
         assert code == 1

@@ -6,11 +6,15 @@ from hypothesis import given, strategies as st
 from latlang import (
     bound,
     build_lattice,
+    build_ordered_monoid,
     cons,
+    constant_automaton,
     dual,
     identity_morphism,
+    make_automaton,
     make_lattice_morphism,
     standard_lattice,
+    trivial_monoid,
 )
 from latlang.errors import (
     NotALattice,
@@ -20,6 +24,7 @@ from latlang.errors import (
     TrivialLattice,
     UnknownElement,
 )
+from latlang.markov import make_chain
 from latlang.variety import random_lattice
 
 POOL = [random_lattice(random.Random(seed), 8) for seed in range(12)]
@@ -155,3 +160,31 @@ def test_morphism_composition_closed(lat, data):
     g = make_lattice_morphism(lat, [lat.join_table[v][x] for v in range(lat.size)])
     f.then(g)
     g.then(f)
+
+
+CHAIN2 = standard_lattice("chain", 2)
+RESOLVER_ENTRY_POINTS = {
+    "Lattice.index": ("lattice element", lambda e: CHAIN2.index(e)),
+    "build_lattice": ("lattice element", lambda e: build_lattice(["0", "1"], [("0", e)])),
+    "OrderedMonoid.index": ("monoid element", lambda e: trivial_monoid().index(e)),
+    "build_ordered_monoid": ("monoid element", lambda e: build_ordered_monoid(["1"], e, [["1"]])),
+    "LatticeAutomaton.state": ("state", lambda e: constant_automaton(CHAIN2, "a", 0).state(e)),
+    "make_automaton": ("state", lambda e: make_automaton(CHAIN2, "a", ["q0"], e, [[0]], [0])),
+    "MarkovChain.state": ("state", lambda e: make_chain(["s"], {"s": {"s": 1}}).state(e)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RESOLVER_ENTRY_POINTS))
+def test_resolver_errors_through_every_entry_point(entry):
+    what, call = RESOLVER_ENTRY_POINTS[entry]
+    for element, message in (
+        (7, f"{what} index 7 out of range"),
+        ("nope", f"unknown {what} 'nope'"),
+        (["x"], f"unknown {what} ['x']"),
+        (True, f"unknown {what} True"),
+    ):
+        with pytest.raises(UnknownElement) as err:
+            call(element)
+        assert err.value.to_doc() == {
+            "kind": "UnknownElement", "message": message, "witness": None,
+        }

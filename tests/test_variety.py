@@ -29,6 +29,7 @@ from latlang.variety import (
     verify_recog_by_synt,
     verify_syntactic_minimality,
     _join_recognizer,
+    _partial_orders,
 )
 
 from conftest import u1
@@ -129,6 +130,26 @@ def test_enumerated_monoids_validate_and_are_distinct():
             assert rebuilt.mul == m.mul and rebuilt.leq == m.leq
         for a, b in itertools.combinations(monoids, 2):
             assert not is_isomorphic(a, b)
+
+
+def test_partial_orders_match_oracle():
+    for n in (1, 2, 3):
+        oracle = {tuple(tuple(row) for row in leq) for leq in _oracle_partial_orders(n)}
+        assert set(_partial_orders(n)) == oracle
+
+
+def test_relabelled_copies_are_isomorphic():
+    n = 3
+    p = [n - 1 - x for x in range(n)]  # moves the identity from 0 to n - 1
+    for m in enumerate_ordered_monoids(n):
+        mul = [[0] * n for _ in range(n)]
+        leq = [[False] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                mul[p[a]][p[b]] = p[m.mul[a][b]]
+                leq[p[a]][p[b]] = m.leq[a][b]
+        copy = _make_unchecked([f"r{i}" for i in range(n)], p[m.identity], mul, leq)
+        assert is_isomorphic(m, copy) and is_isomorphic(copy, m)
 
 
 def test_enumeration_n2_contents():
