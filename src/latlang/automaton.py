@@ -21,7 +21,7 @@ from .errors import (
     SizeCapExceeded,
     UnknownLetter,
 )
-from .lattice import Lattice, LatticeMorphism, resolve
+from .lattice import Lattice, LatticeMorphism, name_tuple, resolve
 
 COMBINE_STATE_CAP = 200_000
 
@@ -144,10 +144,10 @@ def make_automaton(
     output: Mapping[str, int | str] | Sequence[int | str],
 ) -> LatticeAutomaton:
     """Validate a complete deterministic lattice automaton."""
-    letters = tuple(alphabet)
+    letters = name_tuple(alphabet, "alphabet letters")
     if len(set(letters)) != len(letters) or not letters:
         raise MalformedDocument("alphabet must be a nonempty list of distinct letters")
-    names = tuple(states)
+    names = name_tuple(states, "state names")
     if len(set(names)) != len(names) or not names:
         raise MalformedDocument("states must be a nonempty list of distinct names")
     state_index = {s: i for i, s in enumerate(names)}
@@ -156,7 +156,7 @@ def make_automaton(
     if isinstance(delta, Mapping):
         for s in names:
             row_map = delta.get(s)
-            if row_map is None:
+            if not isinstance(row_map, Mapping):
                 raise MalformedDocument(
                     f"partial automaton: no transitions for state {s!r}", witness=s
                 )
@@ -173,7 +173,11 @@ def make_automaton(
                     raise UnknownLetter(f"unknown letter {a!r} in delta", witness=a)
             table.append(row)
     else:
-        if len(delta) != len(names) or any(len(r) != len(letters) for r in delta):
+        if (
+            not isinstance(delta, Sequence)
+            or len(delta) != len(names)
+            or any(not isinstance(r, Sequence) or len(r) != len(letters) for r in delta)
+        ):
             raise MalformedDocument("delta table must be states x alphabet")
         table = [[resolve(state_index, t, "state") for t in row] for row in delta]
 
@@ -182,6 +186,8 @@ def make_automaton(
         if missing:
             raise MalformedDocument(f"output misses states {missing!r}")
         values = [lattice.index(output[s]) for s in names]
+    elif not isinstance(output, Sequence):
+        raise MalformedDocument("output must be an object or a list")
     else:
         if len(output) != len(names):
             raise MalformedDocument("output has the wrong length")

@@ -348,6 +348,10 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
             raise InternalInconsistency(
                 "algebraic shuffle verdict is true but a falsifying pair exists"
             )
+        if not algebraic and falsifier is None and shuffle_ideal_falsify(a) is None:
+            raise InternalInconsistency(
+                "algebraic shuffle verdict is false but no falsifying pair exists"
+            )
         doc: dict[str, Any] = {
             "shuffle_ideal": algebraic,
             "bound": args.max_len,

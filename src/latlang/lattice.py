@@ -111,13 +111,19 @@ def monotone_violation(
     return None
 
 
+def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
+    """Names as a tuple; they must be strings.  ``what`` names them in errors."""
+    if not isinstance(names, Iterable):
+        raise MalformedDocument(f"{what} must be a list")
+    result = tuple(names)
+    if not all(isinstance(name, str) for name in result):
+        raise MalformedDocument(f"{what} must be strings")
+    return result
+
+
 def check_names(element_names: Iterable[str]) -> tuple[str, ...]:
     """Element names as a tuple; they must be distinct strings."""
-    if not isinstance(element_names, Iterable):
-        raise MalformedDocument("element names must be a list")
-    names = tuple(element_names)
-    if not all(isinstance(name, str) for name in names):
-        raise MalformedDocument("element names must be strings")
+    names = name_tuple(element_names, "element names")
     if len(set(names)) != len(names):
         raise MalformedDocument("element names must be distinct")
     return names

@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
     UnknownElement,
 )
-from .lattice import Lattice, resolve, standard_lattice, subset_name
+from .lattice import Lattice, name_tuple, resolve, standard_lattice, subset_name
 from .monoid import identity_is_greatest, is_aperiodic
 from .syntactic import shuffle_ideal_falsify, syntactic
 
@@ -77,14 +77,18 @@ class MarkovChain:
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
-    names = tuple(states)
+    names = name_tuple(states, "state names")
     if not names or len(set(names)) != len(names):
         raise MalformedDocument("states must be a nonempty list of distinct names")
     index = {s: i for i, s in enumerate(names)}
     matrix = [[Fraction(0)] * len(names) for _ in names]
+    if not isinstance(rows, Mapping):
+        raise MalformedDocument("rows must be an object")
     for s, row in rows.items():
         if s not in index:
             raise UnknownElement(f"unknown state {s!r} in rows")
+        if not isinstance(row, Mapping):
+            raise MalformedDocument(f"row {s!r} must be an object", witness=s)
         for t, p in row.items():
             if t not in index:
                 raise UnknownElement(f"unknown state {t!r} in row {s!r}")

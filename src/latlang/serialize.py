@@ -21,7 +21,13 @@ from .automaton import (
 )
 from .coloring import OpColoring, make_op_coloring
 from .errors import MalformedDocument
-from .lattice import Lattice, LatticeMorphism, build_lattice, make_lattice_morphism
+from .lattice import (
+    Lattice,
+    LatticeMorphism,
+    build_lattice,
+    make_lattice_morphism,
+    name_tuple,
+)
 from .markov import (
     Decomposition,
     MarkovChain,
@@ -260,6 +266,8 @@ def decomposition_to_doc(decomposition: Decomposition, chain: MarkovChain) -> di
 
 def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
     _require(doc, ["letters"], "decomposition")
+    if not isinstance(doc["letters"], list):
+        raise MalformedDocument("decomposition letters must be a list")
     names: list[str] = []
     maps: list[tuple[int, ...]] = []
     weights = []
@@ -268,6 +276,8 @@ def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
         names.append(entry["name"])
         weights.append(parse_fraction(entry["weight"]))
         mapping = entry["map"]
+        if not isinstance(mapping, dict):
+            raise MalformedDocument(f"map of letter {entry['name']!r} must be an object")
         missing = [s for s in chain.states if s not in mapping]
         if missing:
             raise MalformedDocument(
@@ -275,7 +285,9 @@ def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
             )
         maps.append(tuple(chain.state(mapping[s]) for s in chain.states))
     decomposition = Decomposition(
-        letters=tuple(names), maps=tuple(maps), weights=tuple(weights)
+        letters=name_tuple(names, "decomposition letter names"),
+        maps=tuple(maps),
+        weights=tuple(weights),
     )
     validate_decomposition(chain, decomposition)
     return decomposition

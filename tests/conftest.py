@@ -33,6 +33,40 @@ def all_words(alphabet, max_len):
             yield combo
 
 
+def enumerate_falsifier(a, max_len):
+    """Reference shuffle-ideal falsifier: exhaustive subword enumeration.
+
+    Superwords v in length-lexicographic order up to ``max_len``, their proper
+    subwords w by descending length, then lexicographic positions; the first
+    pair with L(v) not below L(w), or None.  Exponential in ``max_len``.
+    """
+    n_letters = len(a.alphabet)
+    values = {(): a.output[a.initial]}
+    level = [((), a.initial)]
+    for length in range(max_len + 1):
+        if length > 0:
+            next_level = []
+            for word, q in level:
+                for l in range(n_letters):
+                    w = word + (a.alphabet[l],)
+                    t = a.delta[q][l]
+                    values[w] = a.output[t]
+                    next_level.append((w, t))
+            level = next_level
+        for v, _ in level:
+            seen = set()
+            value_v = values[v]
+            for k in range(length, -1, -1):
+                for positions in itertools.combinations(range(length), k):
+                    w = tuple(v[i] for i in positions)
+                    if w == v or w in seen:
+                        continue
+                    seen.add(w)
+                    if not a.lattice.leq[value_v][values[w]]:
+                        return w, v
+    return None
+
+
 def u1(order="z<1"):
     """The two-element monoid with an absorbing element z, in a chosen order."""
     pairs = {"z<1": [("z", "1")], "1<z": [("1", "z")], "=": []}[order]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from latlang.cli import run
@@ -148,6 +149,46 @@ def test_shuffle_check_exit_codes(tmp_path):
     doc = json.loads(out)
     assert doc["shuffle_ideal"] is True and doc["falsifier"] is None
 
+    # one letter, so that a search enumerating subwords would stay small in memory
+    one_letter = dict(
+        contains_a_doc,
+        alphabet=["a"],
+        delta={"q0": {"a": "q1"}, "q1": {"a": "q1"}},
+    )
+    path = write(tmp_path, "one_letter.json", one_letter)
+    started = time.perf_counter()
+    code, out = run(["lang", "shuffle-check", path, "--max-len", "10000"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["shuffle_ideal"] is True and doc["falsifier"] is None
+
+
+def test_shuffle_check_asserts_both_ways(monkeypatch):
+    import latlang.cli
+
+    real = latlang.cli.shuffle_ideal_falsify
+    calls = []
+
+    def recording(a, max_len=None):
+        calls.append(max_len)
+        return real(a, max_len)
+
+    monkeypatch.setattr(latlang.cli, "shuffle_ideal_falsify", recording)
+    code, _ = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])
+    assert code == 2 and calls == [4]
+    calls.clear()
+    code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "1"])
+    assert code == 2 and json.loads(out)["falsifier"] is None
+    assert calls == [1, None]  # the bounded search found nothing, so search unbounded
+
+    monkeypatch.setattr(latlang.cli, "shuffle_ideal_falsify", lambda a, max_len=None: None)
+    code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InternalInconsistency"
+    assert error["message"] == "algebraic shuffle verdict is false but no falsifying pair exists"
+
 
 def test_lattice_commands(tmp_path):
     lattice_doc = {"elements": ["0", "1", "2"], "cover": [["0", "1"], ["1", "2"]]}
@@ -243,6 +284,46 @@ def test_malformed_lattice_documents_are_errors(tmp_path):
         code, out = run(["lattice", "check", write(tmp_path, "bad.json", bad)])
         assert code == 1
         assert json.loads(out)["error"]["kind"] == kind
+
+
+def test_malformed_automaton_chain_and_decomposition_documents_are_errors(tmp_path):
+    automaton = json.loads(Path(AUTOMATON).read_text())
+    chain = json.loads(Path(CHAIN).read_text())
+    decomposition = json.loads(Path(DECOMPOSITION).read_text())
+    letter, *others = decomposition["letters"]
+    minimize, absorb = ["lang", "minimize"], ["markov", "absorb"]
+    analyze = ["markov", "analyze", CHAIN, "--decomposition"]
+    cases = [
+        (minimize, dict(automaton, states=["q0", ["x"]]), "state names must be strings"),
+        (minimize, dict(automaton, states=5), "state names must be a list"),
+        (minimize, dict(automaton, alphabet=[["a"]]), "alphabet letters must be strings"),
+        (minimize, dict(automaton, delta=5), "delta table must be states x alphabet"),
+        (
+            minimize,
+            dict(automaton, delta=dict(automaton["delta"], t1=5)),
+            "partial automaton: no transitions for state 't1'",
+        ),
+        (minimize, dict(automaton, output=5), "output must be an object or a list"),
+        (absorb, dict(chain, rows=dict(chain["rows"], t1=5)), "row 't1' must be an object"),
+        (absorb, dict(chain, rows=[1]), "rows must be an object"),
+        (absorb, dict(chain, states=[["s"]]), "state names must be strings"),
+        (analyze, {"letters": 5}, "decomposition letters must be a list"),
+        (
+            analyze,
+            {"letters": [dict(letter, map=5)] + others},
+            "map of letter 'a' must be an object",
+        ),
+        (
+            analyze,
+            {"letters": [dict(letter, name=["a"])] + others},
+            "decomposition letter names must be strings",
+        ),
+    ]
+    for command, bad, message in cases:
+        code, out = run(command + [write(tmp_path, "bad.json", bad)])
+        assert code == 1, message
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["message"]) == ("MalformedDocument", message)
 
 
 def test_divides_budget_exit(tmp_path):

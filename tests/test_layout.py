@@ -1,8 +1,9 @@
-"""Guards against duplicates of the order kernel coming back into the library.
+"""Guards against duplicates coming back into the library.
 
-Element resolution, closing order pairs, and the antisymmetry, monotonicity
-and compatibility scans each have one definition; the helpers they replaced
-stay deleted.
+Element resolution, closing order pairs, the antisymmetry, monotonicity
+and compatibility scans, and the shuffle-ideal falsifier each have one
+definition; the helpers they replaced stay deleted, and the falsifier does
+not go back to enumerating subwords.
 """
 
 import ast
@@ -22,6 +23,7 @@ KERNEL = {
     "mutual_pair": "lattice.py",
     "monotone_violation": "lattice.py",
     "compatibility_violation": "monoid.py",
+    "shuffle_ideal_falsify": "syntactic.py",
 }
 
 
@@ -41,6 +43,13 @@ def test_deleted_duplicates_stay_deleted():
         if name in DELETED or (name in ("resolve", "resolve_state") and not at_top)
     ]
     assert found == []
+
+
+def test_falsifier_enumerates_no_subwords():
+    tree = ast.parse((SRC / "syntactic.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert "combinations" not in names
 
 
 def test_order_kernel_has_one_definition_each():

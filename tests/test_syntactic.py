@@ -1,5 +1,9 @@
+import random
+import time
+
 from latlang import (
     RecognitionTriple,
+    build_lattice,
     cons_coloring,
     constant_automaton,
     cut,
@@ -12,6 +16,7 @@ from latlang import (
     identity_is_greatest,
     is_aperiodic,
     is_shuffle_ideal,
+    make_automaton,
     make_op_coloring,
     make_recognition_triple,
     product_combine,
@@ -26,7 +31,7 @@ from latlang import (
 from latlang.monoid import product_index
 from latlang.variety import random_automaton, random_lattice
 
-from conftest import all_words, u1
+from conftest import all_words, enumerate_falsifier, u1
 
 
 def test_transition_monoid_trivial(boolean):
@@ -275,6 +280,55 @@ def test_shuffle_falsify(contains_a, empty_word_only, two_sink_automaton):
     assert shuffle_ideal_falsify(contains_a, 6) is None
     assert shuffle_ideal_falsify(empty_word_only, 4) == ((), ("a",))
     assert shuffle_ideal_falsify(two_sink_automaton, 2) == (("a",), ("b", "a"))
+
+
+SWEEP_LATTICES = [
+    standard_lattice("chain", 2),
+    standard_lattice("chain", 3),
+    build_lattice(["bot", "x", "y", "top"], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    build_lattice(  # M3
+        ["bot", "x", "y", "z", "top"],
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+    ),
+    build_lattice(  # N5
+        ["bot", "x", "y", "z", "top"],
+        [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)],
+    ),
+]
+
+
+def test_falsifier_matches_enumerator():
+    rng = random.Random(20261018)
+    found = 0
+    for i in range(600):
+        letters = ("a", "b", "c") if i % 20 == 0 else ("a", "b")
+        a = random_automaton(rng, SWEEP_LATTICES[i % 5], 5, letters)
+        for max_len in range(7):
+            expected = enumerate_falsifier(a, max_len)
+            assert shuffle_ideal_falsify(a, max_len) == expected, (i, max_len)
+        found += expected is not None
+    assert 200 < found < 500
+
+
+def test_unbounded_falsifier_decides_shuffle_ideals():
+    rng = random.Random(1018)
+    for i in range(200):
+        a = random_automaton(rng, SWEEP_LATTICES[i % 5], 4, ("a", "b", "c"))
+        assert (shuffle_ideal_falsify(a) is None) == is_shuffle_ideal(a), i
+
+
+def test_falsifier_has_no_length_bound():
+    # top exactly on a^30: (a^29, a^30) is the least pair, of length 30
+    n = 30
+    states = [f"q{i}" for i in range(n + 2)]
+    delta = [[min(i + 1, n + 1), n + 1] for i in range(n + 2)]
+    output = ["1" if i == n else "0" for i in range(n + 2)]
+    a = make_automaton(standard_lattice("chain", 2), ("a", "b"), states, 0, delta, output)
+    started = time.perf_counter()
+    assert shuffle_ideal_falsify(a) == (("a",) * (n - 1), ("a",) * n)
+    assert shuffle_ideal_falsify(a, 10_000) == (("a",) * (n - 1), ("a",) * n)
+    assert shuffle_ideal_falsify(a, n - 1) is None
+    assert time.perf_counter() - started < 1.0
 
 
 def test_shuffle_consistency_on_worked_example(two_sink_automaton):
