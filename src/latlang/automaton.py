@@ -8,7 +8,6 @@ and all operations are pure.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +20,7 @@ from .errors import (
     SizeCapExceeded,
     UnknownLetter,
 )
-from .lattice import Lattice, LatticeMorphism, name_tuple, resolve
+from .lattice import Lattice, LatticeMorphism, name_tuple, product_name, resolve
 
 COMBINE_STATE_CAP = 200_000
 
@@ -40,11 +39,11 @@ def parse_word(word: str | Sequence[str], alphabet: Sequence[str]) -> Word:
             raise UnknownLetter(
                 "string words need a single-character alphabet; use list form"
             )
-        parts = tuple(word)
-    else:
-        parts = tuple(word)
+    elif not isinstance(word, Sequence):
+        raise MalformedDocument(f"a word must be a string or a list, not {word!r}")
+    parts = tuple(word)
     for a in parts:
-        if a not in letters:
+        if not isinstance(a, str) or a not in letters:
             raise UnknownLetter(f"unknown letter {a!r}", witness=a)
     return parts
 
@@ -218,7 +217,10 @@ def evaluate(a: LatticeAutomaton, word: str | Sequence[str]) -> int:
 
 
 def product_combine(kind: str, a1: LatticeAutomaton, a2: LatticeAutomaton) -> LatticeAutomaton:
-    """Join or meet of two languages via the product machine."""
+    """Join or meet of two languages via the product machine.
+
+    State (p, q) has index p*|Q2| + q, as in ``monoid.direct_product``.
+    """
     if a1.alphabet != a2.alphabet:
         raise MismatchedAlphabet("automata use different alphabets")
     if a1.lattice != a2.lattice:
@@ -229,22 +231,18 @@ def product_combine(kind: str, a1: LatticeAutomaton, a2: LatticeAutomaton) -> La
         table = a1.lattice.meet_table
     else:
         raise MalformedDocument(f"unknown combination kind {kind!r}")
-    pairs = list(itertools.product(range(len(a1.states)), range(len(a2.states))))
-    index = {p: i for i, p in enumerate(pairs)}
-    names = tuple(f"({a1.states[p]},{a2.states[q]})" for p, q in pairs)
-    n_letters = len(a1.alphabet)
-    delta = tuple(
-        tuple(index[(a1.delta[p][l], a2.delta[q][l])] for l in range(n_letters))
-        for p, q in pairs
-    )
-    output = tuple(table[a1.output[p]][a2.output[q]] for p, q in pairs)
+    n2 = len(a2.states)
     return LatticeAutomaton(
         lattice=a1.lattice,
         alphabet=a1.alphabet,
-        states=names,
-        initial=index[(a1.initial, a2.initial)],
-        delta=delta,
-        output=output,
+        states=tuple(product_name((p, q)) for p in a1.states for q in a2.states),
+        initial=a1.initial * n2 + a2.initial,
+        delta=tuple(
+            tuple(p * n2 + q for p, q in zip(row1, row2))
+            for row1 in a1.delta
+            for row2 in a2.delta
+        ),
+        output=tuple(table[p][q] for p in a1.output for q in a2.output),
     )
 
 
@@ -287,8 +285,7 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
             row.append(index[nxt])
         delta_rows.append(row)
     names = tuple(
-        "(" + ",".join(a.states[q] for a, q in zip(automata, combo)) + ")"
-        for combo in order
+        product_name(a.states[q] for a, q in zip(automata, combo)) for combo in order
     )
     output = tuple(
         fold(a.output[q] for a, q in zip(automata, combo)) for combo in order

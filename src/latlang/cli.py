@@ -10,6 +10,7 @@ invocations produce byte-identical output.  Errors print a machine-readable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -161,6 +162,12 @@ def build_parser() -> _Parser:
     leaf(markov, "absorb").add_argument("file")
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process; parsing leaves no state in it."""
+    return build_parser()
 
 
 def _handle(args: argparse.Namespace) -> tuple[int, Any]:
@@ -380,9 +387,8 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
 
 def run(argv: list[str] | None = None) -> tuple[int, str]:
     """Parse and execute; returns (exit code, stdout text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         for bound in ("max_len", "horizon", "budget"):
             if getattr(args, bound, 0) < 0:
                 raise _CliUsage(f"argument --{bound.replace('_', '-')}: must be non-negative")

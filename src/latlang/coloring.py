@@ -17,7 +17,7 @@ from .errors import (
     MismatchedLattice,
     NotOrderPreserving,
 )
-from .lattice import Lattice, LatticeMorphism, monotone_violation
+from .lattice import Lattice, LatticeMorphism, mapping_images, monotone_violation
 from .monoid import (
     DEFAULT_PRODUCT_CAP,
     MonoidMorphism,
@@ -51,15 +51,7 @@ def make_op_coloring(
     colors: Mapping[str, int | str] | Sequence[int | str],
 ) -> OpColoring:
     """Validate an op-coloring given as a dict over element names or a sequence."""
-    if isinstance(colors, Mapping):
-        missing = [e for e in monoid.elements if e not in colors]
-        if missing:
-            raise MalformedDocument(f"coloring misses elements {missing!r}")
-        values = tuple(lattice.index(colors[e]) for e in monoid.elements)
-    else:
-        if len(colors) != monoid.size:
-            raise MalformedDocument("coloring has the wrong length")
-        values = tuple(lattice.index(c) for c in colors)
+    values = mapping_images(colors, monoid.elements, lattice.index, "coloring")
     bad = monotone_violation(monoid.leq, lattice.leq, values)
     if bad is not None:
         a, b = bad
@@ -104,7 +96,8 @@ def product_coloring(
     """Product join/meet: fold the component colors over the product monoid.
 
     ``(pjoin)(m) = V_i P_i(m_i)`` and ``(pmeet)(m) = A_i P_i(m_i)``; the
-    result lives on the direct product of the component monoids.
+    result lives on the direct product of the component monoids, and the
+    colors are folded in factor by factor in its element order.
     """
     if not colorings:
         raise MalformedDocument("product coloring needs at least one factor")
@@ -112,18 +105,14 @@ def product_coloring(
     if any(p.lattice != lattice for p in colorings):
         raise MismatchedLattice("product coloring factors use different lattices")
     if kind == "pjoin":
-        fold = lattice.join_all
+        table, values = lattice.join_table, [lattice.bottom]
     elif kind == "pmeet":
-        fold = lattice.meet_all
+        table, values = lattice.meet_table, [lattice.top]
     else:
         raise MalformedDocument(f"unknown product coloring kind {kind!r}")
-    product, projections = direct_product(
-        [p.monoid for p in colorings], max_size=max_size
-    )
-    values = [
-        fold(p.colors[pi.mapping[x]] for p, pi in zip(colorings, projections))
-        for x in range(product.size)
-    ]
+    product, _ = direct_product([p.monoid for p in colorings], max_size=max_size)
+    for p in colorings:
+        values = [table[v][c] for v in values for c in p.colors]
     return make_op_coloring(product, lattice, values)
 
 

@@ -13,7 +13,7 @@ closing order pairs, and scanning for antisymmetry and monotonicity.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,6 +109,26 @@ def monotone_violation(
             if src_row[b] and not dst_row[images[b]]:
                 return a, b
     return None
+
+
+def mapping_images(
+    mapping: Mapping[str, int | str] | Sequence[int | str],
+    names: Sequence[str],
+    lookup: Callable[[int | str], int],
+    what: str,
+) -> tuple[int, ...]:
+    """Images of ``names`` under a map given as an object keyed by name or
+    as a list in order; ``lookup`` resolves each image."""
+    if isinstance(mapping, Mapping):
+        missing = [e for e in names if e not in mapping]
+        if missing:
+            raise MalformedDocument(f"{what} misses elements {missing!r}")
+        return tuple(lookup(mapping[e]) for e in names)
+    if isinstance(mapping, str) or not isinstance(mapping, Sequence):
+        raise MalformedDocument(f"{what} must be an object or a list")
+    if len(mapping) != len(names):
+        raise MalformedDocument(f"{what} has the wrong length")
+    return tuple(lookup(v) for v in mapping)
 
 
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
@@ -260,6 +280,11 @@ def subset_name(members: Iterable[int]) -> str:
     return "{" + ",".join(str(m) for m in sorted(members)) + "}"
 
 
+def product_name(component_names: Iterable[str]) -> str:
+    """Canonical name of a product element or product state, e.g. ``(1,z)``."""
+    return "(" + ",".join(component_names) + ")"
+
+
 def standard_lattice(kind: str, n: int = 2, *, max_size: int = DEFAULT_MAX_SIZE) -> Lattice:
     """Build a canonical lattice: ``powerset``, ``chain``, or ``boolean``.
 
@@ -346,15 +371,7 @@ def make_lattice_morphism(
     lattice: Lattice, mapping: Mapping[str, int | str] | Sequence[int | str]
 ) -> LatticeMorphism:
     """Validate an order-preserving self-map given as a dict or a sequence."""
-    if isinstance(mapping, Mapping):
-        missing = [e for e in lattice.elements if e not in mapping]
-        if missing:
-            raise MalformedDocument(f"morphism mapping misses elements {missing!r}")
-        images = tuple(lattice.index(mapping[e]) for e in lattice.elements)
-    else:
-        if len(mapping) != lattice.size:
-            raise MalformedDocument("morphism mapping has the wrong length")
-        images = tuple(lattice.index(v) for v in mapping)
+    images = mapping_images(mapping, lattice.elements, lattice.index, "morphism mapping")
     bad = monotone_violation(lattice.leq, lattice.leq, images)
     if bad is not None:
         a, b = bad

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
 from .errors import (
     BadFraction,
+    InternalInconsistency,
     MalformedDocument,
     MismatchedAlphabet,
     NegativeEntry,
@@ -506,7 +507,16 @@ def analyze(
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
     analyzed = basic if mode == "basic" else reachable
     synt = syntactic(analyzed)
+    algebraic = identity_is_greatest(synt.monoid)
     falsifier = shuffle_ideal_falsify(analyzed, falsify_bound)
+    if algebraic and falsifier is not None:
+        raise InternalInconsistency(
+            "algebraic shuffle verdict is true but a falsifying pair exists"
+        )
+    if not algebraic and falsifier is None and shuffle_ideal_falsify(analyzed) is None:
+        raise InternalInconsistency(
+            "algebraic shuffle verdict is false but no falsifying pair exists"
+        )
     absorption = absorption_probabilities(chain)
     ergodic = structure.ergodic_classes()
     masses = word_measure(analyzed, decomposition, horizon)
@@ -531,10 +541,10 @@ def analyze(
             "order": [list(p) for p in synt.monoid.order_pairs()],
             "monoid": monoid_to_doc(synt.monoid),
             "aperiodic": is_aperiodic(synt.monoid),
-            "identity_is_greatest": identity_is_greatest(synt.monoid),
+            "identity_is_greatest": algebraic,
         },
         "shuffle": {
-            "algebraic": identity_is_greatest(synt.monoid),
+            "algebraic": algebraic,
             "bound": falsify_bound,
             "falsifier": None
             if falsifier is None

@@ -25,7 +25,14 @@ from .errors import (
     NotOrderPreserving,
     SizeCapExceeded,
 )
-from .lattice import check_antisymmetric, check_names, order_from_pairs, resolve
+from .lattice import (
+    check_antisymmetric,
+    check_names,
+    mapping_images,
+    order_from_pairs,
+    product_name,
+    resolve,
+)
 
 DEFAULT_MAX_SIZE = 512
 DEFAULT_PRODUCT_CAP = 1024
@@ -207,17 +214,15 @@ def trivial_monoid(name: str = "1") -> OrderedMonoid:
     return _make_unchecked((name,), 0, ((0,),), ((True,),))
 
 
-def product_name(component_names: Iterable[str]) -> str:
-    return "(" + ",".join(component_names) + ")"
-
-
 def direct_product(
     monoids: Sequence[OrderedMonoid], *, max_size: int = DEFAULT_PRODUCT_CAP
 ) -> tuple[OrderedMonoid, tuple["MonoidMorphism", ...]]:
     """Componentwise product with componentwise order; projections returned alongside.
 
     Element order is lexicographic in the component indices, so the index of
-    a tuple is its mixed-radix value.
+    a tuple is its mixed-radix value (``product_index``).  The factors are
+    folded in one at a time: element (x, j) of the partial product times M
+    is x*|M| + j, so its products and order come from the partial tables.
     """
     if not monoids:
         raise MalformedDocument("direct product needs at least one factor")
@@ -229,36 +234,22 @@ def direct_product(
             raise SizeCapExceeded(
                 f"product size exceeds cap {max_size}", witness=sizes
             )
-    tuples = list(itertools.product(*(range(s) for s in sizes)))
-    names = tuple(
-        product_name(m.elements[c] for m, c in zip(monoids, combo)) for combo in tuples
-    )
-    radix = {}
-    for i, combo in enumerate(tuples):
-        radix[combo] = i
-    identity = radix[tuple(m.identity for m in monoids)]
-    mul = [
-        [
-            radix[tuple(m.mul[a[i]][b[i]] for i, m in enumerate(monoids))]
-            for b in tuples
-        ]
-        for a in tuples
-    ]
-    leq = [
-        [
-            all(m.leq[a[i]][b[i]] for i, m in enumerate(monoids))
-            for b in tuples
-        ]
-        for a in tuples
-    ]
-    product = _make_unchecked(names, identity, mul, leq)
+    parts: list[tuple[str, ...]] = [()]
+    mul: list[list[int]] = [[0]]
+    leq: list[list[bool]] = [[True]]
+    components: list[list[int]] = []
+    for m in monoids:
+        s = m.size
+        parts = [p + (e,) for p in parts for e in m.elements]
+        mul = [[xy * s + z for xy in x for z in j] for x in mul for j in m.mul]
+        leq = [[a and b for a in x for b in j] for x in leq for j in m.leq]
+        components = [[c for c in proj for _ in range(s)] for proj in components]
+        components.append(list(range(s)) * (len(parts) // s))
+    identity = product_index(sizes, [m.identity for m in monoids])
+    product = _make_unchecked(tuple(map(product_name, parts)), identity, mul, leq)
     projections = tuple(
-        MonoidMorphism(
-            source=product,
-            target=monoids[i],
-            mapping=tuple(combo[i] for combo in tuples),
-        )
-        for i in range(len(monoids))
+        MonoidMorphism(source=product, target=m, mapping=tuple(proj))
+        for m, proj in zip(monoids, components)
     )
     return product, projections
 
@@ -324,15 +315,7 @@ def make_monoid_morphism(
     mapping: Mapping[str, int | str] | Sequence[int | str],
 ) -> MonoidMorphism:
     """Validate a morphism: unit, multiplicativity, order preservation."""
-    if isinstance(mapping, Mapping):
-        missing = [e for e in source.elements if e not in mapping]
-        if missing:
-            raise MalformedDocument(f"morphism mapping misses elements {missing!r}")
-        images = tuple(target.index(mapping[e]) for e in source.elements)
-    else:
-        if len(mapping) != source.size:
-            raise MalformedDocument("morphism mapping has the wrong length")
-        images = tuple(target.index(v) for v in mapping)
+    images = mapping_images(mapping, source.elements, target.index, "morphism mapping")
     if images[source.identity] != target.identity:
         raise NotAMorphism("identity is not preserved")
     for a in range(source.size):

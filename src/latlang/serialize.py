@@ -217,8 +217,10 @@ def triple_from_doc(doc: Any) -> RecognitionTriple:
     _require(doc["coloring"], ["lattice", "colors"], "coloring")
     lattice = lattice_from_doc(doc["coloring"]["lattice"])
     coloring = make_op_coloring(monoid, lattice, doc["coloring"]["colors"])
-    alphabet = doc["alphabet"]
+    alphabet = name_tuple(doc["alphabet"], "alphabet letters")
     images = doc["images"]
+    if not isinstance(images, dict):
+        raise MalformedDocument("triple images must be an object")
     missing = [a for a in alphabet if a not in images]
     if missing:
         raise MalformedDocument(f"triple misses images for letters {missing!r}")

@@ -30,7 +30,13 @@ from .automaton import (
     trim,
     word_name,
 )
-from .coloring import OpColoring, ideal_coloring, make_op_coloring
+from .coloring import (
+    OpColoring,
+    ideal_coloring,
+    make_op_coloring,
+    postcompose,
+    product_coloring,
+)
 from .errors import (
     InternalInconsistency,
     MismatchedAlphabet,
@@ -43,12 +49,11 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import threshold
+from .lattice import make_lattice_morphism, threshold
 from .monoid import (
     OrderedMonoid,
     _make_unchecked,
     check_generated,
-    direct_product,
     identity_is_greatest,
     product_index,
 )
@@ -286,37 +291,32 @@ def cut(a: LatticeAutomaton, value: int | str) -> LatticeAutomaton:
     )
 
 
-def reconstruct_from_cuts(
-    a: LatticeAutomaton, *, max_product: int = 1024
-) -> tuple[RecognitionTriple, bool]:
+def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]:
     """Recognize the language on the product of its cut syntactic monoids.
 
-    For each lattice value, take the syntactic monoid of the cut language;
-    the coloring of a product element is the meet over values of the cut
-    color joined with that value.  The returned flag asserts that the triple
+    For each lattice value v, take the syntactic monoid of the cut language;
+    the coloring of a product element is the product meet over v of the cut
+    color joined with v.  The returned flag asserts that the triple
     recognizes the original language (exact equivalence check).
     """
     lat = a.lattice
     synts = [syntactic(cut(a, v)) for v in range(lat.size)]
-    factors = [s.monoid for s in synts]
-    product, projections = direct_product(factors, max_size=max_product)
-    sizes = [m.size for m in factors]
+    coloring = product_coloring(
+        "pmeet",
+        [
+            postcompose(make_lattice_morphism(lat, lat.join_table[v]), s.coloring)
+            for v, s in enumerate(synts)
+        ],
+    )
+    sizes = [s.monoid.size for s in synts]
     images = tuple(
         product_index(sizes, [s.generator_images[l] for s in synts])
         for l in range(len(a.alphabet))
     )
-    colors = [
-        lat.meet_all(
-            lat.join_table[synts[v].coloring.colors[projections[v].mapping[x]]][v]
-            for v in range(lat.size)
-        )
-        for x in range(product.size)
-    ]
-    coloring = make_op_coloring(product, lat, colors)
     triple = RecognitionTriple(
         alphabet=a.alphabet,
         generator_images=images,
-        monoid=product,
+        monoid=coloring.monoid,
         coloring=coloring,
     )
     return triple, recognizes(triple, a)

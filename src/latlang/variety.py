@@ -437,17 +437,16 @@ def _join_recognizer(
     s1: SyntacticResult, s2: SyntacticResult
 ) -> RecognitionTriple:
     """The product recognizer of the join of two languages."""
-    product, _ = direct_product([s1.monoid, s2.monoid])
+    coloring = product_coloring("pjoin", [s1.coloring, s2.coloring])
     sizes = [s1.monoid.size, s2.monoid.size]
     images = tuple(
         product_index(sizes, (g1, g2))
         for g1, g2 in zip(s1.generator_images, s2.generator_images)
     )
-    coloring = product_coloring("pjoin", [s1.coloring, s2.coloring])
     return RecognitionTriple(
         alphabet=s1.alphabet,
         generator_images=images,
-        monoid=product,
+        monoid=coloring.monoid,
         coloring=coloring,
     )
 

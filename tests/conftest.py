@@ -7,12 +7,16 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from latlang import (
+    LatticeAutomaton,
+    MonoidMorphism,
     build_ordered_monoid,
     load_chain,
     make_automaton,
     simulating_automaton,
     standard_lattice,
 )
+from latlang.errors import MalformedDocument, SizeCapExceeded
+from latlang.monoid import _make_unchecked
 from latlang.serialize import decomposition_from_doc
 
 settings.register_profile(
@@ -65,6 +69,60 @@ def enumerate_falsifier(a, max_len):
                     if not a.lattice.leq[value_v][values[w]]:
                         return w, v
     return None
+
+
+def reference_direct_product(monoids, *, max_size=1024):
+    """Reference direct product: the component tuples in ``itertools.product``
+    order, indexed through a dict of tuples, every entry computed per tuple."""
+    if not monoids:
+        raise MalformedDocument("direct product needs at least one factor")
+    sizes = [m.size for m in monoids]
+    total = 1
+    for s in sizes:
+        total *= s
+        if total > max_size:
+            raise SizeCapExceeded(f"product size exceeds cap {max_size}", witness=sizes)
+    tuples = list(itertools.product(*(range(s) for s in sizes)))
+    names = tuple(
+        "(" + ",".join(m.elements[c] for m, c in zip(monoids, combo)) + ")"
+        for combo in tuples
+    )
+    radix = {combo: i for i, combo in enumerate(tuples)}
+    mul = [
+        [radix[tuple(m.mul[a[i]][b[i]] for i, m in enumerate(monoids))] for b in tuples]
+        for a in tuples
+    ]
+    leq = [
+        [all(m.leq[a[i]][b[i]] for i, m in enumerate(monoids)) for b in tuples]
+        for a in tuples
+    ]
+    identity = radix[tuple(m.identity for m in monoids)]
+    product = _make_unchecked(names, identity, mul, leq)
+    projections = tuple(
+        MonoidMorphism(product, m, tuple(combo[i] for combo in tuples))
+        for i, m in enumerate(monoids)
+    )
+    return product, projections
+
+
+def reference_product_combine(kind, a1, a2):
+    """Reference product machine: a list of state pairs and a dict from pair to index."""
+    table = a1.lattice.join_table if kind == "join" else a1.lattice.meet_table
+    pairs = list(itertools.product(range(len(a1.states)), range(len(a2.states))))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return LatticeAutomaton(
+        lattice=a1.lattice,
+        alphabet=a1.alphabet,
+        states=tuple(f"({a1.states[p]},{a2.states[q]})" for p, q in pairs),
+        initial=index[(a1.initial, a2.initial)],
+        delta=tuple(
+            tuple(
+                index[(a1.delta[p][l], a2.delta[q][l])] for l in range(len(a1.alphabet))
+            )
+            for p, q in pairs
+        ),
+        output=tuple(table[a1.output[p]][a2.output[q]] for p, q in pairs),
+    )
 
 
 def u1(order="z<1"):

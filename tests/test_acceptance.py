@@ -254,7 +254,7 @@ def test_criterion_06_cut_reconstruction(two_sink_automaton):
         lattice = random_lattice(rng, 4)
         machine = random_automaton(rng, lattice, 3)
         try:
-            triple, equal = reconstruct_from_cuts(machine, max_product=600)
+            triple, equal = reconstruct_from_cuts(machine)
         except SizeCapExceeded:
             continue
         assert equal, f"instance {done}"

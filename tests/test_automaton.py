@@ -28,7 +28,7 @@ from latlang.errors import (
 )
 from latlang.variety import random_automaton, random_lattice
 
-from conftest import all_words
+from conftest import all_words, reference_product_combine
 
 
 def value(a, word):
@@ -154,6 +154,17 @@ def test_join_commutes(rng):
     assert equivalent(
         product_combine("join", a1, a2), product_combine("join", a2, a1)
     )
+
+
+def test_product_combine_matches_reference_on_seeded_sweep():
+    """Index arithmetic gives the reference's product machine, state for state."""
+    rng = random.Random(808)
+    for _ in range(200):
+        lat = random_lattice(rng, 5)
+        a1 = random_automaton(rng, lat, 5)
+        a2 = random_automaton(rng, lat, 5)
+        for kind in ("join", "meet"):
+            assert product_combine(kind, a1, a2) == reference_product_combine(kind, a1, a2)
 
 
 def test_closure_operations_agree_wordwise(rng):

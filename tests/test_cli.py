@@ -5,7 +5,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from latlang.cli import run
+from latlang.errors import MalformedDocument
 from latlang.serialize import (
     automaton_from_doc,
     automaton_to_doc,
@@ -326,6 +329,53 @@ def test_malformed_automaton_chain_and_decomposition_documents_are_errors(tmp_pa
         assert (error["kind"], error["message"]) == ("MalformedDocument", message)
 
 
+def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
+    lang_eval = ["lang", "eval", AUTOMATON, "--word"]
+    quotl = ["lang", "op", "quotl", AUTOMATON, "--word"]
+    quotr = ["lang", "op", "quotr", AUTOMATON, "--word"]
+    invhom = ["lang", "op", "invhom", AUTOMATON, "--hom"]
+    recolor = ["lang", "op", "recolor", AUTOMATON, "--morphism"]
+    cases = [
+        (lang_eval + ['[["x"]]'], "UnknownLetter", "unknown letter ['x']"),
+        (quotl + ['[["x"]]'], "UnknownLetter", "unknown letter ['x']"),
+        (quotr + ['[["x"]]'], "UnknownLetter", "unknown letter ['x']"),
+        (lang_eval + ["[1]"], "UnknownLetter", "unknown letter 1"),
+        (
+            invhom + [write(tmp_path, "hom_int.json", {"images": {"a": 5}})],
+            "MalformedDocument",
+            "a word must be a string or a list, not 5",
+        ),
+        (
+            invhom + [write(tmp_path, "hom_list.json", {"images": {"a": [["x"]]}})],
+            "UnknownLetter",
+            "unknown letter ['x']",
+        ),
+        (
+            recolor + [write(tmp_path, "morphism.json", {"mapping": 5})],
+            "MalformedDocument",
+            "morphism mapping must be an object or a list",
+        ),
+    ]
+    for argv, kind, message in cases:
+        code, out = run(argv)
+        assert code == 1, argv
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["message"]) == (kind, message)
+
+    coloring = json.loads(run(["lang", "syntactic", AUTOMATON])[1])["coloring"]
+    triple = json.loads(run(["lang", "reconstruct", AUTOMATON])[1])["triple"]
+    for loader, bad, message in (
+        (coloring_from_doc, dict(coloring, colors=5), "coloring must be an object or a list"),
+        (triple_from_doc, dict(triple, alphabet=5), "alphabet letters must be a list"),
+        (triple_from_doc, dict(triple, alphabet=[["x"]]), "alphabet letters must be strings"),
+        (triple_from_doc, dict(triple, images=5), "triple images must be an object"),
+        (triple_from_doc, dict(triple, images="ab"), "triple images must be an object"),
+    ):
+        with pytest.raises(MalformedDocument) as caught:
+            loader(bad)
+        assert str(caught.value) == message
+
+
 def test_divides_budget_exit(tmp_path):
     from latlang import direct_product
     from conftest import u1
@@ -438,6 +488,38 @@ def test_cli_determinism():
         first = run(argv)
         second = run(argv)
         assert first == second, argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    import latlang.cli
+
+    commands = [
+        ["lang", "eval", AUTOMATON, "--word", "ab"],
+        ["lang", "eval", AUTOMATON, "--word", "ab", "--nope"],
+        ["lang", "minimize", AUTOMATON],
+        ["lattice"],
+        ["markov", "decompose", CHAIN],
+        ["lang", "shuffle-check", AUTOMATON, "--max-len", "-3"],
+        ["lang", "eval", AUTOMATON, "--word", "ba", "--format", "text"],
+    ] * 3
+    fresh = []
+    for argv in commands:
+        latlang.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh[:4]] == [0, 1, 0, 1]
+
+    real = latlang.cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(latlang.cli, "build_parser", counting)
+    latlang.cli._parser.cache_clear()
+    assert [run(argv) for argv in commands] == fresh
+    assert len(built) == 1
+    latlang.cli._parser.cache_clear()
 
 
 def test_console_entry_point():

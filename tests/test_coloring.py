@@ -75,6 +75,27 @@ def test_product_coloring(boolean):
         product_coloring("pjoin", [c1, cons_coloring(m, boolean, 0)])
 
 
+def test_product_coloring_matches_projection_fold_on_seeded_sweep():
+    """Folding colors factor by factor gives the join or meet of each
+    element's component colors, read through the projections."""
+    pool = [m for n in range(1, 4) for m in enumerate_ordered_monoids(n)]
+    rng = random.Random(909)
+    for _ in range(100):
+        lattice = random_lattice(rng, 6)
+        factors = [
+            random_coloring(rng, rng.choice(pool), lattice)
+            for _ in range(rng.randint(1, 4))
+        ]
+        product, projections = direct_product([p.monoid for p in factors])
+        for kind, fold in (("pjoin", lattice.join_all), ("pmeet", lattice.meet_all)):
+            expected = tuple(
+                fold(p.colors[pi.mapping[x]] for p, pi in zip(factors, projections))
+                for x in range(product.size)
+            )
+            result = product_coloring(kind, factors)
+            assert result.monoid == product and result.colors == expected
+
+
 def test_quotient_coloring(boolean):
     p2 = standard_lattice("powerset", 2)
     m = u1("z<1")

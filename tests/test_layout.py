@@ -1,9 +1,10 @@
 """Guards against duplicates coming back into the library.
 
 Element resolution, closing order pairs, the antisymmetry, monotonicity
-and compatibility scans, and the shuffle-ideal falsifier each have one
-definition; the helpers they replaced stay deleted, and the falsifier does
-not go back to enumerating subwords.
+and compatibility scans, the product constructions and the shuffle-ideal
+falsifier each have one definition; the helpers they replaced stay
+deleted, the falsifier does not go back to enumerating subwords, and the
+product machine does not go back to enumerating state pairs.
 """
 
 import ast
@@ -23,6 +24,9 @@ KERNEL = {
     "mutual_pair": "lattice.py",
     "monotone_violation": "lattice.py",
     "compatibility_violation": "monoid.py",
+    "direct_product": "monoid.py",
+    "product_index": "monoid.py",
+    "product_name": "lattice.py",
     "shuffle_ideal_falsify": "syntactic.py",
 }
 
@@ -56,3 +60,26 @@ def test_order_kernel_has_one_definition_each():
     for name, home in KERNEL.items():
         defs = [(file, at_top) for file, fn, at_top in _function_defs() if fn == name]
         assert defs == [(home, True)], name
+
+
+def test_product_machine_enumerates_no_pairs():
+    tree = ast.parse((SRC / "automaton.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in imported
+
+
+def test_direct_product_is_a_fold():
+    tree = ast.parse((SRC / "monoid.py").read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "direct_product"
+    )
+    nodes = list(ast.walk(body))
+    assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in nodes)
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "product" for node in nodes)

@@ -328,3 +328,37 @@ def test_analyze_irreducible():
     assert [c["ergodic"] for c in report["classes"]] == [True]
     assert report["syntactic"]["size"] == 1
     assert report["shuffle"]["algebraic"] is True
+
+
+def test_analyze_asserts_shuffle_verdict_both_ways(
+    monkeypatch, two_sink_chain, two_sink_decomposition
+):
+    import latlang.markov
+    from latlang.errors import InternalInconsistency
+
+    real = latlang.markov.shuffle_ideal_falsify
+    calls = []
+
+    def recording(a, max_len=None):
+        calls.append(max_len)
+        return real(a, max_len)
+
+    monkeypatch.setattr(latlang.markov, "shuffle_ideal_falsify", recording)
+    report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=4)
+    assert report["shuffle"]["falsifier"] is not None and calls == [4]
+    calls.clear()
+    report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=1)
+    assert report["shuffle"]["falsifier"] is None and calls == [1, None]
+
+    monkeypatch.setattr(latlang.markov, "shuffle_ideal_falsify", lambda a, max_len=None: None)
+    with pytest.raises(InternalInconsistency) as caught:
+        analyze(two_sink_chain, decomposition=two_sink_decomposition)
+    assert str(caught.value) == "algebraic shuffle verdict is false but no falsifying pair exists"
+
+    irreducible = chain_of(["a", "b"], {"a": {"b": "1"}, "b": {"a": "1/2", "b": "1/2"}})
+    monkeypatch.setattr(
+        latlang.markov, "shuffle_ideal_falsify", lambda a, max_len=None: ((), ("a",))
+    )
+    with pytest.raises(InternalInconsistency) as caught:
+        analyze(irreducible)
+    assert str(caught.value) == "algebraic shuffle verdict is true but a falsifying pair exists"

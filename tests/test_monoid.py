@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from latlang import (
     build_ordered_monoid,
     direct_product,
     divides,
+    enumerate_ordered_monoids,
     generated_submonoid,
     identity_is_greatest,
     is_aperiodic,
@@ -23,7 +26,7 @@ from latlang.errors import (
     SizeCapExceeded,
 )
 
-from conftest import u1, z2
+from conftest import reference_direct_product, u1, z2
 
 
 def test_u1_builds():
@@ -88,6 +91,27 @@ def test_product_cap():
     m, _ = direct_product([u1()] * 3)
     with pytest.raises(SizeCapExceeded):
         direct_product([m] * 5, max_size=100)
+
+
+def test_direct_product_matches_reference_on_seeded_sweep():
+    """The mixed-radix fold gives the reference's product, projections and cap errors."""
+    pool = [m for n in range(1, 5) for m in enumerate_ordered_monoids(n)]
+    rng = random.Random(505)
+    compared = capped = 0
+    for _ in range(300):
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        cap = rng.choice((16, 64, 128))
+        try:
+            expected = reference_direct_product(factors, max_size=cap)
+        except SizeCapExceeded as exc:
+            with pytest.raises(SizeCapExceeded) as caught:
+                direct_product(factors, max_size=cap)
+            assert caught.value.to_doc() == exc.to_doc()
+            capped += 1
+            continue
+        assert direct_product(factors, max_size=cap) == expected
+        compared += 1
+    assert compared >= 150 and capped >= 30
 
 
 def test_generated_submonoid():

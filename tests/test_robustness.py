@@ -1,0 +1,205 @@
+"""Mutated documents and arguments give a result or an error document.
+
+Every ``serialize.*_from_doc`` loader gets documents with a few nodes
+replaced or deleted, and may only raise ``LatlangError``.  ``cli.run`` gets
+the same documents through the commands that read them, and free text in
+its word and flag arguments; it must never raise, and exit code 1 always
+comes with an ``{"error": ...}`` document.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from latlang import make_recognition_triple, syntactic
+from latlang import serialize as ser
+from latlang.cli import run
+from latlang.errors import LatlangError
+
+from conftest import u1
+
+DATA = Path(__file__).parent / "data"
+AUTOMATON = str(DATA / "two_sink_automaton.json")
+CHAIN = str(DATA / "two_sink_chain.json")
+DECOMPOSITION = str(DATA / "two_sink_decomposition.json")
+
+_automaton = ser.automaton_from_doc(json.loads(Path(AUTOMATON).read_text()))
+_synt = syntactic(_automaton)
+_chain = ser.chain_from_doc(json.loads(Path(CHAIN).read_text()))
+
+DOCS = {
+    "lattice": json.loads((DATA / "two_sink_lattice.json").read_text()),
+    "lattice_morphism": {"mapping": {"{}": "{}", "{1}": "{1}", "{2}": "{1,2}", "{1,2}": "{1,2}"}},
+    "monoid": ser.monoid_to_doc(u1()),
+    "coloring": ser.coloring_to_doc(_synt.coloring),
+    "automaton": json.loads(Path(AUTOMATON).read_text()),
+    "free_morphism": {"images": {"x": "ab", "y": ["c"], "z": ""}},
+    "triple": ser.triple_to_doc(
+        make_recognition_triple(
+            _synt.alphabet, _synt.generator_images, _synt.monoid, _synt.coloring
+        )
+    ),
+    "chain": json.loads(Path(CHAIN).read_text()),
+    "decomposition": json.loads(Path(DECOMPOSITION).read_text()),
+}
+
+LOADERS = {
+    "lattice_from_doc": ("lattice", ()),
+    "lattice_morphism_from_doc": ("lattice_morphism", (_automaton.lattice,)),
+    "monoid_from_doc": ("monoid", ()),
+    "coloring_from_doc": ("coloring", ()),
+    "automaton_from_doc": ("automaton", ()),
+    "free_morphism_from_doc": ("free_morphism", (_automaton.alphabet,)),
+    "triple_from_doc": ("triple", ()),
+    "chain_from_doc": ("chain", ()),
+    "decomposition_from_doc": ("decomposition", (_chain,)),
+}
+
+# "{doc}" stands for the mutated document's path.
+DOC_COMMANDS = {
+    "lattice": [["lattice", "check", "{doc}"], ["lattice", "dual", "{doc}"]],
+    "lattice_morphism": [["lang", "op", "recolor", AUTOMATON, "--morphism", "{doc}"]],
+    "monoid": [
+        ["monoid", "check", "{doc}"],
+        ["monoid", "product", "{doc}", "{doc}"],
+        ["monoid", "divides", "{doc}", "{doc}"],
+        ["monoid", "aperiodic", "{doc}"],
+        ["variety", "subdirect", "{doc}"],
+    ],
+    "automaton": [
+        ["lang", "minimize", "{doc}"],
+        ["lang", "syntactic", "{doc}"],
+        ["lang", "reconstruct", "{doc}"],
+        ["lang", "shuffle-check", "{doc}"],
+        ["lang", "eval", "{doc}", "--word", "abc"],
+        ["lang", "cut", "{doc}", "--element", "{1}"],
+        ["lang", "equiv", "{doc}", AUTOMATON],
+        ["lang", "op", "join", "{doc}", AUTOMATON],
+        ["lang", "op", "quotr", "{doc}", "--word", "ba"],
+    ],
+    "free_morphism": [["lang", "op", "invhom", AUTOMATON, "--hom", "{doc}"]],
+    "chain": [
+        ["markov", "decompose", "{doc}"],
+        ["markov", "absorb", "{doc}"],
+        ["markov", "analyze", "{doc}"],
+    ],
+    "decomposition": [["markov", "analyze", CHAIN, "--decomposition", "{doc}"]],
+}
+
+# "{arg}" stands for a drawn string.
+ARG_COMMANDS = [
+    ["lang", "eval", AUTOMATON, "--word", "{arg}"],
+    ["lang", "op", "quotl", AUTOMATON, "--word", "{arg}"],
+    ["lang", "cut", AUTOMATON, "--element", "{arg}"],
+    ["lang", "shuffle-check", AUTOMATON, "--max-len", "{arg}"],
+    ["markov", "analyze", CHAIN, "--initial", "{arg}"],
+    ["markov", "analyze", CHAIN, "--horizon", "{arg}"],
+    ["markov", "analyze", CHAIN, "--mode", "{arg}"],
+    ["monoid", "divides", "{u1}", "{u1}", "--budget", "{arg}"],
+    ["lattice", "check", "{arg}"],
+    ["lang", "minimize", AUTOMATON, "--format", "{arg}"],
+]
+
+
+def _strings(node):
+    """Every string in a document, keys included."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from([0.5, -1.0, 1e300]),
+    st.text(alphabet="abcq01{},/-", max_size=4),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="abq01{}", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, node, names):
+    """Replace or delete one node, reached by a random walk from the root."""
+    if isinstance(node, (dict, list)) and node and draw(st.integers(0, 2)) > 0:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if draw(st.integers(0, 5)) == 0:
+            del node[key]
+        else:
+            node[key] = _mutate(draw, node[key], names)
+        return node
+    return draw(_JSON | st.sampled_from(names))
+
+
+@st.composite
+def mutated(draw, kind):
+    doc = copy.deepcopy(DOCS[kind])
+    names = sorted(set(_strings(doc)))
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _mutate(draw, doc, names)
+    return doc
+
+
+def _assert_result_or_error_document(code, out):
+    if code == 1:
+        error = json.loads(out)["error"]
+        assert set(error) == {"kind", "message", "witness"}
+    else:
+        assert code in (0, 2, 3)
+
+
+def test_every_loader_is_fuzzed():
+    assert set(LOADERS) == {name for name in dir(ser) if name.endswith("_from_doc")}
+
+
+@settings(max_examples=600)
+@given(st.data())
+def test_loaders_raise_only_latlang_errors(data):
+    name = data.draw(st.sampled_from(sorted(LOADERS)))
+    kind, extra = LOADERS[name]
+    doc = data.draw(mutated(kind))
+    try:
+        getattr(ser, name)(doc, *extra)
+    except LatlangError:
+        pass
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_cli_answers_mutated_documents(tmp_path, data):
+    kind = data.draw(st.sampled_from(sorted(DOC_COMMANDS)))
+    command = data.draw(st.sampled_from(DOC_COMMANDS[kind]))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data.draw(mutated(kind))))
+    code, out = run([str(path) if part == "{doc}" else part for part in command])
+    _assert_result_or_error_document(code, out)
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_cli_answers_any_word_or_flag(tmp_path, data):
+    u1_path = tmp_path / "u1.json"
+    u1_path.write_text(json.dumps(DOCS["monoid"]))
+    command = data.draw(st.sampled_from(ARG_COMMANDS))
+    arg = data.draw(
+        st.one_of(
+            st.text(alphabet="abcxq[]{},\"' -1", max_size=8),
+            st.integers(-3, 12).map(str),
+            _JSON.map(json.dumps),
+        )
+    )
+    substitutes = {"{arg}": arg, "{u1}": str(u1_path)}
+    code, out = run([substitutes.get(part, part) for part in command])
+    _assert_result_or_error_document(code, out)
