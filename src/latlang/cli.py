@@ -30,13 +30,13 @@ from .automaton import (
     recolor,
     word_name,
 )
-from .errors import InternalInconsistency, LatlangError, MalformedDocument
+from .errors import LatlangError, MalformedDocument
 from .lattice import dual
-from .monoid import DivisionBudget, direct_product, divides, identity_is_greatest, is_aperiodic
+from .monoid import DivisionBudget, aperiodicity_witness, direct_product, divides
 from .syntactic import (
     cut,
     reconstruct_from_cuts,
-    shuffle_ideal_falsify,
+    shuffle_verdict,
     syntactic,
     triple_to_automaton,
 )
@@ -203,9 +203,9 @@ def _handle(args: argparse.Namespace) -> tuple[int, Any]:
             }
             return EXIT_FALSE, doc
         m = ser.monoid_from_doc(_load_json(args.file))
-        if is_aperiodic(m):
+        witness = aperiodicity_witness(m)
+        if witness is None:
             return EXIT_OK, {"aperiodic": True}
-        witness = _aperiodicity_witness(m)
         return EXIT_FALSE, {"aperiodic": False, "witness": witness}
 
     if group == "lang":
@@ -253,33 +253,9 @@ def _handle(args: argparse.Namespace) -> tuple[int, Any]:
         if command == "decompose":
             decomposition = markov_mod.decompose(chain)
             return EXIT_OK, ser.decomposition_to_doc(decomposition, chain)
-        absorption = markov_mod.absorption_probabilities(chain)
-        return EXIT_OK, {
-            "absorption": {
-                f"C{c + 1}": {
-                    state: str(p)
-                    for state, p in sorted(per_state.items())
-                }
-                for c, per_state in absorption.items()
-            }
-        }
+        return EXIT_OK, {"absorption": markov_mod.absorption_doc(chain)}
 
     raise _CliUsage(f"unknown command group {group!r}")
-
-
-def _aperiodicity_witness(m) -> dict:
-    for x in range(m.size):
-        seen = {}
-        current = x
-        exponent = 1
-        while current not in seen:
-            seen[current] = exponent
-            current = m.mul[current][x]
-            exponent += 1
-        period = exponent - seen[current]
-        if period > 1:
-            return {"element": m.elements[x], "period": period}
-    raise InternalInconsistency("no witness in a non-aperiodic monoid")
 
 
 def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
@@ -348,17 +324,7 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
         doc["witness"] = {"word": ser.word_doc(diff or ())}
         return EXIT_FALSE, doc
     if command == "shuffle-check":
-        synt = syntactic(a)
-        algebraic = identity_is_greatest(synt.monoid)
-        falsifier = shuffle_ideal_falsify(a, args.max_len)
-        if algebraic and falsifier is not None:
-            raise InternalInconsistency(
-                "algebraic shuffle verdict is true but a falsifying pair exists"
-            )
-        if not algebraic and falsifier is None and shuffle_ideal_falsify(a) is None:
-            raise InternalInconsistency(
-                "algebraic shuffle verdict is false but no falsifying pair exists"
-            )
+        synt, algebraic, falsifier = shuffle_verdict(a, args.max_len)
         doc: dict[str, Any] = {
             "shuffle_ideal": algebraic,
             "bound": args.max_len,

@@ -1,11 +1,14 @@
 """Finite Markov chains with exact rational arithmetic.
 
-A chain is decomposed into communicating classes; the closed ones are the
-ergodic classes.  A convex decomposition of the transition matrix into
-deterministic maps yields a simulating automaton whose letters carry the
-decomposition weights, so random words reproduce the chain.  Absorption
-probabilities come from an exact linear solve; floating point never enters
-any computation, only report rendering.
+Everything about a chain's classes comes from one relation, the states
+each state reaches: two states communicate when each reaches the other,
+the closed communicating classes are the ergodic classes, and a state's
+reachable color is the set of ergodic classes it reaches.  A convex
+decomposition of the transition matrix into deterministic maps yields a
+simulating automaton whose letters carry the decomposition weights, so
+random words reproduce the chain.  Absorption probabilities come from an
+exact linear solve; floating point never enters any computation, only
+report rendering.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Mapping, Sequence
 from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
 from .errors import (
     BadFraction,
-    InternalInconsistency,
     MalformedDocument,
     MismatchedAlphabet,
     NegativeEntry,
@@ -31,8 +33,8 @@ from .errors import (
     UnknownElement,
 )
 from .lattice import Lattice, name_tuple, resolve, standard_lattice, subset_name
-from .monoid import identity_is_greatest, is_aperiodic
-from .syntactic import shuffle_ideal_falsify, syntactic
+from .monoid import is_aperiodic
+from .syntactic import shuffle_verdict
 
 _FRACTION_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
 
@@ -75,6 +77,28 @@ class MarkovChain:
 
     def state(self, s: int | str) -> int:
         return resolve(self._state_index, s, "state")
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, the states it moves to with positive probability."""
+        return tuple(
+            tuple(t for t, p in enumerate(row) if p > 0) for row in self.matrix
+        )
+
+    @cached_property
+    def reach(self) -> tuple[frozenset[int], ...]:
+        """Per state, the states it reaches in zero or more steps."""
+        result = []
+        for s in range(self.size):
+            seen = {s}
+            stack = [s]
+            while stack:
+                for t in self.successors[stack.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            result.append(frozenset(seen))
+        return tuple(result)
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
@@ -136,80 +160,37 @@ class ErgodicStructure:
         return [c for c, flag in zip(self.classes, self.ergodic) if flag]
 
 
-def _strongly_connected_components(n: int, edges: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; deterministic for a fixed adjacency order."""
-    index_counter = 0
-    stack: list[int] = []
-    lowlink = [-1] * n
-    order = [-1] * n
-    on_stack = [False] * n
-    components: list[list[int]] = []
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                order[v] = lowlink[v] = index_counter
-                index_counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(edges[v])):
-                w = edges[v][i]
-                if order[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], order[w])
-            if advanced:
-                continue
-            if lowlink[v] == order[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def ergodic_structure(chain: MarkovChain) -> ErgodicStructure:
-    """Classes of the positive-probability digraph; ergodic = closed class."""
+    """Classes of the positive-probability digraph; ergodic = closed class.
+
+    States s and t share a class iff each reaches the other.  Classes are
+    listed by least state, members sorted.
+    """
     n = chain.size
-    edges = [
-        [t for t in range(n) if chain.matrix[s][t] > 0] for s in range(n)
-    ]
-    components = _strongly_connected_components(n, edges)
-    components.sort(key=min)
-    class_of = [0] * n
-    for c, members in enumerate(components):
-        for s in members:
-            class_of[s] = c
+    reach = chain.reach
+    class_of = [-1] * n
+    classes: list[tuple[int, ...]] = []
+    for s in range(n):
+        if class_of[s] < 0:
+            members = tuple(t for t in sorted(reach[s]) if s in reach[t])
+            for t in members:
+                class_of[t] = len(classes)
+            classes.append(members)
     dag = sorted(
         {
             (class_of[s], class_of[t])
             for s in range(n)
-            for t in edges[s]
+            for t in chain.successors[s]
             if class_of[s] != class_of[t]
         }
     )
     outgoing = {c for c, _ in dag}
-    ergodic = tuple(c not in outgoing for c in range(len(components)))
+    ergodic = tuple(c not in outgoing for c in range(len(classes)))
     transient = tuple(
         s for s in range(n) if not ergodic[class_of[s]]
     )
     return ErgodicStructure(
-        classes=tuple(tuple(c) for c in components),
+        classes=tuple(classes),
         ergodic=ergodic,
         transient_states=transient,
         class_dag=tuple(dag),
@@ -243,24 +224,20 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
     if sum(decomposition.weights, Fraction(0)) != 1:
         raise RowSumNotOne("decomposition weights must sum to one")
     n = chain.size
+    totals = [[Fraction(0)] * n for _ in range(n)]
+    for mapping, w in zip(decomposition.maps, decomposition.weights):
+        for s in range(n):
+            totals[s][mapping[s]] += w
     for s in range(n):
         for t in range(n):
-            total = sum(
-                (
-                    w
-                    for mapping, w in zip(decomposition.maps, decomposition.weights)
-                    if mapping[s] == t
-                ),
-                Fraction(0),
-            )
-            if total != chain.matrix[s][t]:
+            if totals[s][t] != chain.matrix[s][t]:
                 raise MalformedDocument(
                     "decomposition does not reconstruct the chain",
                     witness=[
                         chain.states[s],
                         chain.states[t],
                         str(chain.matrix[s][t]),
-                        str(total),
+                        str(totals[s][t]),
                     ],
                 )
 
@@ -307,27 +284,16 @@ def ergodic_lattice(structure: ErgodicStructure) -> Lattice:
 
 
 def _reachable_sets(chain: MarkovChain, structure: ErgodicStructure) -> list[frozenset[int]]:
-    """Per state, the 1-based indices of the ergodic classes it can reach."""
-    n = chain.size
-    edges = [
-        [t for t in range(n) if chain.matrix[s][t] > 0] for s in range(n)
+    """Per state, the 1-based indices of the ergodic classes it can reach.
+
+    An ergodic class is closed and communicating, so reaching one member
+    reaches them all.
+    """
+    ergodic = structure.ergodic_classes()
+    return [
+        frozenset(i + 1 for i, members in enumerate(ergodic) if members[0] in reach)
+        for reach in chain.reach
     ]
-    ergodic_members: dict[int, int] = {}
-    for i, members in enumerate(structure.ergodic_classes()):
-        for s in members:
-            ergodic_members[s] = i + 1
-    result = []
-    for s in range(n):
-        seen = {s}
-        queue = [s]
-        while queue:
-            q = queue.pop()
-            for t in edges[q]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        result.append(frozenset(ergodic_members[q] for q in seen if q in ergodic_members))
-    return result
 
 
 def simulating_automaton(
@@ -338,9 +304,9 @@ def simulating_automaton(
 ) -> LatticeAutomaton:
     """The deterministic machine of a decomposition, colored by ergodic classes.
 
-    Basic mode colors each ergodic class with its singleton and everything
-    else with the full set; reachable mode colors every state with the set
-    of ergodic classes it can reach, refining the transient states.
+    Reachable mode colors every state with the set of ergodic classes it
+    can reach, so an ergodic class gets its singleton; basic mode is the
+    same coloring with every transient state raised to the full set.
     """
     if mode not in ("basic", "reachable"):
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
@@ -351,26 +317,17 @@ def simulating_automaton(
     else:
         validate_decomposition(chain, decomposition)
     if initial is None:
-        if not chain.states:
-            raise NoInitial("chain has no states")
         start = 0
     else:
         try:
             start = chain.state(initial)
         except UnknownElement as exc:
             raise NoInitial(f"unknown initial state {initial!r}") from exc
-    if mode == "basic":
-        class_index: dict[int, int] = {}
-        for i, members in enumerate(structure.ergodic_classes()):
-            for s in members:
-                class_index[s] = i + 1
-        colors = [
-            subset_name([class_index[s]]) if s in class_index
-            else lattice.elements[lattice.top]
-            for s in range(chain.size)
-        ]
-    else:
-        colors = [subset_name(r) for r in _reachable_sets(chain, structure)]
+    raised = set(structure.transient_states) if mode == "basic" else set()
+    colors = [
+        lattice.elements[lattice.top] if s in raised else subset_name(r)
+        for s, r in enumerate(_reachable_sets(chain, structure))
+    ]
     delta = [
         [decomposition.maps[l][s] for l in range(len(decomposition.letters))]
         for s in range(chain.size)
@@ -449,6 +406,15 @@ def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction
     return result
 
 
+def absorption_doc(chain: MarkovChain) -> dict[str, dict[str, str]]:
+    """Absorption probabilities as a document: "C1", "C2", ... to state name
+    to fraction text, states sorted by name."""
+    return {
+        f"C{c + 1}": {state: str(p) for state, p in sorted(per_state.items())}
+        for c, per_state in absorption_probabilities(chain).items()
+    }
+
+
 def word_measure(
     a: LatticeAutomaton, decomposition: Decomposition, n: int
 ) -> dict[int, Fraction]:
@@ -506,18 +472,8 @@ def analyze(
     if mode not in ("basic", "reachable"):
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
     analyzed = basic if mode == "basic" else reachable
-    synt = syntactic(analyzed)
-    algebraic = identity_is_greatest(synt.monoid)
-    falsifier = shuffle_ideal_falsify(analyzed, falsify_bound)
-    if algebraic and falsifier is not None:
-        raise InternalInconsistency(
-            "algebraic shuffle verdict is true but a falsifying pair exists"
-        )
-    if not algebraic and falsifier is None and shuffle_ideal_falsify(analyzed) is None:
-        raise InternalInconsistency(
-            "algebraic shuffle verdict is false but no falsifying pair exists"
-        )
-    absorption = absorption_probabilities(chain)
+    synt, algebraic, falsifier = shuffle_verdict(analyzed, falsify_bound)
+    absorption = absorption_doc(chain)
     ergodic = structure.ergodic_classes()
     masses = word_measure(analyzed, decomposition, horizon)
     return {
@@ -555,12 +511,7 @@ def analyze(
                 "value_superword": analyzed.lattice.elements[evaluate(analyzed, falsifier[1])],
             },
         },
-        "absorption": {
-            f"C{c + 1}": {
-                state: str(p) for state, p in sorted(per_state.items())
-            }
-            for c, per_state in absorption.items()
-        },
+        "absorption": absorption,
         "word_measure": {
             "horizon": horizon,
             "masses": {

@@ -333,15 +333,26 @@ def make_monoid_morphism(
     return MonoidMorphism(source=source, target=target, mapping=images)
 
 
+def aperiodicity_witness(monoid: OrderedMonoid) -> dict | None:
+    """The first element whose powers x, x^2, ... end in a cycle longer than
+    one, with the cycle's length as "period"; None iff the monoid is aperiodic."""
+    for x in range(monoid.size):
+        seen = {}
+        current = x
+        exponent = 1
+        while current not in seen:
+            seen[current] = exponent
+            current = monoid.mul[current][x]
+            exponent += 1
+        period = exponent - seen[current]
+        if period > 1:
+            return {"element": monoid.elements[x], "period": period}
+    return None
+
+
 def is_aperiodic(monoid: OrderedMonoid) -> bool:
     """True iff some n <= |M| satisfies x^n = x^(n+1) for every x."""
-    n = monoid.size
-    current = list(range(n))  # current[x] = x^e
-    for _ in range(n):
-        if all(monoid.mul[current[x]][x] == current[x] for x in range(n)):
-            return True
-        current = [monoid.mul[current[x]][x] for x in range(n)]
-    return False
+    return aperiodicity_witness(monoid) is None
 
 
 def identity_is_greatest(monoid: OrderedMonoid) -> bool:
@@ -375,11 +386,9 @@ def canonical_key(monoid: OrderedMonoid) -> tuple:
 
 @dataclass(frozen=True)
 class DivisionBudget:
-    """Search bounds for ``divides``; exceeding them yields ``budget_exhausted``."""
+    """Search bound for ``divides``: a larger divisor yields ``budget_exhausted``."""
 
     max_target_size: int = 10
-    max_generator_subsets: int | None = None
-    max_morphisms_per_submonoid: int | None = None
 
 
 @dataclass(frozen=True)
@@ -419,21 +428,16 @@ def _surjection_onto(
     m2: OrderedMonoid,
     carrier: list[int],
     gens: tuple[int, ...],
-    max_candidates: int | None,
-) -> tuple[dict[int, int] | None, bool]:
+) -> dict[int, int] | None:
     """Search for a surjective order-preserving morphism from the submonoid
     of ``m2`` with the given carrier (generated by ``gens``) onto ``m1``.
 
-    Returns (mapping or None, truncated flag).  The mapping is keyed by
-    ambient m2 indices.  Candidates are enumerated by generator images in
-    lexicographic order, so the first witness is deterministic.
+    The mapping is keyed by ambient m2 indices.  Candidates are enumerated
+    by generator images in lexicographic order, so the first witness is
+    deterministic.
     """
     carrier_set = set(carrier)
-    count = 0
     for images in itertools.product(range(m1.size), repeat=len(gens)):
-        count += 1
-        if max_candidates is not None and count > max_candidates:
-            return None, True
         img = {m2.identity: m1.identity}
         queue = deque([m2.identity])
         ok = True
@@ -467,8 +471,8 @@ def _surjection_onto(
             for y in carrier
         ):
             continue
-        return img, False
-    return None, False
+        return img
+    return None
 
 
 def divides(
@@ -480,24 +484,16 @@ def divides(
     Submonoids are enumerated as closures of generator subsets by ascending
     size; carriers already searched are skipped (every morphism from a
     carrier is found with its first generating set).  The search is
-    exhaustive within the budget; ``budget_exhausted`` is returned only when
-    the space was actually truncated.
+    exhaustive; ``budget_exhausted`` means only that ``m2`` is larger than
+    the budget's ``max_target_size``, and no search was made.
     """
     budget = budget or DivisionBudget()
     if m2.size > budget.max_target_size:
         return DivisionVerdict("budget_exhausted")
-    truncated = False
     non_identity = [i for i in range(m2.size) if i != m2.identity]
     seen_carriers: set[tuple[int, ...]] = set()
-    subsets = 0
     for k in range(len(non_identity) + 1):
         for gens in itertools.combinations(non_identity, k):
-            subsets += 1
-            if (
-                budget.max_generator_subsets is not None
-                and subsets > budget.max_generator_subsets
-            ):
-                return DivisionVerdict("budget_exhausted")
             carrier = _closure_of(m2, gens)
             key = tuple(sorted(carrier))
             if key in seen_carriers:
@@ -505,10 +501,7 @@ def divides(
             seen_carriers.add(key)
             if len(carrier) < m1.size:
                 continue
-            img, cut_off = _surjection_onto(
-                m1, m2, carrier, gens, budget.max_morphisms_per_submonoid
-            )
-            truncated = truncated or cut_off
+            img = _surjection_onto(m1, m2, carrier, gens)
             if img is not None:
                 mapping = {
                     m2.elements[x]: m1.elements[img[x]] for x in sorted(img)
@@ -518,4 +511,4 @@ def divides(
                     generators=tuple(m2.elements[g] for g in gens),
                     mapping=mapping,
                 )
-    return DivisionVerdict("budget_exhausted" if truncated else "no")
+    return DivisionVerdict("no")

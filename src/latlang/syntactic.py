@@ -331,6 +331,30 @@ def is_shuffle_ideal(a: LatticeAutomaton) -> bool:
     return identity_is_greatest(syntactic(a).monoid)
 
 
+def shuffle_verdict(
+    a: LatticeAutomaton, max_len: int | None
+) -> tuple[SyntacticResult, bool, tuple[Word, Word] | None]:
+    """The syntactic monoid, the algebraic shuffle-ideal verdict and the
+    falsifier bounded by ``max_len``, checked against each other.
+
+    A falsifying pair refutes a true algebraic verdict; a false verdict
+    with no pair within the bound must have one without it.  Either
+    disagreement raises InternalInconsistency.
+    """
+    synt = syntactic(a)
+    algebraic = identity_is_greatest(synt.monoid)
+    falsifier = shuffle_ideal_falsify(a, max_len)
+    if algebraic and falsifier is not None:
+        raise InternalInconsistency(
+            "algebraic shuffle verdict is true but a falsifying pair exists"
+        )
+    if not algebraic and falsifier is None and shuffle_ideal_falsify(a) is None:
+        raise InternalInconsistency(
+            "algebraic shuffle verdict is false but no falsifying pair exists"
+        )
+    return synt, algebraic, falsifier
+
+
 def shuffle_ideal_falsify(
     a: LatticeAutomaton, max_len: int | None = None
 ) -> tuple[Word, Word] | None:

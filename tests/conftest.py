@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,12 @@ from latlang import (
     simulating_automaton,
     standard_lattice,
 )
-from latlang.errors import MalformedDocument, SizeCapExceeded
+from latlang.errors import MalformedDocument, NegativeEntry, RowSumNotOne, SizeCapExceeded
+from latlang.lattice import subset_name
+from latlang.markov import ErgodicStructure, decompose, ergodic_lattice
 from latlang.monoid import _make_unchecked
 from latlang.serialize import decomposition_from_doc
+from latlang.variety import enumerate_ordered_monoids
 
 settings.register_profile(
     "ci",
@@ -123,6 +128,186 @@ def reference_product_combine(kind, a1, a2):
         ),
         output=tuple(table[a1.output[p]][a2.output[q]] for p, q in pairs),
     )
+
+
+@functools.cache
+def small_monoids():
+    """Every ordered monoid of size 1 to 4, up to isomorphism (591 of them)."""
+    return [m for n in range(1, 5) for m in enumerate_ordered_monoids(n)]
+
+
+def reference_is_aperiodic(monoid):
+    """Reference aperiodicity test by power iteration: true iff some
+    n <= |M| satisfies x^n = x^(n+1) for every x."""
+    n = monoid.size
+    current = list(range(n))  # current[x] = x^e
+    for _ in range(n):
+        if all(monoid.mul[current[x]][x] == current[x] for x in range(n)):
+            return True
+        current = [monoid.mul[current[x]][x] for x in range(n)]
+    return False
+
+
+def reference_validate_decomposition(chain, decomposition):
+    """Reference reconstruction check: one sum over the letters per (s, t)."""
+    if len(set(decomposition.letters)) != len(decomposition.letters):
+        raise MalformedDocument("decomposition letters must be distinct")
+    if not decomposition.letters:
+        raise MalformedDocument("decomposition needs at least one letter")
+    if any(w <= 0 for w in decomposition.weights):
+        raise NegativeEntry("decomposition weights must be positive")
+    if sum(decomposition.weights, Fraction(0)) != 1:
+        raise RowSumNotOne("decomposition weights must sum to one")
+    n = chain.size
+    for s in range(n):
+        for t in range(n):
+            total = sum(
+                (
+                    w
+                    for mapping, w in zip(decomposition.maps, decomposition.weights)
+                    if mapping[s] == t
+                ),
+                Fraction(0),
+            )
+            if total != chain.matrix[s][t]:
+                raise MalformedDocument(
+                    "decomposition does not reconstruct the chain",
+                    witness=[
+                        chain.states[s],
+                        chain.states[t],
+                        str(chain.matrix[s][t]),
+                        str(total),
+                    ],
+                )
+
+
+def _tarjan(n, edges):
+    """Iterative Tarjan; deterministic for a fixed adjacency order."""
+    index_counter = 0
+    stack = []
+    lowlink = [-1] * n
+    order = [-1] * n
+    on_stack = [False] * n
+    components = []
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                order[v] = lowlink[v] = index_counter
+                index_counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(edges[v])):
+                w = edges[v][i]
+                if order[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], order[w])
+            if advanced:
+                continue
+            if lowlink[v] == order[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(component))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return components
+
+
+def _positive_edges(chain):
+    n = chain.size
+    return [[t for t in range(n) if chain.matrix[s][t] > 0] for s in range(n)]
+
+
+def reference_ergodic_structure(chain):
+    """Reference structure: classes are Tarjan's strongly connected components."""
+    n = chain.size
+    edges = _positive_edges(chain)
+    components = _tarjan(n, edges)
+    components.sort(key=min)
+    class_of = [0] * n
+    for c, members in enumerate(components):
+        for s in members:
+            class_of[s] = c
+    dag = sorted(
+        {
+            (class_of[s], class_of[t])
+            for s in range(n)
+            for t in edges[s]
+            if class_of[s] != class_of[t]
+        }
+    )
+    outgoing = {c for c, _ in dag}
+    ergodic = tuple(c not in outgoing for c in range(len(components)))
+    transient = tuple(s for s in range(n) if not ergodic[class_of[s]])
+    return ErgodicStructure(
+        classes=tuple(tuple(c) for c in components),
+        ergodic=ergodic,
+        transient_states=transient,
+        class_dag=tuple(dag),
+    )
+
+
+def reference_reachable_sets(chain, structure):
+    """Reference reachable colors: a depth-first search from every state."""
+    n = chain.size
+    edges = _positive_edges(chain)
+    ergodic_members = {}
+    for i, members in enumerate(structure.ergodic_classes()):
+        for s in members:
+            ergodic_members[s] = i + 1
+    result = []
+    for s in range(n):
+        seen = {s}
+        queue = [s]
+        while queue:
+            q = queue.pop()
+            for t in edges[q]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        result.append(frozenset(ergodic_members[q] for q in seen if q in ergodic_members))
+    return result
+
+
+def reference_simulating_automaton(chain, mode):
+    """Reference simulating machine of the greedy decomposition from the first
+    state: basic colors an ergodic class by its singleton and the rest by top,
+    reachable by the reference reachable sets."""
+    structure = reference_ergodic_structure(chain)
+    lattice = ergodic_lattice(structure)
+    decomposition = decompose(chain)
+    if mode == "basic":
+        class_index = {}
+        for i, members in enumerate(structure.ergodic_classes()):
+            for s in members:
+                class_index[s] = i + 1
+        colors = [
+            subset_name([class_index[s]]) if s in class_index
+            else lattice.elements[lattice.top]
+            for s in range(chain.size)
+        ]
+    else:
+        colors = [subset_name(r) for r in reference_reachable_sets(chain, structure)]
+    delta = [
+        [decomposition.maps[l][s] for l in range(len(decomposition.letters))]
+        for s in range(chain.size)
+    ]
+    return make_automaton(lattice, decomposition.letters, chain.states, 0, delta, colors)
 
 
 def u1(order="z<1"):

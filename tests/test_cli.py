@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -168,16 +169,16 @@ def test_shuffle_check_exit_codes(tmp_path):
 
 
 def test_shuffle_check_asserts_both_ways(monkeypatch):
-    import latlang.cli
-
-    real = latlang.cli.shuffle_ideal_falsify
+    # the package attribute latlang.syntactic is the function, not the module
+    syntactic_module = importlib.import_module("latlang.syntactic")
+    real = syntactic_module.shuffle_ideal_falsify
     calls = []
 
     def recording(a, max_len=None):
         calls.append(max_len)
         return real(a, max_len)
 
-    monkeypatch.setattr(latlang.cli, "shuffle_ideal_falsify", recording)
+    monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", recording)
     code, _ = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])
     assert code == 2 and calls == [4]
     calls.clear()
@@ -185,7 +186,7 @@ def test_shuffle_check_asserts_both_ways(monkeypatch):
     assert code == 2 and json.loads(out)["falsifier"] is None
     assert calls == [1, None]  # the bounded search found nothing, so search unbounded
 
-    monkeypatch.setattr(latlang.cli, "shuffle_ideal_falsify", lambda a, max_len=None: None)
+    monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", lambda a, max_len=None: None)
     code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])
     assert code == 1
     error = json.loads(out)["error"]

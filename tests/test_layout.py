@@ -4,7 +4,9 @@ Element resolution, closing order pairs, the antisymmetry, monotonicity
 and compatibility scans, the product constructions and the shuffle-ideal
 falsifier each have one definition; the helpers they replaced stay
 deleted, the falsifier does not go back to enumerating subwords, and the
-product machine does not go back to enumerating state pairs.
+product machine does not go back to enumerating state pairs.  The shuffle
+verdict, the aperiodicity witness and the ergodic classes each have one
+implementation.
 """
 
 import ast
@@ -17,6 +19,8 @@ DELETED = {
     "_compatible",
     "_components_of",
     "fraction_str",
+    "_strongly_connected_components",
+    "_aperiodicity_witness",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -28,6 +32,8 @@ KERNEL = {
     "product_index": "monoid.py",
     "product_name": "lattice.py",
     "shuffle_ideal_falsify": "syntactic.py",
+    "shuffle_verdict": "syntactic.py",
+    "aperiodicity_witness": "monoid.py",
 }
 
 
@@ -83,3 +89,11 @@ def test_direct_product_is_a_fold():
     nodes = list(ast.walk(body))
     assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in nodes)
     assert not any(isinstance(node, ast.Attribute) and node.attr == "product" for node in nodes)
+
+
+def test_shuffle_verdict_is_checked_in_one_place():
+    homes = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "algebraic shuffle verdict is" in path.read_text()
+    ]
+    assert homes == ["syntactic.py"]

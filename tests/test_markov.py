@@ -1,4 +1,6 @@
+import importlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,12 @@ from latlang.errors import (
     RowSumNotOne,
 )
 from latlang.markov import Decomposition, parse_fraction
+
+from conftest import (
+    reference_ergodic_structure,
+    reference_simulating_automaton,
+    reference_validate_decomposition,
+)
 
 
 def chain_of(states, rows):
@@ -248,6 +256,72 @@ def test_absorption_matches_propagation(rng):
                 assert abs(propagated - exact) < Fraction(1, 2**20)
 
 
+def _sparse_chain(rng, n):
+    """Seeded chain on n states with 1-3 successors each, so transient
+    states, several closed classes and self-loops all occur."""
+    states = [f"p{i}" for i in range(n)]
+    rows = {}
+    for s in states:
+        targets = rng.sample(states, rng.randint(1, min(3, n)))
+        weights = [rng.randint(1, 3) for _ in targets]
+        rows[s] = {t: str(Fraction(w, sum(weights))) for t, w in zip(targets, weights)}
+    return chain_of(states, rows)
+
+
+def test_structure_and_machines_match_tarjan_reference():
+    """Classes from mutual reachability equal Tarjan's components, and both
+    simulating machines equal the ones colored through them."""
+    rng = random.Random(7007)
+    reducible = 0
+    for i in range(500):
+        chain = _sparse_chain(rng, rng.randint(1, 12))
+        structure = ergodic_structure(chain)
+        assert structure == reference_ergodic_structure(chain), i
+        reducible += bool(structure.transient_states)
+        for mode in ("basic", "reachable"):
+            assert simulating_automaton(chain, mode) == reference_simulating_automaton(
+                chain, mode
+            ), (i, mode)
+    assert reducible >= 250
+
+
+def _outcome(check, chain, decomposition):
+    try:
+        check(chain, decomposition)
+    except (MalformedDocument, NegativeEntry, RowSumNotOne) as exc:
+        return type(exc).__name__, str(exc), exc.witness
+    return None
+
+
+def test_validate_decomposition_matches_reference():
+    """The one-pass reconstruction check gives the reference's verdict,
+    message and witness on valid and on corrupted decompositions."""
+    rng = random.Random(8008)
+    mismatches = 0
+    for i in range(300):
+        chain = _sparse_chain(rng, rng.randint(1, 8))
+        d = decompose(chain)
+        l = rng.randrange(len(d.letters))
+        s = rng.randrange(chain.size)
+        maps = list(d.maps)
+        maps[l] = maps[l][:s] + (rng.randrange(chain.size),) + maps[l][s + 1:]
+        weights = list(d.weights)
+        weights[l] += Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+        swapped = list(d.weights)
+        k = rng.randrange(len(d.letters))
+        swapped[l], swapped[k] = swapped[k], swapped[l]
+        for candidate in (
+            d,
+            Decomposition(d.letters, tuple(maps), d.weights),
+            Decomposition(d.letters, d.maps, tuple(weights)),
+            Decomposition(d.letters, d.maps, tuple(swapped)),
+        ):
+            expected = _outcome(reference_validate_decomposition, chain, candidate)
+            assert _outcome(validate_decomposition, chain, candidate) == expected, i
+            mismatches += expected is not None and expected[0] == "MalformedDocument"
+    assert mismatches >= 100
+
+
 def test_absorption_positive_iff_reachable(two_sink_chain):
     st = ergodic_structure(two_sink_chain)
     table = absorption_probabilities(two_sink_chain)
@@ -333,31 +407,32 @@ def test_analyze_irreducible():
 def test_analyze_asserts_shuffle_verdict_both_ways(
     monkeypatch, two_sink_chain, two_sink_decomposition
 ):
-    import latlang.markov
     from latlang.errors import InternalInconsistency
 
-    real = latlang.markov.shuffle_ideal_falsify
+    # the package attribute latlang.syntactic is the function, not the module
+    syntactic_module = importlib.import_module("latlang.syntactic")
+    real = syntactic_module.shuffle_ideal_falsify
     calls = []
 
     def recording(a, max_len=None):
         calls.append(max_len)
         return real(a, max_len)
 
-    monkeypatch.setattr(latlang.markov, "shuffle_ideal_falsify", recording)
+    monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", recording)
     report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=4)
     assert report["shuffle"]["falsifier"] is not None and calls == [4]
     calls.clear()
     report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=1)
     assert report["shuffle"]["falsifier"] is None and calls == [1, None]
 
-    monkeypatch.setattr(latlang.markov, "shuffle_ideal_falsify", lambda a, max_len=None: None)
+    monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", lambda a, max_len=None: None)
     with pytest.raises(InternalInconsistency) as caught:
         analyze(two_sink_chain, decomposition=two_sink_decomposition)
     assert str(caught.value) == "algebraic shuffle verdict is false but no falsifying pair exists"
 
     irreducible = chain_of(["a", "b"], {"a": {"b": "1"}, "b": {"a": "1/2", "b": "1/2"}})
     monkeypatch.setattr(
-        latlang.markov, "shuffle_ideal_falsify", lambda a, max_len=None: ((), ("a",))
+        syntactic_module, "shuffle_ideal_falsify", lambda a, max_len=None: ((), ("a",))
     )
     with pytest.raises(InternalInconsistency) as caught:
         analyze(irreducible)

@@ -8,7 +8,6 @@ from latlang import (
     build_ordered_monoid,
     direct_product,
     divides,
-    enumerate_ordered_monoids,
     generated_submonoid,
     identity_is_greatest,
     is_aperiodic,
@@ -17,7 +16,7 @@ from latlang import (
     standard_lattice,
     trivial_monoid,
 )
-from latlang.monoid import OrderedMonoid, check_generated
+from latlang.monoid import OrderedMonoid, aperiodicity_witness, check_generated
 from latlang.errors import (
     LatlangError,
     NoIdentity,
@@ -26,7 +25,7 @@ from latlang.errors import (
     SizeCapExceeded,
 )
 
-from conftest import reference_direct_product, u1, z2
+from conftest import reference_direct_product, reference_is_aperiodic, small_monoids, u1, z2
 
 
 def test_u1_builds():
@@ -95,7 +94,7 @@ def test_product_cap():
 
 def test_direct_product_matches_reference_on_seeded_sweep():
     """The mixed-radix fold gives the reference's product, projections and cap errors."""
-    pool = [m for n in range(1, 5) for m in enumerate_ordered_monoids(n)]
+    pool = small_monoids()
     rng = random.Random(505)
     compared = capped = 0
     for _ in range(300):
@@ -146,6 +145,29 @@ def test_is_aperiodic():
     assert is_aperiodic(u1())
     assert not is_aperiodic(z2())
     assert is_aperiodic(trivial_monoid())
+
+
+def test_is_aperiodic_matches_power_iteration_reference():
+    """The period search agrees with power iteration on every monoid of size
+    at most 4 and on seeded pairwise products; a witness has a real cycle."""
+    pool = small_monoids()
+    rng = random.Random(606)
+    products = [direct_product(rng.sample(pool, 2))[0] for _ in range(1600)]
+    periodic = 0
+    for m in pool + products:
+        witness = aperiodicity_witness(m)
+        assert is_aperiodic(m) == reference_is_aperiodic(m) == (witness is None)
+        if witness is not None:
+            x, period = m.index(witness["element"]), witness["period"]
+            power = x
+            for _ in range(m.size):
+                power = m.mul[power][x]  # now in the cycle of x's powers
+            cycle = power
+            for _ in range(period):
+                cycle = m.mul[cycle][x]
+            assert cycle == power and period > 1
+            periodic += 1
+    assert periodic >= 300
 
 
 def test_identity_is_greatest():
