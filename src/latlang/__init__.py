@@ -97,7 +97,6 @@ from .syntactic import (
     triple_to_automaton,
 )
 from .variety import (
-    SuiteSizes,
     VerificationReport,
     enumerate_ordered_monoids,
     random_automaton,

@@ -17,10 +17,9 @@ from .errors import (
     MalformedDocument,
     MismatchedAlphabet,
     MismatchedLattice,
-    SizeCapExceeded,
     UnknownLetter,
 )
-from .lattice import Lattice, LatticeMorphism, name_tuple, product_name, resolve
+from .lattice import Lattice, LatticeMorphism, name_tuple, orbit, product_name, resolve
 
 COMBINE_STATE_CAP = 200_000
 
@@ -250,7 +249,9 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
     """Join or meet of several languages over the reachable synchronized product.
 
     Only states reachable from the joint start are materialized, which keeps
-    wide combinations (e.g. one piece per monoid element) tractable.
+    wide combinations (e.g. one piece per monoid element) tractable: the
+    states are the orbit of the joint start, in discovery order, and the
+    transitions are the orbit's table.
     """
     if not automata:
         raise MalformedDocument("combine_many needs at least one automaton")
@@ -265,25 +266,12 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
         fold = first.lattice.meet_all
     else:
         raise MalformedDocument(f"unknown combination kind {kind!r}")
-    start = tuple(a.initial for a in automata)
-    order: list[tuple[int, ...]] = [start]
-    index = {start: 0}
-    queue = deque([start])
-    n_letters = len(first.alphabet)
-    delta_rows = []
-    while queue:
-        combo = queue.popleft()
-        row = []
-        for l in range(n_letters):
-            nxt = tuple(a.delta[q][l] for a, q in zip(automata, combo))
-            if nxt not in index:
-                if len(order) >= COMBINE_STATE_CAP:
-                    raise SizeCapExceeded("combined automaton exceeds the state cap")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        delta_rows.append(row)
+    order, delta = orbit(
+        tuple(a.initial for a in automata),
+        lambda combo: zip(*(a.delta[q] for a, q in zip(automata, combo))),
+        COMBINE_STATE_CAP,
+        "combined automaton",
+    )
     names = tuple(
         product_name(a.states[q] for a, q in zip(automata, combo)) for combo in order
     )
@@ -295,7 +283,7 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
         alphabet=first.alphabet,
         states=names,
         initial=0,
-        delta=tuple(tuple(row) for row in delta_rows),
+        delta=tuple(map(tuple, delta)),
         output=output,
     )
 
@@ -358,15 +346,7 @@ def recolor(a: LatticeAutomaton, alpha: LatticeMorphism) -> LatticeAutomaton:
 
 def trim(a: LatticeAutomaton) -> LatticeAutomaton:
     """Restrict to the states reachable from the start, keeping their order."""
-    reachable = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        q = queue.popleft()
-        for t in a.delta[q]:
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
-    keep = sorted(reachable)
+    keep = sorted(orbit(a.initial, a.delta.__getitem__)[0])
     if len(keep) == len(a.states):
         return a
     remap = {old: new for new, old in enumerate(keep)}
@@ -433,7 +413,9 @@ def find_difference(a1: LatticeAutomaton, a2: LatticeAutomaton) -> Word | None:
     """The shortest word on which the two languages differ, or None.
 
     Decided exactly by breadth-first search over the reachable synchronous
-    product, letters in alphabet order.
+    product, letters in alphabet order.  This search is kept apart from
+    ``orbit`` on purpose: it stops at the first pair that differs, while an
+    orbit would build the whole product.
     """
     if a1.alphabet != a2.alphabet:
         raise MismatchedAlphabet("automata use different alphabets")

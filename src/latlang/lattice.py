@@ -8,12 +8,14 @@ All values are immutable after construction.
 
 The finite-order kernel lives here too, for lattices, monoids, colorings,
 automata and chains alike: resolving an element by position or name,
-closing order pairs, and scanning for antisymmetry and monotonicity.
+closing order pairs, scanning for antisymmetry and monotonicity, and
+``orbit``, the breadth-first closure that lists the word maps of a machine
+with their Cayley graph and the reachable states of a machine or product.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,6 +133,35 @@ def mapping_images(
     return tuple(lookup(v) for v in mapping)
 
 
+def orbit(
+    start: Hashable,
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    cap: int | None = None,
+    what: str = "",
+) -> tuple[list, list[list[int]]]:
+    """Breadth-first closure of ``start`` under ``successors``, as
+    ``(order, table)``: ``order`` lists the elements in discovery order, and
+    row i of ``table`` holds the indices of ``successors(order[i])``, one per
+    letter.  Read row by row, the first time an index j appears is the edge
+    that discovered j.  Finding more than ``cap`` elements raises
+    SizeCapExceeded."""
+    order = [start]
+    index = {start: 0}
+    table = []
+    for x in order:  # grows while it is read: each element in turn
+        row = []
+        for y in successors(x):
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(order)
+                if cap is not None and j >= cap:
+                    raise SizeCapExceeded(f"{what} exceeds cap {cap}")
+                order.append(y)
+            row.append(j)
+        table.append(row)
+    return order, table
+
+
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
     """Names as a tuple; they must be strings.  ``what`` names them in errors."""
     if not isinstance(names, Iterable):
@@ -207,7 +238,6 @@ def build_lattice(
     pairs: Iterable[Sequence[int | str]],
     *,
     relation: str = "cover",
-    max_size: int = DEFAULT_MAX_SIZE,
 ) -> Lattice:
     """Build and validate a lattice from Hasse covers or a full order relation.
 
@@ -222,8 +252,8 @@ def build_lattice(
     n = len(names)
     if n == 0:
         raise TrivialLattice("a lattice needs at least two elements")
-    if n > max_size:
-        raise SizeCapExceeded(f"lattice size {n} exceeds cap {max_size}")
+    if n > DEFAULT_MAX_SIZE:
+        raise SizeCapExceeded(f"lattice size {n} exceeds cap {DEFAULT_MAX_SIZE}")
     index = {name: i for i, name in enumerate(names)}
     leq = order_from_pairs(index, pairs, "lattice element")
     check_antisymmetric(names, leq)
@@ -285,7 +315,7 @@ def product_name(component_names: Iterable[str]) -> str:
     return "(" + ",".join(component_names) + ")"
 
 
-def standard_lattice(kind: str, n: int = 2, *, max_size: int = DEFAULT_MAX_SIZE) -> Lattice:
+def standard_lattice(kind: str, n: int = 2) -> Lattice:
     """Build a canonical lattice: ``powerset``, ``chain``, or ``boolean``.
 
     Powerset elements are named as sorted subsets of {1..n}; chain elements
@@ -294,8 +324,8 @@ def standard_lattice(kind: str, n: int = 2, *, max_size: int = DEFAULT_MAX_SIZE)
     if kind == "powerset":
         if n < 1:
             raise SizeOutOfRange(f"powerset lattice needs n >= 1, got {n}")
-        if 2 ** n > max_size:
-            raise SizeOutOfRange(f"powerset of {n} exceeds the size cap {max_size}")
+        if 2 ** n > DEFAULT_MAX_SIZE:
+            raise SizeOutOfRange(f"powerset of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
         subsets = []
         for mask in range(2 ** n):
             members = tuple(i + 1 for i in range(n) if mask >> i & 1)
@@ -307,17 +337,17 @@ def standard_lattice(kind: str, n: int = 2, *, max_size: int = DEFAULT_MAX_SIZE)
             for j, big in enumerate(subsets):
                 if set(small) <= set(big):
                     pairs.append((i, j))
-        return build_lattice(names, pairs, relation="full", max_size=max_size)
+        return build_lattice(names, pairs, relation="full")
     if kind == "chain":
         if n < 2:
             raise SizeOutOfRange(f"chain lattice needs n >= 2, got {n}")
-        if n > max_size:
-            raise SizeOutOfRange(f"chain of {n} exceeds the size cap {max_size}")
+        if n > DEFAULT_MAX_SIZE:
+            raise SizeOutOfRange(f"chain of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
         names = [str(i) for i in range(n)]
         covers = [(i, i + 1) for i in range(n - 1)]
-        return build_lattice(names, covers, max_size=max_size)
+        return build_lattice(names, covers)
     if kind == "boolean":
-        return standard_lattice("chain", 2, max_size=max_size)
+        return standard_lattice("chain", 2)
     raise MalformedDocument(f"unknown standard lattice kind {kind!r}")
 
 

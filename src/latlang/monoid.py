@@ -29,6 +29,7 @@ from .lattice import (
     check_antisymmetric,
     check_names,
     mapping_images,
+    monotone_violation,
     order_from_pairs,
     product_name,
     resolve,
@@ -100,8 +101,6 @@ def build_ordered_monoid(
     identity: int | str,
     mul_table: Sequence[Sequence[int | str]],
     leq_pairs: Iterable[Sequence[int | str]] = (),
-    *,
-    max_size: int = DEFAULT_MAX_SIZE,
 ) -> OrderedMonoid:
     """Build and validate an ordered monoid from a multiplication table.
 
@@ -115,8 +114,8 @@ def build_ordered_monoid(
     n = len(names)
     if n == 0:
         raise MalformedDocument("a monoid needs at least one element")
-    if n > max_size:
-        raise SizeCapExceeded(f"monoid size {n} exceeds cap {max_size}")
+    if n > DEFAULT_MAX_SIZE:
+        raise SizeCapExceeded(f"monoid size {n} exceeds cap {DEFAULT_MAX_SIZE}")
     index = {name: i for i, name in enumerate(names)}
     if not isinstance(mul_table, (list, tuple)) or len(mul_table) != n or any(
         not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
@@ -408,7 +407,12 @@ class DivisionVerdict:
 
 
 def _closure_of(monoid: OrderedMonoid, gens: Sequence[int]) -> list[int]:
-    """Elements generated by ``gens``, in breadth-first order from the identity."""
+    """Elements generated by ``gens``, in breadth-first order from the identity.
+
+    This is ``orbit``'s order, but kept apart on purpose: ``divides`` runs it
+    for every generator subset, and building an orbit's table there is
+    about three times slower.
+    """
     carrier = [monoid.identity]
     seen = {monoid.identity}
     queue = deque([monoid.identity])
@@ -434,44 +438,29 @@ def _surjection_onto(
 
     The mapping is keyed by ambient m2 indices.  Candidates are enumerated
     by generator images in lexicographic order, so the first witness is
-    deterministic.
+    deterministic.  Each candidate walks the table of right products by the
+    generators over the carrier, row by row; the carrier is in breadth-first
+    order, so the first edge to reach an element assigns its image, and
+    every other edge must agree with the image already assigned.
     """
-    carrier_set = set(carrier)
+    position = {x: i for i, x in enumerate(carrier)}
+    edges = [
+        (i, position[m2.mul[x][g]], k)
+        for i, x in enumerate(carrier)
+        for k, g in enumerate(gens)
+    ]
+    leq = [[m2.leq[x][y] for y in carrier] for x in carrier]
     for images in itertools.product(range(m1.size), repeat=len(gens)):
-        img = {m2.identity: m1.identity}
-        queue = deque([m2.identity])
-        ok = True
-        while queue and ok:
-            x = queue.popleft()
-            for g, hg in zip(gens, images):
-                y = m2.mul[x][g]
-                expected = m1.mul[img[x]][hg]
-                if y in img:
-                    if img[y] != expected:
-                        ok = False
-                        break
-                else:
-                    # early order-violation pruning against assigned images
-                    if any(
-                        (m2.leq[z][y] and not m1.leq[iz][expected])
-                        or (m2.leq[y][z] and not m1.leq[expected][iz])
-                        for z, iz in img.items()
-                    ):
-                        ok = False
-                        break
-                    img[y] = expected
-                    queue.append(y)
-        if not ok or len(img) != len(carrier_set):
-            continue
-        if set(img.values()) != set(range(m1.size)):
-            continue
-        if any(
-            m2.leq[x][y] and not m1.leq[img[x]][img[y]]
-            for x in carrier
-            for y in carrier
-        ):
-            continue
-        return img
+        img = [m1.identity]
+        for x, y, k in edges:
+            expected = m1.mul[img[x]][images[k]]
+            if y == len(img):
+                img.append(expected)
+            elif img[y] != expected:
+                break
+        else:
+            if len(set(img)) == m1.size and monotone_violation(leq, m1.leq, img) is None:
+                return dict(zip(carrier, img))
     return None
 
 

@@ -6,7 +6,9 @@ preorder on states (the greatest relation refining output comparison that
 is closed under successors).  Because contexts act through state maps and
 reachable states, this order coincides with the two-sided word-context
 preorder, and on the minimal machine it is antisymmetric, so no quotient
-is needed.  The resulting table is validated through its generators.
+is needed.  The multiplication table is read off the right Cayley graph
+that the breadth-first search for the word maps already builds, and it
+is validated through its generators.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -14,7 +16,6 @@ a concatenation is the product of the maps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,11 +46,10 @@ from .errors import (
     NotAntisymmetric,
     NotAssociative,
     NotCompatible,
-    SizeCapExceeded,
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import make_lattice_morphism, threshold
+from .lattice import make_lattice_morphism, orbit, threshold
 from .monoid import (
     OrderedMonoid,
     _make_unchecked,
@@ -126,63 +126,44 @@ class SyntacticResult:
         )
 
 
-def _word_maps(
-    a: LatticeAutomaton, max_size: int
-) -> tuple[list[tuple[int, ...]], list[Word], list[int]]:
-    """All state maps of words on a trimmed machine, with length-lex witnesses.
+def _word_maps(a: LatticeAutomaton) -> tuple[list, list[Word], list[int], list[tuple]]:
+    """All state maps of words on a trimmed machine, with length-lex witnesses,
+    the letter images and the multiplication table.
 
-    Breadth-first closure from the identity map under right composition by
-    letter maps; the first witness found for a map is its length-lex-least
-    generating word.
+    The maps are the orbit of the identity map under right composition by
+    the letter maps, so the first witness found for a map is its
+    length-lex-least generating word, and the orbit's table is the right
+    Cayley graph.  If y was first reached from p by letter l, then y's
+    witness is p's witness followed by l, and column y of the table is
+    column p read through the graph: x*y = (x*p)*l (Froidure & Pin 1997).
     """
-    n = len(a.states)
-    identity = tuple(range(n))
-    gens = [tuple(a.delta[q][l] for q in range(n)) for l in range(len(a.alphabet))]
-    maps = [identity]
+    gens = list(zip(*a.delta))
+    maps, right = orbit(
+        tuple(range(len(a.states))),
+        lambda m: [tuple([g[q] for q in m]) for g in gens],
+        TRANSITION_MONOID_CAP,
+        "transition monoid",
+    )
+    by_letter = list(zip(*right))
     witnesses: list[Word] = [()]
-    index = {identity: 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        base = maps[i]
-        for l, g in enumerate(gens):
-            composed = tuple(g[base[q]] for q in range(n))
-            if composed not in index:
-                if len(maps) >= max_size:
-                    raise SizeCapExceeded(
-                        f"transition monoid exceeds cap {max_size}"
-                    )
-                index[composed] = len(maps)
-                maps.append(composed)
-                witnesses.append(witnesses[i] + (a.alphabet[l],))
-                queue.append(len(maps) - 1)
-    gen_ids = [index[g] for g in gens]
-    return maps, witnesses, gen_ids
+    columns: list[Sequence[int]] = [range(len(maps))]
+    for p, row in enumerate(right):
+        for l, y in enumerate(row):
+            if y == len(columns):
+                witnesses.append(witnesses[p] + (a.alphabet[l],))
+                columns.append(list(map(by_letter[l].__getitem__, columns[p])))
+    return maps, witnesses, right[0], list(zip(*columns))
 
 
-def transition_monoid(
-    a: LatticeAutomaton, *, max_size: int = TRANSITION_MONOID_CAP
-) -> tuple[OrderedMonoid, tuple[int, ...]]:
+def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ...]]:
     """The monoid of state maps with the equality order, and the letter images.
 
     Elements are named by their length-lex-least generating words.
     """
-    a = trim(a)
-    maps, witnesses, gen_ids = _word_maps(a, max_size)
-    k = len(maps)
-    leq = [[i == j for j in range(k)] for i in range(k)]
+    maps, witnesses, gen_ids, mul = _word_maps(trim(a))
+    leq = [[i == j for j in range(len(maps))] for i in range(len(maps))]
     names = tuple(word_name(w) for w in witnesses)
-    monoid = _make_unchecked(names, 0, _composition_table(maps), leq)
-    return monoid, tuple(gen_ids)
-
-
-def _composition_table(maps: list[tuple[int, ...]]) -> list[list[int]]:
-    """Row i, column j: the index of the map that applies maps[i], then maps[j].
-
-    ``maps`` must be distinct and closed under composition.
-    """
-    index = {m: i for i, m in enumerate(maps)}
-    return [[index[tuple(mj[q] for q in mi)] for mj in maps] for mi in maps]
+    return _make_unchecked(names, 0, mul, leq), tuple(gen_ids)
 
 
 def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
@@ -211,23 +192,24 @@ def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
     return rel
 
 
-def syntactic(a: LatticeAutomaton, *, max_size: int = TRANSITION_MONOID_CAP) -> SyntacticResult:
+def syntactic(a: LatticeAutomaton) -> SyntacticResult:
     """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
 
     Steps: minimize; state preorder; word maps of the minimal machine, named
-    by their length-lex-least words; pointwise order of the maps.  The
-    table is validated through the letter images with ``check_generated``;
-    a failure raises InternalInconsistency since it can only be a bug.
-    ``max_size`` caps the number of word maps of the minimal machine.
+    by their length-lex-least words, with the table read off their Cayley
+    graph; pointwise order of the maps.  The table is validated through the
+    letter images with ``check_generated``; a failure raises
+    InternalInconsistency since it can only be a bug.  TRANSITION_MONOID_CAP
+    caps the number of word maps of the minimal machine.
     """
     a = minimize(a)
     pre = _state_preorder(a)
-    maps, witnesses, gen_ids = _word_maps(a, max_size)
+    maps, witnesses, gen_ids, mul = _word_maps(a)
     leq = [
         [all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps
     ]
     names = tuple(word_name(w) for w in witnesses)
-    monoid = _make_unchecked(names, 0, _composition_table(maps), leq)
+    monoid = _make_unchecked(names, 0, mul, leq)
     try:
         check_generated(monoid, gen_ids)
     except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
@@ -277,18 +259,7 @@ def cut(a: LatticeAutomaton, value: int | str) -> LatticeAutomaton:
 
     Bottom encodes membership; transitions are unchanged.
     """
-    v = a.lattice.index(value)
-    output = tuple(
-        a.lattice.bottom if a.lattice.leq[o][v] else a.lattice.top for o in a.output
-    )
-    return LatticeAutomaton(
-        lattice=a.lattice,
-        alphabet=a.alphabet,
-        states=a.states,
-        initial=a.initial,
-        delta=a.delta,
-        output=output,
-    )
+    return recolor(a, threshold(a.lattice, value))
 
 
 def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]:

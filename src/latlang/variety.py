@@ -59,6 +59,15 @@ from .syntactic import (
 )
 
 ENUMERATION_MAX_N = 4
+SUBDIRECT_MAX_SIZE = 64
+
+# Sizes of the seeded suite (``run_suite``).
+SUITE_LATTICE_MAX = 5
+SUITE_STATES_MAX = 3
+SUITE_RECOG_INSTANCES = 3
+SUITE_MINIMALITY_INSTANCES = 4
+SUITE_SUBDIRECT_MAX_N = 2
+SUITE_PRODUCT_CAP = 200
 
 
 # -- enumeration -----------------------------------------------------------
@@ -108,15 +117,15 @@ def _unital_associative_tables(n: int):
             yield mul
 
 
-def enumerate_ordered_monoids(n: int, *, max_n: int = ENUMERATION_MAX_N) -> list[OrderedMonoid]:
+def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:
     """All ordered monoids on n elements up to isomorphism.
 
     Tables are enumerated with the identity fixed at index 0 (every monoid
     is isomorphic to one of that form), paired with every compatible partial
     order, and deduplicated by the minimal relabeled serialization.
     """
-    if n < 1 or n > max_n:
-        raise SizeCapExceeded(f"enumeration supports 1 <= n <= {max_n}, got {n}")
+    if n < 1 or n > ENUMERATION_MAX_N:
+        raise SizeCapExceeded(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
     names = tuple(f"m{i}" for i in range(n))
     found: dict[tuple, OrderedMonoid] = {}
     for mul in _unital_associative_tables(n):
@@ -336,7 +345,7 @@ def verify_syntactic_minimality(
     )
 
 
-def subdirect_embedding(monoid: OrderedMonoid, *, max_size: int = 64) -> VerificationReport:
+def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     """Embed a monoid into the product of the syntactic monoids of its
     element languages (one ideal language per element, over the monoid's
     own elements as the alphabet).
@@ -346,8 +355,8 @@ def subdirect_embedding(monoid: OrderedMonoid, *, max_size: int = 64) -> Verific
     """
     from .serialize import monoid_to_doc
 
-    if monoid.size > max_size:
-        raise SizeCapExceeded(f"subdirect embedding capped at {max_size} elements")
+    if monoid.size > SUBDIRECT_MAX_SIZE:
+        raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
     lat = standard_lattice("chain", 2)
     identity = identity_monoid_morphism(monoid)
     synts: list[SyntacticResult] = []
@@ -400,16 +409,6 @@ def subdirect_embedding(monoid: OrderedMonoid, *, max_size: int = 64) -> Verific
 
 # -- the suite -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteSizes:
-    lattice_max: int = 5
-    states_max: int = 3
-    recog_instances: int = 3
-    minimality_instances: int = 4
-    subdirect_max_n: int = 2
-    product_cap: int = 200
-
-
 def _cons_b_report(lattice: Lattice) -> VerificationReport:
     """The two constant languages at bottom and top are not closed under
     lattice self-maps once a third value exists: recoloring with a middle
@@ -451,21 +450,20 @@ def _join_recognizer(
     )
 
 
-def run_suite(seed: int = 0, sizes: SuiteSizes | None = None) -> list[VerificationReport]:
+def run_suite(seed: int = 0) -> list[VerificationReport]:
     """Deterministic verification sweep; failures are reports, not exceptions."""
-    sizes = sizes or SuiteSizes()
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
 
     reports.append(_cons_b_report(standard_lattice("chain", 3)))
 
-    for i in range(sizes.recog_instances):
+    for i in range(SUITE_RECOG_INSTANCES):
         for _ in range(50):
-            lattice = random_lattice(rng, sizes.lattice_max)
-            a1 = random_automaton(rng, lattice, sizes.states_max)
-            a2 = random_automaton(rng, lattice, sizes.states_max)
+            lattice = random_lattice(rng, SUITE_LATTICE_MAX)
+            a1 = random_automaton(rng, lattice, SUITE_STATES_MAX)
+            a2 = random_automaton(rng, lattice, SUITE_STATES_MAX)
             s1, s2 = syntactic(a1), syntactic(a2)
-            if s1.monoid.size * s2.monoid.size <= sizes.product_cap:
+            if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
                 break
         triple = _join_recognizer(s1, s2)
         report = verify_recog_by_synt([a1, a2], triple)
@@ -478,9 +476,9 @@ def run_suite(seed: int = 0, sizes: SuiteSizes | None = None) -> list[Verificati
         reports.append(report)
 
     pool = enumerate_ordered_monoids(2) + enumerate_ordered_monoids(3)
-    for i in range(sizes.minimality_instances):
+    for i in range(SUITE_MINIMALITY_INSTANCES):
         monoid = pool[rng.randrange(len(pool))]
-        lattice = random_lattice(rng, sizes.lattice_max)
+        lattice = random_lattice(rng, SUITE_LATTICE_MAX)
         coloring = random_coloring(rng, monoid, lattice)
         images = tuple(rng.randrange(monoid.size) for _ in ("a", "b"))
         triple = RecognitionTriple(("a", "b"), images, monoid, coloring)
@@ -494,7 +492,7 @@ def run_suite(seed: int = 0, sizes: SuiteSizes | None = None) -> list[Verificati
         )
         reports.append(report)
 
-    for n in range(1, sizes.subdirect_max_n + 1):
+    for n in range(1, SUITE_SUBDIRECT_MAX_N + 1):
         for monoid in enumerate_ordered_monoids(n):
             reports.append(subdirect_embedding(monoid))
 

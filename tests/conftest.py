@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,14 @@ from latlang import (
     simulating_automaton,
     standard_lattice,
 )
+from latlang.automaton import minimize, word_name
+from latlang.coloring import make_op_coloring
 from latlang.errors import MalformedDocument, NegativeEntry, RowSumNotOne, SizeCapExceeded
-from latlang.lattice import subset_name
+from latlang.lattice import product_name, subset_name
 from latlang.markov import ErgodicStructure, decompose, ergodic_lattice
 from latlang.monoid import _make_unchecked
 from latlang.serialize import decomposition_from_doc
+from latlang.syntactic import TRANSITION_MONOID_CAP, SyntacticResult, _state_preorder
 from latlang.variety import enumerate_ordered_monoids
 
 settings.register_profile(
@@ -127,6 +131,167 @@ def reference_product_combine(kind, a1, a2):
             for p, q in pairs
         ),
         output=tuple(table[a1.output[p]][a2.output[q]] for p, q in pairs),
+    )
+
+
+def reference_word_maps(a):
+    """Reference word maps: a deque search over state maps with an index dict;
+    each new map's witness extends its parent's by the letter that reached it."""
+    n = len(a.states)
+    identity = tuple(range(n))
+    gens = [tuple(a.delta[q][l] for q in range(n)) for l in range(len(a.alphabet))]
+    maps = [identity]
+    witnesses = [()]
+    index = {identity: 0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        base = maps[i]
+        for l, g in enumerate(gens):
+            composed = tuple(g[base[q]] for q in range(n))
+            if composed not in index:
+                if len(maps) >= TRANSITION_MONOID_CAP:
+                    raise SizeCapExceeded(
+                        f"transition monoid exceeds cap {TRANSITION_MONOID_CAP}"
+                    )
+                index[composed] = len(maps)
+                maps.append(composed)
+                witnesses.append(witnesses[i] + (a.alphabet[l],))
+                queue.append(len(maps) - 1)
+    return maps, witnesses, [index[g] for g in gens]
+
+
+def reference_composition_table(maps):
+    """Reference table: row i, column j is the index of maps[i] then maps[j],
+    found by composing the two maps and hashing the result."""
+    index = {m: i for i, m in enumerate(maps)}
+    return [[index[tuple(mj[q] for q in mi)] for mj in maps] for mi in maps]
+
+
+def reference_transition_monoid(a):
+    """Reference transition monoid: equality order on the reference word maps."""
+    maps, witnesses, gen_ids = reference_word_maps(reference_trim(a))
+    k = len(maps)
+    leq = [[i == j for j in range(k)] for i in range(k)]
+    names = tuple(word_name(w) for w in witnesses)
+    return _make_unchecked(names, 0, reference_composition_table(maps), leq), tuple(gen_ids)
+
+
+def reference_syntactic(a):
+    """Reference syntactic monoid: the reference word maps of the minimal
+    machine, their composition table, and the pointwise state preorder."""
+    a = minimize(a)
+    pre = _state_preorder(a)
+    maps, witnesses, gen_ids = reference_word_maps(a)
+    leq = [[all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps]
+    names = tuple(word_name(w) for w in witnesses)
+    monoid = _make_unchecked(names, 0, reference_composition_table(maps), leq)
+    return SyntacticResult(
+        alphabet=a.alphabet,
+        monoid=monoid,
+        generator_images=tuple(gen_ids),
+        coloring=make_op_coloring(monoid, a.lattice, [a.output[m[a.initial]] for m in maps]),
+        witnesses=tuple(witnesses),
+    )
+
+
+def reference_surjection_onto(m1, m2, carrier, gens):
+    """Reference division step: a deque search per tuple of generator images
+    that prunes on order against every image assigned so far, then checks
+    the full map, its surjectivity and its order pair by pair."""
+    carrier_set = set(carrier)
+    for images in itertools.product(range(m1.size), repeat=len(gens)):
+        img = {m2.identity: m1.identity}
+        queue = deque([m2.identity])
+        ok = True
+        while queue and ok:
+            x = queue.popleft()
+            for g, hg in zip(gens, images):
+                y = m2.mul[x][g]
+                expected = m1.mul[img[x]][hg]
+                if y in img:
+                    if img[y] != expected:
+                        ok = False
+                        break
+                else:
+                    if any(
+                        (m2.leq[z][y] and not m1.leq[iz][expected])
+                        or (m2.leq[y][z] and not m1.leq[expected][iz])
+                        for z, iz in img.items()
+                    ):
+                        ok = False
+                        break
+                    img[y] = expected
+                    queue.append(y)
+        if not ok or len(img) != len(carrier_set):
+            continue
+        if set(img.values()) != set(range(m1.size)):
+            continue
+        if any(
+            m2.leq[x][y] and not m1.leq[img[x]][img[y]]
+            for x in carrier
+            for y in carrier
+        ):
+            continue
+        return img
+    return None
+
+
+def reference_combine_many(kind, automata):
+    """Reference reachable product machine: a deque search over state tuples
+    that builds each transition row as it goes."""
+    first = automata[0]
+    fold = first.lattice.join_all if kind == "join" else first.lattice.meet_all
+    start = tuple(a.initial for a in automata)
+    order = [start]
+    index = {start: 0}
+    queue = deque([start])
+    delta_rows = []
+    while queue:
+        combo = queue.popleft()
+        row = []
+        for l in range(len(first.alphabet)):
+            nxt = tuple(a.delta[q][l] for a, q in zip(automata, combo))
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+        delta_rows.append(tuple(row))
+    return LatticeAutomaton(
+        lattice=first.lattice,
+        alphabet=first.alphabet,
+        states=tuple(
+            product_name(a.states[q] for a, q in zip(automata, combo)) for combo in order
+        ),
+        initial=0,
+        delta=tuple(delta_rows),
+        output=tuple(
+            fold(a.output[q] for a, q in zip(automata, combo)) for combo in order
+        ),
+    )
+
+
+def reference_trim(a):
+    """Reference trim: a deque search for the reachable states, kept in order."""
+    reachable = {a.initial}
+    queue = deque([a.initial])
+    while queue:
+        for t in a.delta[queue.popleft()]:
+            if t not in reachable:
+                reachable.add(t)
+                queue.append(t)
+    keep = sorted(reachable)
+    if len(keep) == len(a.states):
+        return a
+    remap = {old: new for new, old in enumerate(keep)}
+    return LatticeAutomaton(
+        lattice=a.lattice,
+        alphabet=a.alphabet,
+        states=tuple(a.states[q] for q in keep),
+        initial=remap[a.initial],
+        delta=tuple(tuple(remap[t] for t in a.delta[q]) for q in keep),
+        output=tuple(a.output[q] for q in keep),
     )
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from latlang import (
+    combine_many,
     cons,
     constant_automaton,
     equivalent,
@@ -28,7 +29,12 @@ from latlang.errors import (
 )
 from latlang.variety import random_automaton, random_lattice
 
-from conftest import all_words, reference_product_combine
+from conftest import (
+    all_words,
+    reference_combine_many,
+    reference_product_combine,
+    reference_trim,
+)
 
 
 def value(a, word):
@@ -165,6 +171,22 @@ def test_product_combine_matches_reference_on_seeded_sweep():
         a2 = random_automaton(rng, lat, 5)
         for kind in ("join", "meet"):
             assert product_combine(kind, a1, a2) == reference_product_combine(kind, a1, a2)
+
+
+def test_combine_many_and_trim_match_reference_on_seeded_sweep():
+    """The orbit gives the deque search's reachable product machine and
+    trimmed machine, state for state, on lists of 1 to 4 machines."""
+    rng = random.Random(909)
+    for i in range(300):
+        lat = random_lattice(rng, 4)
+        letters = ("a", "b", "c")[: 1 + i % 3]
+        automata = [
+            random_automaton(rng, lat, 5, alphabet=letters) for _ in range(1 + i % 4)
+        ]
+        kind = ("join", "meet")[i // 4 % 2]
+        assert combine_many(kind, automata) == reference_combine_many(kind, automata)
+        for a in automata:
+            assert trim(a) == reference_trim(a)
 
 
 def test_closure_operations_agree_wordwise(rng):

@@ -20,10 +20,12 @@ from latlang.errors import (
     NotALattice,
     NotAntisymmetric,
     NotOrderPreserving,
+    SizeCapExceeded,
     SizeOutOfRange,
     TrivialLattice,
     UnknownElement,
 )
+from latlang.lattice import orbit
 from latlang.markov import make_chain
 from latlang.variety import random_lattice
 
@@ -111,6 +113,20 @@ def test_morphisms():
     with pytest.raises(NotOrderPreserving) as err:
         make_lattice_morphism(chain3, ["1", "0", "2"])
     assert err.value.witness["pair"] == ["0", "1"]
+
+
+def test_orbit_order_table_and_cap():
+    def successors(x):
+        return [(x + 1) % 6, 2 * x % 6]
+
+    order, table = orbit(0, successors)
+    assert order == [0, 1, 2, 3, 4, 5]
+    assert table == [[1, 0], [2, 2], [3, 4], [4, 0], [5, 2], [0, 4]]
+    for row, x in zip(table, order):
+        assert [order[j] for j in row] == successors(x)
+    assert orbit(0, successors, 6, "ring") == (order, table)
+    with pytest.raises(SizeCapExceeded, match="^ring exceeds cap 5$"):
+        orbit(0, successors, 5, "ring")
 
 
 def test_dual_examples():

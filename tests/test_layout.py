@@ -6,7 +6,8 @@ falsifier each have one definition; the helpers they replaced stay
 deleted, the falsifier does not go back to enumerating subwords, and the
 product machine does not go back to enumerating state pairs.  The shuffle
 verdict, the aperiodicity witness and the ergodic classes each have one
-implementation.
+implementation.  Breadth-first closures go through ``orbit``, except the
+two searches kept apart on purpose.
 """
 
 import ast
@@ -21,6 +22,7 @@ DELETED = {
     "fraction_str",
     "_strongly_connected_components",
     "_aperiodicity_witness",
+    "_composition_table",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -34,6 +36,7 @@ KERNEL = {
     "shuffle_ideal_falsify": "syntactic.py",
     "shuffle_verdict": "syntactic.py",
     "aperiodicity_witness": "monoid.py",
+    "orbit": "lattice.py",
 }
 
 
@@ -97,3 +100,19 @@ def test_shuffle_verdict_is_checked_in_one_place():
         if "algebraic shuffle verdict is" in path.read_text()
     ]
     assert homes == ["syntactic.py"]
+
+
+def test_deque_only_in_the_searches_kept_apart():
+    """``find_difference`` stops at the first difference and ``_closure_of``
+    runs once per generator subset; every other search is an ``orbit``."""
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if any(
+                isinstance(inner, ast.Name) and inner.id == "deque"
+                or isinstance(inner, ast.Attribute) and inner.attr == "deque"
+                for inner in ast.walk(node)
+            ):
+                users.append((path.name, getattr(node, "name", None)))
+    assert users == [("automaton.py", "find_difference"), ("monoid.py", "_closure_of")]

@@ -25,7 +25,14 @@ from latlang.errors import (
     SizeCapExceeded,
 )
 
-from conftest import reference_direct_product, reference_is_aperiodic, small_monoids, u1, z2
+from conftest import (
+    reference_direct_product,
+    reference_is_aperiodic,
+    reference_surjection_onto,
+    small_monoids,
+    u1,
+    z2,
+)
 
 
 def test_u1_builds():
@@ -247,6 +254,47 @@ def _divides_oracle(m1, m2):
                 continue
             return True
     return False
+
+
+def test_divides_matches_deque_reference_on_seeded_sweep(monkeypatch):
+    """Walking the carrier's table gives the same division documents as the
+    deque search with order pruning, in both directions, on 300 pairs: a
+    monoid of size at most 4 against one with the same table (the orders
+    differ), any one, or its product with another (at most 16 elements)."""
+    import latlang.monoid as monoid_module
+
+    rng = random.Random(3)
+    pool = small_monoids()
+    by_table = {}
+    for m in pool:
+        by_table.setdefault(m.mul, []).append(m)
+    pairs = []
+    while len(pairs) < 300:
+        m1 = rng.choice(pool)
+        kind = rng.randrange(3)
+        if kind == 0:
+            m2 = rng.choice(by_table[m1.mul])
+        elif kind == 1:
+            m2 = rng.choice(pool)
+        else:
+            other = rng.choice(pool)
+            if m1.size * other.size > 16:
+                continue
+            m2, _ = direct_product([m1, other])
+        pairs.append((m1, m2))
+    budget = DivisionBudget(max_target_size=16)
+
+    def documents():
+        return [
+            (divides(m1, m2, budget).to_doc(), divides(m2, m1, budget).to_doc())
+            for m1, m2 in pairs
+        ]
+
+    walked = documents()
+    monkeypatch.setattr(monoid_module, "_surjection_onto", reference_surjection_onto)
+    assert walked == documents()
+    verdicts = [doc["verdict"] for pair in walked for doc in pair]
+    assert verdicts.count("yes") >= 100 and verdicts.count("no") >= 100
 
 
 def test_divides_matches_brute_force_oracle():

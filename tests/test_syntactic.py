@@ -1,6 +1,8 @@
 import random
 import time
 
+import pytest
+
 from latlang import (
     RecognitionTriple,
     build_lattice,
@@ -28,10 +30,19 @@ from latlang import (
     transition_monoid,
     triple_to_automaton,
 )
+from latlang.automaton import minimize
+from latlang.errors import SizeCapExceeded
 from latlang.monoid import product_index
 from latlang.variety import random_automaton, random_lattice
 
-from conftest import all_words, enumerate_falsifier, u1
+from conftest import (
+    all_words,
+    enumerate_falsifier,
+    reference_syntactic,
+    reference_transition_monoid,
+    reference_word_maps,
+    u1,
+)
 
 
 def test_transition_monoid_trivial(boolean):
@@ -61,6 +72,54 @@ def test_transition_monoid_is_homomorphism(two_sink_automaton):
     for u in all_words(a.alphabet, 2):
         for v in all_words(a.alphabet, 2):
             assert image(u + v) == monoid.mul[image(u)][image(v)]
+
+
+def test_tables_match_composition_reference_on_seeded_sweep():
+    """The tables read off the Cayley graph equal the tables built by
+    composing and hashing every pair of word maps: same elements, names,
+    witnesses, products, order and letter images, on 300 small machines of
+    1 to 3 letters and 4 machines whose syntactic monoids have 300 to 600
+    elements."""
+    rng = random.Random(11)
+    machines = [
+        random_automaton(rng, random_lattice(rng, 4), 4, alphabet=("a", "b", "c")[: 1 + i % 3])
+        for i in range(300)
+    ]
+    large = []
+    while len(large) < 4:
+        a = random_automaton(rng, random_lattice(rng, 4), 6, min_states=6)
+        try:
+            k = len(reference_word_maps(minimize(a))[0])
+            k_trim = len(reference_word_maps(a)[0])
+        except SizeCapExceeded:
+            continue
+        if 300 <= k and k_trim <= 600:
+            large.append(a)
+    for a in machines + large:
+        assert syntactic(a) == reference_syntactic(a)
+        assert transition_monoid(a) == reference_transition_monoid(a)
+
+
+def test_word_map_cap_matches_reference():
+    """Six states with distinct outputs and letters that generate every map
+    of the states (46656 of them): both constructions stop at the cap with
+    the same error document."""
+    n = 6
+    delta = [[(q + 1) % n, (1 - q) if q < 2 else q, 1 if q == 0 else q] for q in range(n)]
+    a = make_automaton(
+        standard_lattice("chain", n), ("c", "t", "m"), [f"q{q}" for q in range(n)], 0,
+        delta, list(range(n)),
+    )
+    for build, reference in (
+        (syntactic, reference_syntactic),
+        (transition_monoid, reference_transition_monoid),
+    ):
+        with pytest.raises(SizeCapExceeded) as new:
+            build(a)
+        with pytest.raises(SizeCapExceeded) as old:
+            reference(a)
+        assert new.value.to_doc() == old.value.to_doc()
+        assert str(new.value) == "transition monoid exceeds cap 10000"
 
 
 def test_syntactic_constant(boolean):

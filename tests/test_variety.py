@@ -19,7 +19,6 @@ from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
 from latlang.monoid import DivisionBudget, _make_unchecked
 from latlang.syntactic import RecognitionTriple, cut
 from latlang.variety import (
-    SuiteSizes,
     enumerate_ordered_monoids,
     random_automaton,
     random_coloring,
@@ -321,7 +320,7 @@ def test_suite_all_pass_and_deterministic():
 
 
 def test_suite_reports_serialize():
-    for report in run_suite(seed=0, sizes=SuiteSizes(recog_instances=1, minimality_instances=1)):
+    for report in run_suite(seed=0):
         doc = report.to_doc()
         assert json.loads(json.dumps(doc)) == doc
 
@@ -347,7 +346,7 @@ def test_reports_replay_from_serialized_inputs(rng):
 
 
 def test_suite_includes_constant_class_regression():
-    reports = run_suite(seed=0, sizes=SuiteSizes(recog_instances=1, minimality_instances=1))
+    reports = run_suite(seed=0)
     names = [r.check for r in reports]
     assert names[0] == "cons_b_not_closed"
     assert reports[0].verdict == "pass"
