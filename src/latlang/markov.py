@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
@@ -247,26 +248,29 @@ def decompose(chain: MarkovChain) -> Decomposition:
 
     Each round picks, per state, the column with the largest residual (ties
     to the lowest index), uses the minimum of those residuals as the letter
-    weight, and subtracts.  Rows keep equal residual mass, so the loop ends
-    with an exact reconstruction in at most one step per nonzero entry.
+    weight, and subtracts.  Only each row's support is scanned: a row keeps
+    the columns whose residual is still positive, starting from its
+    successors, and drops a column once its residual reaches zero.  Rows
+    keep equal residual mass, so the loop ends when the first row's support
+    is empty, with an exact reconstruction in at most one step per nonzero
+    entry.
     """
-    n = chain.size
-    residual = [list(row) for row in chain.matrix]
+    residual = [
+        {t: row[t] for t in successors}
+        for row, successors in zip(chain.matrix, chain.successors)
+    ]
     letters: list[str] = []
     maps: list[tuple[int, ...]] = []
     weights: list[Fraction] = []
-    while True:
-        if all(v == 0 for row in residual for v in row):
-            break
-        picks = []
-        for s in range(n):
-            best = max(range(n), key=lambda t: (residual[s][t], -t))
-            picks.append(best)
-        weight = min(residual[s][picks[s]] for s in range(n))
-        for s in range(n):
-            residual[s][picks[s]] -= weight
+    while residual[0]:
+        picks = tuple(max(row, key=lambda t: (row[t], -t)) for row in residual)
+        weight = min(row[t] for row, t in zip(residual, picks))
+        for row, t in zip(residual, picks):
+            row[t] -= weight
+            if row[t] == 0:
+                del row[t]
         letters.append(f"{LETTER_PREFIX}{len(letters) + 1}")
-        maps.append(tuple(picks))
+        maps.append(picks)
         weights.append(weight)
     decomposition = Decomposition(
         letters=tuple(letters), maps=tuple(maps), weights=tuple(weights)
@@ -343,33 +347,47 @@ def simulating_automaton(
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination over the rationals with multiple right-hand sides."""
+    """Fraction-free Gauss-Jordan elimination (Bareiss) with multiple
+    right-hand sides.
+
+    Each row of [A | B] is scaled by the lcm of its denominators, so every
+    entry is an integer.  The pivot of a column is its first nonzero entry
+    at or below the diagonal; every other row r becomes
+    (p * row_r - f * pivot_row) // prev, where p is the pivot, f is row r's
+    entry in the pivot column and prev the previous pivot, and the division
+    is exact.  Columns left of the pivot are zero off the diagonal and stay
+    so, and every diagonal entry ends as the last pivot d, so only the
+    columns from the pivot on are updated and each answer is v / d.
+    """
     n = len(matrix)
-    a = [row[:] for row in matrix]
-    b = [row[:] for row in rhs]
+    rows = []
+    for a_row, b_row in zip(matrix, rhs):
+        entries = a_row + b_row
+        scale = lcm(*(v.denominator for v in entries))
+        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
             raise SingularSystem("absorption system is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] = [v * inv for v in b[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col][col:]
+        p = top[0]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                b[r] = [v - factor * w for v, w in zip(b[r], b[col])]
-    return b
+            if r != col:
+                row = rows[r]
+                f = row[col]
+                row[col:] = [(p * v - f * w) // prev for v, w in zip(row[col:], top)]
+        prev = p
+    return [[Fraction(v, prev) for v in row[n:]] for row in rows]
 
 
 def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction]]:
     """Per ergodic class, the exact absorption probability from every state.
 
     States inside the class get 1, states of other ergodic classes 0, and
-    transient states solve x = Pi x with boundary values, by exact rational
-    elimination.
+    transient states solve x = Pi x with boundary values, by fraction-free
+    elimination over the integers.
     """
     structure = ergodic_structure(chain)
     ergodic = structure.ergodic_classes()

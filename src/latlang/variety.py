@@ -9,7 +9,6 @@ Each check produces a replayable report rather than raising.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,33 +87,50 @@ def _partial_orders(n: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
 
 
 def _unital_associative_tables(n: int):
-    """All associative multiplication tables with the identity at index 0."""
+    """All associative multiplication tables with the identity at index 0,
+    in lexicographic order of their free cells.
+
+    A backtracking search fills the free cells (i, j), i, j >= 1, in
+    row-major order, trying values from smallest to largest.  After each
+    assignment every equation (xy)z = x(yz) whose four cells are all set
+    is checked, and the branch is dropped on the first violation, so a
+    full table has passed every equation.
+    """
+    unset = -1
     free = [(i, j) for i in range(1, n) for j in range(1, n)]
-    for values in itertools.product(range(n), repeat=len(free)):
-        mul = [[0] * n for _ in range(n)]
-        for j in range(n):
-            mul[0][j] = j
-        for i in range(n):
-            mul[i][0] = i
-        for (i, j), v in zip(free, values):
-            mul[i][j] = v
-        ok = True
-        for x in range(1, n):
+    # the identity's row and column are fixed: 0 * j = j and i * 0 = i
+    mul = [[i + j if i * j == 0 else unset for j in range(n)] for i in range(n)]
+    inner = range(1, n)
+
+    def consistent() -> bool:
+        for x in inner:
             row_x = mul[x]
-            for y in range(1, n):
+            for y in inner:
                 xy = row_x[y]
-                row_xy = mul[xy]
-                row_y = mul[y]
-                for z in range(1, n):
-                    if row_xy[z] != row_x[row_y[z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield mul
+                if xy == unset:
+                    continue
+                row_xy, row_y = mul[xy], mul[y]
+                for z in inner:
+                    yz = row_y[z]
+                    if yz == unset:
+                        continue
+                    left, right = row_xy[z], row_x[yz]
+                    if left != unset and right != unset and left != right:
+                        return False
+        return True
+
+    def fill(k: int):
+        if k == len(free):
+            yield [row[:] for row in mul]
+            return
+        i, j = free[k]
+        for v in range(n):
+            mul[i][j] = v
+            if consistent():
+                yield from fill(k + 1)
+        mul[i][j] = unset
+
+    yield from fill(0)
 
 
 def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:

@@ -22,7 +22,15 @@ from latlang.automaton import minimize, word_name
 from latlang.coloring import make_op_coloring
 from latlang.errors import MalformedDocument, NegativeEntry, RowSumNotOne, SizeCapExceeded
 from latlang.lattice import product_name, subset_name
-from latlang.markov import ErgodicStructure, decompose, ergodic_lattice
+from latlang.errors import SingularSystem
+from latlang.markov import (
+    LETTER_PREFIX,
+    Decomposition,
+    ErgodicStructure,
+    decompose,
+    ergodic_lattice,
+    validate_decomposition,
+)
 from latlang.monoid import _make_unchecked
 from latlang.serialize import decomposition_from_doc
 from latlang.syntactic import TRANSITION_MONOID_CAP, SyntacticResult, _state_preorder
@@ -295,6 +303,27 @@ def reference_trim(a):
     )
 
 
+def reference_unital_associative_tables(n):
+    """Reference table scan: every filling of the free cells in
+    ``itertools.product`` order, kept when all equations (xy)z = x(yz) hold."""
+    free = [(i, j) for i in range(1, n) for j in range(1, n)]
+    for values in itertools.product(range(n), repeat=len(free)):
+        mul = [[0] * n for _ in range(n)]
+        for j in range(n):
+            mul[0][j] = j
+        for i in range(n):
+            mul[i][0] = i
+        for (i, j), v in zip(free, values):
+            mul[i][j] = v
+        if all(
+            mul[mul[x][y]][z] == mul[x][mul[y][z]]
+            for x in range(1, n)
+            for y in range(1, n)
+            for z in range(1, n)
+        ):
+            yield mul
+
+
 @functools.cache
 def small_monoids():
     """Every ordered monoid of size 1 to 4, up to isomorphism (591 of them)."""
@@ -344,6 +373,49 @@ def reference_validate_decomposition(chain, decomposition):
                         str(total),
                     ],
                 )
+
+
+def reference_solve_exact(matrix, rhs):
+    """Reference solver: Gauss-Jordan over ``Fraction``, first nonzero pivot."""
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    b = [row[:] for row in rhs]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem("absorption system is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        b[col] = [v * inv for v in b[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+                b[r] = [v - factor * w for v, w in zip(b[r], b[col])]
+    return b
+
+
+def reference_decompose(chain):
+    """Reference greedy decomposition: every round scans all n columns of
+    every row and tests the whole residual matrix for zero."""
+    n = chain.size
+    residual = [list(row) for row in chain.matrix]
+    letters, maps, weights = [], [], []
+    while not all(v == 0 for row in residual for v in row):
+        picks = [max(range(n), key=lambda t: (residual[s][t], -t)) for s in range(n)]
+        weight = min(residual[s][picks[s]] for s in range(n))
+        for s in range(n):
+            residual[s][picks[s]] -= weight
+        letters.append(f"{LETTER_PREFIX}{len(letters) + 1}")
+        maps.append(tuple(picks))
+        weights.append(weight)
+    decomposition = Decomposition(
+        letters=tuple(letters), maps=tuple(maps), weights=tuple(weights)
+    )
+    validate_decomposition(chain, decomposition)
+    return decomposition
 
 
 def _tarjan(n, edges):

@@ -7,7 +7,9 @@ deleted, the falsifier does not go back to enumerating subwords, and the
 product machine does not go back to enumerating state pairs.  The shuffle
 verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
-two searches kept apart on purpose.
+two searches kept apart on purpose.  Monoid tables come from a search,
+not a full product, and the absorption solver builds fractions only for
+its answer.
 """
 
 import ast
@@ -71,8 +73,8 @@ def test_order_kernel_has_one_definition_each():
         assert defs == [(home, True)], name
 
 
-def test_product_machine_enumerates_no_pairs():
-    tree = ast.parse((SRC / "automaton.py").read_text())
+def _imported_modules(file):
+    tree = ast.parse((SRC / file).read_text())
     imported = {
         alias.name
         for node in ast.walk(tree)
@@ -80,7 +82,35 @@ def test_product_machine_enumerates_no_pairs():
         for alias in node.names
     }
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "itertools" not in imported
+    return imported
+
+
+def test_product_machine_enumerates_no_pairs():
+    assert "itertools" not in _imported_modules("automaton.py")
+
+
+def test_monoid_tables_are_not_a_product_scan():
+    assert "itertools" not in _imported_modules("variety.py")
+
+
+def test_solver_builds_fractions_only_in_its_answer():
+    tree = ast.parse((SRC / "markov.py").read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_solve_exact"
+    )
+
+    def fraction_calls(node):
+        return sum(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Name)
+            and inner.func.id == "Fraction"
+            for inner in ast.walk(node)
+        )
+
+    returns = [node for node in ast.walk(body) if isinstance(node, ast.Return)]
+    assert len(returns) == 1
+    assert fraction_calls(body) == fraction_calls(returns[0]) > 0
 
 
 def test_direct_product_is_a_fold():

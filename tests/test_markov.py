@@ -25,11 +25,14 @@ from latlang.errors import (
     NegativeEntry,
     NoInitial,
     RowSumNotOne,
+    SingularSystem,
 )
-from latlang.markov import Decomposition, parse_fraction
+from latlang.markov import Decomposition, _solve_exact, parse_fraction
 
 from conftest import (
+    reference_decompose,
     reference_ergodic_structure,
+    reference_solve_exact,
     reference_simulating_automaton,
     reference_validate_decomposition,
 )
@@ -320,6 +323,95 @@ def test_validate_decomposition_matches_reference():
             assert _outcome(validate_decomposition, chain, candidate) == expected, i
             mismatches += expected is not None and expected[0] == "MalformedDocument"
     assert mismatches >= 100
+
+
+def _absorbing_chain(rng, n):
+    """Seeded chain on n states whose last 1-6 states are absorbing; the
+    others have 1-3 successors anywhere, so most of them are transient."""
+    states = [f"p{i}" for i in range(n)]
+    absorbing = rng.randint(1, min(n, 6))
+    rows = {}
+    for i, s in enumerate(states):
+        if i >= n - absorbing:
+            rows[s] = {s: "1"}
+            continue
+        targets = rng.sample(states, rng.randint(1, min(3, n)))
+        weights = [rng.randint(1, 5) for _ in targets]
+        rows[s] = {t: str(Fraction(w, sum(weights))) for t, w in zip(targets, weights)}
+    return chain_of(states, rows)
+
+
+def _absorption_system(chain):
+    """I - Q over the transient states, against the one-step class masses."""
+    structure = ergodic_structure(chain)
+    transient = structure.transient_states
+    matrix = [
+        [Fraction(int(s == t)) - chain.matrix[s][t] for t in transient]
+        for s in transient
+    ]
+    rhs = [
+        [sum((chain.matrix[s][t] for t in members), Fraction(0))
+         for members in structure.ergodic_classes()]
+        for s in transient
+    ]
+    return matrix, rhs
+
+
+def _solve_outcome(solve, matrix, rhs):
+    try:
+        return solve(matrix, rhs)
+    except SingularSystem as exc:
+        return "SingularSystem", str(exc)
+
+
+def test_solve_exact_matches_fraction_reference():
+    """The integer elimination gives the reference's exact solutions on
+    absorption systems of random chains and on random rational systems
+    whose first pivot needs a row swap."""
+    rng = random.Random(9009)
+    systems = 0
+    for i in range(240):
+        n = rng.randint(1, 60 if i % 8 == 0 else 16)
+        matrix, rhs = _absorption_system(_absorbing_chain(rng, n))
+        assert _solve_exact(matrix, rhs) == reference_solve_exact(matrix, rhs), i
+        systems += bool(matrix)
+    assert systems >= 200
+    swapped = singular = 0
+    while swapped < 100:
+        n = rng.randint(2, 8)
+        matrix = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7
+             else Fraction(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        matrix[0][0] = Fraction(0)
+        rhs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+               for _ in range(n)]
+        expected = _solve_outcome(reference_solve_exact, matrix, rhs)
+        assert _solve_outcome(_solve_exact, matrix, rhs) == expected, swapped
+        if expected[0] == "SingularSystem":
+            singular += 1
+        else:
+            swapped += 1
+    assert singular >= 1
+
+
+def test_solve_exact_singular_system():
+    matrix = [[Fraction(1), Fraction(-1, 2)], [Fraction(-2), Fraction(1)]]
+    rhs = [[Fraction(1, 2)], [Fraction(0)]]
+    with pytest.raises(SingularSystem) as err:
+        _solve_exact(matrix, rhs)
+    assert str(err.value) == "absorption system is singular"
+
+
+def test_decompose_matches_full_row_reference():
+    """Scanning only each row's support picks the same letters, maps and
+    weights as scanning every column of every row."""
+    rng = random.Random(1010)
+    for i in range(320):
+        n = rng.randint(1, 60 if i % 8 == 0 else 16)
+        chain = _absorbing_chain(rng, n) if i % 2 else _sparse_chain(rng, n)
+        assert decompose(chain) == reference_decompose(chain), i
 
 
 def test_absorption_positive_iff_reachable(two_sink_chain):

@@ -16,7 +16,7 @@ from latlang import (
     triple_to_automaton,
 )
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
-from latlang.monoid import DivisionBudget, _make_unchecked
+from latlang.monoid import DivisionBudget, _make_unchecked, canonical_key
 from latlang.syntactic import RecognitionTriple, cut
 from latlang.variety import (
     enumerate_ordered_monoids,
@@ -29,9 +29,10 @@ from latlang.variety import (
     verify_syntactic_minimality,
     _join_recognizer,
     _partial_orders,
+    _unital_associative_tables,
 )
 
-from conftest import u1
+from conftest import reference_unital_associative_tables, small_monoids, u1
 
 
 # -- independent enumeration oracle -------------------------------------------
@@ -117,7 +118,7 @@ def test_enumeration_cap():
 
 
 def test_enumerated_monoids_validate_and_are_distinct():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         monoids = enumerate_ordered_monoids(n)
         for m in monoids:
             rebuilt = build_ordered_monoid(
@@ -127,8 +128,25 @@ def test_enumerated_monoids_validate_and_are_distinct():
                 [(i, j) for i in range(n) for j in range(n) if m.leq[i][j]],
             )
             assert rebuilt.mul == m.mul and rebuilt.leq == m.leq
-        for a, b in itertools.combinations(monoids, 2):
-            assert not is_isomorphic(a, b)
+        assert len({canonical_key(m) for m in monoids}) == len(monoids)
+
+
+def test_tables_match_product_scan():
+    for n in (1, 2, 3, 4):
+        tables = list(_unital_associative_tables(n))
+        assert tables == list(reference_unital_associative_tables(n)), n
+    assert len(tables) == 156
+
+
+def test_enumeration_counts_up_to_n4():
+    """1, 4, 37 and 549 ordered monoids on 1 to 4 elements; those with the
+    equality order are the monoids up to isomorphism, 1, 2, 7 and 35."""
+    counts, unordered = [0] * 4, [0] * 4
+    for m in small_monoids():
+        counts[m.size - 1] += 1
+        unordered[m.size - 1] += m.order_pairs() == []
+    assert counts == [1, 4, 37, 549]
+    assert unordered == [1, 2, 7, 35]
 
 
 def test_partial_orders_match_oracle():
