@@ -66,7 +66,6 @@ from .markov import (
     word_measure,
 )
 from .monoid import (
-    DivisionBudget,
     DivisionVerdict,
     MonoidMorphism,
     OrderedMonoid,

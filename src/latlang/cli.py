@@ -32,7 +32,7 @@ from .automaton import (
 )
 from .errors import LatlangError, MalformedDocument
 from .lattice import dual
-from .monoid import DivisionBudget, aperiodicity_witness, direct_product, divides
+from .monoid import aperiodicity_witness, direct_product, divides
 from .syntactic import (
     cut,
     reconstruct_from_cuts,
@@ -191,7 +191,7 @@ def _handle(args: argparse.Namespace) -> tuple[int, Any]:
         if command == "divides":
             m1 = ser.monoid_from_doc(_load_json(args.dividend))
             m2 = ser.monoid_from_doc(_load_json(args.divisor))
-            verdict = divides(m1, m2, DivisionBudget(max_target_size=args.budget))
+            verdict = divides(m1, m2, max_target_size=args.budget)
             doc = verdict.to_doc()
             if verdict.kind == "yes":
                 return EXIT_OK, doc

@@ -236,18 +236,13 @@ class Lattice:
 def build_lattice(
     element_names: Sequence[str],
     pairs: Iterable[Sequence[int | str]],
-    *,
-    relation: str = "cover",
 ) -> Lattice:
-    """Build and validate a lattice from Hasse covers or a full order relation.
+    """Build and validate a lattice from order pairs.
 
-    ``pairs`` lists [lo, hi] entries; with ``relation="cover"`` they are Hasse
-    covers, with ``relation="full"`` an arbitrary set of order pairs.  Either
-    way the reflexive-transitive closure is taken, then antisymmetry and the
+    ``pairs`` lists [lo, hi] entries: Hasse covers or any set of order pairs.
+    The reflexive-transitive closure is taken, then antisymmetry and the
     existence of unique binary lubs/glbs are checked.
     """
-    if relation not in ("cover", "full"):
-        raise MalformedDocument(f"unknown relation kind {relation!r}")
     names = check_names(element_names)
     n = len(names)
     if n == 0:
@@ -337,7 +332,7 @@ def standard_lattice(kind: str, n: int = 2) -> Lattice:
             for j, big in enumerate(subsets):
                 if set(small) <= set(big):
                     pairs.append((i, j))
-        return build_lattice(names, pairs, relation="full")
+        return build_lattice(names, pairs)
     if kind == "chain":
         if n < 2:
             raise SizeOutOfRange(f"chain lattice needs n >= 2, got {n}")

@@ -384,13 +384,6 @@ def canonical_key(monoid: OrderedMonoid) -> tuple:
 
 
 @dataclass(frozen=True)
-class DivisionBudget:
-    """Search bound for ``divides``: a larger divisor yields ``budget_exhausted``."""
-
-    max_target_size: int = 10
-
-
-@dataclass(frozen=True)
 class DivisionVerdict:
     kind: str  # "yes" | "no" | "budget_exhausted"
     generators: tuple[str, ...] | None = None
@@ -465,7 +458,7 @@ def _surjection_onto(
 
 
 def divides(
-    m1: OrderedMonoid, m2: OrderedMonoid, budget: DivisionBudget | None = None
+    m1: OrderedMonoid, m2: OrderedMonoid, max_target_size: int = 10
 ) -> DivisionVerdict:
     """Decide whether ``m1`` divides ``m2``: is some submonoid of ``m2`` an
     order-preserving surjective image onto ``m1``?
@@ -473,11 +466,10 @@ def divides(
     Submonoids are enumerated as closures of generator subsets by ascending
     size; carriers already searched are skipped (every morphism from a
     carrier is found with its first generating set).  The search is
-    exhaustive; ``budget_exhausted`` means only that ``m2`` is larger than
-    the budget's ``max_target_size``, and no search was made.
+    exhaustive; ``budget_exhausted`` means only that ``m2`` has more than
+    ``max_target_size`` elements, and no search was made.
     """
-    budget = budget or DivisionBudget()
-    if m2.size > budget.max_target_size:
+    if m2.size > max_target_size:
         return DivisionVerdict("budget_exhausted")
     non_identity = [i for i in range(m2.size) if i != m2.identity]
     seen_carriers: set[tuple[int, ...]] = set()

@@ -88,9 +88,9 @@ def lattice_from_doc(doc: Any) -> Lattice:
     _require(doc, ["elements"], "lattice")
     if doc.get("relation") == "full":
         _require(doc, ["leq"], "lattice")
-        return build_lattice(doc["elements"], doc["leq"], relation="full")
+        return build_lattice(doc["elements"], doc["leq"])
     _require(doc, ["cover"], "lattice")
-    return build_lattice(doc["elements"], doc["cover"], relation="cover")
+    return build_lattice(doc["elements"], doc["cover"])
 
 
 def lattice_morphism_from_doc(doc: Any, lattice: Lattice) -> LatticeMorphism:

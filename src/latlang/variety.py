@@ -10,12 +10,13 @@ Each check produces a replayable report rather than raising.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
 from .automaton import (
     LatticeAutomaton,
+    Word,
     constant_automaton,
     equivalent,
     find_difference,
@@ -39,14 +40,12 @@ from .lattice import (
     standard_lattice,
 )
 from .monoid import (
-    DivisionBudget,
     OrderedMonoid,
     _make_unchecked,
     canonical_key,
     compatibility_violation,
     direct_product,
     divides,
-    identity_monoid_morphism,
     product_index,
 )
 from .syntactic import (
@@ -247,11 +246,13 @@ def verify_recog_by_synt(
 ) -> VerificationReport:
     """Check the product-of-syntactic-monoids recognition identities.
 
-    (a) The ideal language of each product element equals the join of the
-    per-factor ideal languages pulled back through the projections;
-    (b) the triple's language equals the meet over elements of its ideal
-    language joined with the constant color.  Both checked by automaton
-    equivalence.
+    Each identity compares two colorings of the product as two outputs of
+    the triple's machine, whose states are the product's elements:
+    (a) for each element m, x is bottom iff x <= m in the product, against
+    x is bottom iff every projection has x_i <= m_i;
+    (b) the triple's colors, against x -> the meet of P(m) over all m >= x.
+    The product order is componentwise and transitive, so every coloring
+    built here is order-preserving by construction.
     """
     from .serialize import automaton_to_doc, triple_to_doc
 
@@ -267,8 +268,15 @@ def verify_recog_by_synt(
         "factor_sizes": [m.size for m in factors],
         "lattice": list(lat.elements),
     }
+    machine = triple_to_automaton(triple)
+    elements = range(product.size)
 
-    def fail(which: str, m_index: int, word) -> VerificationReport:
+    def difference(left, right) -> Word | None:
+        return find_difference(
+            replace(machine, output=tuple(left)), replace(machine, output=tuple(right))
+        )
+
+    def fail(which: str, m_index: int, word: Word) -> VerificationReport:
         return VerificationReport(
             check="recog_by_synt",
             instance=instance,
@@ -282,48 +290,24 @@ def verify_recog_by_synt(
             },
         )
 
-    for m in range(product.size):
-        lhs = triple_to_automaton(
-            RecognitionTriple(
-                triple.alphabet, triple.generator_images, product,
-                ideal_coloring(product, m, lat),
-            )
-        )
-        rhs_colors = [
-            lat.join_all(
-                lat.bottom
-                if p.target.leq[p.mapping[x]][p.mapping[m]]
-                else lat.top
-                for p in projections
-            )
-            for x in range(product.size)
+    for m in elements:
+        ideal = [lat.bottom if product.leq[x][m] else lat.top for x in elements]
+        joined = [
+            lat.bottom
+            if all(p.target.leq[p.mapping[x]][p.mapping[m]] for p in projections)
+            else lat.top
+            for x in elements
         ]
-        rhs = triple_to_automaton(
-            RecognitionTriple(
-                triple.alphabet, triple.generator_images, product,
-                make_op_coloring(product, lat, rhs_colors),
-            )
-        )
-        diff = find_difference(lhs, rhs)
+        diff = difference(ideal, joined)
         if diff is not None:
             return fail("join_of_projections", m, diff)
 
-    combo_colors = [
-        lat.meet_all(
-            lat.join_table[
-                lat.bottom if product.leq[x][m] else lat.top
-            ][triple.coloring.colors[m]]
-            for m in range(product.size)
-        )
-        for x in range(product.size)
+    colors = triple.coloring.colors
+    rebuilt = [
+        lat.meet_all(colors[m] for m in elements if product.leq[x][m])
+        for x in elements
     ]
-    rebuilt = triple_to_automaton(
-        RecognitionTriple(
-            triple.alphabet, triple.generator_images, product,
-            make_op_coloring(product, lat, combo_colors),
-        )
-    )
-    diff = find_difference(triple_to_automaton(triple), rebuilt)
+    diff = difference(colors, rebuilt)
     if diff is not None:
         return fail("ideal_representation", -1, diff)
     return VerificationReport("recog_by_synt", instance, "pass")
@@ -332,15 +316,16 @@ def verify_recog_by_synt(
 def verify_syntactic_minimality(
     a: LatticeAutomaton,
     triple: RecognitionTriple,
-    budget: DivisionBudget | None = None,
+    max_target_size: int = 10,
 ) -> VerificationReport:
-    """The syntactic monoid must divide the monoid of any recognizer."""
+    """The syntactic monoid must divide the monoid of any recognizer
+    (searched while the recognizer has at most ``max_target_size`` elements)."""
     from .serialize import automaton_to_doc, triple_to_doc
 
     if not recognizes(triple, a):
         raise NotARecognizer("triple does not recognize the automaton's language")
     synt = syntactic(a)
-    verdict = divides(synt.monoid, triple.monoid, budget)
+    verdict = divides(synt.monoid, triple.monoid, max_target_size)
     instance = {
         "syntactic_size": synt.monoid.size,
         "recognizer_size": triple.monoid.size,
@@ -374,13 +359,12 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     if monoid.size > SUBDIRECT_MAX_SIZE:
         raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
     lat = standard_lattice("chain", 2)
-    identity = identity_monoid_morphism(monoid)
     synts: list[SyntacticResult] = []
     for m in range(monoid.size):
         machine = triple_to_automaton(
             RecognitionTriple(
                 alphabet=monoid.elements,
-                generator_images=identity.mapping,
+                generator_images=tuple(range(monoid.size)),
                 monoid=monoid,
                 coloring=ideal_coloring(monoid, m, lat),
             )
@@ -471,6 +455,9 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
 
+    def numbered(report: VerificationReport, i: int) -> VerificationReport:
+        return replace(report, instance={**report.instance, "seed": seed, "index": i})
+
     reports.append(_cons_b_report(standard_lattice("chain", 3)))
 
     for i in range(SUITE_RECOG_INSTANCES):
@@ -482,14 +469,7 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
             if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
                 break
         triple = _join_recognizer(s1, s2)
-        report = verify_recog_by_synt([a1, a2], triple)
-        report = VerificationReport(
-            report.check,
-            {**report.instance, "seed": seed, "index": i},
-            report.verdict,
-            report.witness,
-        )
-        reports.append(report)
+        reports.append(numbered(verify_recog_by_synt([a1, a2], triple), i))
 
     pool = enumerate_ordered_monoids(2) + enumerate_ordered_monoids(3)
     for i in range(SUITE_MINIMALITY_INSTANCES):
@@ -499,14 +479,7 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
         images = tuple(rng.randrange(monoid.size) for _ in ("a", "b"))
         triple = RecognitionTriple(("a", "b"), images, monoid, coloring)
         machine = triple_to_automaton(triple)
-        report = verify_syntactic_minimality(machine, triple)
-        report = VerificationReport(
-            report.check,
-            {**report.instance, "seed": seed, "index": i},
-            report.verdict,
-            report.witness,
-        )
-        reports.append(report)
+        reports.append(numbered(verify_syntactic_minimality(machine, triple), i))
 
     for n in range(1, SUITE_SUBDIRECT_MAX_N + 1):
         for monoid in enumerate_ordered_monoids(n):

@@ -18,9 +18,15 @@ from latlang import (
     simulating_automaton,
     standard_lattice,
 )
-from latlang.automaton import minimize, word_name
-from latlang.coloring import make_op_coloring
-from latlang.errors import MalformedDocument, NegativeEntry, RowSumNotOne, SizeCapExceeded
+from latlang.automaton import find_difference, minimize, word_name
+from latlang.coloring import ideal_coloring, make_op_coloring
+from latlang.errors import (
+    MalformedDocument,
+    MismatchedCarrier,
+    NegativeEntry,
+    RowSumNotOne,
+    SizeCapExceeded,
+)
 from latlang.lattice import product_name, subset_name
 from latlang.errors import SingularSystem
 from latlang.markov import (
@@ -31,10 +37,17 @@ from latlang.markov import (
     ergodic_lattice,
     validate_decomposition,
 )
-from latlang.monoid import _make_unchecked
-from latlang.serialize import decomposition_from_doc
-from latlang.syntactic import TRANSITION_MONOID_CAP, SyntacticResult, _state_preorder
-from latlang.variety import enumerate_ordered_monoids
+from latlang.monoid import _make_unchecked, direct_product
+from latlang.serialize import automaton_to_doc, decomposition_from_doc, triple_to_doc
+from latlang.syntactic import (
+    TRANSITION_MONOID_CAP,
+    RecognitionTriple,
+    SyntacticResult,
+    _state_preorder,
+    syntactic,
+    triple_to_automaton,
+)
+from latlang.variety import VerificationReport, enumerate_ordered_monoids
 
 settings.register_profile(
     "ci",
@@ -243,6 +256,85 @@ def reference_surjection_onto(m1, m2, carrier, gens):
             continue
         return img
     return None
+
+
+def reference_verify_recog_by_synt(automata, triple):
+    """Reference recognition check: two validated colorings and two machines
+    per product element for identity (a), the join over the projections of
+    bottom-or-top values; one rebuilt machine for identity (b), the meet over
+    all elements of each ideal joined with its color."""
+    synts = [syntactic(a) for a in automata]
+    factors = [s.monoid for s in synts]
+    product, projections = direct_product(factors)
+    if product != triple.monoid:
+        raise MismatchedCarrier(
+            "triple's monoid is not the product of the syntactic monoids"
+        )
+    lat = triple.coloring.lattice
+    instance = {
+        "factor_sizes": [m.size for m in factors],
+        "lattice": list(lat.elements),
+    }
+
+    def fail(which, m_index, word):
+        return VerificationReport(
+            check="recog_by_synt",
+            instance=instance,
+            verdict="fail",
+            witness={
+                "identity": which,
+                "element": product.elements[m_index],
+                "word": word_name(word),
+                "triple": triple_to_doc(triple),
+                "automata": [automaton_to_doc(a) for a in automata],
+            },
+        )
+
+    for m in range(product.size):
+        lhs = triple_to_automaton(
+            RecognitionTriple(
+                triple.alphabet, triple.generator_images, product,
+                ideal_coloring(product, m, lat),
+            )
+        )
+        rhs_colors = [
+            lat.join_all(
+                lat.bottom
+                if p.target.leq[p.mapping[x]][p.mapping[m]]
+                else lat.top
+                for p in projections
+            )
+            for x in range(product.size)
+        ]
+        rhs = triple_to_automaton(
+            RecognitionTriple(
+                triple.alphabet, triple.generator_images, product,
+                make_op_coloring(product, lat, rhs_colors),
+            )
+        )
+        diff = find_difference(lhs, rhs)
+        if diff is not None:
+            return fail("join_of_projections", m, diff)
+
+    combo_colors = [
+        lat.meet_all(
+            lat.join_table[
+                lat.bottom if product.leq[x][m] else lat.top
+            ][triple.coloring.colors[m]]
+            for m in range(product.size)
+        )
+        for x in range(product.size)
+    ]
+    rebuilt = triple_to_automaton(
+        RecognitionTriple(
+            triple.alphabet, triple.generator_images, product,
+            make_op_coloring(product, lat, combo_colors),
+        )
+    )
+    diff = find_difference(triple_to_automaton(triple), rebuilt)
+    if diff is not None:
+        return fail("ideal_representation", -1, diff)
+    return VerificationReport("recog_by_synt", instance, "pass")
 
 
 def reference_combine_many(kind, automata):

@@ -70,9 +70,7 @@ def test_trivial_rejected():
 
 
 def test_full_relation_input():
-    lat = build_lattice(
-        ["lo", "hi"], [("lo", "lo"), ("lo", "hi"), ("hi", "hi")], relation="full"
-    )
+    lat = build_lattice(["lo", "hi"], [("lo", "lo"), ("lo", "hi"), ("hi", "hi")])
     assert lat.le("lo", "hi")
 
 

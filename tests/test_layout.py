@@ -8,8 +8,8 @@ product machine does not go back to enumerating state pairs.  The shuffle
 verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
 two searches kept apart on purpose.  Monoid tables come from a search,
-not a full product, and the absorption solver builds fractions only for
-its answer.
+not a full product, the absorption solver builds fractions only for its
+answer, and the recognition check runs on one machine.
 """
 
 import ast
@@ -146,3 +146,20 @@ def test_deque_only_in_the_searches_kept_apart():
             ):
                 users.append((path.name, getattr(node, "name", None)))
     assert users == [("automaton.py", "find_difference"), ("monoid.py", "_closure_of")]
+
+
+def test_recognition_check_builds_one_machine():
+    """``verify_recog_by_synt`` compares colorings as outputs of the triple's
+    one machine; it builds no coloring or machine per product element."""
+    tree = ast.parse((SRC / "variety.py").read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_recog_by_synt"
+    )
+    called = [
+        node.func.id for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert called.count("triple_to_automaton") == 1
+    assert "ideal_coloring" not in called
+    assert "make_op_coloring" not in called

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latlang import (
-    DivisionBudget,
     build_ordered_monoid,
     direct_product,
     divides,
@@ -203,7 +202,7 @@ def test_divides_budget_exhausted():
     big, _ = direct_product([u1()] * 4)  # 16 elements > default budget
     verdict = divides(u1(), big)
     assert verdict.kind == "budget_exhausted"
-    assert divides(u1(), big, DivisionBudget(max_target_size=16)).kind == "yes"
+    assert divides(u1(), big, max_target_size=16).kind == "yes"
 
 
 def test_divides_transitive_on_pool():
@@ -282,11 +281,13 @@ def test_divides_matches_deque_reference_on_seeded_sweep(monkeypatch):
                 continue
             m2, _ = direct_product([m1, other])
         pairs.append((m1, m2))
-    budget = DivisionBudget(max_target_size=16)
 
     def documents():
         return [
-            (divides(m1, m2, budget).to_doc(), divides(m2, m1, budget).to_doc())
+            (
+                divides(m1, m2, max_target_size=16).to_doc(),
+                divides(m2, m1, max_target_size=16).to_doc(),
+            )
             for m1, m2 in pairs
         ]
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +17,15 @@ from latlang import (
     syntactic,
     triple_to_automaton,
 )
+from latlang import variety as variety_module
+from latlang.coloring import OpColoring
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
-from latlang.monoid import DivisionBudget, _make_unchecked, canonical_key
+from latlang.monoid import _make_unchecked, canonical_key
 from latlang.syntactic import RecognitionTriple, cut
 from latlang.variety import (
+    SUITE_LATTICE_MAX,
+    SUITE_PRODUCT_CAP,
+    SUITE_STATES_MAX,
     enumerate_ordered_monoids,
     random_automaton,
     random_coloring,
@@ -32,7 +39,13 @@ from latlang.variety import (
     _unital_associative_tables,
 )
 
-from conftest import reference_unital_associative_tables, small_monoids, u1
+import conftest
+from conftest import (
+    reference_unital_associative_tables,
+    reference_verify_recog_by_synt,
+    small_monoids,
+    u1,
+)
 
 
 # -- independent enumeration oracle -------------------------------------------
@@ -228,6 +241,85 @@ def test_recog_by_synt_wrong_monoid(contains_a, boolean):
         verify_recog_by_synt([contains_a, contains_a], triple)
 
 
+@functools.cache
+def _suite_triples():
+    """240 seeded join recognizers drawn as ``run_suite`` draws them."""
+    rng = random.Random(10)
+    triples = []
+    while len(triples) < 240:
+        lattice = random_lattice(rng, SUITE_LATTICE_MAX)
+        a1 = random_automaton(rng, lattice, SUITE_STATES_MAX)
+        a2 = random_automaton(rng, lattice, SUITE_STATES_MAX)
+        s1, s2 = syntactic(a1), syntactic(a2)
+        if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
+            triples.append(([a1, a2], _join_recognizer(s1, s2)))
+    return triples
+
+
+def _recog_documents(cases):
+    return [
+        (
+            verify_recog_by_synt(automata, triple).to_doc(),
+            reference_verify_recog_by_synt(automata, triple).to_doc(),
+        )
+        for automata, triple in cases
+    ]
+
+
+def test_recog_by_synt_matches_reference_on_suite_triples():
+    documents = _recog_documents(_suite_triples())
+    assert all(doc == ref for doc, ref in documents)
+    assert all(doc["verdict"] == "pass" for doc, _ in documents)
+
+
+def test_recog_by_synt_matches_reference_on_corrupted_colorings():
+    """One to three colors changed past validation; the failures, their
+    first element and their witness words must match the reference."""
+    rng = random.Random(11)
+    cases = []
+    for automata, triple in _suite_triples():
+        colors = list(triple.coloring.colors)
+        lattice = triple.coloring.lattice
+        for _ in range(rng.randint(1, 3)):
+            colors[rng.randrange(len(colors))] = rng.randrange(lattice.size)
+        coloring = OpColoring(triple.monoid, lattice, tuple(colors))
+        cases.append((automata, replace(triple, coloring=coloring)))
+    documents = _recog_documents(cases)
+    assert all(doc == ref for doc, ref in documents)
+    failures = [doc["witness"]["identity"] for doc, _ in documents if doc["verdict"] == "fail"]
+    assert len(failures) >= 20
+    assert set(failures) == {"ideal_representation"}
+
+
+def _equality_ordered(monoid):
+    equality = [[x == y for y in range(monoid.size)] for x in range(monoid.size)]
+    return _make_unchecked(monoid.elements, monoid.identity, monoid.mul, equality)
+
+
+def test_recog_by_synt_matches_reference_on_narrowed_product(monkeypatch):
+    """A product whose order is narrowed to equality fails identity (a) at
+    the first element with a reachable element strictly below it.  (With a
+    widened order the reference's validation of the all-projections
+    coloring raises instead of reporting, so the order is narrowed.)"""
+
+    def narrowed_product(monoids):
+        product, projections = direct_product(monoids)
+        return _equality_ordered(product), projections
+
+    monkeypatch.setattr(variety_module, "direct_product", narrowed_product)
+    monkeypatch.setattr(conftest, "direct_product", narrowed_product)
+    cases = []
+    for automata, triple in _suite_triples()[:60]:
+        monoid = _equality_ordered(triple.monoid)
+        coloring = OpColoring(monoid, triple.coloring.lattice, triple.coloring.colors)
+        cases.append((automata, replace(triple, monoid=monoid, coloring=coloring)))
+    documents = _recog_documents(cases)
+    assert all(doc == ref for doc, ref in documents)
+    failures = [doc["witness"]["identity"] for doc, _ in documents if doc["verdict"] == "fail"]
+    assert len(failures) >= 10
+    assert set(failures) == {"join_of_projections"}
+
+
 def test_minimality_self(two_sink_automaton):
     s = syntactic(two_sink_automaton)
     report = verify_syntactic_minimality(two_sink_automaton, s.triple)
@@ -243,7 +335,7 @@ def test_minimality_join_recognizer(rng):
     triple = _join_recognizer(syntactic(a1), syntactic(a2))
     joined = product_combine("join", a1, a2)
     report = verify_syntactic_minimality(
-        joined, triple, DivisionBudget(max_target_size=triple.monoid.size)
+        joined, triple, max_target_size=triple.monoid.size
     )
     assert report.verdict == "pass"
 
@@ -306,9 +398,7 @@ def test_subdirect_implies_division(rng):
         for m in range(monoid.size)
     ]
     product, _ = direct_product(factors)
-    verdict = divides(
-        monoid, product, DivisionBudget(max_target_size=product.size)
-    )
+    verdict = divides(monoid, product, max_target_size=product.size)
     assert verdict.kind == "yes"
 
 
