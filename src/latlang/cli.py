@@ -28,7 +28,6 @@ from .automaton import (
     product_combine,
     quotient,
     recolor,
-    word_name,
 )
 from .errors import LatlangError, MalformedDocument
 from .lattice import dual

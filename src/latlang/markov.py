@@ -246,8 +246,9 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
 def decompose(chain: MarkovChain) -> Decomposition:
     """Greedy convex decomposition into deterministic maps.
 
-    Each round picks, per state, the column with the largest residual (ties
-    to the lowest index), uses the minimum of those residuals as the letter
+    Residuals are integers over the lcm of every entry's denominator.  Each
+    round picks, per state, the column with the largest residual (ties to
+    the lowest index), uses the minimum of those residuals as the letter
     weight, and subtracts.  Only each row's support is scanned: a row keeps
     the columns whose residual is still positive, starting from its
     successors, and drops a column once its residual reaches zero.  Rows
@@ -255,8 +256,9 @@ def decompose(chain: MarkovChain) -> Decomposition:
     is empty, with an exact reconstruction in at most one step per nonzero
     entry.
     """
+    scale = lcm(*(p.denominator for row in chain.matrix for p in row))
     residual = [
-        {t: row[t] for t in successors}
+        {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
         for row, successors in zip(chain.matrix, chain.successors)
     ]
     letters: list[str] = []
@@ -271,7 +273,7 @@ def decompose(chain: MarkovChain) -> Decomposition:
                 del row[t]
         letters.append(f"{LETTER_PREFIX}{len(letters) + 1}")
         maps.append(picks)
-        weights.append(weight)
+        weights.append(Fraction(weight, scale))
     decomposition = Decomposition(
         letters=tuple(letters), maps=tuple(maps), weights=tuple(weights)
     )
@@ -346,25 +348,19 @@ def simulating_automaton(
     )
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) with multiple
-    right-hand sides.
+def _solve_exact(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
+    [A | B], n of them, with multiple right-hand sides.
 
-    Each row of [A | B] is scaled by the lcm of its denominators, so every
-    entry is an integer.  The pivot of a column is its first nonzero entry
-    at or below the diagonal; every other row r becomes
-    (p * row_r - f * pivot_row) // prev, where p is the pivot, f is row r's
-    entry in the pivot column and prev the previous pivot, and the division
-    is exact.  Columns left of the pivot are zero off the diagonal and stay
-    so, and every diagonal entry ends as the last pivot d, so only the
-    columns from the pivot on are updated and each answer is v / d.
+    The pivot of a column is its first nonzero entry at or below the
+    diagonal; every other row r becomes (p * row_r - f * pivot_row) // prev,
+    where p is the pivot, f is row r's entry in the pivot column and prev
+    the previous pivot, and the division is exact.  Columns left of the
+    pivot are zero off the diagonal and stay so, and every diagonal entry
+    ends as the last pivot d, so only the columns from the pivot on are
+    updated and each answer is v / d.
     """
-    n = len(matrix)
-    rows = []
-    for a_row, b_row in zip(matrix, rhs):
-        entries = a_row + b_row
-        scale = lcm(*(v.denominator for v in entries))
-        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    n = len(rows)
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
@@ -387,28 +383,26 @@ def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction
 
     States inside the class get 1, states of other ergodic classes 0, and
     transient states solve x = Pi x with boundary values, by fraction-free
-    elimination over the integers.
+    elimination over the integers.  Each row of [I - Q | class sums] is
+    built as integers, scaled by the lcm of its row's denominators.
     """
     structure = ergodic_structure(chain)
     ergodic = structure.ergodic_classes()
-    transient = list(structure.transient_states)
+    transient = structure.transient_states
     t_index = {s: i for i, s in enumerate(transient)}
-    k = len(transient)
-    matrix = [
-        [
-            (Fraction(1) if i == j else Fraction(0)) - chain.matrix[s][transient[j]]
-            for j in range(k)
-        ]
-        for i, s in enumerate(transient)
-    ]
-    rhs = [
-        [
-            sum((chain.matrix[s][t] for t in members), Fraction(0))
-            for members in ergodic
-        ]
-        for s in transient
-    ]
-    solved = _solve_exact(matrix, rhs) if transient else []
+    rows = []
+    for s in transient:
+        row = chain.matrix[s]
+        scale = lcm(*(p.denominator for p in row))
+        scaled = {
+            t: row[t].numerator * (scale // row[t].denominator)
+            for t in chain.successors[s]
+        }
+        rows.append(
+            [scale * (s == t) - scaled.get(t, 0) for t in transient]
+            + [sum(scaled.get(t, 0) for t in members) for members in ergodic]
+        )
+    solved = _solve_exact(rows) if transient else []
     result: dict[int, dict[str, Fraction]] = {}
     for c, members in enumerate(ergodic):
         member_set = set(members)
@@ -439,27 +433,30 @@ def word_measure(
     """Exact distribution of the language value over random words of length n.
 
     Letters are drawn independently with the decomposition weights; the
-    state distribution is propagated n steps, never enumerating words.
+    state distribution is propagated n steps, never enumerating words, as
+    integers over W^t for the weights' lcm W.  A negative n is taken as 0.
     """
     if a.alphabet != decomposition.letters:
         raise MismatchedAlphabet(
             "automaton letters differ from the decomposition letters"
         )
-    dist = [Fraction(0)] * len(a.states)
-    dist[a.initial] = Fraction(1)
-    for _ in range(n):
-        nxt = [Fraction(0)] * len(a.states)
+    scale = lcm(*(w.denominator for w in decomposition.weights))
+    weights = [w.numerator * (scale // w.denominator) for w in decomposition.weights]
+    steps = max(n, 0)
+    dist = [0] * len(a.states)
+    dist[a.initial] = 1
+    for _ in range(steps):
+        nxt = [0] * len(a.states)
         for s, mass in enumerate(dist):
-            if mass == 0:
-                continue
-            for l, weight in enumerate(decomposition.weights):
-                nxt[a.delta[s][l]] += mass * weight
+            if mass:
+                for t, weight in zip(a.delta[s], weights):
+                    nxt[t] += mass * weight
         dist = nxt
-    masses: dict[int, Fraction] = {}
+    masses: dict[int, int] = {}
     for s, mass in enumerate(dist):
-        if mass != 0:
-            masses[a.output[s]] = masses.get(a.output[s], Fraction(0)) + mass
-    return masses
+        if mass:
+            masses[a.output[s]] = masses.get(a.output[s], 0) + mass
+    return {e: Fraction(m, scale**steps) for e, m in masses.items()}
 
 
 def analyze(

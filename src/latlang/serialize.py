@@ -98,15 +98,6 @@ def lattice_morphism_from_doc(doc: Any, lattice: Lattice) -> LatticeMorphism:
     return make_lattice_morphism(lattice, doc["mapping"])
 
 
-def lattice_morphism_to_doc(morphism: LatticeMorphism) -> dict:
-    return {
-        "mapping": {
-            e: morphism.lattice.elements[v]
-            for e, v in zip(morphism.lattice.elements, morphism.mapping)
-        }
-    }
-
-
 # -- monoids ----------------------------------------------------------------
 
 def monoid_to_doc(monoid: OrderedMonoid) -> dict:
@@ -186,12 +177,6 @@ def free_morphism_from_doc(doc: Any, target_alphabet: tuple[str, ...]) -> FreeMo
     if not isinstance(images, dict):
         raise MalformedDocument("word morphism images must be an object")
     return make_free_morphism(list(images.keys()), target_alphabet, images)
-
-
-def free_morphism_to_doc(h: FreeMorphism) -> dict:
-    return {
-        "images": {a: word_doc(w) for a, w in zip(h.source_alphabet, h.images)}
-    }
 
 
 def triple_to_doc(t: RecognitionTriple) -> dict:

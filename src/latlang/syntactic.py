@@ -308,21 +308,25 @@ def shuffle_verdict(
     """The syntactic monoid, the algebraic shuffle-ideal verdict and the
     falsifier bounded by ``max_len``, checked against each other.
 
-    A falsifying pair refutes a true algebraic verdict; a false verdict
-    with no pair within the bound must have one without it.  Either
-    disagreement raises InternalInconsistency.
+    The falsifier runs once, unbounded, so the verdict is checked against
+    every word: a pair refutes a true verdict, and a false one must have a
+    pair.  Either disagreement raises InternalInconsistency.  The least
+    pair is then dropped when its superword is longer than ``max_len``,
+    which leaves what the bounded search returns.
     """
     synt = syntactic(a)
     algebraic = identity_is_greatest(synt.monoid)
-    falsifier = shuffle_ideal_falsify(a, max_len)
+    falsifier = shuffle_ideal_falsify(a)
     if algebraic and falsifier is not None:
         raise InternalInconsistency(
             "algebraic shuffle verdict is true but a falsifying pair exists"
         )
-    if not algebraic and falsifier is None and shuffle_ideal_falsify(a) is None:
+    if not algebraic and falsifier is None:
         raise InternalInconsistency(
             "algebraic shuffle verdict is false but no falsifying pair exists"
         )
+    if falsifier is not None and max_len is not None and len(falsifier[1]) > max_len:
+        falsifier = None
     return synt, algebraic, falsifier
 
 

@@ -35,6 +35,7 @@ from latlang.markov import (
     ErgodicStructure,
     decompose,
     ergodic_lattice,
+    ergodic_structure,
     validate_decomposition,
 )
 from latlang.monoid import _make_unchecked, direct_product
@@ -487,6 +488,64 @@ def reference_solve_exact(matrix, rhs):
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
                 b[r] = [v - factor * w for v, w in zip(b[r], b[col])]
     return b
+
+
+def reference_absorption_probabilities(chain):
+    """Reference absorption: the system I - Q and its class sums built in
+    ``Fraction``s and solved by the ``Fraction`` reference solver."""
+    structure = ergodic_structure(chain)
+    ergodic = structure.ergodic_classes()
+    transient = list(structure.transient_states)
+    t_index = {s: i for i, s in enumerate(transient)}
+    k = len(transient)
+    matrix = [
+        [
+            (Fraction(1) if i == j else Fraction(0)) - chain.matrix[s][transient[j]]
+            for j in range(k)
+        ]
+        for i, s in enumerate(transient)
+    ]
+    rhs = [
+        [
+            sum((chain.matrix[s][t] for t in members), Fraction(0))
+            for members in ergodic
+        ]
+        for s in transient
+    ]
+    solved = reference_solve_exact(matrix, rhs) if transient else []
+    result = {}
+    for c, members in enumerate(ergodic):
+        member_set = set(members)
+        per_state = {}
+        for s in range(chain.size):
+            if s in member_set:
+                per_state[chain.states[s]] = Fraction(1)
+            elif s in t_index:
+                per_state[chain.states[s]] = solved[t_index[s]][c]
+            else:
+                per_state[chain.states[s]] = Fraction(0)
+        result[c] = per_state
+    return result
+
+
+def reference_word_measure(a, decomposition, n):
+    """Reference word measure: the state distribution propagated in
+    ``Fraction``s, one product per state and letter."""
+    dist = [Fraction(0)] * len(a.states)
+    dist[a.initial] = Fraction(1)
+    for _ in range(n):
+        nxt = [Fraction(0)] * len(a.states)
+        for s, mass in enumerate(dist):
+            if mass == 0:
+                continue
+            for l, weight in enumerate(decomposition.weights):
+                nxt[a.delta[s][l]] += mass * weight
+        dist = nxt
+    masses = {}
+    for s, mass in enumerate(dist):
+        if mass != 0:
+            masses[a.output[s]] = masses.get(a.output[s], Fraction(0)) + mass
+    return masses
 
 
 def reference_decompose(chain):

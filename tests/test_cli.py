@@ -180,11 +180,11 @@ def test_shuffle_check_asserts_both_ways(monkeypatch):
 
     monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", recording)
     code, _ = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])
-    assert code == 2 and calls == [4]
+    assert code == 2 and calls == [None]
     calls.clear()
     code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "1"])
     assert code == 2 and json.loads(out)["falsifier"] is None
-    assert calls == [1, None]  # the bounded search found nothing, so search unbounded
+    assert calls == [None]  # one unbounded search, its pair longer than the bound
 
     monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", lambda a, max_len=None: None)
     code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "4"])

@@ -8,8 +8,9 @@ product machine does not go back to enumerating state pairs.  The shuffle
 verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
 two searches kept apart on purpose.  Monoid tables come from a search,
-not a full product, the absorption solver builds fractions only for its
-answer, and the recognition check runs on one machine.
+not a full product, the absorption solver and the word measure build
+fractions only for their answers, and the recognition check runs on one
+machine.
 """
 
 import ast
@@ -94,11 +95,14 @@ def test_monoid_tables_are_not_a_product_scan():
 
 
 def test_solver_builds_fractions_only_in_its_answer():
+    """The absorption solver and the word measure run on integers: each
+    builds ``Fraction``s only in its one return, and the solver reads no
+    denominator, since its rows arrive as integers."""
     tree = ast.parse((SRC / "markov.py").read_text())
-    body = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_solve_exact"
-    )
+    bodies = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_solve_exact", "word_measure")
+    }
 
     def fraction_calls(node):
         return sum(
@@ -108,9 +112,15 @@ def test_solver_builds_fractions_only_in_its_answer():
             for inner in ast.walk(node)
         )
 
-    returns = [node for node in ast.walk(body) if isinstance(node, ast.Return)]
-    assert len(returns) == 1
-    assert fraction_calls(body) == fraction_calls(returns[0]) > 0
+    assert sorted(bodies) == ["_solve_exact", "word_measure"]
+    for name, body in bodies.items():
+        returns = [node for node in ast.walk(body) if isinstance(node, ast.Return)]
+        assert len(returns) == 1, name
+        assert fraction_calls(body) == fraction_calls(returns[0]) > 0, name
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "denominator"
+        for node in ast.walk(bodies["_solve_exact"])
+    )
 
 
 def test_direct_product_is_a_fold():

@@ -33,6 +33,7 @@ from latlang import (
 from latlang.automaton import minimize
 from latlang.errors import SizeCapExceeded
 from latlang.monoid import product_index
+from latlang.syntactic import shuffle_verdict
 from latlang.variety import random_automaton, random_lattice
 
 from conftest import (
@@ -374,6 +375,21 @@ def test_unbounded_falsifier_decides_shuffle_ideals():
     for i in range(200):
         a = random_automaton(rng, SWEEP_LATTICES[i % 5], 4, ("a", "b", "c"))
         assert (shuffle_ideal_falsify(a) is None) == is_shuffle_ideal(a), i
+
+
+def test_shuffle_verdict_truncates_the_unbounded_falsifier():
+    """One unbounded search, its pair dropped when the superword is longer
+    than the bound, gives the bounded search's falsifier."""
+    rng = random.Random(1414)
+    dropped = 0
+    for i in range(80):
+        a = random_automaton(rng, SWEEP_LATTICES[i % 5], 4, ("a", "b"))
+        least = shuffle_ideal_falsify(a)
+        for max_len in (-1, 0, 1, 2, 3, 6, None):
+            falsifier = shuffle_verdict(a, max_len)[2]
+            assert falsifier == shuffle_ideal_falsify(a, max_len), (i, max_len)
+            dropped += (max_len or 0) > 0 and falsifier is None and least is not None
+    assert dropped >= 10
 
 
 def test_falsifier_has_no_length_bound():
