@@ -212,6 +212,8 @@ def _handle(args: argparse.Namespace) -> tuple[int, Any]:
 
     if group == "variety":
         if command == "enumerate":
+            if args.n < 1:
+                raise _CliUsage("argument --n: must be positive")
             monoids = enumerate_ordered_monoids(args.n)
             return EXIT_OK, {
                 "count": len(monoids),

@@ -215,32 +215,44 @@ class Decomposition:
 
 
 def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> None:
-    """Check the convex-reconstruction invariant exactly."""
+    """Check the convex-reconstruction invariant exactly.
+
+    Totals are integers over the lcm of the chain's and the weights'
+    denominators, summed and compared row by row over the row's support
+    and the letters' targets; the witness is the first differing (s, t) in
+    row-major order.
+    """
     if len(set(decomposition.letters)) != len(decomposition.letters):
         raise MalformedDocument("decomposition letters must be distinct")
     if not decomposition.letters:
         raise MalformedDocument("decomposition needs at least one letter")
     if any(w <= 0 for w in decomposition.weights):
         raise NegativeEntry("decomposition weights must be positive")
-    if sum(decomposition.weights, Fraction(0)) != 1:
+    scale = lcm(
+        *(w.denominator for w in decomposition.weights),
+        *(row[t].denominator for row, ts in zip(chain.matrix, chain.successors) for t in ts),
+    )
+    weights = [w.numerator * (scale // w.denominator) for w in decomposition.weights]
+    if sum(weights) != scale:
         raise RowSumNotOne("decomposition weights must sum to one")
-    n = chain.size
-    totals = [[Fraction(0)] * n for _ in range(n)]
-    for mapping, w in zip(decomposition.maps, decomposition.weights):
-        for s in range(n):
-            totals[s][mapping[s]] += w
-    for s in range(n):
-        for t in range(n):
-            if totals[s][t] != chain.matrix[s][t]:
-                raise MalformedDocument(
-                    "decomposition does not reconstruct the chain",
-                    witness=[
-                        chain.states[s],
-                        chain.states[t],
-                        str(chain.matrix[s][t]),
-                        str(totals[s][t]),
-                    ],
-                )
+    letters = list(zip(decomposition.maps, weights))
+    for s, (row, successors) in enumerate(zip(chain.matrix, chain.successors)):
+        expected = {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
+        totals: dict[int, int] = {}
+        for mapping, w in letters:
+            totals[mapping[s]] = totals.get(mapping[s], 0) + w
+        if totals != expected:
+            t = min(t for t in expected.keys() | totals.keys()
+                    if totals.get(t, 0) != expected.get(t, 0))
+            raise MalformedDocument(
+                "decomposition does not reconstruct the chain",
+                witness=[
+                    chain.states[s],
+                    chain.states[t],
+                    str(row[t]),
+                    str(Fraction(totals.get(t, 0), scale)),
+                ],
+            )
 
 
 def decompose(chain: MarkovChain) -> Decomposition:
@@ -318,10 +330,30 @@ def simulating_automaton(
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
     structure = ergodic_structure(chain)
     lattice = ergodic_lattice(structure)
+    decomposition = _checked_decomposition(chain, decomposition)
+    return _simulating_automaton(chain, structure, lattice, decomposition, initial, mode)
+
+
+def _checked_decomposition(
+    chain: MarkovChain, decomposition: Decomposition | None
+) -> Decomposition:
+    """The greedy decomposition, or the given one once it is validated."""
     if decomposition is None:
-        decomposition = decompose(chain)
-    else:
-        validate_decomposition(chain, decomposition)
+        return decompose(chain)
+    validate_decomposition(chain, decomposition)
+    return decomposition
+
+
+def _simulating_automaton(
+    chain: MarkovChain,
+    structure: ErgodicStructure,
+    lattice: Lattice,
+    decomposition: Decomposition,
+    initial: int | str | None,
+    mode: str,
+) -> LatticeAutomaton:
+    """``simulating_automaton`` on a checked mode and decomposition and the
+    chain's ergodic structure and lattice."""
     if initial is None:
         start = 0
     else:
@@ -478,12 +510,12 @@ def analyze(
     from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
 
     structure = ergodic_structure(chain)
-    if decomposition is None:
-        decomposition = decompose(chain)
-    else:
-        validate_decomposition(chain, decomposition)
-    basic = simulating_automaton(chain, "basic", decomposition, initial)
-    reachable = simulating_automaton(chain, "reachable", decomposition, initial)
+    decomposition = _checked_decomposition(chain, decomposition)
+    lattice = ergodic_lattice(structure)
+    basic = _simulating_automaton(chain, structure, lattice, decomposition, initial, "basic")
+    reachable = _simulating_automaton(
+        chain, structure, lattice, decomposition, initial, "reachable"
+    )
     if mode not in ("basic", "reachable"):
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
     analyzed = basic if mode == "basic" else reachable

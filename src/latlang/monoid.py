@@ -364,23 +364,48 @@ def is_isomorphic(m1: OrderedMonoid, m2: OrderedMonoid) -> bool:
 
 
 def canonical_key(monoid: OrderedMonoid) -> tuple:
-    """Minimal serialized form over identity-fixing relabelings."""
-    n = monoid.size
-    rest = [i for i in range(n) if i != monoid.identity]
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        relabel = {monoid.identity: 0}
-        relabel.update(zip(rest, perm))
-        mul = [[0] * n for _ in range(n)]
-        leq = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                mul[relabel[a]][relabel[b]] = relabel[monoid.mul[a][b]]
-                leq[relabel[a]][relabel[b]] = monoid.leq[a][b]
-        key = (n, tuple(map(tuple, mul)), tuple(map(tuple, leq)))
-        if best is None or key < best:
-            best = key
-    return best
+    """Minimal serialized form (n, mul, leq) over identity-fixing relabelings.
+
+    The table is compared before the order, so the least form relabels the
+    table to its canonical form and the order by the best relabeling that
+    does so.
+    """
+    table, coset = canonical_table(monoid.mul, monoid.identity)
+    return monoid.size, table, _least_order(monoid.leq, coset)
+
+
+def canonical_table(
+    mul: Sequence[Sequence[int]], identity: int
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """The least relabeled copy of a multiplication table over the
+    relabelings that send ``identity`` to 0, and the relabelings that reach it.
+
+    A relabeling is listed as ``old``: new element i is old element old[i].
+    The relabelings that reach the least copy form a coset of the table's
+    automorphism group, so there is usually only one.
+    """
+    n = len(mul)
+    best: tuple[tuple[int, ...], ...] | None = None
+    coset: list[tuple[int, ...]] = []
+    rest = [x for x in range(n) if x != identity]
+    for perm in itertools.permutations(rest):
+        old = (identity, *perm)
+        new = [0] * n
+        for i, x in enumerate(old):
+            new[x] = i
+        table = tuple(tuple(new[mul[a][b]] for b in old) for a in old)
+        if best is None or table < best:
+            best, coset = table, [old]
+        elif table == best:
+            coset.append(old)
+    return best, coset
+
+
+def _least_order(
+    leq: Sequence[Sequence[bool]], coset: Sequence[tuple[int, ...]]
+) -> tuple[tuple[bool, ...], ...]:
+    """The least copy of an order relabeled by one of ``coset``'s relabelings."""
+    return min(tuple(tuple(leq[a][b] for b in old) for a in old) for old in coset)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,9 @@ from .lattice import (
 )
 from .monoid import (
     OrderedMonoid,
+    _least_order,
     _make_unchecked,
-    canonical_key,
+    canonical_table,
     compatibility_violation,
     direct_product,
     divides,
@@ -133,25 +134,32 @@ def _unital_associative_tables(n: int):
 
 
 def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:
-    """All ordered monoids on n elements up to isomorphism.
+    """All ordered monoids on n elements up to isomorphism, sorted by
+    ``canonical_key``.
 
     Tables are enumerated with the identity fixed at index 0 (every monoid
-    is isomorphic to one of that form), paired with every compatible partial
-    order, and deduplicated by the minimal relabeled serialization.
+    is isomorphic to one of that form).  Each table is canonicalized once,
+    and only the first table of each isomorphism class is paired with its
+    compatible partial orders: an isomorphism carries every compatible
+    order of a later table in the class to one of the first table with the
+    same key, so the representative of each key is the first (table, order)
+    pair that has it.  Orders are keyed through the relabelings that reach
+    the canonical table, a coset of its automorphisms.
     """
     if n < 1 or n > ENUMERATION_MAX_N:
         raise SizeCapExceeded(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
     names = tuple(f"m{i}" for i in range(n))
-    found: dict[tuple, OrderedMonoid] = {}
+    seen: set[tuple] = set()
+    found: dict[tuple, tuple] = {}
     for mul in _unital_associative_tables(n):
+        table, coset = canonical_table(mul, 0)
+        if table in seen:
+            continue
+        seen.add(table)
         for leq in _partial_orders(n):
-            if compatibility_violation(mul, leq, range(n)) is not None:
-                continue
-            monoid = _make_unchecked(names, 0, mul, leq)
-            key = canonical_key(monoid)
-            if key not in found:
-                found[key] = monoid
-    return [found[key] for key in sorted(found)]
+            if compatibility_violation(mul, leq, range(n)) is None:
+                found.setdefault((n, table, _least_order(leq, coset)), (mul, leq))
+    return [_make_unchecked(names, 0, *found[key]) for key in sorted(found)]
 
 
 # -- seeded random instances -------------------------------------------------

@@ -38,7 +38,7 @@ from latlang.markov import (
     ergodic_structure,
     validate_decomposition,
 )
-from latlang.monoid import _make_unchecked, direct_product
+from latlang.monoid import _make_unchecked, compatibility_violation, direct_product
 from latlang.serialize import automaton_to_doc, decomposition_from_doc, triple_to_doc
 from latlang.syntactic import (
     TRANSITION_MONOID_CAP,
@@ -48,7 +48,12 @@ from latlang.syntactic import (
     syntactic,
     triple_to_automaton,
 )
-from latlang.variety import VerificationReport, enumerate_ordered_monoids
+from latlang.variety import (
+    VerificationReport,
+    _partial_orders,
+    _unital_associative_tables,
+    enumerate_ordered_monoids,
+)
 
 settings.register_profile(
     "ci",
@@ -415,6 +420,42 @@ def reference_unital_associative_tables(n):
             for z in range(1, n)
         ):
             yield mul
+
+
+def reference_canonical_key(monoid):
+    """Reference key: the least (n, mul, leq) over every identity-fixing
+    relabeling, each relabeling applied to table and order together."""
+    n = monoid.size
+    rest = [i for i in range(n) if i != monoid.identity]
+    best = None
+    for perm in itertools.permutations(range(1, n)):
+        relabel = {monoid.identity: 0}
+        relabel.update(zip(rest, perm))
+        mul = [[0] * n for _ in range(n)]
+        leq = [[False] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                mul[relabel[a]][relabel[b]] = relabel[monoid.mul[a][b]]
+                leq[relabel[a]][relabel[b]] = monoid.leq[a][b]
+        key = (n, tuple(map(tuple, mul)), tuple(map(tuple, leq)))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_enumerate_ordered_monoids(n):
+    """Reference enumeration: every table paired with every compatible
+    order, each pair keyed by ``reference_canonical_key``, the first pair of
+    each key kept."""
+    names = tuple(f"m{i}" for i in range(n))
+    found = {}
+    for mul in _unital_associative_tables(n):
+        for leq in _partial_orders(n):
+            if compatibility_violation(mul, leq, range(n)) is not None:
+                continue
+            monoid = _make_unchecked(names, 0, mul, leq)
+            found.setdefault(reference_canonical_key(monoid), monoid)
+    return [found[key] for key in sorted(found)]
 
 
 @functools.cache

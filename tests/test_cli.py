@@ -460,10 +460,17 @@ def test_negative_bounds_are_usage_errors(tmp_path):
         ["markov", "analyze", CHAIN, "--max-len", "-1"],
         ["markov", "analyze", CHAIN, "--horizon", "-2"],
         ["monoid", "divides", u1_path, u1_path, "--budget", "-1"],
+        ["variety", "enumerate", "--n", "0"],
+        ["variety", "enumerate", "--n=-1"],
     ):
         code, out = run(argv)
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "Usage"
+    assert run(["variety", "enumerate", "--n", "0"])[1] == (
+        '{"error":{"kind":"Usage","message":"argument --n: must be positive","witness":null}}\n'
+    )
+    code, out = run(["variety", "enumerate", "--n", "5"])
+    assert code == 1 and json.loads(out)["error"]["kind"] == "SizeCapExceeded"
     code, out = run(["lang", "shuffle-check", AUTOMATON, "--max-len", "0"])
     assert code == 2 and json.loads(out)["bound"] == 0
 

@@ -9,8 +9,8 @@ verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
 two searches kept apart on purpose.  Monoid tables come from a search,
 not a full product, the absorption solver and the word measure build
-fractions only for their answers, and the recognition check runs on one
-machine.
+fractions only for their answers, the recognition check runs on one
+machine, and the enumeration keys each table, not each (table, order) pair.
 """
 
 import ast
@@ -173,3 +173,17 @@ def test_recognition_check_builds_one_machine():
     assert called.count("triple_to_automaton") == 1
     assert "ideal_coloring" not in called
     assert "make_op_coloring" not in called
+
+
+def test_enumeration_keys_tables_not_pairs():
+    """``enumerate_ordered_monoids`` canonicalizes each table once and keys
+    orders through its coset; it never takes a (table, order) pair's
+    ``canonical_key``."""
+    tree = ast.parse((SRC / "variety.py").read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_ordered_monoids"
+    )
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert "canonical_table" in names
+    assert "canonical_key" not in names

@@ -17,10 +17,11 @@ from latlang import (
     syntactic,
     triple_to_automaton,
 )
-from latlang import variety as variety_module
+from latlang import cli, variety as variety_module
 from latlang.coloring import OpColoring
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
 from latlang.monoid import _make_unchecked, canonical_key
+from latlang.serialize import monoid_to_doc
 from latlang.syntactic import RecognitionTriple, cut
 from latlang.variety import (
     SUITE_LATTICE_MAX,
@@ -41,6 +42,8 @@ from latlang.variety import (
 
 import conftest
 from conftest import (
+    reference_canonical_key,
+    reference_enumerate_ordered_monoids,
     reference_unital_associative_tables,
     reference_verify_recog_by_synt,
     small_monoids,
@@ -180,6 +183,83 @@ def test_relabelled_copies_are_isomorphic():
                 leq[p[a]][p[b]] = m.leq[a][b]
         copy = _make_unchecked([f"r{i}" for i in range(n)], p[m.identity], mul, leq)
         assert is_isomorphic(m, copy) and is_isomorphic(copy, m)
+
+
+def _relabeled(m, perm):
+    """``m`` with element x moved to index perm[x]."""
+    n = m.size
+    mul = [[0] * n for _ in range(n)]
+    leq = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mul[perm[a]][perm[b]] = perm[m.mul[a][b]]
+            leq[perm[a]][perm[b]] = m.leq[a][b]
+    return _make_unchecked([f"r{i}" for i in range(n)], perm[m.identity], mul, leq)
+
+
+def _identity_moved(rng, m):
+    """A seeded relabeling of ``m`` that moves its identity off index 0."""
+    perm = list(range(m.size))
+    rng.shuffle(perm)
+    if m.size > 1 and perm[m.identity] == 0:
+        k = rng.randrange(m.size)
+        k = k if k != m.identity else (k + 1) % m.size
+        perm[m.identity], perm[k] = perm[k], perm[m.identity]
+    copy = _relabeled(m, perm)
+    assert m.size == 1 or copy.identity != 0
+    return copy
+
+
+def test_enumeration_matches_pairwise_reference(monkeypatch):
+    """Keying each table once keeps the pairwise enumeration's monoids, its
+    representatives and its CLI bytes."""
+    for n in (1, 2, 3, 4):
+        expected = reference_enumerate_ordered_monoids(n)
+        assert [monoid_to_doc(m) for m in enumerate_ordered_monoids(n)] == [
+            monoid_to_doc(m) for m in expected
+        ], n
+        argv = ["variety", "enumerate", "--n", str(n)]
+        new = cli.run(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "enumerate_ordered_monoids", lambda k: expected)
+            assert cli.run(argv) == new, n
+
+
+def test_canonical_key_matches_reference_on_seeded_relabelings():
+    """Relabelings of every small monoid and of direct products of up to 8
+    elements, identity off index 0: ``canonical_key`` is the all-relabeling
+    key, and ``is_isomorphic`` answers as the reference keys do."""
+    rng = random.Random(1212)
+    monoids = small_monoids()
+    cases = [(m, _identity_moved(rng, m)) for m in monoids]
+    products = 0
+    while products < 12:
+        factors = [monoids[rng.randrange(len(monoids))] for _ in range(rng.randint(2, 3))]
+        if 4 < functools.reduce(lambda k, f: k * f.size, factors, 1) <= 8:
+            product, _ = direct_product(factors)
+            cases.append((product, _identity_moved(rng, product)))
+            products += 1
+    keys = [reference_canonical_key(copy) for _, copy in cases]
+    for i, (m, copy) in enumerate(cases):
+        assert canonical_key(copy) == keys[i], i
+        assert is_isomorphic(m, copy), i
+        j = rng.randrange(len(cases))
+        assert is_isomorphic(copy, cases[j][1]) == (keys[i] == keys[j]), (i, j)
+
+
+def test_enumeration_canonicalizes_each_table_once(monkeypatch):
+    """At n = 4: one canonical form per table (156), and compatibility is
+    checked only on the first table of each of the 35 classes."""
+    calls = dict.fromkeys(("canonical_table", "compatibility_violation"), 0)
+    for name in calls:
+        def counted(*args, _original=getattr(variety_module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(variety_module, name, counted)
+    assert len(enumerate_ordered_monoids(4)) == 549
+    assert calls["canonical_table"] <= 156
+    assert calls["compatibility_violation"] <= 35 * len(_partial_orders(4)) == 7665
 
 
 def test_enumeration_n2_contents():
