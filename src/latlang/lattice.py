@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import (
     MalformedDocument,
@@ -103,12 +104,11 @@ def monotone_violation(
     images: Sequence[int],
 ) -> tuple[int, int] | None:
     """The first pair a <= b whose images are not ordered; None iff the map is monotone."""
-    n = len(images)
-    for a in range(n):
-        src_row = src_leq[a]
+    points = range(len(images))
+    for a in points:
         dst_row = dst_leq[images[a]]
-        for b in range(n):
-            if src_row[b] and not dst_row[images[b]]:
+        for b in compress(points, src_leq[a]):
+            if not dst_row[images[b]]:
                 return a, b
     return None
 

@@ -14,6 +14,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -155,19 +156,25 @@ def check_generated(monoid: OrderedMonoid, generators: Iterable[int]) -> None:
 def _check_associative(
     names: Sequence[str], mul: Sequence[Sequence[int]], gens: Sequence[int]
 ) -> None:
-    """Raise NotAssociative unless (xg)y = x(gy) for all x, y and each g."""
-    n = len(names)
-    for x in range(n):
-        mul_x = mul[x]
-        for g in gens:
-            row_xg = mul[mul_x[g]]
-            mul_g = mul[g]
-            for y in range(n):
-                if row_xg[y] != mul_x[mul_g[y]]:
-                    raise NotAssociative(
-                        "multiplication is not associative",
-                        witness=[names[x], names[g], names[y]],
-                    )
+    """Raise NotAssociative unless (xg)y = x(gy) for all x, y and each g.
+
+    Each row (xg)- is compared whole with row x- read at the entries of row
+    g-, gathered by an ``itemgetter`` per g; only a row that differs is
+    scanned for its first y.  The one table on one element is associative,
+    and there an ``itemgetter`` of one index would return no tuple.
+    """
+    if len(mul) == 1:
+        return
+    readers = [(g, itemgetter(*mul[g])) for g in gens]
+    for x, mul_x in enumerate(mul):
+        for g, read_g in readers:
+            row_xg = tuple(mul[mul_x[g]])
+            if row_xg != read_g(mul_x):
+                y = next(y for y, z in enumerate(row_xg) if z != mul_x[mul[g][y]])
+                raise NotAssociative(
+                    "multiplication is not associative",
+                    witness=[names[x], names[g], names[y]],
+                )
 
 
 def _check_order(

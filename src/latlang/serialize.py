@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import compress
 from typing import Any
 
 from .automaton import (
@@ -101,18 +102,15 @@ def lattice_morphism_from_doc(doc: Any, lattice: Lattice) -> LatticeMorphism:
 # -- monoids ----------------------------------------------------------------
 
 def monoid_to_doc(monoid: OrderedMonoid) -> dict:
+    elements = monoid.elements
     return {
-        "elements": list(monoid.elements),
-        "identity": monoid.elements[monoid.identity],
-        "mul": [
-            [monoid.elements[monoid.mul[a][b]] for b in range(monoid.size)]
-            for a in range(monoid.size)
-        ],
+        "elements": list(elements),
+        "identity": elements[monoid.identity],
+        "mul": [[elements[b] for b in row] for row in monoid.mul],
         "leq": sorted(
-            [monoid.elements[a], monoid.elements[b]]
-            for a in range(monoid.size)
-            for b in range(monoid.size)
-            if monoid.leq[a][b]
+            [a, b]
+            for a, row in zip(elements, monoid.leq)
+            for b in compress(elements, row)
         ),
     }
 

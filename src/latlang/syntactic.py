@@ -192,22 +192,55 @@ def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
     return rel
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pointwise_order(
+    pre: Sequence[Sequence[bool]], maps: Sequence[Sequence[int]]
+) -> list[tuple[bool, ...]]:
+    """Rows of the order m_i <= m_j iff pre[m_i(q)][m_j(q)] at every state q.
+
+    Bit j of ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the
+    union of the ``at[q][v]`` with p <= v (they are disjoint, so it is their
+    sum), so row i is the intersection over q of ``above[q][m_i(q)]``: one
+    AND per state instead of one comparison per pair of maps.  Each row is
+    expanded into bools through its binary string, at C speed.
+    """
+    k, n = len(maps), len(pre)
+    at = [[0] * n for _ in range(n)]
+    for j, m in enumerate(maps):
+        bit = 1 << j
+        for at_q, v in zip(at, m):
+            at_q[v] |= bit
+    above = [
+        [sum(bits for bits, le in zip(at_q, pre_p) if le) for pre_p in pre]
+        for at_q in at
+    ]
+    width = f"0{k}b"
+    rows = []
+    for m in maps:
+        row = (1 << k) - 1
+        for above_q, v in zip(above, m):
+            row &= above_q[v]
+        rows.append(tuple(map(bool, format(row, width)[::-1].encode().translate(_BITS))))
+    return rows
+
+
 def syntactic(a: LatticeAutomaton) -> SyntacticResult:
     """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
 
     Steps: minimize; state preorder; word maps of the minimal machine, named
     by their length-lex-least words, with the table read off their Cayley
-    graph; pointwise order of the maps.  The table is validated through the
-    letter images with ``check_generated``; a failure raises
-    InternalInconsistency since it can only be a bug.  TRANSITION_MONOID_CAP
-    caps the number of word maps of the minimal machine.
+    graph; pointwise order of the maps, one bitset row per map.  The table
+    is validated through the letter images with ``check_generated``; a
+    failure raises InternalInconsistency since it can only be a bug.
+    TRANSITION_MONOID_CAP caps the number of word maps of the minimal
+    machine.
     """
     a = minimize(a)
     pre = _state_preorder(a)
     maps, witnesses, gen_ids, mul = _word_maps(a)
-    leq = [
-        [all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps
-    ]
+    leq = _pointwise_order(pre, maps)
     names = tuple(word_name(w) for w in witnesses)
     monoid = _make_unchecked(names, 0, mul, leq)
     try:

@@ -24,6 +24,7 @@ from latlang.errors import (
     MalformedDocument,
     MismatchedCarrier,
     NegativeEntry,
+    NotAssociative,
     RowSumNotOne,
     SizeCapExceeded,
 )
@@ -456,6 +457,75 @@ def reference_enumerate_ordered_monoids(n):
             monoid = _make_unchecked(names, 0, mul, leq)
             found.setdefault(reference_canonical_key(monoid), monoid)
     return [found[key] for key in sorted(found)]
+
+
+def relabeled(m, perm):
+    """``m`` with element x moved to index perm[x]."""
+    n = m.size
+    mul = [[0] * n for _ in range(n)]
+    leq = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mul[perm[a]][perm[b]] = perm[m.mul[a][b]]
+            leq[perm[a]][perm[b]] = m.leq[a][b]
+    return _make_unchecked([f"r{i}" for i in range(n)], perm[m.identity], mul, leq)
+
+
+def identity_moved(rng, m):
+    """A seeded relabeling of ``m`` that moves its identity off index 0."""
+    perm = list(range(m.size))
+    rng.shuffle(perm)
+    if m.size > 1 and perm[m.identity] == 0:
+        k = rng.randrange(m.size)
+        k = k if k != m.identity else (k + 1) % m.size
+        perm[m.identity], perm[k] = perm[k], perm[m.identity]
+    copy = relabeled(m, perm)
+    assert m.size == 1 or copy.identity != 0
+    return copy
+
+
+def reference_check_associative(names, mul, gens):
+    """Reference Light's test: (xg)y against x(gy) one y at a time."""
+    n = len(names)
+    for x in range(n):
+        mul_x = mul[x]
+        for g in gens:
+            row_xg = mul[mul_x[g]]
+            mul_g = mul[g]
+            for y in range(n):
+                if row_xg[y] != mul_x[mul_g[y]]:
+                    raise NotAssociative(
+                        "multiplication is not associative",
+                        witness=[names[x], names[g], names[y]],
+                    )
+
+
+def reference_monoid_to_doc(monoid):
+    """Reference monoid document: every table entry and order pair by index."""
+    return {
+        "elements": list(monoid.elements),
+        "identity": monoid.elements[monoid.identity],
+        "mul": [
+            [monoid.elements[monoid.mul[a][b]] for b in range(monoid.size)]
+            for a in range(monoid.size)
+        ],
+        "leq": sorted(
+            [monoid.elements[a], monoid.elements[b]]
+            for a in range(monoid.size)
+            for b in range(monoid.size)
+            if monoid.leq[a][b]
+        ),
+    }
+
+
+def reference_monotone_violation(src_leq, dst_leq, images):
+    """Reference monotonicity scan over every pair (a, b) in row-major order."""
+    n = len(images)
+    for a in range(n):
+        for b in range(n):
+            if src_leq[a][b] and not dst_leq[images[a]][images[b]]:
+                return a, b
+    return None
 
 
 @functools.cache

@@ -11,6 +11,8 @@ two searches kept apart on purpose.  Monoid tables come from a search,
 not a full product, the absorption solver and the word measure build
 fractions only for their answers, the recognition check runs on one
 machine, and the enumeration keys each table, not each (table, order) pair.
+The syntactic order is built from bitsets, not by comparing every pair of
+word maps.
 """
 
 import ast
@@ -187,3 +189,23 @@ def test_enumeration_keys_tables_not_pairs():
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert "canonical_table" in names
     assert "canonical_key" not in names
+
+
+def test_syntactic_order_compares_no_pairs_of_maps():
+    """``syntactic.py`` builds its order one bitset row per map; no
+    ``all(...)`` runs over zipped maps."""
+    tree = ast.parse((SRC / "syntactic.py").read_text())
+    pairwise = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "all"
+        and any(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Name)
+            and inner.func.id == "zip"
+            for arg in node.args
+            for inner in ast.walk(arg)
+        )
+    ]
+    assert pairwise == []

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -15,7 +16,14 @@ from latlang import (
     standard_lattice,
     trivial_monoid,
 )
-from latlang.monoid import OrderedMonoid, aperiodicity_witness, check_generated
+from latlang.lattice import monotone_violation
+from latlang.monoid import (
+    OrderedMonoid,
+    _check_associative,
+    aperiodicity_witness,
+    check_generated,
+)
+from latlang.serialize import monoid_to_doc
 from latlang.errors import (
     LatlangError,
     NoIdentity,
@@ -25,8 +33,12 @@ from latlang.errors import (
 )
 
 from conftest import (
+    identity_moved,
+    reference_check_associative,
     reference_direct_product,
     reference_is_aperiodic,
+    reference_monoid_to_doc,
+    reference_monotone_violation,
     reference_surjection_onto,
     small_monoids,
     u1,
@@ -403,3 +415,62 @@ def test_check_generated_through_generators_only():
     assert err.value.witness == {"le": ["a", "1"], "z": "b", "side": "right"}
     product, _ = direct_product([u1("z<1"), u1("1<z")])
     check_generated(product, [product.index("(z,1)"), product.index("(1,z)")])
+
+
+def _seeded_relabelings(seed, products):
+    """Seeded relabelings, identity off index 0, of every small monoid and
+    of ``products`` direct products of 16 to 64 elements."""
+    rng = random.Random(seed)
+    monoids = small_monoids()
+    cases = [identity_moved(rng, m) for m in monoids]
+    while len(cases) < len(monoids) + products:
+        factors = [monoids[rng.randrange(len(monoids))] for _ in range(rng.randint(2, 4))]
+        if 16 <= functools.reduce(lambda k, f: k * f.size, factors, 1) <= 64:
+            cases.append(identity_moved(rng, direct_product(factors)[0]))
+    return rng, cases
+
+
+def _associativity_doc(check, names, mul, gens):
+    try:
+        check(names, mul, gens)
+    except NotAssociative as exc:
+        return exc.to_doc()
+    return None
+
+
+def test_light_test_by_rows_matches_per_y_scan():
+    """One corrupted table entry in each seeded relabeling: the whole-row
+    Light's test raises the per-y reference's document, or both pass, with
+    list rows (as the builder has them) and tuple rows (as a monoid has
+    them), through every element and through a seeded subset."""
+    rng, cases = _seeded_relabelings(1313, 40)
+    verdicts = {True: 0, False: 0}
+    for m in cases:
+        n = m.size
+        assert _associativity_doc(_check_associative, m.elements, m.mul, range(n)) is None
+        mul = [list(row) for row in m.mul]
+        mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for gens in (range(n), subset):
+            expected = _associativity_doc(reference_check_associative, m.elements, mul, gens)
+            verdicts[expected is None] += 1
+            for table in (mul, tuple(map(tuple, mul))):
+                assert _associativity_doc(_check_associative, m.elements, table, gens) == expected
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_monoid_doc_and_monotone_witness_match_reference():
+    """On the same relabelings: ``monoid_to_doc`` equals the index-by-index
+    document, and ``monotone_violation`` returns the reference's first
+    (a, b) in row-major order for seeded maps into another case's order."""
+    rng, cases = _seeded_relabelings(1414, 40)
+    verdicts = {True: 0, False: 0}
+    for m in cases:
+        assert monoid_to_doc(m) == reference_monoid_to_doc(m)
+        target = cases[rng.randrange(len(cases))]
+        for _ in range(3):
+            images = [rng.randrange(target.size) for _ in range(m.size)]
+            expected = reference_monotone_violation(m.leq, target.leq, images)
+            assert monotone_violation(m.leq, target.leq, images) == expected
+            verdicts[expected is None] += 1
+    assert min(verdicts.values()) > 100, verdicts

@@ -33,7 +33,7 @@ from latlang import (
 from latlang.automaton import minimize
 from latlang.errors import SizeCapExceeded
 from latlang.monoid import product_index
-from latlang.syntactic import shuffle_verdict
+from latlang.syntactic import _pointwise_order, _state_preorder, shuffle_verdict
 from latlang.variety import random_automaton, random_lattice
 
 from conftest import (
@@ -99,6 +99,45 @@ def test_tables_match_composition_reference_on_seeded_sweep():
     for a in machines + large:
         assert syntactic(a) == reference_syntactic(a)
         assert transition_monoid(a) == reference_transition_monoid(a)
+
+
+def test_pointwise_order_matches_pairwise_rows():
+    """The bitset order equals the pairwise ``all`` over zipped maps, row by
+    row and as bools, on the word maps of one-state machines (k = 1) and of
+    200 machines over random lattices, and on 1 to 200 random maps around
+    the 64- and 128-bit boundaries, under preorders of unminimized machines."""
+    rng = random.Random(1717)
+    cases = [
+        (_state_preorder(a), reference_word_maps(a)[0])
+        for a in (
+            minimize(constant_automaton(standard_lattice(kind, 2), ("a", "b"), 0))
+            for kind in ("boolean", "powerset")
+        )
+    ]
+    lattices = []
+    for _ in range(200):
+        a = random_automaton(rng, random_lattice(rng, 5), 5)
+        lattices.append(a.lattice)
+        cases.append((_state_preorder(a), reference_word_maps(a)[0]))
+    for k in (1, 2, 63, 64, 65, 127, 128, 129, 200):
+        a = random_automaton(rng, random_lattice(rng, 5), 6, min_states=6)
+        lattices.append(a.lattice)
+        n = len(a.states)
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
+        cases.append((_state_preorder(a), maps))
+    assert {len(maps) for _, maps in cases} >= {1, 63, 64, 65, 127, 128, 129}
+    assert any(
+        not (lat.leq[x][y] or lat.leq[y][x])
+        for lat in lattices
+        for x in range(lat.size)
+        for y in range(lat.size)
+    )
+    for pre, maps in cases:
+        rows = _pointwise_order(pre, maps)
+        assert rows == [
+            tuple(all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps) for mi in maps
+        ]
+        assert {type(e) for row in rows for e in row} <= {bool}
 
 
 def test_word_map_cap_matches_reference():

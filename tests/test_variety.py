@@ -42,6 +42,7 @@ from latlang.variety import (
 
 import conftest
 from conftest import (
+    identity_moved,
     reference_canonical_key,
     reference_enumerate_ordered_monoids,
     reference_unital_associative_tables,
@@ -185,31 +186,6 @@ def test_relabelled_copies_are_isomorphic():
         assert is_isomorphic(m, copy) and is_isomorphic(copy, m)
 
 
-def _relabeled(m, perm):
-    """``m`` with element x moved to index perm[x]."""
-    n = m.size
-    mul = [[0] * n for _ in range(n)]
-    leq = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mul[perm[a]][perm[b]] = perm[m.mul[a][b]]
-            leq[perm[a]][perm[b]] = m.leq[a][b]
-    return _make_unchecked([f"r{i}" for i in range(n)], perm[m.identity], mul, leq)
-
-
-def _identity_moved(rng, m):
-    """A seeded relabeling of ``m`` that moves its identity off index 0."""
-    perm = list(range(m.size))
-    rng.shuffle(perm)
-    if m.size > 1 and perm[m.identity] == 0:
-        k = rng.randrange(m.size)
-        k = k if k != m.identity else (k + 1) % m.size
-        perm[m.identity], perm[k] = perm[k], perm[m.identity]
-    copy = _relabeled(m, perm)
-    assert m.size == 1 or copy.identity != 0
-    return copy
-
-
 def test_enumeration_matches_pairwise_reference(monkeypatch):
     """Keying each table once keeps the pairwise enumeration's monoids, its
     representatives and its CLI bytes."""
@@ -231,13 +207,13 @@ def test_canonical_key_matches_reference_on_seeded_relabelings():
     key, and ``is_isomorphic`` answers as the reference keys do."""
     rng = random.Random(1212)
     monoids = small_monoids()
-    cases = [(m, _identity_moved(rng, m)) for m in monoids]
+    cases = [(m, identity_moved(rng, m)) for m in monoids]
     products = 0
     while products < 12:
         factors = [monoids[rng.randrange(len(monoids))] for _ in range(rng.randint(2, 3))]
         if 4 < functools.reduce(lambda k, f: k * f.size, factors, 1) <= 8:
             product, _ = direct_product(factors)
-            cases.append((product, _identity_moved(rng, product)))
+            cases.append((product, identity_moved(rng, product)))
             products += 1
     keys = [reference_canonical_key(copy) for _, copy in cases]
     for i, (m, copy) in enumerate(cases):
