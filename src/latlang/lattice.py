@@ -58,7 +58,7 @@ def order_from_pairs(
     index: Mapping[str, int], pairs: Iterable[Sequence[int | str]], what: str
 ) -> list[list[bool]]:
     """The reflexive-transitive closure of [lo, hi] pairs, as a boolean matrix."""
-    if not isinstance(pairs, Iterable):
+    if isinstance(pairs, str) or not isinstance(pairs, Iterable):
         raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
     n = len(index)
     leq = [[i == j for j in range(n)] for i in range(n)]

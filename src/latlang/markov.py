@@ -81,7 +81,11 @@ class MarkovChain:
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, the states it moves to with positive probability."""
+        """Per state, the states it moves to with positive probability.
+
+        ``make_chain`` fills this in from the entries it reads, so a loaded
+        chain never scans its zero entries.
+        """
         return tuple(
             tuple(t for t, p in enumerate(row) if p > 0) for row in self.matrix
         )
@@ -103,11 +107,19 @@ class MarkovChain:
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
-    names = name_tuple(states, "state names")
+    """A chain from its state names and, per state, its listed entries.
+
+    Omitted entries are zero.  Only the listed entries are read: each row's
+    total is an integer over the lcm of its listed denominators, and its
+    positive entries are the chain's ``successors``.  A row that does not
+    sum to one is named with its total as a fraction.
+    """
+    names = () if isinstance(states, str) else name_tuple(states, "state names")
     if not names or len(set(names)) != len(names):
         raise MalformedDocument("states must be a nonempty list of distinct names")
     index = {s: i for i, s in enumerate(names)}
     matrix = [[Fraction(0)] * len(names) for _ in names]
+    listed: list[list[int]] = [[] for _ in names]
     if not isinstance(rows, Mapping):
         raise MalformedDocument("rows must be an object")
     for s, row in rows.items():
@@ -115,6 +127,7 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
             raise UnknownElement(f"unknown state {s!r} in rows")
         if not isinstance(row, Mapping):
             raise MalformedDocument(f"row {s!r} must be an object", witness=s)
+        matrix_s, listed_s = matrix[index[s]], listed[index[s]]
         for t, p in row.items():
             if t not in index:
                 raise UnknownElement(f"unknown state {t!r} in row {s!r}")
@@ -124,14 +137,21 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
                     f"negative probability {p!r} at ({s!r}, {t!r})",
                     witness=[s, t, str(p)],
                 )
-            matrix[index[s]][index[t]] = value
-    for i, s in enumerate(names):
-        total = sum(matrix[i], Fraction(0))
-        if total != 1:
-            raise RowSumNotOne(
-                f"row {s!r} sums to {total}", witness=[s, str(total)]
-            )
-    return MarkovChain(states=names, matrix=tuple(tuple(r) for r in matrix))
+            matrix_s[index[t]] = value
+            listed_s.append(index[t])
+    for s, row, ts in zip(names, matrix, listed):
+        scale = lcm(*(row[t].denominator for t in ts))
+        total = sum(row[t].numerator * (scale // row[t].denominator) for t in ts)
+        if total != scale:
+            total_text = str(Fraction(total, scale))
+            raise RowSumNotOne(f"row {s!r} sums to {total_text}", witness=[s, total_text])
+    chain = MarkovChain(states=names, matrix=tuple(map(tuple, matrix)))
+    # Every positive entry is a listed one, so the cached property is
+    # filled in from the listed entries alone.
+    chain.__dict__["successors"] = tuple(
+        tuple(sorted(t for t in ts if row[t])) for row, ts in zip(matrix, listed)
+    )
+    return chain
 
 
 def load_chain(text: str) -> MarkovChain:
@@ -268,7 +288,9 @@ def decompose(chain: MarkovChain) -> Decomposition:
     is empty, with an exact reconstruction in at most one step per nonzero
     entry.
     """
-    scale = lcm(*(p.denominator for row in chain.matrix for p in row))
+    scale = lcm(
+        *(row[t].denominator for row, ts in zip(chain.matrix, chain.successors) for t in ts)
+    )
     residual = [
         {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
         for row, successors in zip(chain.matrix, chain.successors)
@@ -425,11 +447,9 @@ def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction
     rows = []
     for s in transient:
         row = chain.matrix[s]
-        scale = lcm(*(p.denominator for p in row))
-        scaled = {
-            t: row[t].numerator * (scale // row[t].denominator)
-            for t in chain.successors[s]
-        }
+        successors = chain.successors[s]
+        scale = lcm(*(row[t].denominator for t in successors))
+        scaled = {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
         rows.append(
             [scale * (s == t) - scaled.get(t, 0) for t in transient]
             + [sum(scaled.get(t, 0) for t in members) for members in ergodic]

@@ -1,11 +1,13 @@
 """Finite ordered monoids: construction, products, submonoids, morphisms, division.
 
 An ordered monoid is a finite monoid together with a partial order that is
-compatible with multiplication on both sides.  Construction validates
-associativity over all triples, the unit laws, antisymmetry of the closed
-order, and one-sided translation monotonicity (the two-sided form follows
-by composing the two one-sided ones).  A table known to be generated by
-some of its elements is validated through them by ``check_generated``.
+compatible with multiplication on both sides.  Construction validates the
+unit laws, associativity, antisymmetry of the closed order, and one-sided
+translation monotonicity (the two-sided form follows by composing the two
+one-sided ones).  Associativity and monotonicity are checked through a
+generating set by Light's test, and through every element only to name
+the first witness once that check fails.  A table known to be generated
+by some of its elements is validated through them by ``check_generated``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,10 @@ def build_ordered_monoid(
 
     ``leq_pairs`` are arbitrary order pairs; the reflexive-transitive closure
     is computed here.  Antisymmetry failure is an error, never silently
-    quotiented.
+    quotiented.  Associativity and compatibility are checked through the
+    greedy generating set, as ``check_generated`` checks them; only when
+    that check fails do they run through every element, so the error names
+    the first witness in element order.
     """
     if isinstance(element_names, str):
         raise MalformedDocument("element names must be a list, not a string")
@@ -131,12 +136,38 @@ def build_ordered_monoid(
                 f"{names[ident]!r} is not a two-sided unit at {names[x]!r}",
                 witness=names[x],
             )
-    _check_associative(names, mul, range(n))
+    gens = _greedy_generators(mul, ident)
+    _check_through(gens, n, _check_associative, names, mul)
 
     leq = order_from_pairs(index, leq_pairs, "monoid element")
-    _check_order(names, mul, leq, range(n))
+    _check_through(gens, n, _check_order, names, mul, leq)
 
     return _make_unchecked(names, ident, mul, leq)
+
+
+def _check_through(gens: Sequence[int], n: int, check, *table) -> None:
+    """Run ``check`` on ``table`` through ``gens``, and if it fails, again
+    through all n elements, whose first witness the error then names."""
+    try:
+        check(*table, gens)
+    except (NotAssociative, NotCompatible):
+        check(*table, range(n))
+        raise
+
+
+def _greedy_generators(mul: Sequence[Sequence[int]], identity: int) -> list[int]:
+    """Each element, in index order, that the earlier ones do not generate.
+
+    Closure is under right multiplication from ``identity``, which needs no
+    associativity, so this also serves a table not yet validated.
+    """
+    gens: list[int] = []
+    generated = {identity}
+    for x in range(len(mul)):
+        if x not in generated:
+            gens.append(x)
+            generated = set(_closure_of(mul, identity, gens))
+    return gens
 
 
 def check_generated(monoid: OrderedMonoid, generators: Iterable[int]) -> None:
@@ -277,7 +308,9 @@ def generated_submonoid(
     morphism into the ambient monoid.  Elements are listed in breadth-first
     discovery order starting from the identity.
     """
-    carrier = _closure_of(monoid, [monoid.index(g) for g in generators])
+    carrier = _closure_of(
+        monoid.mul, monoid.identity, [monoid.index(g) for g in generators]
+    )
     sub_index = {x: i for i, x in enumerate(carrier)}
     names = tuple(monoid.elements[x] for x in carrier)
     mul = [[sub_index[monoid.mul[a][b]] for b in carrier] for a in carrier]
@@ -431,20 +464,23 @@ class DivisionVerdict:
         return doc
 
 
-def _closure_of(monoid: OrderedMonoid, gens: Sequence[int]) -> list[int]:
-    """Elements generated by ``gens``, in breadth-first order from the identity.
+def _closure_of(
+    mul: Sequence[Sequence[int]], identity: int, gens: Sequence[int]
+) -> list[int]:
+    """Elements generated by ``gens``, in breadth-first order from ``identity``.
 
     This is ``orbit``'s order, but kept apart on purpose: ``divides`` runs it
     for every generator subset, and building an orbit's table there is
     about three times slower.
     """
-    carrier = [monoid.identity]
-    seen = {monoid.identity}
-    queue = deque([monoid.identity])
+    carrier = [identity]
+    seen = {identity}
+    queue = deque([identity])
     while queue:
         x = queue.popleft()
+        mul_x = mul[x]
         for g in gens:
-            y = monoid.mul[x][g]
+            y = mul_x[g]
             if y not in seen:
                 seen.add(y)
                 carrier.append(y)
@@ -497,17 +533,23 @@ def divides(
 
     Submonoids are enumerated as closures of generator subsets by ascending
     size; carriers already searched are skipped (every morphism from a
-    carrier is found with its first generating set).  The search is
-    exhaustive; ``budget_exhausted`` means only that ``m2`` has more than
+    carrier is found with its first generating set).  Subsets stop at the
+    size r of ``m1``'s greedy generating set: a submonoid S of ``m2`` that
+    maps onto ``m1`` holds one preimage of each of those r generators, and
+    the submonoid they generate still maps onto ``m1``.  So the first
+    witness and every verdict are those of the search over all subsets,
+    which visits O(|m2|^r) carriers instead of 2^|m2|.  The search is
+    complete; ``budget_exhausted`` means only that ``m2`` has more than
     ``max_target_size`` elements, and no search was made.
     """
     if m2.size > max_target_size:
         return DivisionVerdict("budget_exhausted")
+    rank = len(_greedy_generators(m1.mul, m1.identity))
     non_identity = [i for i in range(m2.size) if i != m2.identity]
     seen_carriers: set[tuple[int, ...]] = set()
-    for k in range(len(non_identity) + 1):
+    for k in range(rank + 1):
         for gens in itertools.combinations(non_identity, k):
-            carrier = _closure_of(m2, gens)
+            carrier = _closure_of(m2.mul, m2.identity, gens)
             key = tuple(sorted(carrier))
             if key in seen_carriers:
                 continue

@@ -34,7 +34,6 @@ from .markov import (
     MarkovChain,
     make_chain,
     parse_fraction,
-    validate_decomposition,
 )
 from .monoid import OrderedMonoid, build_ordered_monoid
 from .syntactic import RecognitionTriple, make_recognition_triple
@@ -215,14 +214,10 @@ def triple_from_doc(doc: Any) -> RecognitionTriple:
 # -- Markov chains -------------------------------------------------------------
 
 def chain_to_doc(chain: MarkovChain) -> dict:
-    rows: dict = {}
-    for i, s in enumerate(chain.states):
-        row = {
-            chain.states[j]: str(p)
-            for j, p in enumerate(chain.matrix[i])
-            if p != 0
-        }
-        rows[s] = row
+    rows = {
+        s: {chain.states[t]: str(row[t]) for t in successors}
+        for s, row, successors in zip(chain.states, chain.matrix, chain.successors)
+    }
     return {"states": list(chain.states), "rows": rows}
 
 
@@ -250,6 +245,12 @@ def decomposition_to_doc(decomposition: Decomposition, chain: MarkovChain) -> di
 
 
 def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
+    """A decomposition over ``chain``'s states, checked for shape only.
+
+    Whether it reconstructs the chain is checked where it is used, by
+    ``validate_decomposition`` (``analyze`` and ``simulating_automaton``
+    run it).
+    """
     _require(doc, ["letters"], "decomposition")
     if not isinstance(doc["letters"], list):
         raise MalformedDocument("decomposition letters must be a list")
@@ -269,10 +270,8 @@ def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
                 f"letter {entry['name']!r} misses states {missing!r}"
             )
         maps.append(tuple(chain.state(mapping[s]) for s in chain.states))
-    decomposition = Decomposition(
+    return Decomposition(
         letters=name_tuple(names, "decomposition letter names"),
         maps=tuple(maps),
         weights=tuple(weights),
     )
-    validate_decomposition(chain, decomposition)
-    return decomposition

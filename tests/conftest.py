@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,22 +25,42 @@ from latlang.errors import (
     MalformedDocument,
     MismatchedCarrier,
     NegativeEntry,
+    NoIdentity,
     NotAssociative,
     RowSumNotOne,
     SizeCapExceeded,
+    UnknownElement,
 )
-from latlang.lattice import product_name, subset_name
+from latlang.lattice import (
+    check_names,
+    name_tuple,
+    order_from_pairs,
+    product_name,
+    resolve,
+    subset_name,
+)
 from latlang.errors import SingularSystem
 from latlang.markov import (
     LETTER_PREFIX,
     Decomposition,
     ErgodicStructure,
+    MarkovChain,
     decompose,
     ergodic_lattice,
     ergodic_structure,
+    parse_fraction,
     validate_decomposition,
 )
-from latlang.monoid import _make_unchecked, compatibility_violation, direct_product
+from latlang.monoid import (
+    DEFAULT_MAX_SIZE,
+    DivisionVerdict,
+    _check_associative,
+    _check_order,
+    _make_unchecked,
+    _surjection_onto,
+    compatibility_violation,
+    direct_product,
+)
 from latlang.serialize import automaton_to_doc, decomposition_from_doc, triple_to_doc
 from latlang.syntactic import (
     TRANSITION_MONOID_CAP,
@@ -263,6 +284,75 @@ def reference_surjection_onto(m1, m2, carrier, gens):
             continue
         return img
     return None
+
+
+def reference_divides(m1, m2, max_target_size=10):
+    """Reference division search: the closures of every generator subset of
+    ``m2`` by ascending size, with no bound from ``m1``."""
+    if m2.size > max_target_size:
+        return DivisionVerdict("budget_exhausted")
+    non_identity = [i for i in range(m2.size) if i != m2.identity]
+    seen_carriers = set()
+    for k in range(len(non_identity) + 1):
+        for gens in itertools.combinations(non_identity, k):
+            carrier = [m2.identity]
+            seen = {m2.identity}
+            queue = deque([m2.identity])
+            while queue:
+                x = queue.popleft()
+                for g in gens:
+                    y = m2.mul[x][g]
+                    if y not in seen:
+                        seen.add(y)
+                        carrier.append(y)
+                        queue.append(y)
+            key = tuple(sorted(carrier))
+            if key in seen_carriers:
+                continue
+            seen_carriers.add(key)
+            if len(carrier) < m1.size:
+                continue
+            img = _surjection_onto(m1, m2, carrier, gens)
+            if img is not None:
+                mapping = {
+                    m2.elements[x]: m1.elements[img[x]] for x in sorted(img)
+                }
+                return DivisionVerdict(
+                    "yes",
+                    generators=tuple(m2.elements[g] for g in gens),
+                    mapping=mapping,
+                )
+    return DivisionVerdict("no")
+
+
+def reference_build_ordered_monoid(element_names, identity, mul_table, leq_pairs=()):
+    """Reference monoid construction: associativity and compatibility
+    checked through every element."""
+    if isinstance(element_names, str):
+        raise MalformedDocument("element names must be a list, not a string")
+    names = check_names(element_names)
+    n = len(names)
+    if n == 0:
+        raise MalformedDocument("a monoid needs at least one element")
+    if n > DEFAULT_MAX_SIZE:
+        raise SizeCapExceeded(f"monoid size {n} exceeds cap {DEFAULT_MAX_SIZE}")
+    index = {name: i for i, name in enumerate(names)}
+    if not isinstance(mul_table, (list, tuple)) or len(mul_table) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
+    ):
+        raise MalformedDocument("multiplication table must be n x n")
+    mul = [[resolve(index, e, "monoid element") for e in row] for row in mul_table]
+    ident = resolve(index, identity, "monoid element")
+    for x in range(n):
+        if mul[ident][x] != x or mul[x][ident] != x:
+            raise NoIdentity(
+                f"{names[ident]!r} is not a two-sided unit at {names[x]!r}",
+                witness=names[x],
+            )
+    _check_associative(names, mul, range(n))
+    leq = order_from_pairs(index, leq_pairs, "monoid element")
+    _check_order(names, mul, leq, range(n))
+    return _make_unchecked(names, ident, mul, leq)
 
 
 def reference_verify_recog_by_synt(automata, triple):
@@ -577,6 +667,40 @@ def reference_validate_decomposition(chain, decomposition):
                         str(total),
                     ],
                 )
+
+
+def reference_make_chain(states, rows):
+    """Reference chain loader: a dense ``Fraction`` matrix, each row summed
+    over all of its entries."""
+    names = name_tuple(states, "state names")
+    if not names or len(set(names)) != len(names):
+        raise MalformedDocument("states must be a nonempty list of distinct names")
+    index = {s: i for i, s in enumerate(names)}
+    matrix = [[Fraction(0)] * len(names) for _ in names]
+    if not isinstance(rows, Mapping):
+        raise MalformedDocument("rows must be an object")
+    for s, row in rows.items():
+        if s not in index:
+            raise UnknownElement(f"unknown state {s!r} in rows")
+        if not isinstance(row, Mapping):
+            raise MalformedDocument(f"row {s!r} must be an object", witness=s)
+        for t, p in row.items():
+            if t not in index:
+                raise UnknownElement(f"unknown state {t!r} in row {s!r}")
+            value = parse_fraction(p)
+            if value < 0:
+                raise NegativeEntry(
+                    f"negative probability {p!r} at ({s!r}, {t!r})",
+                    witness=[s, t, str(p)],
+                )
+            matrix[index[s]][index[t]] = value
+    for i, s in enumerate(names):
+        total = sum(matrix[i], Fraction(0))
+        if total != 1:
+            raise RowSumNotOne(
+                f"row {s!r} sums to {total}", witness=[s, str(total)]
+            )
+    return MarkovChain(states=names, matrix=tuple(tuple(r) for r in matrix))
 
 
 def reference_solve_exact(matrix, rhs):

@@ -10,6 +10,7 @@ import pytest
 
 from latlang.cli import run
 from latlang.errors import MalformedDocument
+from latlang.markov import validate_decomposition
 from latlang.serialize import (
     automaton_from_doc,
     automaton_to_doc,
@@ -290,6 +291,46 @@ def test_malformed_lattice_documents_are_errors(tmp_path):
         assert json.loads(out)["error"]["kind"] == kind
 
 
+def test_string_order_pairs_are_not_split(tmp_path):
+    """A string where a list of order pairs belongs is rejected as a whole,
+    not read as one pair per character."""
+    monoid = monoid_to_doc(monoid_from_doc({"elements": ["1"], "identity": "1", "mul": [["1"]]}))
+    lattice = {"elements": ["a", "b"], "cover": [["a", "b"]]}
+    for command, bad, text in (
+        (["monoid", "check"], dict(monoid, leq="1"), "'1'"),
+        (["monoid", "check"], dict(monoid, leq=""), "''"),
+        (["lattice", "check"], dict(lattice, cover="ab"), "'ab'"),
+        (["lattice", "check"], dict(lattice, relation="full", leq="ab"), "'ab'"),
+    ):
+        code, out = run(command + [write(tmp_path, "bad.json", bad)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert (error["kind"], error["message"]) == (
+            "MalformedDocument",
+            f"order pairs must be a list, not {text}",
+        )
+
+
+def test_analyze_validates_a_decomposition_once(monkeypatch):
+    """``markov analyze`` checks the reconstruction once, whether the
+    decomposition is read from a file or computed."""
+    import latlang.markov as markov_module
+
+    check = markov_module.validate_decomposition
+    calls = []
+
+    def counting(chain, decomposition):
+        calls.append(decomposition)
+        return check(chain, decomposition)
+
+    monkeypatch.setattr(markov_module, "validate_decomposition", counting)
+    for extra in (["--decomposition", DECOMPOSITION], []):
+        calls.clear()
+        code, _ = run(["markov", "analyze", CHAIN, *extra])
+        assert code == 0
+        assert len(calls) == 1, extra
+
+
 def test_malformed_automaton_chain_and_decomposition_documents_are_errors(tmp_path):
     automaton = json.loads(Path(AUTOMATON).read_text())
     chain = json.loads(Path(CHAIN).read_text())
@@ -311,6 +352,7 @@ def test_malformed_automaton_chain_and_decomposition_documents_are_errors(tmp_pa
         (absorb, dict(chain, rows=dict(chain["rows"], t1=5)), "row 't1' must be an object"),
         (absorb, dict(chain, rows=[1]), "rows must be an object"),
         (absorb, dict(chain, states=[["s"]]), "state names must be strings"),
+        (absorb, dict(chain, states="t1"), "states must be a nonempty list of distinct names"),
         (analyze, {"letters": 5}, "decomposition letters must be a list"),
         (
             analyze,
@@ -429,11 +471,11 @@ def test_markov_commands():
     automaton_from_doc(report["automaton_reachable"])
     monoid_from_doc(report["syntactic"]["monoid"])
     chain = chain_from_doc(json.loads(Path(CHAIN).read_text()))
-    decomposition_from_doc(report["decomposition"], chain)
+    validate_decomposition(chain, decomposition_from_doc(report["decomposition"], chain))
 
     code, out = run(["markov", "decompose", CHAIN])
     assert code == 0
-    decomposition_from_doc(json.loads(out), chain)
+    validate_decomposition(chain, decomposition_from_doc(json.loads(out), chain))
 
     code, out = run(["markov", "absorb", CHAIN])
     assert code == 0

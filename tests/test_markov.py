@@ -22,18 +22,20 @@ from latlang import (
 )
 from latlang.errors import (
     BadFraction,
+    LatlangError,
     MalformedDocument,
     NegativeEntry,
     NoInitial,
     RowSumNotOne,
     SingularSystem,
 )
-from latlang.markov import Decomposition, _solve_exact, parse_fraction
+from latlang.markov import Decomposition, _solve_exact, make_chain, parse_fraction
 
 from conftest import (
     reference_absorption_probabilities,
     reference_decompose,
     reference_ergodic_structure,
+    reference_make_chain,
     reference_solve_exact,
     reference_simulating_automaton,
     reference_validate_decomposition,
@@ -326,6 +328,62 @@ def test_validate_decomposition_matches_reference():
             assert _outcome(validate_decomposition, chain, candidate) == expected, i
             mismatches += expected is not None and expected[0] == "MalformedDocument"
     assert mismatches >= 100
+
+
+def _listed_rows(rng, states):
+    """Seeded rows over ``states``: 1-4 listed entries each, over mixed
+    denominators, written as "p/q", as integers or with an explicit "0"."""
+    rows = {}
+    for s in states:
+        targets = rng.sample(states, rng.randint(1, min(4, len(states))))
+        weights = [rng.randint(0 if k else 1, 6) for k in range(len(targets))]
+        total = sum(weights)
+        rows[s] = {
+            t: w // total if w % total == 0 and rng.random() < 0.5 else str(Fraction(w, total))
+            for t, w in zip(targets, weights)
+        }
+    return rows
+
+
+def _load_outcome(load, states, rows):
+    try:
+        chain = load(states, rows)
+    except LatlangError as exc:
+        return exc.to_doc()
+    return chain.states, chain.matrix, chain.successors
+
+
+def test_make_chain_matches_dense_reference():
+    """Row totals over the listed entries give the dense reference's matrix
+    and successors, or its error document, on seeded chains of 1 to 60
+    states: valid, with a row that sums to something else, with a negative
+    entry, with an unknown state as a target or as a row, and with a
+    missing row."""
+    rng = random.Random(9009)
+    kinds = {}
+    for i in range(200):
+        states = [f"p{k}" for k in range(rng.randint(1, 60))]
+        rows = _listed_rows(rng, states)
+        s = rng.choice(states)
+        t = rng.choice(list(rows[s]))
+        off_sum = dict(rows, **{s: dict(rows[s], **{t: str(Fraction(rng.randint(1, 5), 7))})})
+        negative = dict(rows, **{s: dict(rows[s], **{t: f"-{rng.randint(1, 3)}/4"})})
+        unknown_target = dict(rows, **{s: dict(rows[s], zz="0")})
+        unknown_row = dict(rows, zz={s: "1"})
+        missing = {u: row for u, row in rows.items() if u != s}
+        for case in (rows, off_sum, negative, unknown_target, unknown_row, missing):
+            expected = _load_outcome(reference_make_chain, states, case)
+            assert _load_outcome(make_chain, states, case) == expected, i
+            kind = expected["kind"] if isinstance(expected, dict) else "ok"
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["ok"] >= 200 and kinds["RowSumNotOne"] >= 300, kinds
+    assert kinds["NegativeEntry"] >= 150 and kinds["UnknownElement"] >= 350, kinds
+
+
+def test_string_states_are_not_split():
+    with pytest.raises(MalformedDocument) as err:
+        make_chain("ab", {"a": {"a": "1"}, "b": {"b": "1"}})
+    assert str(err.value) == "states must be a nonempty list of distinct names"
 
 
 def _absorbing_chain(rng, n):

@@ -20,6 +20,7 @@ from latlang.lattice import monotone_violation
 from latlang.monoid import (
     OrderedMonoid,
     _check_associative,
+    _greedy_generators,
     aperiodicity_witness,
     check_generated,
 )
@@ -34,8 +35,10 @@ from latlang.errors import (
 
 from conftest import (
     identity_moved,
+    reference_build_ordered_monoid,
     reference_check_associative,
     reference_direct_product,
+    reference_divides,
     reference_is_aperiodic,
     reference_monoid_to_doc,
     reference_monotone_violation,
@@ -308,6 +311,140 @@ def test_divides_matches_deque_reference_on_seeded_sweep(monkeypatch):
     assert walked == documents()
     verdicts = [doc["verdict"] for pair in walked for doc in pair]
     assert verdicts.count("yes") >= 100 and verdicts.count("no") >= 100
+
+
+def _product_of(rng, pool, lo, hi):
+    """A seeded direct product of 2-3 monoids of ``pool`` with lo to hi
+    elements, and its factors."""
+    while True:
+        factors = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        if lo <= functools.reduce(lambda k, f: k * f.size, factors, 1) <= hi:
+            return factors, direct_product(factors)[0]
+
+
+def _division_pairs(seed):
+    """Seeded (m1, m2, budget) triples: a small monoid against a small one
+    or a product of 4 to 8 elements, at budget 6 or 16; a factor of a
+    product of 9 to 16 elements against that product; a product of 4 to 8
+    elements against a product it is a factor of."""
+    rng = random.Random(seed)
+    pool = small_monoids()
+    pairs = []
+    for _ in range(200):
+        m2 = rng.choice(pool) if rng.random() < 0.5 else _product_of(rng, pool, 4, 8)[1]
+        pairs.append((rng.choice(pool), m2, rng.choice([6, 16])))
+    for _ in range(30):
+        factors, m2 = _product_of(rng, pool, 9, 16)
+        pairs.append((rng.choice(factors), m2, 16))
+    for _ in range(10):
+        factors, m1 = _product_of(rng, pool, 4, 8)
+        m2 = direct_product([m1, rng.choice(pool[:8])])[0]
+        pairs.append((m1, m2, 16))
+    return pairs
+
+
+def test_divides_matches_unbounded_reference_on_seeded_sweep():
+    """Stopping at the size of ``m1``'s greedy generating set gives the
+    verdict documents of the search over every generator subset."""
+    verdicts = {"yes": 0, "no": 0, "budget_exhausted": 0}
+    for i, (m1, m2, budget) in enumerate(_division_pairs(1515)):
+        expected = reference_divides(m1, m2, budget).to_doc()
+        assert divides(m1, m2, budget).to_doc() == expected, i
+        verdicts[expected["verdict"]] += 1
+    assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_division_passes_at_most_rank_generators(monkeypatch):
+    """No closure in the division search gets more generators than
+    ``m1``'s greedy generating set has; the "no" verdicts on carriers with
+    more non-identity elements than that show the bound is reached."""
+    import latlang.monoid as monoid_module
+
+    closure = monoid_module._closure_of
+    calls = []
+
+    def recording(mul, identity, gens):
+        calls.append(tuple(gens))
+        return closure(mul, identity, gens)
+
+    monkeypatch.setattr(monoid_module, "_closure_of", recording)
+    bounded = 0
+    for m1, m2, budget in _division_pairs(1616):
+        rank = len(_greedy_generators(m1.mul, m1.identity))
+        calls.clear()
+        verdict = divides(m1, m2, budget).kind
+        assert all(len(gens) <= rank for gens in calls)
+        bounded += verdict == "no" and m2.size - 1 > rank
+    assert bounded >= 40
+
+
+def test_greedy_generators_generate():
+    """Each greedy generator is the least element the earlier ones miss,
+    and together they generate the monoid."""
+    rng = random.Random(1717)
+    pool = small_monoids()
+    cases = [identity_moved(rng, m) for m in pool[::7]]
+    cases += [identity_moved(rng, _product_of(rng, pool, 16, 64)[1]) for _ in range(10)]
+    for m in cases:
+        gens = _greedy_generators(m.mul, m.identity)
+        assert generated_submonoid(m, gens)[0].size == m.size
+        for k, g in enumerate(gens):
+            below = set(generated_submonoid(m, gens[:k])[1].mapping)
+            assert g not in below
+            assert all(x in below for x in range(g))
+
+
+def _build_doc(build, m, mul, pairs):
+    try:
+        return monoid_to_doc(build(m.elements, m.elements[m.identity], mul, pairs))
+    except LatlangError as exc:
+        return exc.kind, exc.to_doc()
+
+
+def test_build_matches_all_element_reference():
+    """Seeded relabelings of the small monoids and of products of 16 to 64
+    elements, as documents: valid, with one corrupted table entry, and with
+    one extra order pair.  The generator check builds the reference's
+    monoid or raises its error kind, message and witness."""
+    rng, cases = _seeded_relabelings(1818, 40)
+    outcomes = {}
+    for m in cases:
+        n = m.size
+        mul = [[m.elements[z] for z in row] for row in m.mul]
+        pairs = [list(p) for p in m.order_pairs()]
+        corrupted = [list(row) for row in mul]
+        corrupted[rng.randrange(n)][rng.randrange(n)] = m.elements[rng.randrange(n)]
+        extra = pairs + [[m.elements[rng.randrange(n)], m.elements[rng.randrange(n)]]]
+        for table, order in ((mul, pairs), (corrupted, pairs), (mul, extra)):
+            expected = _build_doc(reference_build_ordered_monoid, m, table, order)
+            assert _build_doc(build_ordered_monoid, m, table, order) == expected
+            kind = expected[0] if isinstance(expected, tuple) else "ok"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert all(
+        outcomes.get(kind, 0) >= 50
+        for kind in ("ok", "NoIdentity", "NotAssociative", "NotCompatible", "NotAntisymmetric")
+    ), outcomes
+
+
+def test_build_checks_associativity_through_generators(monkeypatch):
+    """On a valid 64-element product, ``build_ordered_monoid`` runs Light's
+    test only through a generating set smaller than the monoid."""
+    import latlang.monoid as monoid_module
+
+    check = monoid_module._check_associative
+    sizes = []
+
+    def recording(names, mul, gens):
+        sizes.append(len(gens))
+        return check(names, mul, gens)
+
+    product, _ = direct_product([u1("z<1"), z2(), u1("1<z"), z2(), u1("z<1"), z2()])
+    assert product.size == 64
+    doc = monoid_to_doc(product)
+    monkeypatch.setattr(monoid_module, "_check_associative", recording)
+    built = build_ordered_monoid(doc["elements"], doc["identity"], doc["mul"], doc["leq"])
+    assert monoid_to_doc(built) == doc
+    assert sizes and all(size < product.size for size in sizes), sizes
 
 
 def test_divides_matches_brute_force_oracle():
