@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
@@ -402,58 +402,119 @@ def _simulating_automaton(
     )
 
 
-def _solve_exact(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
-    [A | B], n of them, with multiple right-hand sides.
+def _solve_exact(
+    rows: list[tuple[dict[int, int], list[int]]]
+) -> list[list[Fraction]]:
+    """Sparse fraction-free elimination of the integer system A x = B, n
+    rows, with multiple right-hand sides.  Row i is ``(entries, rhs)``:
+    ``entries`` maps each column where row i of A is nonzero to its entry,
+    and ``rhs`` is row i of B.  Row j of the answer is x_j, one fraction
+    per right-hand side.
 
-    The pivot of a column is its first nonzero entry at or below the
-    diagonal; every other row r becomes (p * row_r - f * pivot_row) // prev,
-    where p is the pivot, f is row r's entry in the pivot column and prev
-    the previous pivot, and the division is exact.  Columns left of the
-    pivot are zero off the diagonal and stay so, and every diagonal entry
-    ends as the last pivot d, so only the columns from the pivot on are
-    updated and each answer is v / d.
+    Each pivot is the entry that keeps the rows sparsest (Markowitz 1957):
+    the least (row entries - 1) * (column entries - 1) over the rows not
+    yet pivoted, ties to the lowest row and then column, so the pivot of a
+    column comes from whichever row it needs.  Every other row holding the
+    pivot column c becomes p * row - f * pivot_row, for p the pivot and f
+    the row's entry in c, both over their gcd, and is then divided by the
+    gcd of its entries; an active row left with no entry means the system
+    is singular.  A row's cost is recomputed only when the last pivot
+    touched its entries or the counts of its columns.  Back-substitution
+    runs in reverse pivot order, each unknown held as integer numerators
+    over one positive denominator.
     """
     n = len(rows)
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem("absorption system is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col][col:]
-        p = top[0]
-        for r in range(n):
-            if r != col:
-                row = rows[r]
-                f = row[col]
-                row[col:] = [(p * v - f * w) // prev for v, w in zip(row[col:], top)]
-        prev = p
-    return [[Fraction(v, prev) for v in row[n:]] for row in rows]
+    a = [entries for entries, _ in rows]
+    b = [rhs for _, rhs in rows]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for r, entries in enumerate(a):
+        for c in entries:
+            cols[c].add(r)
+    cost = [0] * n
+    active, dirty = list(range(n)), range(n)
+    pivots = []
+    while active:
+        for r in dirty:
+            entries = a[r]
+            if not entries:
+                raise SingularSystem("absorption system is singular")
+            cost[r] = (len(entries) - 1) * (min(map(len, map(cols.__getitem__, entries))) - 1)
+        r = min(active, key=cost.__getitem__)
+        active.remove(r)
+        top, top_rhs = a[r], b[r]
+        least = min(map(len, map(cols.__getitem__, top)))
+        c = min(col for col in top if len(cols[col]) == least)
+        pivots.append((r, c))
+        for col in top:
+            cols[col].discard(r)
+        for i in cols[c]:
+            g = gcd(top[c], a[i][c])
+            p, f = top[c] // g, a[i][c] // g
+            row = {col: p * v for col, v in a[i].items() if col != c}
+            for col, w in top.items():
+                if col != c:
+                    v = row.get(col, 0) - f * w
+                    if v:
+                        row[col] = v
+                        cols[col].add(i)
+                    else:
+                        del row[col]
+                        cols[col].discard(i)
+            rhs = [p * v - f * w for v, w in zip(b[i], top_rhs)]
+            g = gcd(*row.values(), *rhs)
+            if g > 1:
+                row = {col: v // g for col, v in row.items()}
+                rhs = [v // g for v in rhs]
+            a[i], b[i] = row, rhs
+        dirty = set().union(*map(cols.__getitem__, top))
+        cols[c] = set()
+    nums: list[list[int]] = [[]] * n
+    dens = [1] * n
+    for r, c in reversed(pivots):
+        entries = a[r]
+        den = lcm(*(dens[j] for j in entries if j != c))
+        x = [v * den for v in b[r]]
+        for j, w in entries.items():
+            if j != c:
+                scale = den // dens[j] * w
+                x = [v - scale * y for v, y in zip(x, nums[j])]
+        den *= entries[c]
+        if den < 0:
+            den, x = -den, [-v for v in x]
+        g = gcd(den, *x)
+        nums[c], dens[c] = [v // g for v in x], den // g
+    return [[Fraction(v, d) for v in x] for x, d in zip(nums, dens)]
 
 
 def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction]]:
     """Per ergodic class, the exact absorption probability from every state.
 
     States inside the class get 1, states of other ergodic classes 0, and
-    transient states solve x = Pi x with boundary values, by fraction-free
-    elimination over the integers.  Each row of [I - Q | class sums] is
-    built as integers, scaled by the lcm of its row's denominators.
+    transient states solve x = Pi x with boundary values, by sparse
+    fraction-free elimination over the integers.  Each row of
+    [I - Q | class sums] is built from the state's successors alone, as
+    integers scaled by the lcm of its row's denominators.
     """
     structure = ergodic_structure(chain)
     ergodic = structure.ergodic_classes()
     transient = structure.transient_states
     t_index = {s: i for i, s in enumerate(transient)}
+    class_of = {t: c for c, members in enumerate(ergodic) for t in members}
     rows = []
     for s in transient:
         row = chain.matrix[s]
         successors = chain.successors[s]
         scale = lcm(*(row[t].denominator for t in successors))
-        scaled = {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
-        rows.append(
-            [scale * (s == t) - scaled.get(t, 0) for t in transient]
-            + [sum(scaled.get(t, 0) for t in members) for members in ergodic]
-        )
+        entries = {t_index[s]: scale}
+        masses = [0] * len(ergodic)
+        for t in successors:
+            v = row[t].numerator * (scale // row[t].denominator)
+            if t in t_index:
+                i = t_index[t]
+                entries[i] = entries.get(i, 0) - v
+            else:
+                masses[class_of[t]] += v
+        rows.append((entries, masses))
     solved = _solve_exact(rows) if transient else []
     result: dict[int, dict[str, Fraction]] = {}
     for c, members in enumerate(ergodic):

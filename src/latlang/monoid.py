@@ -127,7 +127,7 @@ def build_ordered_monoid(
         not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
     ):
         raise MalformedDocument("multiplication table must be n x n")
-    mul = [[resolve(index, e, "monoid element") for e in row] for row in mul_table]
+    mul = [_resolve_row(index, row) for row in mul_table]
     ident = resolve(index, identity, "monoid element")
 
     for x in range(n):
@@ -143,6 +143,22 @@ def build_ordered_monoid(
     _check_through(gens, n, _check_order, names, mul, leq)
 
     return _make_unchecked(names, ident, mul, leq)
+
+
+def _resolve_row(index: Mapping[str, int], row: Sequence[int | str]) -> list[int]:
+    """A table row's entries as positions, by one name lookup per entry.
+
+    Only a row with an entry that is not a name (a position, or something
+    unknown or unhashable) goes through ``resolve`` entry by entry, so a
+    bad entry raises the error ``resolve`` raises for it.
+    """
+    try:
+        resolved = list(map(index.get, row))
+    except TypeError:
+        resolved = [None]
+    if None in resolved:
+        return [resolve(index, e, "monoid element") for e in row]
+    return resolved
 
 
 def _check_through(gens: Sequence[int], n: int, check, *table) -> None:

@@ -19,7 +19,6 @@ from .automaton import (
     Word,
     constant_automaton,
     equivalent,
-    find_difference,
     make_automaton,
     recolor,
     word_name,
@@ -36,6 +35,7 @@ from .lattice import (
     build_lattice,
     cons as cons_morphism,
     mutual_pair,
+    orbit,
     order_from_pairs,
     standard_lattice,
 )
@@ -249,18 +249,27 @@ class VerificationReport:
         }
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bools as binary digits
+
+
 def verify_recog_by_synt(
     automata: Sequence[LatticeAutomaton], triple: RecognitionTriple
 ) -> VerificationReport:
     """Check the product-of-syntactic-monoids recognition identities.
 
     Each identity compares two colorings of the product as two outputs of
-    the triple's machine, whose states are the product's elements:
+    the triple's machine, whose states are the product's elements, on the
+    states that one breadth-first pass of the machine reaches:
     (a) for each element m, x is bottom iff x <= m in the product, against
-    x is bottom iff every projection has x_i <= m_i;
+    x is bottom iff every projection has x_i <= m_i, as two bitsets: the
+    column of m in the order, and the AND over the projections of the
+    elements whose i-th component is below m_i;
     (b) the triple's colors, against x -> the meet of P(m) over all m >= x.
-    The product order is componentwise and transitive, so every coloring
-    built here is order-preserving by construction.
+    A failure names the first differing state in discovery order and the
+    word that first reached it, which is the shortest word on which the
+    two outputs differ.  The product order is componentwise and
+    transitive, so every coloring compared here is order-preserving by
+    construction.
     """
     from .serialize import automaton_to_doc, triple_to_doc
 
@@ -277,14 +286,23 @@ def verify_recog_by_synt(
         "lattice": list(lat.elements),
     }
     machine = triple_to_automaton(triple)
-    elements = range(product.size)
+    order, table = orbit(machine.initial, machine.delta.__getitem__)
+    reachable = sum(1 << x for x in order)
 
-    def difference(left, right) -> Word | None:
-        return find_difference(
-            replace(machine, output=tuple(left)), replace(machine, output=tuple(right))
-        )
+    def word_to(j: int) -> Word:
+        """The word that first reaches ``order[j]``, read back along the
+        orbit's first edges: the word ``find_difference`` would name."""
+        first: dict[int, tuple[int, int]] = {}
+        for i, row in enumerate(table):
+            for l, k in enumerate(row):
+                first.setdefault(k, (i, l))
+        letters = []
+        while j:
+            j, l = first[j]
+            letters.append(machine.alphabet[l])
+        return tuple(reversed(letters))
 
-    def fail(which: str, m_index: int, word: Word) -> VerificationReport:
+    def fail(which: str, m_index: int, j: int) -> VerificationReport:
         return VerificationReport(
             check="recog_by_synt",
             instance=instance,
@@ -292,32 +310,36 @@ def verify_recog_by_synt(
             witness={
                 "identity": which,
                 "element": product.elements[m_index],
-                "word": word_name(word),
+                "word": word_name(word_to(j)),
                 "triple": triple_to_doc(triple),
                 "automata": [automaton_to_doc(a) for a in automata],
             },
         )
 
-    for m in elements:
-        ideal = [lat.bottom if product.leq[x][m] else lat.top for x in elements]
-        joined = [
-            lat.bottom
-            if all(p.target.leq[p.mapping[x]][p.mapping[m]] for p in projections)
-            else lat.top
-            for x in elements
-        ]
-        diff = difference(ideal, joined)
-        if diff is not None:
-            return fail("join_of_projections", m, diff)
+    below = [int(bytes(column[::-1]).translate(_DIGITS), 2) for column in zip(*product.leq)]
+    projected = []
+    for p in projections:
+        at = [0] * p.target.size
+        for x, u in enumerate(p.mapping):
+            at[u] |= 1 << x
+        projected.append(
+            [sum(bits for bits, le in zip(at, column) if le) for column in zip(*p.target.leq)]
+        )
+    for m in range(product.size):
+        joined = reachable
+        for p, bits in zip(projections, projected):
+            joined &= bits[p.mapping[m]]
+        differs = (below[m] ^ joined) & reachable
+        if differs:
+            return fail(
+                "join_of_projections", m,
+                next(j for j, x in enumerate(order) if differs >> x & 1),
+            )
 
     colors = triple.coloring.colors
-    rebuilt = [
-        lat.meet_all(colors[m] for m in elements if product.leq[x][m])
-        for x in elements
-    ]
-    diff = difference(colors, rebuilt)
-    if diff is not None:
-        return fail("ideal_representation", -1, diff)
+    for j, x in enumerate(order):
+        if colors[x] != lat.meet_all([c for c, le in zip(colors, product.leq[x]) if le]):
+            return fail("ideal_representation", -1, j)
     return VerificationReport("recog_by_synt", instance, "pass")
 
 

@@ -9,7 +9,8 @@ verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
 two searches kept apart on purpose.  Monoid tables come from a search,
 not a full product, the absorption solver and the word measure build
-fractions only for their answers, the recognition check runs on one
+fractions only for their answers, each absorption row is built from its
+state's successors alone, the recognition check runs on one
 machine, and the enumeration keys each table, not each (table, order) pair.
 The syntactic order is built from bitsets, not by comparing every pair of
 word maps.
@@ -122,6 +123,35 @@ def test_solver_builds_fractions_only_in_its_answer():
     assert not any(
         isinstance(node, ast.Attribute) and node.attr == "denominator"
         for node in ast.walk(bodies["_solve_exact"])
+    )
+
+
+def test_absorption_rows_are_built_sparse():
+    """``absorption_probabilities`` builds each transient state's row from
+    the state's successors: its per-state loop iterates over no collection
+    of all transient states and takes no length of one."""
+    tree = ast.parse((SRC / "markov.py").read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "absorption_probabilities"
+    )
+    loops = [
+        node for node in ast.walk(body)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Name)
+        and node.iter.id == "transient"
+    ]
+    assert len(loops) == 1
+    inner = [node for stmt in loops[0].body for node in ast.walk(stmt)]
+    iterated = [node.iter for node in inner if isinstance(node, (ast.For, ast.comprehension))]
+    sized = [
+        arg for node in inner
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len"
+        for arg in node.args
+    ]
+    assert not any(
+        isinstance(node, ast.Name) and node.id in ("transient", "t_index")
+        for node in iterated + sized
     )
 
 

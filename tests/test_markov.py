@@ -420,11 +420,13 @@ def _absorption_system(chain):
 
 def _solve_scaled(matrix, rhs):
     """``_solve_exact`` on the rows of [A | B], each scaled to integers by
-    the lcm of its denominators."""
+    the lcm of its denominators, with A's row as its nonzero columns."""
     rows = []
-    for entries in (a_row + b_row for a_row, b_row in zip(matrix, rhs)):
-        scale = lcm(*(v.denominator for v in entries))
-        rows.append([v.numerator * (scale // v.denominator) for v in entries])
+    for a_row, b_row in zip(matrix, rhs):
+        scale = lcm(*(v.denominator for v in a_row + b_row))
+        ints = [v.numerator * (scale // v.denominator) for v in a_row + b_row]
+        n = len(a_row)
+        rows.append(({j: v for j, v in enumerate(ints[:n]) if v}, ints[n:]))
     return _solve_exact(rows)
 
 
@@ -566,6 +568,66 @@ def test_absorption_matches_fraction_reference():
         assert absorption_probabilities(chain) == reference_absorption_probabilities(chain), i
         transient += bool(ergodic_structure(chain).transient_states)
     assert transient >= 80
+
+
+def test_sparse_absorption_matches_fraction_reference_by_class_count():
+    """The sparse rows and the fill-reducing elimination give the dense
+    ``Fraction`` reference's probabilities on absorbing, sparse and coprime
+    chains with one, two or three ergodic classes."""
+    rng = random.Random(1414)
+    families = (_absorbing_chain, _sparse_chain, _coprime_chain)
+    with_transient = {1: 0, 2: 0, 3: 0}
+    for i in range(300):
+        chain = families[i % 3](rng, rng.randint(2, 30))
+        structure = ergodic_structure(chain)
+        k = len(structure.ergodic_classes())
+        if k not in with_transient:
+            continue
+        with_transient[k] += bool(structure.transient_states)
+        assert absorption_probabilities(chain) == reference_absorption_probabilities(chain), i
+    assert min(with_transient.values()) >= 30, with_transient
+
+
+def _large_chain(rng, n):
+    """Seeded chain on n states in the style of ``_random_chain``: each row
+    gets small random weights normalized exactly, here over 1-3 random
+    successors and a step to a later state, and the last 2-6 states are
+    absorbing, so most states are transient."""
+    states = [f"p{i}" for i in range(n)]
+    absorbing = rng.randint(2, 6)
+    rows = {}
+    for i, s in enumerate(states):
+        if i >= n - absorbing:
+            rows[s] = {s: "1"}
+            continue
+        targets = {states[rng.randrange(i + 1, n)], *rng.sample(states, rng.randint(1, 3))}
+        weights = {t: rng.randint(1, 3) for t in sorted(targets)}
+        total = sum(weights.values())
+        rows[s] = {t: str(Fraction(w, total)) for t, w in weights.items()}
+    return chain_of(states, rows)
+
+
+def test_absorption_is_exact_at_scale():
+    """On chains of 120-200 states, where the ``Fraction`` reference is too
+    slow to run, every transient state's answer satisfies x = Qx + b
+    exactly and its probabilities sum to 1 over the classes."""
+    rng = random.Random(1515)
+    transient_total = 0
+    for _ in range(4):
+        chain = _large_chain(rng, rng.randint(120, 200))
+        structure = ergodic_structure(chain)
+        ergodic = structure.ergodic_classes()
+        table = absorption_probabilities(chain)
+        x = [[table[c][name] for name in chain.states] for c in range(len(ergodic))]
+        for s in structure.transient_states:
+            row = chain.matrix[s]
+            for c in range(len(ergodic)):
+                step = sum((row[t] * x[c][t] for t in chain.successors[s]), Fraction(0))
+                assert x[c][s] == step, (chain.states[s], c)
+            assert sum(x[c][s] for c in range(len(ergodic))) == 1
+        assert len(ergodic) >= 2
+        transient_total += len(structure.transient_states)
+    assert transient_total >= 400
 
 
 def test_absorption_positive_iff_reachable(two_sink_chain):
