@@ -302,13 +302,14 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
         return EXIT_OK, ser.automaton_to_doc(minimize(a))
     if command == "syntactic":
         synt = syntactic(a)
+        coloring = ser.coloring_to_doc(synt.coloring)
         return EXIT_OK, {
-            "monoid": ser.monoid_to_doc(synt.monoid),
+            "monoid": coloring["monoid"],
             "images": {
                 letter: synt.monoid.elements[g]
                 for letter, g in zip(synt.alphabet, synt.generator_images)
             },
-            "coloring": ser.coloring_to_doc(synt.coloring),
+            "coloring": coloring,
             "witnesses": {
                 synt.monoid.elements[i]: ser.word_doc(w)
                 for i, w in enumerate(synt.witnesses)

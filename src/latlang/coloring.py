@@ -51,7 +51,7 @@ def make_op_coloring(
     colors: Mapping[str, int | str] | Sequence[int | str],
 ) -> OpColoring:
     """Validate an op-coloring given as a dict over element names or a sequence."""
-    values = mapping_images(colors, monoid.elements, lattice.index, "coloring")
+    values = mapping_images(colors, monoid.elements, lattice.size, lattice.index, "coloring")
     bad = monotone_violation(monoid.leq, lattice.leq, values)
     if bad is not None:
         a, b = bad

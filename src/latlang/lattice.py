@@ -116,21 +116,32 @@ def monotone_violation(
 def mapping_images(
     mapping: Mapping[str, int | str] | Sequence[int | str],
     names: Sequence[str],
+    size: int,
     lookup: Callable[[int | str], int],
     what: str,
 ) -> tuple[int, ...]:
     """Images of ``names`` under a map given as an object keyed by name or
-    as a list in order; ``lookup`` resolves each image."""
+    as a list in order, into a target of ``size`` elements.
+
+    Images that are all plain ints (bools are names) are range-checked in
+    one step, by their least and greatest; any others, or an int out of
+    range, go through ``lookup`` entry by entry, so a bad entry raises the
+    error ``lookup`` raises for it.
+    """
     if isinstance(mapping, Mapping):
         missing = [e for e in names if e not in mapping]
         if missing:
             raise MalformedDocument(f"{what} misses elements {missing!r}")
-        return tuple(lookup(mapping[e]) for e in names)
-    if isinstance(mapping, str) or not isinstance(mapping, Sequence):
+        images = [mapping[e] for e in names]
+    elif isinstance(mapping, str) or not isinstance(mapping, Sequence):
         raise MalformedDocument(f"{what} must be an object or a list")
-    if len(mapping) != len(names):
+    elif len(mapping) != len(names):
         raise MalformedDocument(f"{what} has the wrong length")
-    return tuple(lookup(v) for v in mapping)
+    else:
+        images = mapping
+    if set(map(type, images)) == {int} and 0 <= min(images) and max(images) < size:
+        return tuple(images)
+    return tuple(map(lookup, images))
 
 
 def orbit(
@@ -241,7 +252,10 @@ def build_lattice(
 
     ``pairs`` lists [lo, hi] entries: Hasse covers or any set of order pairs.
     The reflexive-transitive closure is taken, then antisymmetry and the
-    existence of unique binary lubs/glbs are checked.
+    existence of unique binary lubs/glbs are checked.  The up-set and
+    down-set of each element are bitsets: the lubs of a and b are the c in
+    up[a] & up[b] that no other element of it lies below, listed in index
+    order, and the glbs are found in the same way with up and down swapped.
     """
     names = check_names(element_names)
     n = len(names)
@@ -256,33 +270,28 @@ def build_lattice(
     if n == 1:
         raise TrivialLattice("bottom equals top in a one-element lattice")
 
-    uppers = [frozenset(c for c in range(n) if leq[a][c]) for a in range(n)]
-    lowers = [frozenset(c for c in range(n) if leq[c][a]) for a in range(n)]
-
+    up = [_bits(row) for row in leq]
+    down = [_bits(column) for column in zip(*leq)]
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            common_up = sorted(uppers[a] & uppers[b])
-            minimal = [c for c in common_up
-                       if not any(d != c and leq[d][c] for d in common_up)]
-            if len(minimal) != 1:
+            least = _extremes(up[a] & up[b], down)
+            if len(least) != 1:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique least upper bound",
                     witness={"pair": [names[a], names[b]], "bound": "join",
-                             "candidates": [names[c] for c in minimal]},
+                             "candidates": [names[c] for c in least]},
                 )
-            join_table[a][b] = join_table[b][a] = minimal[0]
-            common_down = sorted(lowers[a] & lowers[b])
-            maximal = [c for c in common_down
-                       if not any(d != c and leq[c][d] for d in common_down)]
-            if len(maximal) != 1:
+            join_table[a][b] = join_table[b][a] = least[0]
+            greatest = _extremes(down[a] & down[b], up)
+            if len(greatest) != 1:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique greatest lower bound",
                     witness={"pair": [names[a], names[b]], "bound": "meet",
-                             "candidates": [names[c] for c in maximal]},
+                             "candidates": [names[c] for c in greatest]},
                 )
-            meet_table[a][b] = meet_table[b][a] = maximal[0]
+            meet_table[a][b] = meet_table[b][a] = greatest[0]
 
     top = 0
     bottom = 0
@@ -298,6 +307,26 @@ def build_lattice(
         top=top,
         bottom=bottom,
     )
+
+
+def _bits(row: Iterable[bool]) -> int:
+    """The set of positions where ``row`` is true, as an int."""
+    return sum(1 << c for c, flag in enumerate(row) if flag)
+
+
+def _extremes(common: int, beyond: Sequence[int]) -> list[int]:
+    """The c in the bitset ``common``, in index order, whose ``beyond[c]``
+    meets ``common`` only in c: its least elements when ``beyond`` holds
+    down-sets, its greatest when it holds up-sets."""
+    found = []
+    rest = common
+    while rest:
+        low = rest & -rest
+        c = low.bit_length() - 1
+        if beyond[c] & common == low:
+            found.append(c)
+        rest ^= low
+    return found
 
 
 def subset_name(members: Iterable[int]) -> str:
@@ -396,7 +425,9 @@ def make_lattice_morphism(
     lattice: Lattice, mapping: Mapping[str, int | str] | Sequence[int | str]
 ) -> LatticeMorphism:
     """Validate an order-preserving self-map given as a dict or a sequence."""
-    images = mapping_images(mapping, lattice.elements, lattice.index, "morphism mapping")
+    images = mapping_images(
+        mapping, lattice.elements, lattice.size, lattice.index, "morphism mapping"
+    )
     bad = monotone_violation(lattice.leq, lattice.leq, images)
     if bad is not None:
         a, b = bad

@@ -276,6 +276,8 @@ def direct_product(
     a tuple is its mixed-radix value (``product_index``).  The factors are
     folded in one at a time: element (x, j) of the partial product times M
     is x*|M| + j, so its products and order come from the partial tables.
+    A one-element factor leaves those tables as they are, so folding it in
+    only extends the element names and adds an all-zero projection.
     """
     if not monoids:
         raise MalformedDocument("direct product needs at least one factor")
@@ -294,6 +296,9 @@ def direct_product(
     for m in monoids:
         s = m.size
         parts = [p + (e,) for p in parts for e in m.elements]
+        if s == 1:
+            components.append([0] * len(parts))
+            continue
         mul = [[xy * s + z for xy in x for z in j] for x in mul for j in m.mul]
         leq = [[a and b for a in x for b in j] for x in leq for j in m.leq]
         components = [[c for c in proj for _ in range(s)] for proj in components]
@@ -370,7 +375,9 @@ def make_monoid_morphism(
     mapping: Mapping[str, int | str] | Sequence[int | str],
 ) -> MonoidMorphism:
     """Validate a morphism: unit, multiplicativity, order preservation."""
-    images = mapping_images(mapping, source.elements, target.index, "morphism mapping")
+    images = mapping_images(
+        mapping, source.elements, target.size, target.index, "morphism mapping"
+    )
     if images[source.identity] != target.identity:
         raise NotAMorphism("identity is not preserved")
     for a in range(source.size):

@@ -300,11 +300,20 @@ def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]
 
     For each lattice value v, take the syntactic monoid of the cut language;
     the coloring of a product element is the product meet over v of the cut
-    color joined with v.  The returned flag asserts that the triple
-    recognizes the original language (exact equivalence check).
+    color joined with v.  A cut keeps the machine and changes only its
+    output, so values with the same cut output share one syntactic monoid,
+    built once; the product still has one factor per value.  The returned
+    flag asserts that the triple recognizes the original language (exact
+    equivalence check).
     """
     lat = a.lattice
-    synts = [syntactic(cut(a, v)) for v in range(lat.size)]
+    by_output: dict[tuple[int, ...], SyntacticResult] = {}
+    synts = []
+    for v in range(lat.size):
+        c = cut(a, v)
+        if c.output not in by_output:
+            by_output[c.output] = syntactic(c)
+        synts.append(by_output[c.output])
     coloring = product_coloring(
         "pmeet",
         [

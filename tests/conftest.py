@@ -20,19 +20,25 @@ from latlang import (
     standard_lattice,
 )
 from latlang.automaton import find_difference, minimize, word_name
-from latlang.coloring import ideal_coloring, make_op_coloring
+from latlang.coloring import ideal_coloring, make_op_coloring, postcompose, product_coloring
 from latlang.errors import (
     MalformedDocument,
     MismatchedCarrier,
     NegativeEntry,
     NoIdentity,
+    NotALattice,
     NotAssociative,
     RowSumNotOne,
     SizeCapExceeded,
+    TrivialLattice,
     UnknownElement,
 )
+from latlang.lattice import DEFAULT_MAX_SIZE as LATTICE_MAX_SIZE
 from latlang.lattice import (
+    Lattice,
+    check_antisymmetric,
     check_names,
+    make_lattice_morphism,
     name_tuple,
     order_from_pairs,
     product_name,
@@ -60,6 +66,7 @@ from latlang.monoid import (
     _surjection_onto,
     compatibility_violation,
     direct_product,
+    product_index,
 )
 from latlang.serialize import automaton_to_doc, decomposition_from_doc, triple_to_doc
 from latlang.syntactic import (
@@ -67,6 +74,8 @@ from latlang.syntactic import (
     RecognitionTriple,
     SyntacticResult,
     _state_preorder,
+    cut,
+    recognizes,
     syntactic,
     triple_to_automaton,
 )
@@ -242,6 +251,32 @@ def reference_syntactic(a):
         coloring=make_op_coloring(monoid, a.lattice, [a.output[m[a.initial]] for m in maps]),
         witnesses=tuple(witnesses),
     )
+
+
+def reference_reconstruct_from_cuts(a):
+    """Reference cut reconstruction: one ``syntactic(cut(a, v))`` per lattice
+    value v, repeated cut languages included."""
+    lat = a.lattice
+    synts = [syntactic(cut(a, v)) for v in range(lat.size)]
+    coloring = product_coloring(
+        "pmeet",
+        [
+            postcompose(make_lattice_morphism(lat, lat.join_table[v]), s.coloring)
+            for v, s in enumerate(synts)
+        ],
+    )
+    sizes = [s.monoid.size for s in synts]
+    images = tuple(
+        product_index(sizes, [s.generator_images[l] for s in synts])
+        for l in range(len(a.alphabet))
+    )
+    triple = RecognitionTriple(
+        alphabet=a.alphabet,
+        generator_images=images,
+        monoid=coloring.monoid,
+        coloring=coloring,
+    )
+    return triple, recognizes(triple, a)
 
 
 def reference_surjection_onto(m1, m2, carrier, gens):
@@ -606,6 +641,60 @@ def reference_monoid_to_doc(monoid):
             if monoid.leq[a][b]
         ),
     }
+
+
+def reference_build_lattice(element_names, pairs):
+    """Reference lattice build: the bounds of each pair from frozensets of
+    upper and lower bounds, sorted and scanned for their least elements."""
+    names = check_names(element_names)
+    n = len(names)
+    if n == 0:
+        raise TrivialLattice("a lattice needs at least two elements")
+    if n > LATTICE_MAX_SIZE:
+        raise SizeCapExceeded(f"lattice size {n} exceeds cap {LATTICE_MAX_SIZE}")
+    index = {name: i for i, name in enumerate(names)}
+    leq = order_from_pairs(index, pairs, "lattice element")
+    check_antisymmetric(names, leq)
+    if n == 1:
+        raise TrivialLattice("bottom equals top in a one-element lattice")
+    uppers = [frozenset(c for c in range(n) if leq[a][c]) for a in range(n)]
+    lowers = [frozenset(c for c in range(n) if leq[c][a]) for a in range(n)]
+    join_table = [[0] * n for _ in range(n)]
+    meet_table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            common_up = sorted(uppers[a] & uppers[b])
+            minimal = [c for c in common_up
+                       if not any(d != c and leq[d][c] for d in common_up)]
+            if len(minimal) != 1:
+                raise NotALattice(
+                    f"{names[a]!r} and {names[b]!r} have no unique least upper bound",
+                    witness={"pair": [names[a], names[b]], "bound": "join",
+                             "candidates": [names[c] for c in minimal]},
+                )
+            join_table[a][b] = join_table[b][a] = minimal[0]
+            common_down = sorted(lowers[a] & lowers[b])
+            maximal = [c for c in common_down
+                       if not any(d != c and leq[c][d] for d in common_down)]
+            if len(maximal) != 1:
+                raise NotALattice(
+                    f"{names[a]!r} and {names[b]!r} have no unique greatest lower bound",
+                    witness={"pair": [names[a], names[b]], "bound": "meet",
+                             "candidates": [names[c] for c in maximal]},
+                )
+            meet_table[a][b] = meet_table[b][a] = maximal[0]
+    top = bottom = 0
+    for e in range(1, n):
+        top = join_table[top][e]
+        bottom = meet_table[bottom][e]
+    return Lattice(
+        elements=names,
+        leq=tuple(tuple(row) for row in leq),
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        top=top,
+        bottom=bottom,
+    )
 
 
 def reference_monotone_violation(src_leq, dst_leq, images):

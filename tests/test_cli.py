@@ -602,3 +602,183 @@ def test_lattice_roundtrip_canonical(tmp_path):
 def test_text_format_runs():
     code, out = run(["lang", "eval", AUTOMATON, "--word", "ab", "--format", "text"])
     assert code == 0 and "value" in out
+
+
+def _pinned_commands(tmp_path):
+    """(label, argv) for the byte pins: the bundled automaton, seeded random
+    machines over five lattices, and products with one-element factors."""
+    import random
+
+    from latlang import build_lattice, standard_lattice, trivial_monoid
+    from latlang.variety import enumerate_ordered_monoids, random_automaton
+
+    commands = [
+        ("bundled reconstruct", ["lang", "reconstruct", AUTOMATON]),
+        ("bundled syntactic", ["lang", "syntactic", AUTOMATON]),
+        ("bundled cut {1}", ["lang", "cut", AUTOMATON, "--element", "{1}"]),
+        ("bundled cut {1,2}", ["lang", "cut", AUTOMATON, "--element", "{1,2}"]),
+    ]
+    lattices = [
+        standard_lattice("chain", 2),
+        standard_lattice("chain", 4),
+        standard_lattice("powerset", 2),
+        build_lattice(["b", "x", "y", "z", "t"], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+        build_lattice(["b", "x", "y", "z", "t"], [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)]),
+    ]
+    rng = random.Random(1619)
+    for i in range(10):
+        lat = lattices[i % 5]
+        machine = random_automaton(rng, lat, 3, ("a", "b"), min_states=2)
+        path = write(tmp_path, f"machine{i}.json", automaton_to_doc(machine))
+        commands += [
+            (f"machine {i} reconstruct", ["lang", "reconstruct", path]),
+            (f"machine {i} syntactic", ["lang", "syntactic", path]),
+            (f"machine {i} cut", ["lang", "cut", path, "--element", lat.elements[i % lat.size]]),
+        ]
+    one = write(tmp_path, "one.json", monoid_to_doc(trivial_monoid()))
+    pool = [
+        write(tmp_path, f"m{n}_{k}.json", monoid_to_doc(m))
+        for n in (2, 3)
+        for k, m in enumerate(enumerate_ordered_monoids(n)[:2])
+    ]
+    for factors in ([one], [one, one], [one, pool[0]], [pool[1], one],
+                    [pool[0], one, pool[2]], [pool[3], pool[1], one, pool[0], one]):
+        label = "product " + " ".join(Path(f).stem for f in factors)
+        commands.append((label, ["monoid", "product", *factors]))
+    return commands
+
+
+PINNED_DIGESTS = {
+    "bundled reconstruct": (
+        "2fe096111e174864cf45484b44e446d80fed9cd7b2d5899663fdb0b2dbb118f9"
+    ),
+    "bundled syntactic": (
+        "1449cc02dbe475f72a276add888cd0185614d5db6f7b6d269824817e2a7d33a8"
+    ),
+    "bundled cut {1}": (
+        "0bbe14f6bb81c445c71300634f8e03bd6a299a69ad2942f59b41b7b352dfe5ba"
+    ),
+    "bundled cut {1,2}": (
+        "023ad485b4dcdd2581486130009ded771d50b673c00c31e4c1b006b484338ee9"
+    ),
+    "machine 0 reconstruct": (
+        "adcb67bce1bfcc0f13a4d9e6f1db6f7b4d7c5a6060469c70d1170dfd2486e877"
+    ),
+    "machine 0 syntactic": (
+        "11b91a407706af043d9e191873f986b55d7295a7959d2a018ab6d126106890fe"
+    ),
+    "machine 0 cut": (
+        "02d598fb5c5d75ebd1f4e6c08d4f81ce051a44d5fb2deedbbd1baa52da79b27c"
+    ),
+    "machine 1 reconstruct": (
+        "a2a66d658dd9d918c816ef38911fb3234115f592576b280e8e9e2b07f3d4c924"
+    ),
+    "machine 1 syntactic": (
+        "d97d00ba1d3e985db813e5a3487790381308990ae6e634dffb7fe653e8396f15"
+    ),
+    "machine 1 cut": (
+        "dd6b826727a7e0e8c7caf19688d10b4b81ba6110afd2a65355abfacc82aea050"
+    ),
+    "machine 2 reconstruct": (
+        "44b7523a5336bca7d0279d9dd1dac771f29c3849cadd9f4a3b3d661a2398a6f1"
+    ),
+    "machine 2 syntactic": (
+        "666e6ee8a61c96d684c3cc429f20084981aa9e48d22b39d853d11f69c4d9f04d"
+    ),
+    "machine 2 cut": (
+        "c8bbb063202560902d8d3ca68cded14df81746fd0664a1d8e8d50042e8ba636c"
+    ),
+    "machine 3 reconstruct": (
+        "faf4108f1c45407871282bed56c66d5fb1f7097d9118776e09aca895e73a3017"
+    ),
+    "machine 3 syntactic": (
+        "7b33d145ca0eb56bbb658c05f6e8ae26a1b312c9c551cd0e5a531c24f51fab28"
+    ),
+    "machine 3 cut": (
+        "b3c8f2e0b1b95754b5213d92860773c7eaab0b680263a9828360fa6c4d8e276a"
+    ),
+    "machine 4 reconstruct": (
+        "748a63f0f1812be480132ea7c95ccaf0d167924b0e94e97fc898d62d02427301"
+    ),
+    "machine 4 syntactic": (
+        "1c67c0708dffd0689fda3fa3b44703dddaf987518c1bf1b8ae908e703e0a51b8"
+    ),
+    "machine 4 cut": (
+        "f37f1c2a602cef7947a6ad98e55dd70644b7595f0b342edfc403a759b02b9b22"
+    ),
+    "machine 5 reconstruct": (
+        "ae04a6e97952db0bbfe754aeabe8204821f6171440355c06fad9e09899e89c69"
+    ),
+    "machine 5 syntactic": (
+        "5e5720e9902516586f2159e29664aa6b00a45daef6348fac40a34c385776e887"
+    ),
+    "machine 5 cut": (
+        "f22bd2ca448d830879cb29b5adabaf2de7a71814589e91ce5dd1af38245b5e33"
+    ),
+    "machine 6 reconstruct": (
+        "86f263ab313c5f63e421f93cf8bbe99dc565f03916ce9ea7c02263ba3b83920c"
+    ),
+    "machine 6 syntactic": (
+        "ac3b6d8774e7753193c0e0731f0d73e4ac3afe311028a4abd5d1bcf145a89b8e"
+    ),
+    "machine 6 cut": (
+        "cb1b3d8845bb22ee3feca0a4a309de2941f5ed39a9230f2d5813c8fef4af5f96"
+    ),
+    "machine 7 reconstruct": (
+        "812fc5d11689a064d062fec557484cb3a2a9e22131b9929886a1d55fa522c2bd"
+    ),
+    "machine 7 syntactic": (
+        "306bcc7565289bf7625093451f3840e21d737667f7980908c6ecb7c8084641ed"
+    ),
+    "machine 7 cut": (
+        "ad1e0b10af1699a564d42e3ad6cec69f67532769dec9d7ce5d9ed7aaa5ba03d7"
+    ),
+    "machine 8 reconstruct": (
+        "90e74e33aac46f8718fde05d863b34dee8628b8de8e59146ce021f6c970f3148"
+    ),
+    "machine 8 syntactic": (
+        "f802cdd25db56bb26281f66ab32bd051a15c5c798677d3022068a2806d904a0b"
+    ),
+    "machine 8 cut": (
+        "2cea1fdcb1a50e4631169b132fd5ffca8c3617ababbccd283390f43dc2ed6e1d"
+    ),
+    "machine 9 reconstruct": (
+        "e8bfff97273545e0f8408f1015a4673c5c52923a238c9409132d5ef48565d986"
+    ),
+    "machine 9 syntactic": (
+        "e272dfb09000eef09898bfcab273ffc0f74707af7b73fc0fe6910442c992f413"
+    ),
+    "machine 9 cut": (
+        "f0a38d75d52059eb95c3ac918e5956028e0b4d54766ff98fb02fb6cda9b94e41"
+    ),
+    "product one": (
+        "a7872798781c3748cc0cf1d7717b925beb1b715818467d6808ff216509aa46ec"
+    ),
+    "product one one": (
+        "97af992494132d7d4e941d0e47b174020a9fb4940147590cbd8c12f00d747379"
+    ),
+    "product one m2_0": (
+        "b154261a1152ad16d22c2129b1bd3d5bcaac4b6fc80caeb346032445964eb73b"
+    ),
+    "product m2_1 one": (
+        "6a8665de3816ca85a4b94ac1edb048ca185e7dd505ddbfcc7d59075410ac2539"
+    ),
+    "product m2_0 one m3_0": (
+        "8546cff86c33b7258842bf218de2652bf7a661d5d459fdae1d2aad4fc9a08ec2"
+    ),
+    "product m3_1 m2_1 one m2_0 one": (
+        "dcaa58621e5f3906743c15beaf08297b8a2e0dd784aeb2d0b8aa6daf6e6f951a"
+    ),
+}
+
+
+def test_pinned_output_bytes(tmp_path):
+    """Exit code and stdout bytes of the cut, syntactic, reconstruct and
+    product commands, as sha256 digests of ``"<code>\\n<stdout>"``."""
+    import hashlib
+
+    digests = {}
+    for label, argv in _pinned_commands(tmp_path):
+        code, out = run(argv)
+        digests[label] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digests == PINNED_DIGESTS

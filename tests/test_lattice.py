@@ -13,10 +13,13 @@ from latlang import (
     identity_morphism,
     make_automaton,
     make_lattice_morphism,
+    make_monoid_morphism,
+    make_op_coloring,
     standard_lattice,
     trivial_monoid,
 )
 from latlang.errors import (
+    LatlangError,
     NotALattice,
     NotAntisymmetric,
     NotOrderPreserving,
@@ -25,9 +28,11 @@ from latlang.errors import (
     TrivialLattice,
     UnknownElement,
 )
-from latlang.lattice import orbit
+from latlang.lattice import orbit, resolve
 from latlang.markov import make_chain
 from latlang.variety import random_lattice
+
+from conftest import reference_build_lattice
 
 POOL = [random_lattice(random.Random(seed), 8) for seed in range(12)]
 POOL += [standard_lattice("powerset", 2), standard_lattice("powerset", 3), standard_lattice("chain", 5)]
@@ -202,3 +207,89 @@ def test_resolver_errors_through_every_entry_point(entry):
         assert err.value.to_doc() == {
             "kind": "UnknownElement", "message": message, "witness": None,
         }
+
+
+def _first_error(index, entries, what):
+    """The error that resolving ``entries`` one at a time raises, or None."""
+    try:
+        for e in entries:
+            resolve(index, e, what)
+    except UnknownElement as exc:
+        return exc.to_doc()
+    return None
+
+
+def _mapping_entry_points():
+    """(name, target name index, element kind, source names, call) per
+    validated map that resolves its images into a target."""
+    lattice = standard_lattice("chain", 3)
+    monoid = build_ordered_monoid(["1", "z"], "1", [["1", "z"], ["z", "z"]])
+    source = build_ordered_monoid(
+        ["1", "a", "b"], "1", [["1", "a", "b"], ["a", "a", "b"], ["b", "b", "b"]]
+    )
+    return [
+        ("make_op_coloring", lattice._name_index, "lattice element", monoid.elements,
+         lambda colors: make_op_coloring(monoid, lattice, colors).colors),
+        ("make_lattice_morphism", lattice._name_index, "lattice element", lattice.elements,
+         lambda images: make_lattice_morphism(lattice, images).mapping),
+        ("make_monoid_morphism", monoid._name_index, "monoid element", source.elements,
+         lambda images: make_monoid_morphism(source, monoid, images).mapping),
+    ]
+
+
+def test_mapping_range_check_keeps_per_entry_errors():
+    """Lists of positions, names and bad entries, as lists and as objects
+    keyed by name, give the positions or the first error that resolving
+    each entry in turn gives."""
+    rng = random.Random(116)
+    for name, index, what, sources, call in _mapping_entry_points():
+        n, size = len(sources), len(index)
+        names = list(index)
+        failed = 0
+        for _ in range(200):
+            images = [0] * n  # the constant map to position 0 is valid for each target
+            for k in rng.sample(range(n), rng.randint(1, n)):
+                images[k] = rng.choice(
+                    [0, names[0], size, size + 5, -1, True, False, 0.0, "nope", ["x"], None]
+                )
+            expected = _first_error(index, images, what)
+            for form in (images, dict(zip(sources, images))):
+                if expected is None:
+                    assert call(form) == tuple(resolve(index, e, what) for e in images)
+                else:
+                    with pytest.raises(UnknownElement) as err:
+                        call(form)
+                    assert err.value.to_doc() == expected, (name, images)
+            failed += expected is not None
+        assert 100 <= failed < 200, name
+
+
+def test_build_lattice_matches_frozenset_reference_on_seeded_covers():
+    """Bitset bounds give the reference's lattice, or its error document,
+    on random covers over 2 to 9 elements, most of them not lattices."""
+    rng = random.Random(259)
+    built = failed = 0
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        names = [f"v{i}" for i in range(n)]
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < rng.choice((0.2, 0.4, 0.7))
+        ]
+        if rng.random() < 0.5:  # bounded: more of them are lattices
+            pairs += [(0, b) for b in range(1, n)] + [(a, n - 1) for a in range(n - 1)]
+        if rng.random() < 0.1 and n > 2:
+            pairs.append((n - 1, 0))  # a cycle: not antisymmetric
+        try:
+            expected = reference_build_lattice(names, pairs)
+        except LatlangError as exc:
+            with pytest.raises(LatlangError) as caught:
+                build_lattice(names, pairs)
+            assert caught.value.to_doc() == exc.to_doc()
+            failed += isinstance(exc, NotALattice)
+            continue
+        assert build_lattice(names, pairs) == expected
+        built += 1
+    assert built >= 150 and failed >= 200, (built, failed)

@@ -134,6 +134,42 @@ def test_direct_product_matches_reference_on_seeded_sweep():
     assert compared >= 150 and capped >= 30
 
 
+def test_direct_product_with_one_element_factors_matches_reference():
+    """One-element factors first, in the middle, last or as every factor
+    give the reference's product, projections and cap errors."""
+    pool = small_monoids()
+    rng = random.Random(1606)
+    seen = set()
+    compared = capped = 0
+    for i in range(160):
+        one = trivial_monoid(rng.choice(("1", "e")))
+        others = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        where = ("first", "middle", "last", "every")[i % 4]
+        if where == "first":
+            factors = [one, *others]
+        elif where == "middle":
+            k = rng.randint(1, len(others) - 1)
+            factors = [*others[:k], one, *others[k:]]
+        elif where == "last":
+            factors = [*others, one]
+        else:
+            factors = [one] * rng.randint(1, 4)
+        cap = rng.choice((16, 64, 128))
+        try:
+            expected = reference_direct_product(factors, max_size=cap)
+        except SizeCapExceeded as exc:
+            with pytest.raises(SizeCapExceeded) as caught:
+                direct_product(factors, max_size=cap)
+            assert caught.value.to_doc() == exc.to_doc()
+            capped += 1
+            continue
+        assert direct_product(factors, max_size=cap) == expected, (i, where)
+        seen.add(where)
+        compared += 1
+    assert seen == {"first", "middle", "last", "every"}
+    assert compared >= 80 and capped >= 10
+
+
 def test_generated_submonoid():
     m = u1("z<1")
     product, _ = direct_product([m, m])

@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 
@@ -33,12 +34,14 @@ from latlang import (
 from latlang.automaton import minimize
 from latlang.errors import SizeCapExceeded
 from latlang.monoid import product_index
+from latlang.serialize import triple_to_doc
 from latlang.syntactic import _pointwise_order, _state_preorder, shuffle_verdict
 from latlang.variety import random_automaton, random_lattice
 
 from conftest import (
     all_words,
     enumerate_falsifier,
+    reference_reconstruct_from_cuts,
     reference_syntactic,
     reference_transition_monoid,
     reference_word_maps,
@@ -367,6 +370,52 @@ def test_reconstruct_from_cuts(boolean, contains_a, two_sink_automaton):
 
     triple, equal = reconstruct_from_cuts(two_sink_automaton)
     assert equal
+
+
+def test_reconstruct_matches_per_value_reference_on_seeded_sweep():
+    """One syntactic monoid per distinct cut gives the per-value loop's
+    triple document, flag and cap errors."""
+    rng = random.Random(1916)
+    compared = capped = shared = 0
+    for i in range(150):
+        lattice = SWEEP_LATTICES[i % 5]
+        a = random_automaton(rng, lattice, 4, ("a", "b"))
+        try:
+            expected, expected_equal = reference_reconstruct_from_cuts(a)
+        except SizeCapExceeded as exc:
+            with pytest.raises(SizeCapExceeded) as caught:
+                reconstruct_from_cuts(a)
+            assert caught.value.to_doc() == exc.to_doc()
+            capped += 1
+            continue
+        triple, equal = reconstruct_from_cuts(a)
+        assert (triple_to_doc(triple), equal) == (triple_to_doc(expected), expected_equal), i
+        compared += 1
+        shared += len({cut(a, v).output for v in range(lattice.size)}) < lattice.size
+    assert compared >= 100 and capped >= 1 and shared >= 100
+
+
+def test_reconstruct_builds_one_syntactic_monoid_per_distinct_cut(monkeypatch):
+    module = importlib.import_module("latlang.syntactic")
+    real = module.syntactic
+    calls = []
+
+    def counting(machine):
+        calls.append(machine.output)
+        return real(machine)
+
+    monkeypatch.setattr(module, "syntactic", counting)
+    rng = random.Random(2016)
+    repeated = 0
+    for i in range(40):
+        lattice = SWEEP_LATTICES[i % 5]
+        a = random_automaton(rng, lattice, 3, ("a", "b"))
+        calls.clear()
+        reconstruct_from_cuts(a)
+        distinct = {cut(a, v).output for v in range(lattice.size)}
+        assert len(calls) == len(set(calls)) and set(calls) == distinct, i
+        repeated += lattice.size - len(distinct)
+    assert repeated >= 40
 
 
 def test_shuffle_ideal_verdicts(contains_a, empty_word_only, boolean):
