@@ -343,7 +343,7 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
         if not algebraic:
             below_identity = next(
                 x for x in range(synt.monoid.size)
-                if not synt.monoid.leq[x][synt.monoid.identity]
+                if not synt.monoid.le(x, synt.monoid.identity)
             )
             doc["witness_element"] = synt.monoid.elements[below_identity]
             doc["syntactic_monoid"] = ser.monoid_to_doc(synt.monoid)

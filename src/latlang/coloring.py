@@ -147,10 +147,7 @@ def postcompose(alpha: LatticeMorphism, p: OpColoring) -> OpColoring:
 def ideal_coloring(monoid: OrderedMonoid, m: int | str, lattice: Lattice) -> OpColoring:
     """The two-valued coloring that is bottom exactly on the downward closure of m."""
     mi = monoid.index(m)
-    values = [
-        lattice.bottom if monoid.leq[x][mi] else lattice.top
-        for x in range(monoid.size)
-    ]
+    values = [lattice.bottom if row >> mi & 1 else lattice.top for row in monoid.leq]
     return make_op_coloring(monoid, lattice, values)
 
 

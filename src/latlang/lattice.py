@@ -7,10 +7,14 @@ Element identity is the positional index; names are presentation only.
 All values are immutable after construction.
 
 The finite-order kernel lives here too, for lattices, monoids, colorings,
-automata and chains alike: resolving an element by position or name,
-closing order pairs, scanning for antisymmetry and monotonicity, and
-``orbit``, the breadth-first closure that lists the word maps of a machine
-with their Cayley graph and the reachable states of a machine or product.
+automata and chains alike.  Every order, preorder and reach relation is
+one int per element, its up-set row: bit b of row a is set iff a <= b (or
+a reaches b).  ``closure_bits`` is the one reflexive-transitive closure of
+such rows; ``bit_positions`` and ``converse`` read them; the antisymmetry
+and monotonicity scans work on them.  Here too are resolving an element
+by position or name, and ``orbit``, the breadth-first closure that lists
+the word maps of a machine with their Cayley graph and the reachable
+states of a machine or product.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 from .errors import (
     MalformedDocument,
@@ -54,40 +57,66 @@ def resolve(index: Mapping[str, int], element: int | str, what: str) -> int:
     return position
 
 
+def closure_bits(rows: Iterable[int]) -> tuple[int, ...]:
+    """The reflexive-transitive closure of a relation given by rows: bit b
+    of row a is set iff a relates to b.
+
+    Warshall (1962) by rows: for each k in turn, row k is ORed into every
+    row that holds bit k.
+    """
+    closed = [row | 1 << a for a, row in enumerate(rows)]
+    for k in range(len(closed)):
+        bit, row_k = 1 << k, closed[k]
+        closed = [row | row_k if row & bit else row for row in closed]
+    return tuple(closed)
+
+
+def bit_positions(row: int) -> list[int]:
+    """The positions of the set bits of ``row``, ascending."""
+    found = []
+    while row:
+        b = row.bit_length() - 1
+        found.append(b)
+        row ^= 1 << b
+    found.reverse()
+    return found
+
+
+def converse(rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the converse relation: bit a of row b is set iff bit b of
+    row a is; the down-sets of an order given by its up-sets."""
+    flipped = [0] * len(rows)
+    for a, row in enumerate(rows):
+        for b in bit_positions(row):
+            flipped[b] |= 1 << a
+    return tuple(flipped)
+
+
 def order_from_pairs(
     index: Mapping[str, int], pairs: Iterable[Sequence[int | str]], what: str
-) -> list[list[bool]]:
-    """The reflexive-transitive closure of [lo, hi] pairs, as a boolean matrix."""
+) -> tuple[int, ...]:
+    """The reflexive-transitive closure of [lo, hi] pairs, as up-set rows."""
     if isinstance(pairs, str) or not isinstance(pairs, Iterable):
         raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
-    n = len(index)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    rows = [0] * len(index)
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MalformedDocument(f"order pair {pair!r} must list two elements")
         lo, hi = pair
-        leq[resolve(index, lo, what)][resolve(index, hi, what)] = True
-    for k in range(n):
-        row_k = leq[k]
-        for row_i in leq:
-            if row_i[k]:
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+        rows[resolve(index, lo, what)] |= 1 << resolve(index, hi, what)
+    return closure_bits(rows)
 
 
-def mutual_pair(leq: Sequence[Sequence[bool]]) -> tuple[int, int] | None:
-    """The first pair i < j with i <= j and j <= i; None iff ``leq`` is antisymmetric."""
-    n = len(leq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                return i, j
-    return None
+def mutual_pair(leq: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair i < j with i <= j and j <= i in a reflexive, transitive
+    relation; None iff it is antisymmetric.  There such a pair is a pair of
+    equal rows: each row holds the other's element, and so all its row."""
+    first: dict[int, int] = {}
+    pairs = [(first.setdefault(row, j), j) for j, row in enumerate(leq)]
+    return min((pair for pair in pairs if pair[0] != pair[1]), default=None)
 
 
-def check_antisymmetric(names: Sequence[str], leq: Sequence[Sequence[bool]]) -> None:
+def check_antisymmetric(names: Sequence[str], leq: Sequence[int]) -> None:
     """Raise NotAntisymmetric, naming the pair ``mutual_pair`` finds, if there is one."""
     pair = mutual_pair(leq)
     if pair is not None:
@@ -99,16 +128,13 @@ def check_antisymmetric(names: Sequence[str], leq: Sequence[Sequence[bool]]) -> 
 
 
 def monotone_violation(
-    src_leq: Sequence[Sequence[bool]],
-    dst_leq: Sequence[Sequence[bool]],
-    images: Sequence[int],
+    src_leq: Sequence[int], dst_leq: Sequence[int], images: Sequence[int]
 ) -> tuple[int, int] | None:
     """The first pair a <= b whose images are not ordered; None iff the map is monotone."""
-    points = range(len(images))
-    for a in points:
+    for a, row in enumerate(src_leq):
         dst_row = dst_leq[images[a]]
-        for b in compress(points, src_leq[a]):
-            if not dst_row[images[b]]:
+        for b in bit_positions(row):
+            if not dst_row >> images[b] & 1:
                 return a, b
     return None
 
@@ -193,10 +219,11 @@ def check_names(element_names: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True, repr=False)
 class Lattice:
-    """A finite lattice with its order matrix and join/meet tables."""
+    """A finite lattice with its order as up-set rows (bit b of ``leq[a]``
+    is set iff a <= b) and its join/meet tables."""
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    leq: tuple[int, ...]
     join_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
     top: int
@@ -221,7 +248,7 @@ class Lattice:
         return self.elements[index]
 
     def le(self, a: int | str, b: int | str) -> bool:
-        return self.leq[self.index(a)][self.index(b)]
+        return bool(self.leq[self.index(a)] >> self.index(b) & 1)
 
     def join(self, a: int | str, b: int | str) -> int:
         return self.join_table[self.index(a)][self.index(b)]
@@ -252,10 +279,11 @@ def build_lattice(
 
     ``pairs`` lists [lo, hi] entries: Hasse covers or any set of order pairs.
     The reflexive-transitive closure is taken, then antisymmetry and the
-    existence of unique binary lubs/glbs are checked.  The up-set and
-    down-set of each element are bitsets: the lubs of a and b are the c in
-    up[a] & up[b] that no other element of it lies below, listed in index
-    order, and the glbs are found in the same way with up and down swapped.
+    existence of unique binary lubs/glbs are checked.  The order's rows are
+    the up-sets and their converse the down-sets: the lubs of a and b are
+    the c in up[a] & up[b] that no other element of it lies below, listed
+    in index order, and the glbs are found in the same way with up and down
+    swapped.
     """
     names = check_names(element_names)
     n = len(names)
@@ -270,13 +298,12 @@ def build_lattice(
     if n == 1:
         raise TrivialLattice("bottom equals top in a one-element lattice")
 
-    up = [_bits(row) for row in leq]
-    down = [_bits(column) for column in zip(*leq)]
+    down = converse(leq)
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            least = _extremes(up[a] & up[b], down)
+            least = _extremes(leq[a] & leq[b], down)
             if len(least) != 1:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique least upper bound",
@@ -284,7 +311,7 @@ def build_lattice(
                              "candidates": [names[c] for c in least]},
                 )
             join_table[a][b] = join_table[b][a] = least[0]
-            greatest = _extremes(down[a] & down[b], up)
+            greatest = _extremes(down[a] & down[b], leq)
             if len(greatest) != 1:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique greatest lower bound",
@@ -301,7 +328,7 @@ def build_lattice(
 
     return Lattice(
         elements=names,
-        leq=tuple(tuple(row) for row in leq),
+        leq=leq,
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         top=top,
@@ -309,24 +336,11 @@ def build_lattice(
     )
 
 
-def _bits(row: Iterable[bool]) -> int:
-    """The set of positions where ``row`` is true, as an int."""
-    return sum(1 << c for c, flag in enumerate(row) if flag)
-
-
 def _extremes(common: int, beyond: Sequence[int]) -> list[int]:
     """The c in the bitset ``common``, in index order, whose ``beyond[c]``
     meets ``common`` only in c: its least elements when ``beyond`` holds
     down-sets, its greatest when it holds up-sets."""
-    found = []
-    rest = common
-    while rest:
-        low = rest & -rest
-        c = low.bit_length() - 1
-        if beyond[c] & common == low:
-            found.append(c)
-        rest ^= low
-    return found
+    return [c for c in bit_positions(common) if beyond[c] & common == 1 << c]
 
 
 def subset_name(members: Iterable[int]) -> str:
@@ -386,11 +400,9 @@ def bound(lattice: Lattice, kind: str, subset: Iterable[int | str]) -> int:
 
 def dual(lattice: Lattice) -> Lattice:
     """The dual lattice: order reversed, join and meet swapped."""
-    n = lattice.size
-    leq = tuple(tuple(lattice.leq[j][i] for j in range(n)) for i in range(n))
     return Lattice(
         elements=lattice.elements,
-        leq=leq,
+        leq=converse(lattice.leq),
         join_table=lattice.meet_table,
         meet_table=lattice.join_table,
         top=lattice.bottom,
@@ -459,7 +471,6 @@ def threshold(lattice: Lattice, pivot: int | str) -> LatticeMorphism:
     """
     p = lattice.index(pivot)
     mapping = tuple(
-        lattice.bottom if lattice.leq[x][p] else lattice.top
-        for x in range(lattice.size)
+        lattice.bottom if row >> p & 1 else lattice.top for row in lattice.leq
     )
     return LatticeMorphism(lattice=lattice, mapping=mapping)

@@ -33,7 +33,8 @@ from .errors import (
     SingularSystem,
     UnknownElement,
 )
-from .lattice import Lattice, name_tuple, resolve, standard_lattice, subset_name
+from .lattice import Lattice, bit_positions, closure_bits, name_tuple, resolve
+from .lattice import standard_lattice, subset_name
 from .monoid import is_aperiodic
 from .syntactic import shuffle_verdict
 
@@ -91,19 +92,10 @@ class MarkovChain:
         )
 
     @cached_property
-    def reach(self) -> tuple[frozenset[int], ...]:
-        """Per state, the states it reaches in zero or more steps."""
-        result = []
-        for s in range(self.size):
-            seen = {s}
-            stack = [s]
-            while stack:
-                for t in self.successors[stack.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            result.append(frozenset(seen))
-        return tuple(result)
+    def reach(self) -> tuple[int, ...]:
+        """Per state, the states it reaches in zero or more steps, as a row:
+        bit t of ``reach[s]`` is set iff s reaches t."""
+        return closure_bits(sum(1 << t for t in ts) for ts in self.successors)
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
@@ -193,7 +185,7 @@ def ergodic_structure(chain: MarkovChain) -> ErgodicStructure:
     classes: list[tuple[int, ...]] = []
     for s in range(n):
         if class_of[s] < 0:
-            members = tuple(t for t in sorted(reach[s]) if s in reach[t])
+            members = tuple(t for t in bit_positions(reach[s]) if reach[t] >> s & 1)
             for t in members:
                 class_of[t] = len(classes)
             classes.append(members)
@@ -323,19 +315,6 @@ def ergodic_lattice(structure: ErgodicStructure) -> Lattice:
     return standard_lattice("powerset", k)
 
 
-def _reachable_sets(chain: MarkovChain, structure: ErgodicStructure) -> list[frozenset[int]]:
-    """Per state, the 1-based indices of the ergodic classes it can reach.
-
-    An ergodic class is closed and communicating, so reaching one member
-    reaches them all.
-    """
-    ergodic = structure.ergodic_classes()
-    return [
-        frozenset(i + 1 for i, members in enumerate(ergodic) if members[0] in reach)
-        for reach in chain.reach
-    ]
-
-
 def simulating_automaton(
     chain: MarkovChain,
     mode: str = "basic",
@@ -384,9 +363,12 @@ def _simulating_automaton(
         except UnknownElement as exc:
             raise NoInitial(f"unknown initial state {initial!r}") from exc
     raised = set(structure.transient_states) if mode == "basic" else set()
+    # a state that reaches one member of an ergodic class reaches them all
+    firsts = [members[0] for members in structure.ergodic_classes()]
     colors = [
-        lattice.elements[lattice.top] if s in raised else subset_name(r)
-        for s, r in enumerate(_reachable_sets(chain, structure))
+        lattice.elements[lattice.top] if s in raised
+        else subset_name(i + 1 for i, t in enumerate(firsts) if reach >> t & 1)
+        for s, reach in enumerate(chain.reach)
     ]
     delta = [
         [decomposition.maps[l][s] for l in range(len(decomposition.letters))]

@@ -29,6 +29,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .lattice import (
+    bit_positions,
     check_antisymmetric,
     check_names,
     mapping_images,
@@ -44,12 +45,13 @@ DEFAULT_PRODUCT_CAP = 1024
 
 @dataclass(frozen=True, repr=False)
 class OrderedMonoid:
-    """A finite monoid with a compatible partial order."""
+    """A finite monoid with a compatible partial order, as up-set rows: bit
+    b of ``leq[a]`` is set iff a <= b."""
 
     elements: tuple[str, ...]
     identity: int
     mul: tuple[tuple[int, ...], ...]
-    leq: tuple[tuple[bool, ...], ...]
+    leq: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"<OrderedMonoid {list(self.elements)!r}>"
@@ -72,15 +74,14 @@ class OrderedMonoid:
         return self.mul[self.index(a)][self.index(b)]
 
     def le(self, a: int | str, b: int | str) -> bool:
-        return self.leq[self.index(a)][self.index(b)]
+        return bool(self.leq[self.index(a)] >> self.index(b) & 1)
 
     def order_pairs(self) -> list[tuple[str, str]]:
         """All non-reflexive order pairs, as names, in index order."""
         return [
             (self.elements[a], self.elements[b])
-            for a in range(self.size)
-            for b in range(self.size)
-            if a != b and self.leq[a][b]
+            for a, row in enumerate(self.leq)
+            for b in bit_positions(row & ~(1 << a))
         ]
 
 
@@ -88,14 +89,14 @@ def _make_unchecked(
     elements: Sequence[str],
     identity: int,
     mul: Sequence[Sequence[int]],
-    leq: Sequence[Sequence[bool]],
+    leq: Sequence[int],
 ) -> OrderedMonoid:
     """Internal constructor for monoids that are valid by construction."""
     return OrderedMonoid(
         elements=tuple(elements),
         identity=identity,
         mul=tuple(tuple(row) for row in mul),
-        leq=tuple(tuple(row) for row in leq),
+        leq=tuple(leq),
     )
 
 
@@ -227,7 +228,7 @@ def _check_associative(
 def _check_order(
     names: Sequence[str],
     mul: Sequence[Sequence[int]],
-    leq: Sequence[Sequence[bool]],
+    leq: Sequence[int],
     gens: Sequence[int],
 ) -> None:
     """Raise NotAntisymmetric or NotCompatible unless ``leq`` is antisymmetric
@@ -244,27 +245,23 @@ def _check_order(
 
 def compatibility_violation(
     mul: Sequence[Sequence[int]],
-    leq: Sequence[Sequence[bool]],
+    leq: Sequence[int],
     gens: Sequence[int],
 ) -> tuple[int, int, int, str] | None:
     """The first (x, y, z, side) with x <= y but not zx <= zy (side "left")
     or not xz <= yz (side "right"), for z in ``gens``; None iff compatible."""
-    n = len(mul)
-    for x in range(n):
-        leq_x = leq[x]
-        for y in range(n):
-            if x == y or not leq_x[y]:
-                continue
+    for x, row in enumerate(leq):
+        for y in bit_positions(row & ~(1 << x)):
             for z in gens:
-                if not leq[mul[z][x]][mul[z][y]]:
+                if not leq[mul[z][x]] >> mul[z][y] & 1:
                     return x, y, z, "left"
-                if not leq[mul[x][z]][mul[y][z]]:
+                if not leq[mul[x][z]] >> mul[y][z] & 1:
                     return x, y, z, "right"
     return None
 
 
 def trivial_monoid(name: str = "1") -> OrderedMonoid:
-    return _make_unchecked((name,), 0, ((0,),), ((True,),))
+    return _make_unchecked((name,), 0, ((0,),), (1,))
 
 
 def direct_product(
@@ -277,7 +274,9 @@ def direct_product(
     folded in one at a time: element (x, j) of the partial product times M
     is x*|M| + j, so its products and order come from the partial tables.
     A one-element factor leaves those tables as they are, so folding it in
-    only extends the element names and adds an all-zero projection.
+    only extends the element names and adds an all-zero projection.  The
+    order row of (x, j) is row j copied into the |M|-bit block of every
+    element above x: the row of x spread to one bit per block, times j's.
     """
     if not monoids:
         raise MalformedDocument("direct product needs at least one factor")
@@ -291,7 +290,7 @@ def direct_product(
             )
     parts: list[tuple[str, ...]] = [()]
     mul: list[list[int]] = [[0]]
-    leq: list[list[bool]] = [[True]]
+    leq: list[int] = [1]
     components: list[list[int]] = []
     for m in monoids:
         s = m.size
@@ -300,7 +299,8 @@ def direct_product(
             components.append([0] * len(parts))
             continue
         mul = [[xy * s + z for xy in x for z in j] for x in mul for j in m.mul]
-        leq = [[a and b for a in x for b in j] for x in leq for j in m.leq]
+        blocks = [sum(1 << y * s for y in bit_positions(row)) for row in leq]
+        leq = [block * j for block in blocks for j in m.leq]
         components = [[c for c in proj for _ in range(s)] for proj in components]
         components.append(list(range(s)) * (len(parts) // s))
     identity = product_index(sizes, [m.identity for m in monoids])
@@ -335,7 +335,7 @@ def generated_submonoid(
     sub_index = {x: i for i, x in enumerate(carrier)}
     names = tuple(monoid.elements[x] for x in carrier)
     mul = [[sub_index[monoid.mul[a][b]] for b in carrier] for a in carrier]
-    leq = [[monoid.leq[a][b] for b in carrier] for a in carrier]
+    leq = [sum(1 << i for i, y in enumerate(carrier) if monoid.leq[x] >> y & 1) for x in carrier]
     sub = _make_unchecked(names, 0, mul, leq)
     embedding = MonoidMorphism(source=sub, target=monoid, mapping=tuple(carrier))
     return sub, embedding
@@ -387,7 +387,7 @@ def make_monoid_morphism(
                     "multiplication is not preserved",
                     witness=[source.elements[a], source.elements[b]],
                 )
-            if source.leq[a][b] and not target.leq[images[a]][images[b]]:
+            if source.leq[a] >> b & 1 and not target.leq[images[a]] >> images[b] & 1:
                 raise NotOrderPreserving(
                     "order is not preserved",
                     witness=[source.elements[a], source.elements[b]],
@@ -418,7 +418,7 @@ def is_aperiodic(monoid: OrderedMonoid) -> bool:
 
 
 def identity_is_greatest(monoid: OrderedMonoid) -> bool:
-    return all(monoid.leq[x][monoid.identity] for x in range(monoid.size))
+    return all(row >> monoid.identity & 1 for row in monoid.leq)
 
 
 def is_isomorphic(m1: OrderedMonoid, m2: OrderedMonoid) -> bool:
@@ -465,10 +465,11 @@ def canonical_table(
 
 
 def _least_order(
-    leq: Sequence[Sequence[bool]], coset: Sequence[tuple[int, ...]]
+    leq: Sequence[int], coset: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[bool, ...], ...]:
-    """The least copy of an order relabeled by one of ``coset``'s relabelings."""
-    return min(tuple(tuple(leq[a][b] for b in old) for a in old) for old in coset)
+    """The least copy of an order relabeled by one of ``coset``'s
+    relabelings, as a matrix of bools, row i of the copy being row old[i]."""
+    return min(tuple(tuple(leq[a] >> b & 1 == 1 for b in old) for a in old) for old in coset)
 
 
 @dataclass(frozen=True)
@@ -533,7 +534,7 @@ def _surjection_onto(
         for i, x in enumerate(carrier)
         for k, g in enumerate(gens)
     ]
-    leq = [[m2.leq[x][y] for y in carrier] for x in carrier]
+    leq = [sum(1 << i for i, y in enumerate(carrier) if m2.leq[x] >> y & 1) for x in carrier]
     for images in itertools.product(range(m1.size), repeat=len(gens)):
         img = [m1.identity]
         for x, y, k in edges:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import compress
-from typing import Any
+from typing import Any, Sequence
 
 from .automaton import (
     FreeMorphism,
@@ -25,6 +24,7 @@ from .errors import MalformedDocument
 from .lattice import (
     Lattice,
     LatticeMorphism,
+    bit_positions,
     build_lattice,
     make_lattice_morphism,
     name_tuple,
@@ -70,16 +70,15 @@ def word_doc(word: Word) -> Any:
 
 # -- lattices -------------------------------------------------------------
 
+def _order_doc(names: Sequence[str], leq: Sequence[int]) -> list[list[str]]:
+    """Every pair of an order given by up-set rows, as sorted name pairs."""
+    return sorted([a, names[b]] for a, row in zip(names, leq) for b in bit_positions(row))
+
+
 def lattice_to_doc(lattice: Lattice) -> dict:
-    pairs = sorted(
-        [lattice.elements[a], lattice.elements[b]]
-        for a in range(lattice.size)
-        for b in range(lattice.size)
-        if lattice.leq[a][b]
-    )
     return {
         "elements": list(lattice.elements),
-        "leq": pairs,
+        "leq": _order_doc(lattice.elements, lattice.leq),
         "relation": "full",
     }
 
@@ -106,11 +105,7 @@ def monoid_to_doc(monoid: OrderedMonoid) -> dict:
         "elements": list(elements),
         "identity": elements[monoid.identity],
         "mul": [[elements[b] for b in row] for row in monoid.mul],
-        "leq": sorted(
-            [a, b]
-            for a, row in zip(elements, monoid.leq)
-            for b in compress(elements, row)
-        ),
+        "leq": _order_doc(elements, monoid.leq),
     }
 
 

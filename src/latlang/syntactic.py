@@ -49,7 +49,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import make_lattice_morphism, orbit, threshold
+from .lattice import bit_positions, make_lattice_morphism, orbit, threshold
 from .monoid import (
     OrderedMonoid,
     _make_unchecked,
@@ -161,50 +161,41 @@ def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ..
     Elements are named by their length-lex-least generating words.
     """
     maps, witnesses, gen_ids, mul = _word_maps(trim(a))
-    leq = [[i == j for j in range(len(maps))] for i in range(len(maps))]
     names = tuple(word_name(w) for w in witnesses)
-    return _make_unchecked(names, 0, mul, leq), tuple(gen_ids)
+    return _make_unchecked(names, 0, mul, [1 << i for i in range(len(maps))]), tuple(gen_ids)
 
 
-def _state_preorder(a: LatticeAutomaton) -> list[list[bool]]:
-    """Greatest relation R with sRt implying F(s)<=F(t) and successor closure.
+def _state_preorder(a: LatticeAutomaton) -> list[int]:
+    """Greatest relation R with sRt implying F(s)<=F(t) and successor
+    closure, as rows: bit t of row s is set iff sRt.
 
-    Computed by iterated refinement from the output comparison; on a
-    complete deterministic machine this is exactly per-word output
-    domination.
+    Refined from the output comparison until a pass changes nothing: t
+    leaves row s when some letter sends s and t to a pair outside the
+    relation.  On a complete deterministic machine this is exactly per-word
+    output domination.
     """
-    n = len(a.states)
-    rel = [
-        [a.lattice.leq[a.output[s]][a.output[t]] for t in range(n)]
-        for s in range(n)
-    ]
-    n_letters = len(a.alphabet)
+    leq, out, delta = a.lattice.leq, a.output, a.delta
+    rel = [sum(1 << t for t, v in enumerate(out) if leq[u] >> v & 1) for u in out]
     changed = True
     while changed:
         changed = False
-        for s in range(n):
-            for t in range(n):
-                if rel[s][t] and any(
-                    not rel[a.delta[s][l]][a.delta[t][l]] for l in range(n_letters)
-                ):
-                    rel[s][t] = False
+        for s, (row, targets) in enumerate(zip(rel, delta)):
+            for t in bit_positions(row):
+                if any(not rel[p] >> q & 1 for p, q in zip(targets, delta[t])):
+                    rel[s] ^= 1 << t
                     changed = True
     return rel
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _pointwise_order(
-    pre: Sequence[Sequence[bool]], maps: Sequence[Sequence[int]]
-) -> list[tuple[bool, ...]]:
-    """Rows of the order m_i <= m_j iff pre[m_i(q)][m_j(q)] at every state q.
+def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[int]:
+    """Rows of the order m_i <= m_j iff m_i(q) <= m_j(q) under ``pre`` at
+    every state q.
 
     Bit j of ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the
-    union of the ``at[q][v]`` with p <= v (they are disjoint, so it is their
-    sum), so row i is the intersection over q of ``above[q][m_i(q)]``: one
-    AND per state instead of one comparison per pair of maps.  Each row is
-    expanded into bools through its binary string, at C speed.
+    union of the ``at[q][v]`` over the v in row p of ``pre`` (they are
+    disjoint, so it is their sum), so row i is the intersection over q of
+    ``above[q][m_i(q)]``: one AND per state instead of one comparison per
+    pair of maps.
     """
     k, n = len(maps), len(pre)
     at = [[0] * n for _ in range(n)]
@@ -213,16 +204,14 @@ def _pointwise_order(
         for at_q, v in zip(at, m):
             at_q[v] |= bit
     above = [
-        [sum(bits for bits, le in zip(at_q, pre_p) if le) for pre_p in pre]
-        for at_q in at
+        [sum(at_q[v] for v in bit_positions(pre_p)) for pre_p in pre] for at_q in at
     ]
-    width = f"0{k}b"
     rows = []
     for m in maps:
         row = (1 << k) - 1
         for above_q, v in zip(above, m):
             row &= above_q[v]
-        rows.append(tuple(map(bool, format(row, width)[::-1].encode().translate(_BITS))))
+        rows.append(row)
     return rows
 
 
@@ -398,7 +387,7 @@ def shuffle_ideal_falsify(
         for l in letters:
             preimages[l][delta[q][l]].append(q)
     dist = {
-        (p, q, 1): 0 for p in range(n) for q in range(n) if not leq[out[q]][out[p]]
+        (p, q, 1): 0 for p in range(n) for q in range(n) if not leq[out[q]] >> out[p] & 1
     }
     start = (a.initial, a.initial, 0)
     frontier = list(dist)
@@ -437,7 +426,7 @@ def shuffle_ideal_falsify(
     q = a.initial
     for l in v:
         q = delta[q][l]
-    violating = [not leq[out[q]][out[p]] for p in range(n)]
+    violating = [not leq[out[q]] >> out[p] & 1 for p in range(n)]
     # reach[j][i][p]: from state p, reading v[i:] with exactly j letters
     # skipped can end in a violating state.
     reach: list[list[list[bool]]] = []
@@ -489,7 +478,7 @@ def ideal_language_construction(
             coloring=ideal_coloring(monoid, mi, lat),
         )
     )
-    strictly_above = [y for y in range(monoid.size) if not monoid.leq[y][mi]]
+    strictly_above = [y for y, row in enumerate(monoid.leq) if not row >> mi & 1]
     if not strictly_above:
         result = recolor(a, cons_morphism(lat, lat.bottom))
         return result, equivalent(result, direct)
@@ -500,7 +489,7 @@ def ideal_language_construction(
             for u2 in range(monoid.size):
                 vy = colors[monoid.mul[monoid.mul[u][y]][u2]]
                 vm = colors[monoid.mul[monoid.mul[u][mi]][u2]]
-                if not lat.leq[vy][vm]:
+                if not lat.leq[vy] >> vm & 1:
                     found = (u, u2, vm)
                     break
             if found:

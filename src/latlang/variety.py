@@ -32,11 +32,11 @@ from .coloring import (
 from .errors import LatlangError, MismatchedCarrier, NotARecognizer, SizeCapExceeded
 from .lattice import (
     Lattice,
+    bit_positions,
     build_lattice,
     cons as cons_morphism,
-    mutual_pair,
+    converse,
     orbit,
-    order_from_pairs,
     standard_lattice,
 )
 from .monoid import (
@@ -72,18 +72,36 @@ SUITE_PRODUCT_CAP = 200
 # -- enumeration -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _partial_orders(n: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
-    """All partial orders on n labeled points, as boolean matrices: every set
-    of pairs that is already reflexively-transitively closed and antisymmetric."""
-    points = {str(i): i for i in range(n)}
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+def _partial_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partial orders on n labeled points, as up-set rows, in ascending
+    order of ``_pair_mask``.
+
+    Each extends an order on the first n - 1 points by the last point p,
+    with a down-closed set D below p and an up-closed set U above it:
+    disjoint, and every d in D below every u in U.  A set is down-closed
+    iff its complement is up-closed.
+    """
+    if n == 0:
+        return ((),)
+    p, earlier = n - 1, (1 << n - 1) - 1
     orders = []
-    for mask in range(2 ** len(pairs)):
-        chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-        leq = order_from_pairs(points, chosen, "point")
-        if sum(map(sum, leq)) == n + len(chosen) and mutual_pair(leq) is None:
-            orders.append(tuple(tuple(row) for row in leq))
-    return tuple(orders)
+    for rows in _partial_orders(p):
+        up_closed = [
+            s for s in range(earlier + 1) if all(rows[x] & s == rows[x] for x in bit_positions(s))
+        ]
+        for up in up_closed:
+            for down in (earlier & ~c for c in up_closed):
+                if down & up == 0 and all(rows[d] & up == up for d in bit_positions(down)):
+                    extended = tuple(row | (down >> x & 1) << p for x, row in enumerate(rows))
+                    orders.append(extended + (1 << p | up,))
+    return tuple(sorted(orders, key=_pair_mask))
+
+
+def _pair_mask(rows: Sequence[int]) -> int:
+    """The pairs (i, j), i != j, of a relation on n points as a mask in
+    row-major order: row i without bit i, shifted to bit i * (n - 1)."""
+    width = len(rows) - 1
+    return sum((row & (1 << i) - 1 | row >> i + 1 << i) << i * width for i, row in enumerate(rows))
 
 
 def _unital_associative_tables(n: int):
@@ -135,7 +153,16 @@ def _unital_associative_tables(n: int):
 
 def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:
     """All ordered monoids on n elements up to isomorphism, sorted by
-    ``canonical_key``.
+    ``canonical_key``, as a new list of the monoids enumerated once per n."""
+    if n < 1 or n > ENUMERATION_MAX_N:
+        raise SizeCapExceeded(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
+    return list(_enumerated(n))
+
+
+@lru_cache(maxsize=None)
+def _enumerated(n: int) -> tuple[OrderedMonoid, ...]:
+    """The ordered monoids of ``enumerate_ordered_monoids(n)``, which share
+    them: the monoids are frozen.
 
     Tables are enumerated with the identity fixed at index 0 (every monoid
     is isomorphic to one of that form).  Each table is canonicalized once,
@@ -146,8 +173,6 @@ def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:
     pair that has it.  Orders are keyed through the relabelings that reach
     the canonical table, a coset of its automorphisms.
     """
-    if n < 1 or n > ENUMERATION_MAX_N:
-        raise SizeCapExceeded(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
     names = tuple(f"m{i}" for i in range(n))
     seen: set[tuple] = set()
     found: dict[tuple, tuple] = {}
@@ -159,7 +184,7 @@ def enumerate_ordered_monoids(n: int) -> list[OrderedMonoid]:
         for leq in _partial_orders(n):
             if compatibility_violation(mul, leq, range(n)) is None:
                 found.setdefault((n, table, _least_order(leq, coset)), (mul, leq))
-    return [_make_unchecked(names, 0, *found[key]) for key in sorted(found)]
+    return tuple(_make_unchecked(names, 0, *found[key]) for key in sorted(found))
 
 
 # -- seeded random instances -------------------------------------------------
@@ -221,13 +246,12 @@ def random_coloring(rng: random.Random, monoid: OrderedMonoid, lattice: Lattice)
     changed = True
     while changed:
         changed = False
-        for a in range(monoid.size):
-            for b in range(monoid.size):
-                if a != b and monoid.leq[a][b]:
-                    joined = lattice.join_table[colors[b]][colors[a]]
-                    if joined != colors[b]:
-                        colors[b] = joined
-                        changed = True
+        for a, row in enumerate(monoid.leq):
+            for b in bit_positions(row & ~(1 << a)):
+                joined = lattice.join_table[colors[b]][colors[a]]
+                if joined != colors[b]:
+                    colors[b] = joined
+                    changed = True
     return make_op_coloring(monoid, lattice, colors)
 
 
@@ -247,9 +271,6 @@ class VerificationReport:
             "verdict": self.verdict,
             "witness": self.witness,
         }
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bools as binary digits
 
 
 def verify_recog_by_synt(
@@ -316,14 +337,14 @@ def verify_recog_by_synt(
             },
         )
 
-    below = [int(bytes(column[::-1]).translate(_DIGITS), 2) for column in zip(*product.leq)]
+    below = converse(product.leq)
     projected = []
     for p in projections:
         at = [0] * p.target.size
         for x, u in enumerate(p.mapping):
             at[u] |= 1 << x
         projected.append(
-            [sum(bits for bits, le in zip(at, column) if le) for column in zip(*p.target.leq)]
+            [sum(at[u] for u in bit_positions(down)) for down in converse(p.target.leq)]
         )
     for m in range(product.size):
         joined = reachable
@@ -338,7 +359,7 @@ def verify_recog_by_synt(
 
     colors = triple.coloring.colors
     for j, x in enumerate(order):
-        if colors[x] != lat.meet_all([c for c, le in zip(colors, product.leq[x]) if le]):
+        if colors[x] != lat.meet_all([colors[y] for y in bit_positions(product.leq[x])]):
             return fail("ideal_representation", -1, j)
     return VerificationReport("recog_by_synt", instance, "pass")
 
@@ -425,9 +446,9 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
                     {"pair": [monoid.elements[x], monoid.elements[y]]},
                 )
             embedded_le = all(
-                s.monoid.leq[phi[x][i]][phi[y][i]] for i, s in enumerate(synts)
+                s.monoid.leq[phi[x][i]] >> phi[y][i] & 1 for i, s in enumerate(synts)
             )
-            if embedded_le != monoid.leq[x][y]:
+            if embedded_le != bool(monoid.leq[x] >> y & 1):
                 return fail(
                     "order_embedding",
                     {"pair": [monoid.elements[x], monoid.elements[y]]},

@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +40,6 @@ from latlang.lattice import (
     check_names,
     make_lattice_morphism,
     name_tuple,
-    order_from_pairs,
     product_name,
     resolve,
     subset_name,
@@ -64,7 +63,6 @@ from latlang.monoid import (
     _check_order,
     _make_unchecked,
     _surjection_onto,
-    compatibility_violation,
     direct_product,
     product_index,
 )
@@ -73,7 +71,6 @@ from latlang.syntactic import (
     TRANSITION_MONOID_CAP,
     RecognitionTriple,
     SyntacticResult,
-    _state_preorder,
     cut,
     recognizes,
     syntactic,
@@ -81,7 +78,6 @@ from latlang.syntactic import (
 )
 from latlang.variety import (
     VerificationReport,
-    _partial_orders,
     _unital_associative_tables,
     enumerate_ordered_monoids,
 )
@@ -95,6 +91,120 @@ settings.register_profile(
 settings.load_profile("ci")
 
 DATA = Path(__file__).parent / "data"
+
+
+def rows_of(matrix):
+    """The up-set rows of a boolean matrix: bit b of row a is matrix[a][b]."""
+    return tuple(sum(1 << b for b, le in enumerate(row) if le) for row in matrix)
+
+
+def matrix_of(rows):
+    """The boolean matrix of up-set rows over len(rows) points."""
+    return [[bool(row >> b & 1) for b in range(len(rows))] for row in rows]
+
+
+def reference_closure(matrix):
+    """Reference reflexive-transitive closure of a boolean matrix: the
+    triple loop over k, then every row holding k, then every column."""
+    n = len(matrix)
+    leq = [[i == j or bool(matrix[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        row_k = leq[k]
+        for row_i in leq:
+            if row_i[k]:
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    return leq
+
+
+def reference_order_from_pairs(index, pairs, what):
+    """Reference order: [lo, hi] pairs resolved into a boolean matrix and
+    closed by ``reference_closure``."""
+    if isinstance(pairs, str) or not isinstance(pairs, Iterable):
+        raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
+    n = len(index)
+    leq = [[False] * n for _ in range(n)]
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise MalformedDocument(f"order pair {pair!r} must list two elements")
+        lo, hi = pair
+        leq[resolve(index, lo, what)][resolve(index, hi, what)] = True
+    return reference_closure(leq)
+
+
+def reference_mutual_pair(leq):
+    """Reference antisymmetry scan of a boolean matrix: the first pair i < j
+    with both i <= j and j <= i, in row-major order."""
+    n = len(leq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                return i, j
+    return None
+
+
+def reference_compatibility_violation(mul, leq, gens):
+    """Reference compatibility scan of a boolean matrix: every pair x != y
+    in row-major order, then each z, left before right."""
+    n = len(mul)
+    for x in range(n):
+        for y in range(n):
+            if x == y or not leq[x][y]:
+                continue
+            for z in gens:
+                if not leq[mul[z][x]][mul[z][y]]:
+                    return x, y, z, "left"
+                if not leq[mul[x][z]][mul[y][z]]:
+                    return x, y, z, "right"
+    return None
+
+
+def reference_partial_orders(n):
+    """Reference poset list: every set of pairs (i, j), i != j, as a mask
+    in ascending order, kept when it is already closed and antisymmetric."""
+    points = {str(i): i for i in range(n)}
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    orders = []
+    for mask in range(2 ** len(pairs)):
+        chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        leq = reference_order_from_pairs(points, chosen, "point")
+        if sum(map(sum, leq)) == n + len(chosen) and reference_mutual_pair(leq) is None:
+            orders.append(rows_of(leq))
+    return orders
+
+
+def reference_state_preorder(a):
+    """Reference state preorder: the boolean fixpoint that clears sRt while
+    some letter sends s and t to a pair outside the relation."""
+    n = len(a.states)
+    rel = [[a.lattice.le(a.output[s], a.output[t]) for t in range(n)] for s in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for s in range(n):
+            for t in range(n):
+                if rel[s][t] and any(
+                    not rel[a.delta[s][l]][a.delta[t][l]] for l in range(len(a.alphabet))
+                ):
+                    rel[s][t] = False
+                    changed = True
+    return rel
+
+
+def reference_reach(chain):
+    """Reference reach relation: one depth-first search per state, as frozensets."""
+    result = []
+    for s in range(chain.size):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for t in chain.successors[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        result.append(frozenset(seen))
+    return tuple(result)
 
 
 def all_words(alphabet, max_len):
@@ -133,7 +243,7 @@ def enumerate_falsifier(a, max_len):
                     if w == v or w in seen:
                         continue
                     seen.add(w)
-                    if not a.lattice.leq[value_v][values[w]]:
+                    if not a.lattice.leq[value_v] >> values[w] & 1:
                         return w, v
     return None
 
@@ -159,10 +269,10 @@ def reference_direct_product(monoids, *, max_size=1024):
         [radix[tuple(m.mul[a[i]][b[i]] for i, m in enumerate(monoids))] for b in tuples]
         for a in tuples
     ]
-    leq = [
-        [all(m.leq[a[i]][b[i]] for i, m in enumerate(monoids)) for b in tuples]
+    leq = rows_of(
+        [all(m.leq[a[i]] >> b[i] & 1 for i, m in enumerate(monoids)) for b in tuples]
         for a in tuples
-    ]
+    )
     identity = radix[tuple(m.identity for m in monoids)]
     product = _make_unchecked(names, identity, mul, leq)
     projections = tuple(
@@ -230,7 +340,7 @@ def reference_transition_monoid(a):
     """Reference transition monoid: equality order on the reference word maps."""
     maps, witnesses, gen_ids = reference_word_maps(reference_trim(a))
     k = len(maps)
-    leq = [[i == j for j in range(k)] for i in range(k)]
+    leq = rows_of([i == j for j in range(k)] for i in range(k))
     names = tuple(word_name(w) for w in witnesses)
     return _make_unchecked(names, 0, reference_composition_table(maps), leq), tuple(gen_ids)
 
@@ -239,9 +349,9 @@ def reference_syntactic(a):
     """Reference syntactic monoid: the reference word maps of the minimal
     machine, their composition table, and the pointwise state preorder."""
     a = minimize(a)
-    pre = _state_preorder(a)
+    pre = reference_state_preorder(a)
     maps, witnesses, gen_ids = reference_word_maps(a)
-    leq = [[all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps]
+    leq = rows_of([all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps)
     names = tuple(word_name(w) for w in witnesses)
     monoid = _make_unchecked(names, 0, reference_composition_table(maps), leq)
     return SyntacticResult(
@@ -299,8 +409,8 @@ def reference_surjection_onto(m1, m2, carrier, gens):
                         break
                 else:
                     if any(
-                        (m2.leq[z][y] and not m1.leq[iz][expected])
-                        or (m2.leq[y][z] and not m1.leq[expected][iz])
+                        (m2.leq[z] >> y & 1 and not m1.leq[iz] >> expected & 1)
+                        or (m2.leq[y] >> z & 1 and not m1.leq[expected] >> iz & 1)
                         for z, iz in img.items()
                     ):
                         ok = False
@@ -312,7 +422,7 @@ def reference_surjection_onto(m1, m2, carrier, gens):
         if set(img.values()) != set(range(m1.size)):
             continue
         if any(
-            m2.leq[x][y] and not m1.leq[img[x]][img[y]]
+            m2.leq[x] >> y & 1 and not m1.leq[img[x]] >> img[y] & 1
             for x in carrier
             for y in carrier
         ):
@@ -385,7 +495,7 @@ def reference_build_ordered_monoid(element_names, identity, mul_table, leq_pairs
                 witness=names[x],
             )
     _check_associative(names, mul, range(n))
-    leq = order_from_pairs(index, leq_pairs, "monoid element")
+    leq = rows_of(reference_order_from_pairs(index, leq_pairs, "monoid element"))
     _check_order(names, mul, leq, range(n))
     return _make_unchecked(names, ident, mul, leq)
 
@@ -432,7 +542,7 @@ def reference_verify_recog_by_synt(automata, triple):
         rhs_colors = [
             lat.join_all(
                 lat.bottom
-                if p.target.leq[p.mapping[x]][p.mapping[m]]
+                if p.target.le(p.mapping[x], p.mapping[m])
                 else lat.top
                 for p in projections
             )
@@ -451,7 +561,7 @@ def reference_verify_recog_by_synt(automata, triple):
     combo_colors = [
         lat.meet_all(
             lat.join_table[
-                lat.bottom if product.leq[x][m] else lat.top
+                lat.bottom if product.le(x, m) else lat.top
             ][triple.coloring.colors[m]]
             for m in range(product.size)
         )
@@ -562,7 +672,7 @@ def reference_canonical_key(monoid):
         for a in range(n):
             for b in range(n):
                 mul[relabel[a]][relabel[b]] = relabel[monoid.mul[a][b]]
-                leq[relabel[a]][relabel[b]] = monoid.leq[a][b]
+                leq[relabel[a]][relabel[b]] = monoid.leq[a] >> b & 1 == 1
         key = (n, tuple(map(tuple, mul)), tuple(map(tuple, leq)))
         if best is None or key < best:
             best = key
@@ -571,13 +681,14 @@ def reference_canonical_key(monoid):
 
 def reference_enumerate_ordered_monoids(n):
     """Reference enumeration: every table paired with every compatible
-    order, each pair keyed by ``reference_canonical_key``, the first pair of
-    each key kept."""
+    order of the mask scan, each pair keyed by ``reference_canonical_key``,
+    the first pair of each key kept."""
     names = tuple(f"m{i}" for i in range(n))
     found = {}
+    orders = reference_partial_orders(n)
     for mul in _unital_associative_tables(n):
-        for leq in _partial_orders(n):
-            if compatibility_violation(mul, leq, range(n)) is not None:
+        for leq in orders:
+            if reference_compatibility_violation(mul, matrix_of(leq), range(n)) is not None:
                 continue
             monoid = _make_unchecked(names, 0, mul, leq)
             found.setdefault(reference_canonical_key(monoid), monoid)
@@ -592,8 +703,8 @@ def relabeled(m, perm):
     for a in range(n):
         for b in range(n):
             mul[perm[a]][perm[b]] = perm[m.mul[a][b]]
-            leq[perm[a]][perm[b]] = m.leq[a][b]
-    return _make_unchecked([f"r{i}" for i in range(n)], perm[m.identity], mul, leq)
+            leq[perm[a]][perm[b]] = m.leq[a] >> b & 1 == 1
+    return _make_unchecked([f"r{i}" for i in range(n)], perm[m.identity], mul, rows_of(leq))
 
 
 def identity_moved(rng, m):
@@ -638,7 +749,7 @@ def reference_monoid_to_doc(monoid):
             [monoid.elements[a], monoid.elements[b]]
             for a in range(monoid.size)
             for b in range(monoid.size)
-            if monoid.leq[a][b]
+            if monoid.le(a, b)
         ),
     }
 
@@ -653,8 +764,8 @@ def reference_build_lattice(element_names, pairs):
     if n > LATTICE_MAX_SIZE:
         raise SizeCapExceeded(f"lattice size {n} exceeds cap {LATTICE_MAX_SIZE}")
     index = {name: i for i, name in enumerate(names)}
-    leq = order_from_pairs(index, pairs, "lattice element")
-    check_antisymmetric(names, leq)
+    leq = reference_order_from_pairs(index, pairs, "lattice element")
+    check_antisymmetric(names, rows_of(leq))
     if n == 1:
         raise TrivialLattice("bottom equals top in a one-element lattice")
     uppers = [frozenset(c for c in range(n) if leq[a][c]) for a in range(n)]
@@ -689,7 +800,7 @@ def reference_build_lattice(element_names, pairs):
         bottom = meet_table[bottom][e]
     return Lattice(
         elements=names,
-        leq=tuple(tuple(row) for row in leq),
+        leq=rows_of(leq),
         join_table=tuple(tuple(row) for row in join_table),
         meet_table=tuple(tuple(row) for row in meet_table),
         top=top,

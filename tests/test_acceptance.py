@@ -86,7 +86,7 @@ def test_criterion_01_lattice_laws():
             for b in range(n):
                 assert J[a][b] == J[b][a] and M[a][b] == M[b][a]
                 assert J[a][M[a][b]] == a and M[a][J[a][b]] == a
-                assert lat.leq[a][b] == (J[a][b] == b) == (M[a][b] == a)
+                assert lat.le(a, b) == (J[a][b] == b) == (M[a][b] == a)
                 for c in range(n):
                     assert J[a][J[b][c]] == J[J[a][b]][c]
                     assert M[a][M[b][c]] == M[M[a][b]][c]

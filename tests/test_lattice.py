@@ -28,11 +28,25 @@ from latlang.errors import (
     TrivialLattice,
     UnknownElement,
 )
-from latlang.lattice import orbit, resolve
+from latlang.lattice import (
+    closure_bits,
+    converse,
+    monotone_violation,
+    mutual_pair,
+    orbit,
+    resolve,
+)
 from latlang.markov import make_chain
 from latlang.variety import random_lattice
 
-from conftest import reference_build_lattice
+from conftest import (
+    matrix_of,
+    reference_build_lattice,
+    reference_closure,
+    reference_monotone_violation,
+    reference_mutual_pair,
+    rows_of,
+)
 
 POOL = [random_lattice(random.Random(seed), 8) for seed in range(12)]
 POOL += [standard_lattice("powerset", 2), standard_lattice("powerset", 3), standard_lattice("chain", 5)]
@@ -154,7 +168,7 @@ def test_lattice_laws(lat, data):
     assert M[a][M[b][c]] == M[M[a][b]][c]
     assert J[a][a] == a and M[a][a] == a
     assert J[a][M[a][b]] == a and M[a][J[a][b]] == a
-    assert lat.leq[a][b] == (J[a][b] == b) == (M[a][b] == a)
+    assert lat.le(a, b) == (J[a][b] == b) == (M[a][b] == a)
 
 
 @given(st.sampled_from(POOL))
@@ -293,3 +307,58 @@ def test_build_lattice_matches_frozenset_reference_on_seeded_covers():
         assert build_lattice(names, pairs) == expected
         built += 1
     assert built >= 150 and failed >= 200, (built, failed)
+
+
+def test_closure_bits_matches_triple_loop_on_seeded_relations():
+    """``closure_bits`` gives the boolean triple loop's closure, as rows, on
+    seeded relations over 1 to 70 points (across the 64-bit boundary), from
+    empty to dense; a closed relation is its own closure, and ``converse``
+    gives the rows of the transposed matrix."""
+    rng = random.Random(1818)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        sizes.add(n)
+        density = rng.choice((0.0, 0.01, 0.03, 0.1, 0.4))
+        matrix = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+        expected = rows_of(reference_closure(matrix))
+        assert closure_bits(rows_of(matrix)) == expected
+        assert closure_bits(expected) == expected
+        assert converse(expected) == rows_of(zip(*matrix_of(expected)))
+    assert max(sizes) > 64 and min(sizes) == 1
+
+
+def test_order_scans_match_bool_references_on_seeded_lattices():
+    """On random lattices and the closures of seeded relations (preorders,
+    many with cycles), ``mutual_pair`` names the bool scan's first pair or
+    neither finds one; on seeded maps between random lattices,
+    ``monotone_violation`` names the bool scan's first (a, b), or neither
+    finds one, as for the indicator of an up-set."""
+    rng = random.Random(1919)
+    lattices = [random_lattice(rng, rng.randint(2, 10)) for _ in range(120)]
+    mutual = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        rows = closure_bits(sum(1 << b for a2, b in pairs if a2 == a) for a in range(n))
+        expected = reference_mutual_pair(matrix_of(rows))
+        assert mutual_pair(rows) == expected
+        mutual[expected is None] += 1
+    for lat in lattices:
+        assert mutual_pair(lat.leq) is reference_mutual_pair(matrix_of(lat.leq)) is None
+    assert min(mutual.values()) > 50, mutual
+    monotone = {True: 0, False: 0}
+    for src in lattices:
+        dst = lattices[rng.randrange(len(lattices))]
+        pivot = rng.randrange(src.size)
+        for images in (
+            [rng.randrange(dst.size) for _ in range(src.size)],
+            [rng.choice((dst.bottom, dst.top)) for _ in range(src.size)],
+            [dst.top if src.le(pivot, x) else dst.bottom for x in range(src.size)],
+        ):
+            expected = reference_monotone_violation(
+                matrix_of(src.leq), matrix_of(dst.leq), images
+            )
+            assert monotone_violation(src.leq, dst.leq, images) == expected
+            monotone[expected is None] += 1
+    assert min(monotone.values()) > 30, monotone

@@ -1,10 +1,14 @@
 """Guards against duplicates coming back into the library.
 
-Element resolution, closing order pairs, the antisymmetry, monotonicity
+Element resolution, the reflexive-transitive closure of order rows
+(``closure_bits``), closing order pairs, the antisymmetry, monotonicity
 and compatibility scans, the product constructions and the shuffle-ideal
 falsifier each have one definition; the helpers they replaced stay
 deleted, the falsifier does not go back to enumerating subwords, and the
-product machine does not go back to enumerating state pairs.  The shuffle
+product machine does not go back to enumerating state pairs.  Every order
+and reach relation is read as int rows: no module but ``lattice.py`` has
+a closure loop or a ``bytes.maketrans`` bit table, and no order is read
+as a matrix of bools (``leq[a][b]``).  The shuffle
 verdict, the aperiodicity witness and the ergodic classes each have one
 implementation.  Breadth-first closures go through ``orbit``, except the
 two searches kept apart on purpose.  Monoid tables come from a search,
@@ -29,9 +33,13 @@ DELETED = {
     "_strongly_connected_components",
     "_aperiodicity_witness",
     "_composition_table",
+    "_bits",
+    "_BITS",
+    "_DIGITS",
 }
 KERNEL = {
     "resolve": "lattice.py",
+    "closure_bits": "lattice.py",
     "order_from_pairs": "lattice.py",
     "mutual_pair": "lattice.py",
     "monotone_violation": "lattice.py",
@@ -56,11 +64,23 @@ def _function_defs():
                 yield path.name, node.name, id(node) in top
 
 
+def _module_names():
+    """(file name, name) for every name a module assigns at its top level."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield path.name, target.id
+
+
 def test_deleted_duplicates_stay_deleted():
     found = [
         (file, name) for file, name, at_top in _function_defs()
         if name in DELETED or (name in ("resolve", "resolve_state") and not at_top)
     ]
+    found += [(file, name) for file, name in _module_names() if name in DELETED]
     assert found == []
 
 
@@ -208,13 +228,13 @@ def test_recognition_check_builds_one_machine():
 
 
 def test_enumeration_keys_tables_not_pairs():
-    """``enumerate_ordered_monoids`` canonicalizes each table once and keys
-    orders through its coset; it never takes a (table, order) pair's
-    ``canonical_key``."""
+    """The enumeration (``_enumerated``, which ``enumerate_ordered_monoids``
+    copies) canonicalizes each table once and keys orders through its
+    coset; it never takes a (table, order) pair's ``canonical_key``."""
     tree = ast.parse((SRC / "variety.py").read_text())
     body = next(
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_ordered_monoids"
+        if isinstance(node, ast.FunctionDef) and node.name == "_enumerated"
     )
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     assert "canonical_table" in names
@@ -239,3 +259,79 @@ def test_syntactic_order_compares_no_pairs_of_maps():
         )
     ]
     assert pairwise == []
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _closure_loops(tree):
+    """Line numbers of the closure loops in a module: a ``while`` loop that
+    pops a stack or a queue (a search growing a reached set), a row ORed
+    into a subscript or an entry set to True three loops deep (Warshall by
+    entries), and a row ORed into the rows that hold a bit (Warshall by
+    rows)."""
+    found = []
+
+    def visit(node, depth):
+        if isinstance(node, ast.While) and any(
+            isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr in ("pop", "popleft")
+            for inner in ast.walk(node)
+        ):
+            found.append(node.lineno)
+        if depth >= 3 and (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.BitOr)
+            and isinstance(node.target, ast.Subscript)
+            or isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value is True
+        ):
+            found.append(node.lineno)
+        if (
+            depth >= 2
+            and isinstance(node, ast.IfExp)
+            and isinstance(node.test, ast.BinOp)
+            and isinstance(node.test.op, ast.BitAnd)
+            and isinstance(node.body, ast.BinOp)
+            and isinstance(node.body.op, ast.BitOr)
+        ):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, depth + isinstance(node, LOOPS))
+
+    visit(tree, 0)
+    return found
+
+
+def test_one_closure_kernel_and_no_bool_matrices():
+    """``closure_bits`` is the one reflexive-transitive closure: outside
+    ``lattice.py`` only the two searches kept apart pop a queue, and no
+    module has a Warshall loop or builds a ``bytes.maketrans`` bit table.
+    No order is read as a matrix of bools: nothing named ``leq`` is
+    subscripted twice."""
+    kept_apart = {("automaton.py", "find_difference"), ("monoid.py", "_closure_of")}
+    loops, tables, matrices = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "lattice.py":
+            for node in tree.body:
+                if (path.name, getattr(node, "name", None)) not in kept_apart:
+                    loops += [(path.name, line) for line in _closure_loops(node)]
+            tables += [
+                (path.name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "maketrans"
+            ]
+        matrices += [
+            (path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Subscript)
+            and (
+                isinstance(node.value.value, ast.Attribute) and node.value.value.attr == "leq"
+                or isinstance(node.value.value, ast.Name) and node.value.value.id == "leq"
+            )
+        ]
+    assert (loops, tables, matrices) == ([], [], [])
+    assert _closure_loops(ast.parse((SRC / "lattice.py").read_text()))

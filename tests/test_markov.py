@@ -36,6 +36,7 @@ from conftest import (
     reference_decompose,
     reference_ergodic_structure,
     reference_make_chain,
+    reference_reach,
     reference_solve_exact,
     reference_simulating_automaton,
     reference_validate_decomposition,
@@ -159,7 +160,7 @@ def test_simulating_automaton_reachable(two_sink_chain, two_sink_decomposition):
     f_t1 = a.output[a.state("t1")]
     f_t2 = a.output[a.state("t2")]
     assert lat.elements[f_t2] == "{2}" and lat.elements[f_t1] == "{1,2}"
-    assert lat.leq[f_t2][f_t1] and f_t2 != f_t1
+    assert lat.le(f_t2, f_t1) and f_t2 != f_t1
 
 
 def test_simulating_automaton_generated_letters(two_sink_chain):
@@ -745,3 +746,41 @@ def test_analyze_asserts_shuffle_verdict_both_ways(
     with pytest.raises(InternalInconsistency) as caught:
         analyze(irreducible)
     assert str(caught.value) == "algebraic shuffle verdict is true but a falsifying pair exists"
+
+
+def _closed_class_chain(rng, n, closed):
+    """A chain in the style of the benchmark's: transient states first, then
+    1-3 closed classes of ``closed`` states in all, each a cycle with random
+    extra edges inside it; every transient state steps to a later state and
+    to 1-2 random ones."""
+    states = [f"p{i}" for i in range(n)]
+    n_classes = rng.randint(1, min(3, closed))
+    cuts = sorted(rng.sample(range(1, closed), n_classes - 1))
+    first = n - closed
+    targets = {}
+    for a, b in zip([0] + cuts, cuts + [closed]):
+        members = list(range(first + a, first + b))
+        for j, s in enumerate(members):
+            succ = members[(j + 1) % len(members)]
+            targets[s] = [succ] + [t for t in members if t != succ and rng.random() < 0.5]
+    for s in range(first):
+        chosen = [rng.randrange(s + 1, n)] + [rng.randrange(n) for _ in range(rng.randint(1, 2))]
+        targets[s] = list(dict.fromkeys(chosen))
+    rows = {
+        states[s]: {states[t]: str(Fraction(1, len(ts))) for t in ts}
+        for s, ts in targets.items()
+    }
+    return chain_of(states, rows)
+
+
+def test_reach_matches_depth_first_reference():
+    """The reach rows from ``closure_bits`` hold exactly the states of one
+    depth-first search per state, on benchmark-style chains of 30 to 200
+    states and on small sparse chains with several closed classes."""
+    rng = random.Random(2020)
+    chains = [_closed_class_chain(rng, rng.randint(30, 200), 6) for _ in range(12)]
+    chains += [_sparse_chain(rng, rng.randint(1, 12)) for _ in range(200)]
+    for i, chain in enumerate(chains):
+        expected = tuple(sum(1 << t for t in seen) for seen in reference_reach(chain))
+        assert chain.reach == expected, i
+    assert max(chain.size for chain in chains) > 150

@@ -16,13 +16,14 @@ from latlang import (
     standard_lattice,
     trivial_monoid,
 )
-from latlang.lattice import monotone_violation
+from latlang.lattice import closure_bits, monotone_violation, mutual_pair
 from latlang.monoid import (
     OrderedMonoid,
     _check_associative,
     _greedy_generators,
     aperiodicity_witness,
     check_generated,
+    compatibility_violation,
 )
 from latlang.serialize import monoid_to_doc
 from latlang.errors import (
@@ -35,14 +36,18 @@ from latlang.errors import (
 
 from conftest import (
     identity_moved,
+    matrix_of,
     reference_build_ordered_monoid,
     reference_check_associative,
+    reference_compatibility_violation,
     reference_direct_product,
     reference_divides,
     reference_is_aperiodic,
     reference_monoid_to_doc,
     reference_monotone_violation,
+    reference_mutual_pair,
     reference_surjection_onto,
+    rows_of,
     small_monoids,
     u1,
     z2,
@@ -89,9 +94,9 @@ def test_direct_product():
     for a in range(product.size):
         for b in range(product.size):
             expected = all(
-                m.leq[pi.mapping[a]][pi.mapping[b]] for pi in projections
+                m.le(pi.mapping[a], pi.mapping[b]) for pi in projections
             )
-            assert product.leq[a][b] == expected
+            assert product.le(a, b) == expected
 
 
 def test_unary_product_is_isomorphic_copy():
@@ -297,7 +302,7 @@ def _divides_oracle(m1, m2):
             ):
                 continue
             if any(
-                m2.leq[x][y] and not m1.leq[phi[x]][phi[y]]
+                m2.le(x, y) and not m1.le(phi[x], phi[y])
                 for x in carrier
                 for y in carrier
             ):
@@ -514,7 +519,7 @@ def test_ideal_coloring_through_embedding():
     for target in range(m.size):
         pulled = precompose(ideal_coloring(m, target, lat), embedding)
         direct = [
-            lat.bottom if m.leq[embedding.mapping[x]][target] else lat.top
+            lat.bottom if m.le(embedding.mapping[x], target) else lat.top
             for x in range(sub.size)
         ]
         assert list(pulled.colors) == direct
@@ -528,9 +533,7 @@ def _unchecked(names, mul, pairs):
         for i in range(n):
             for j in range(n):
                 leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
-    return OrderedMonoid(
-        tuple(names), 0, tuple(map(tuple, mul)), tuple(map(tuple, leq))
-    )
+    return OrderedMonoid(tuple(names), 0, tuple(map(tuple, mul)), rows_of(leq))
 
 
 def _error_doc(check):
@@ -555,7 +558,7 @@ def test_check_generated_matches_build_on_enumerated_monoids():
     from latlang.variety import enumerate_ordered_monoids
 
     for m in enumerate_ordered_monoids(3):
-        pairs = {(i, j) for i in range(m.size) for j in range(m.size) if m.leq[i][j]}
+        pairs = {(i, j) for i in range(m.size) for j in range(m.size) if m.le(i, j)}
         _assert_same_verdict(m.elements, m.mul, pairs)
         for extra in [(i, j) for i in range(m.size) for j in range(m.size)]:
             _assert_same_verdict(m.elements, m.mul, pairs | {extra})
@@ -643,7 +646,36 @@ def test_monoid_doc_and_monotone_witness_match_reference():
         target = cases[rng.randrange(len(cases))]
         for _ in range(3):
             images = [rng.randrange(target.size) for _ in range(m.size)]
-            expected = reference_monotone_violation(m.leq, target.leq, images)
+            expected = reference_monotone_violation(
+                matrix_of(m.leq), matrix_of(target.leq), images
+            )
             assert monotone_violation(m.leq, target.leq, images) == expected
             verdicts[expected is None] += 1
     assert min(verdicts.values()) > 100, verdicts
+
+
+def test_order_scans_match_bool_references_on_seeded_products():
+    """On the seeded relabelings, products of 16 to 64 elements among them,
+    with their own orders and with orders widened by one seeded pair and
+    closed again: ``compatibility_violation`` names the bool scan's first
+    (x, y, z, side), through every element and through a seeded subset,
+    and ``mutual_pair`` the bool scan's first pair, or neither finds one."""
+    rng, cases = _seeded_relabelings(1515, 40)
+    compatible = {True: 0, False: 0}
+    mutual = {True: 0, False: 0}
+    for m in cases:
+        n = m.size
+        a, b = rng.randrange(n), rng.randrange(n)
+        widened = closure_bits(m.leq[:a] + (m.leq[a] | 1 << b,) + m.leq[a + 1:])
+        subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+        for leq in (m.leq, widened):
+            matrix = matrix_of(leq)
+            expected = reference_mutual_pair(matrix)
+            assert mutual_pair(leq) == expected
+            mutual[expected is None] += 1
+            for gens in (range(n), subset):
+                expected = reference_compatibility_violation(m.mul, matrix, gens)
+                assert compatibility_violation(m.mul, leq, gens) == expected
+                compatible[expected is None] += 1
+    assert max(m.size for m in cases) == 64
+    assert min(compatible.values()) > 100 and min(mutual.values()) > 50, (compatible, mutual)

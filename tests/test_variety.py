@@ -45,8 +45,10 @@ from conftest import (
     identity_moved,
     reference_canonical_key,
     reference_enumerate_ordered_monoids,
+    reference_partial_orders,
     reference_unital_associative_tables,
     reference_verify_recog_by_synt,
+    rows_of,
     small_monoids,
     u1,
 )
@@ -142,7 +144,7 @@ def test_enumerated_monoids_validate_and_are_distinct():
                 m.elements,
                 m.identity,
                 [[m.mul[i][j] for j in range(n)] for i in range(n)],
-                [(i, j) for i in range(n) for j in range(n) if m.leq[i][j]],
+                [(i, j) for i in range(n) for j in range(n) if m.le(i, j)],
             )
             assert rebuilt.mul == m.mul and rebuilt.leq == m.leq
         assert len({canonical_key(m) for m in monoids}) == len(monoids)
@@ -168,8 +170,28 @@ def test_enumeration_counts_up_to_n4():
 
 def test_partial_orders_match_oracle():
     for n in (1, 2, 3):
-        oracle = {tuple(tuple(row) for row in leq) for leq in _oracle_partial_orders(n)}
+        oracle = {rows_of(leq) for leq in _oracle_partial_orders(n)}
         assert set(_partial_orders(n)) == oracle
+
+
+def test_partial_orders_match_mask_scan():
+    """Adding one point at a time gives the mask scan's posets, the same
+    rows in the same order, with the counts of OEIS A001035."""
+    assert [len(_partial_orders(n)) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
+    for n in (1, 2, 3, 4):
+        assert list(_partial_orders(n)) == reference_partial_orders(n), n
+
+
+def test_enumeration_is_computed_once_per_n(monkeypatch):
+    """A second call returns equal monoids without enumerating again, and a
+    caller that mutates the returned list leaves later calls unchanged."""
+    variety_module._enumerated.cache_clear()
+    first = enumerate_ordered_monoids(3)
+    monkeypatch.setattr(variety_module, "_unital_associative_tables", None)
+    second = enumerate_ordered_monoids(3)
+    assert second == first and second is not first
+    second.clear()
+    assert enumerate_ordered_monoids(3) == first and len(first) == 37
 
 
 def test_relabelled_copies_are_isomorphic():
@@ -181,8 +203,8 @@ def test_relabelled_copies_are_isomorphic():
         for a in range(n):
             for b in range(n):
                 mul[p[a]][p[b]] = p[m.mul[a][b]]
-                leq[p[a]][p[b]] = m.leq[a][b]
-        copy = _make_unchecked([f"r{i}" for i in range(n)], p[m.identity], mul, leq)
+                leq[p[a]][p[b]] = m.le(a, b)
+        copy = _make_unchecked([f"r{i}" for i in range(n)], p[m.identity], mul, rows_of(leq))
         assert is_isomorphic(m, copy) and is_isomorphic(copy, m)
 
 
@@ -226,6 +248,7 @@ def test_canonical_key_matches_reference_on_seeded_relabelings():
 def test_enumeration_canonicalizes_each_table_once(monkeypatch):
     """At n = 4: one canonical form per table (156), and compatibility is
     checked only on the first table of each of the 35 classes."""
+    variety_module._enumerated.cache_clear()
     calls = dict.fromkeys(("canonical_table", "compatibility_violation"), 0)
     for name in calls:
         def counted(*args, _original=getattr(variety_module, name), _name=name):
@@ -348,7 +371,7 @@ def test_recog_by_synt_matches_reference_on_corrupted_colorings():
 
 
 def _equality_ordered(monoid):
-    equality = [[x == y for y in range(monoid.size)] for x in range(monoid.size)]
+    equality = [1 << x for x in range(monoid.size)]
     return _make_unchecked(monoid.elements, monoid.identity, monoid.mul, equality)
 
 
@@ -465,7 +488,7 @@ def test_subdirect_flags_incompatible_order():
         ("1", "g"),
         0,
         ((0, 1), (1, 0)),
-        ((True, True), (False, True)),
+        (0b11, 0b10),
     )
     report = subdirect_embedding(broken)
     assert report.verdict == "fail"
