@@ -88,6 +88,7 @@ from .syntactic import (
     ideal_language_construction,
     is_shuffle_ideal,
     make_recognition_triple,
+    product_triple,
     recognizes,
     reconstruct_from_cuts,
     shuffle_ideal_falsify,

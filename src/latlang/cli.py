@@ -19,7 +19,6 @@ from typing import Any
 from . import markov as markov_mod
 from . import serialize as ser
 from .automaton import (
-    equivalent,
     evaluate,
     find_difference,
     inverse_hom,

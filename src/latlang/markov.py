@@ -572,6 +572,8 @@ def analyze(
     """
     from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
 
+    if mode not in ("basic", "reachable"):
+        raise MalformedDocument(f"unknown coloring mode {mode!r}")
     structure = ergodic_structure(chain)
     decomposition = _checked_decomposition(chain, decomposition)
     lattice = ergodic_lattice(structure)
@@ -579,8 +581,6 @@ def analyze(
     reachable = _simulating_automaton(
         chain, structure, lattice, decomposition, initial, "reachable"
     )
-    if mode not in ("basic", "reachable"):
-        raise MalformedDocument(f"unknown coloring mode {mode!r}")
     analyzed = basic if mode == "basic" else reachable
     synt, algebraic, falsifier = shuffle_verdict(analyzed, falsify_bound)
     absorption = absorption_doc(chain)

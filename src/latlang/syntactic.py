@@ -74,7 +74,7 @@ class RecognitionTriple:
     coloring: OpColoring
 
     def __repr__(self) -> str:
-        return f"<RecognitionTriple over {list(self.alphabet)!r} on {self.monoid!r}>"
+        return f"<{type(self).__name__} over {list(self.alphabet)!r} on {self.monoid!r}>"
 
     def image_of(self, word: str | Sequence[str]) -> int:
         m = self.monoid.identity
@@ -104,26 +104,11 @@ def make_recognition_triple(
 
 
 @dataclass(frozen=True, repr=False)
-class SyntacticResult:
-    """The syntactic ordered monoid with its morphism, coloring, and witnesses."""
+class SyntacticResult(RecognitionTriple):
+    """The syntactic recognition triple, with the length-lex-least word
+    of each monoid element."""
 
-    alphabet: tuple[str, ...]
-    monoid: OrderedMonoid
-    generator_images: tuple[int, ...]
-    coloring: OpColoring
     witnesses: tuple[Word, ...]
-
-    def __repr__(self) -> str:
-        return f"<SyntacticResult {self.monoid.size} classes>"
-
-    @property
-    def triple(self) -> RecognitionTriple:
-        return RecognitionTriple(
-            alphabet=self.alphabet,
-            generator_images=self.generator_images,
-            monoid=self.monoid,
-            coloring=self.coloring,
-        )
 
 
 def _word_maps(a: LatticeAutomaton) -> tuple[list, list[Word], list[int], list[tuple]]:
@@ -246,25 +231,39 @@ def syntactic(a: LatticeAutomaton) -> SyntacticResult:
     )
 
 
-def triple_to_automaton(
-    t: RecognitionTriple, alphabet: Sequence[str] | None = None
-) -> LatticeAutomaton:
+def triple_to_automaton(t: RecognitionTriple) -> LatticeAutomaton:
     """The right-regular machine of a triple: states are the monoid elements."""
-    letters = t.alphabet if alphabet is None else tuple(alphabet)
-    if letters != t.alphabet:
-        raise MismatchedAlphabet("alphabet differs from the triple's alphabet")
     m = t.monoid
     delta = tuple(
         tuple(m.mul[x][g] for g in t.generator_images) for x in range(m.size)
     )
     return LatticeAutomaton(
         lattice=t.coloring.lattice,
-        alphabet=letters,
+        alphabet=t.alphabet,
         states=m.elements,
         initial=m.identity,
         delta=delta,
         output=t.coloring.colors,
     )
+
+
+def product_triple(kind: str, triples: Sequence[RecognitionTriple]) -> RecognitionTriple:
+    """The recognizer of the product join or meet of the triples' languages.
+
+    ``kind`` is ``"pjoin"`` or ``"pmeet"``, as in ``product_coloring``: the
+    product coloring lives on the direct product of the monoids, and each
+    letter goes to the tuple of its images (``product_index``).  This is
+    the closure step of the variety theorem for joins and meets.
+    """
+    coloring = product_coloring(kind, [t.coloring for t in triples])
+    alphabet = triples[0].alphabet
+    if any(t.alphabet != alphabet for t in triples):
+        raise MismatchedAlphabet("product triple factors use different alphabets")
+    sizes = [t.monoid.size for t in triples]
+    images = tuple(
+        product_index(sizes, letter) for letter in zip(*(t.generator_images for t in triples))
+    )
+    return RecognitionTriple(alphabet, images, coloring.monoid, coloring)
 
 
 def recognizes(t: RecognitionTriple, a: LatticeAutomaton) -> bool:
@@ -287,9 +286,9 @@ def cut(a: LatticeAutomaton, value: int | str) -> LatticeAutomaton:
 def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]:
     """Recognize the language on the product of its cut syntactic monoids.
 
-    For each lattice value v, take the syntactic monoid of the cut language;
-    the coloring of a product element is the product meet over v of the cut
-    color joined with v.  A cut keeps the machine and changes only its
+    For each lattice value v, take the syntactic triple of the cut language
+    with its colors joined with v; the recognizer is their product meet
+    (``product_triple``).  A cut keeps the machine and changes only its
     output, so values with the same cut output share one syntactic monoid,
     built once; the product still has one factor per value.  The returned
     flag asserts that the triple recognizes the original language (exact
@@ -297,30 +296,15 @@ def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]
     """
     lat = a.lattice
     by_output: dict[tuple[int, ...], SyntacticResult] = {}
-    synts = []
+    factors = []
     for v in range(lat.size):
         c = cut(a, v)
         if c.output not in by_output:
             by_output[c.output] = syntactic(c)
-        synts.append(by_output[c.output])
-    coloring = product_coloring(
-        "pmeet",
-        [
-            postcompose(make_lattice_morphism(lat, lat.join_table[v]), s.coloring)
-            for v, s in enumerate(synts)
-        ],
-    )
-    sizes = [s.monoid.size for s in synts]
-    images = tuple(
-        product_index(sizes, [s.generator_images[l] for s in synts])
-        for l in range(len(a.alphabet))
-    )
-    triple = RecognitionTriple(
-        alphabet=a.alphabet,
-        generator_images=images,
-        monoid=coloring.monoid,
-        coloring=coloring,
-    )
+        s = by_output[c.output]
+        joined = postcompose(make_lattice_morphism(lat, lat.join_table[v]), s.coloring)
+        factors.append(RecognitionTriple(s.alphabet, s.generator_images, s.monoid, joined))
+    triple = product_triple("pmeet", factors)
     return triple, recognizes(triple, a)
 
 
@@ -471,12 +455,7 @@ def ideal_language_construction(
     colors = s.coloring.colors
     mi = monoid.index(m)
     direct = triple_to_automaton(
-        RecognitionTriple(
-            alphabet=s.alphabet,
-            generator_images=s.generator_images,
-            monoid=monoid,
-            coloring=ideal_coloring(monoid, mi, lat),
-        )
+        RecognitionTriple(s.alphabet, s.generator_images, monoid, ideal_coloring(monoid, mi, lat))
     )
     strictly_above = [y for y, row in enumerate(monoid.leq) if not row >> mi & 1]
     if not strictly_above:

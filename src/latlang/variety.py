@@ -27,7 +27,6 @@ from .coloring import (
     OpColoring,
     ideal_coloring,
     make_op_coloring,
-    product_coloring,
 )
 from .errors import LatlangError, MismatchedCarrier, NotARecognizer, SizeCapExceeded
 from .lattice import (
@@ -47,11 +46,10 @@ from .monoid import (
     compatibility_violation,
     direct_product,
     divides,
-    product_index,
 )
 from .syntactic import (
     RecognitionTriple,
-    SyntacticResult,
+    product_triple,
     recognizes,
     syntactic,
     triple_to_automaton,
@@ -410,17 +408,9 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     if monoid.size > SUBDIRECT_MAX_SIZE:
         raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
     lat = standard_lattice("chain", 2)
-    synts: list[SyntacticResult] = []
-    for m in range(monoid.size):
-        machine = triple_to_automaton(
-            RecognitionTriple(
-                alphabet=monoid.elements,
-                generator_images=tuple(range(monoid.size)),
-                monoid=monoid,
-                coloring=ideal_coloring(monoid, m, lat),
-            )
-        )
-        synts.append(syntactic(machine))
+    colorings = [ideal_coloring(monoid, m, lat) for m in range(monoid.size)]
+    regular = RecognitionTriple(monoid.elements, tuple(range(monoid.size)), monoid, colorings[0])
+    synts = [syntactic(triple_to_automaton(replace(regular, coloring=c))) for c in colorings]
     phi = [tuple(s.generator_images[x] for s in synts) for x in range(monoid.size)]
     instance = {
         "monoid": monoid_to_doc(monoid),
@@ -483,24 +473,6 @@ def _cons_b_report(lattice: Lattice) -> VerificationReport:
     )
 
 
-def _join_recognizer(
-    s1: SyntacticResult, s2: SyntacticResult
-) -> RecognitionTriple:
-    """The product recognizer of the join of two languages."""
-    coloring = product_coloring("pjoin", [s1.coloring, s2.coloring])
-    sizes = [s1.monoid.size, s2.monoid.size]
-    images = tuple(
-        product_index(sizes, (g1, g2))
-        for g1, g2 in zip(s1.generator_images, s2.generator_images)
-    )
-    return RecognitionTriple(
-        alphabet=s1.alphabet,
-        generator_images=images,
-        monoid=coloring.monoid,
-        coloring=coloring,
-    )
-
-
 def run_suite(seed: int = 0) -> list[VerificationReport]:
     """Deterministic verification sweep; failures are reports, not exceptions."""
     rng = random.Random(seed)
@@ -519,7 +491,7 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
             s1, s2 = syntactic(a1), syntactic(a2)
             if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
                 break
-        triple = _join_recognizer(s1, s2)
+        triple = product_triple("pjoin", [s1, s2])
         reports.append(numbered(verify_recog_by_synt([a1, a2], triple), i))
 
     pool = enumerate_ordered_monoids(2) + enumerate_ordered_monoids(3)

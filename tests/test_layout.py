@@ -17,7 +17,9 @@ fractions only for their answers, each absorption row is built from its
 state's successors alone, the recognition check runs on one
 machine, and the enumeration keys each table, not each (table, order) pair.
 The syntactic order is built from bitsets, not by comparing every pair of
-word maps.
+word maps.  Product recognizers of joins and meets are built by
+``product_triple`` alone.  No module but ``__init__.py`` imports a name
+it does not read.
 """
 
 import ast
@@ -36,6 +38,7 @@ DELETED = {
     "_bits",
     "_BITS",
     "_DIGITS",
+    "_join_recognizer",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -49,6 +52,7 @@ KERNEL = {
     "product_name": "lattice.py",
     "shuffle_ideal_falsify": "syntactic.py",
     "shuffle_verdict": "syntactic.py",
+    "product_triple": "syntactic.py",
     "aperiodicity_witness": "monoid.py",
     "orbit": "lattice.py",
 }
@@ -335,3 +339,26 @@ def test_one_closure_kernel_and_no_bool_matrices():
         ]
     assert (loops, tables, matrices) == ([], [], [])
     assert _closure_loops(ast.parse((SRC / "lattice.py").read_text()))
+
+
+def test_no_unused_imports():
+    """Every name a module other than ``__init__.py`` imports is read in it;
+    ``from __future__`` imports are not names."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [(path.name, name) for name in imported if name not in read]
+    assert unused == []

@@ -713,6 +713,18 @@ def test_analyze_irreducible():
     assert report["shuffle"]["algebraic"] is True
 
 
+def test_analyze_checks_mode_before_decomposing(two_sink_chain, monkeypatch):
+    """An unknown mode is rejected before any decomposition is computed."""
+    import latlang.markov as markov_module
+
+    def decompose_called(chain):
+        raise AssertionError("analyze decomposed before checking its mode")
+
+    monkeypatch.setattr(markov_module, "decompose", decompose_called)
+    with pytest.raises(MalformedDocument, match="unknown coloring mode"):
+        analyze(two_sink_chain, mode="bogus")
+
+
 def test_analyze_asserts_shuffle_verdict_both_ways(
     monkeypatch, two_sink_chain, two_sink_decomposition
 ):

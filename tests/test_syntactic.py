@@ -23,6 +23,7 @@ from latlang import (
     make_op_coloring,
     make_recognition_triple,
     product_combine,
+    product_triple,
     recognizes,
     reconstruct_from_cuts,
     shuffle_ideal_falsify,
@@ -32,7 +33,7 @@ from latlang import (
     triple_to_automaton,
 )
 from latlang.automaton import minimize
-from latlang.errors import SizeCapExceeded
+from latlang.errors import MismatchedAlphabet, SizeCapExceeded
 from latlang.lattice import closure_bits
 from latlang.monoid import product_index
 from latlang.serialize import triple_to_doc
@@ -302,20 +303,20 @@ def test_syntactic_order_matches_literal_context_quantifier(rng):
         s = syntactic(machine)
         assert s.monoid.size == len(classes)
         assert s.monoid.elements == tuple(monoid.elements[c[0]] for c in classes)
-        image = [s.triple.image_of(w) for w in words]
+        image = [s.image_of(w) for w in words]
         for index, c in enumerate(classes):
             assert {image[m] for m in c} == {index}
         for m1 in range(k):
             for m2 in range(k):
                 assert s.monoid.le(image[m1], image[m2]) == below[m1][m2]
-                concatenation = s.triple.image_of(words[m1] + words[m2])
+                concatenation = s.image_of(words[m1] + words[m2])
                 assert s.monoid.mul[image[m1]][image[m2]] == concatenation
         checked += 1
 
 
 def test_recognizes_syntactic_triple(two_sink_automaton):
     s = syntactic(two_sink_automaton)
-    assert recognizes(s.triple, two_sink_automaton)
+    assert recognizes(s, two_sink_automaton)
 
 
 def test_recognizes_rejects_constant(two_sink_automaton):
@@ -351,12 +352,39 @@ def test_recognizes_product_construction(rng):
         assert recognizes(triple, product_combine("join", a1, a2))
 
 
+def test_product_triple_matches_product_machine_on_seeded_pairs():
+    """The product join and meet of two syntactic triples recognize the
+    join and meet of their languages, on 120 seeded pairs of 3-state
+    machines over random lattices (products of up to 576 elements)."""
+    rng = random.Random(18)
+    checked = 0
+    while checked < 120:
+        lattice = random_lattice(rng, 5)
+        a1 = random_automaton(rng, lattice, 3, min_states=3)
+        a2 = random_automaton(rng, lattice, 3, min_states=3)
+        s1, s2 = syntactic(a1), syntactic(a2)
+        if s1.monoid.size * s2.monoid.size > 1024:
+            continue
+        for kind in ("join", "meet"):
+            triple = product_triple("p" + kind, [s1, s2])
+            assert triple.monoid.size == s1.monoid.size * s2.monoid.size
+            assert equivalent(triple_to_automaton(triple), product_combine(kind, a1, a2))
+        checked += 1
+
+
+def test_product_triple_rejects_mixed_alphabets(boolean):
+    s1 = syntactic(constant_automaton(boolean, ("a",), 0))
+    s2 = syntactic(constant_automaton(boolean, ("b",), 0))
+    with pytest.raises(MismatchedAlphabet):
+        product_triple("pjoin", [s1, s2])
+
+
 def test_triple_to_automaton_shapes(boolean, contains_a):
     trivial = syntactic(constant_automaton(boolean, ("a", "b"), 0))
-    assert len(triple_to_automaton(trivial.triple).states) == 1
+    assert len(triple_to_automaton(trivial).states) == 1
 
     s = syntactic(contains_a)
-    rebuilt = triple_to_automaton(s.triple)
+    rebuilt = triple_to_automaton(s)
     assert equivalent(rebuilt, contains_a)
 
     m, _ = direct_product([u1(), u1()])

@@ -22,7 +22,7 @@ from latlang.coloring import OpColoring
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
 from latlang.monoid import _make_unchecked, canonical_key
 from latlang.serialize import monoid_to_doc
-from latlang.syntactic import RecognitionTriple, cut
+from latlang.syntactic import RecognitionTriple, cut, product_triple
 from latlang.variety import (
     SUITE_LATTICE_MAX,
     SUITE_PRODUCT_CAP,
@@ -35,7 +35,6 @@ from latlang.variety import (
     subdirect_embedding,
     verify_recog_by_synt,
     verify_syntactic_minimality,
-    _join_recognizer,
     _partial_orders,
     _unital_associative_tables,
 )
@@ -290,7 +289,7 @@ def test_recog_by_synt_single_language(rng):
 def test_recog_by_synt_cut_languages(contains_a):
     cuts = [cut(contains_a, v) for v in range(contains_a.lattice.size)]
     s1, s2 = syntactic(cuts[0]), syntactic(cuts[1])
-    triple = _join_recognizer(s1, s2)
+    triple = product_triple("pjoin", [s1, s2])
     report = verify_recog_by_synt([cuts[0], cuts[1]], triple)
     assert report.verdict == "pass"
 
@@ -331,7 +330,7 @@ def _suite_triples():
         a2 = random_automaton(rng, lattice, SUITE_STATES_MAX)
         s1, s2 = syntactic(a1), syntactic(a2)
         if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
-            triples.append(([a1, a2], _join_recognizer(s1, s2)))
+            triples.append(([a1, a2], product_triple("pjoin", [s1, s2])))
     return triples
 
 
@@ -401,7 +400,7 @@ def test_recog_by_synt_matches_reference_on_narrowed_product(monkeypatch):
 
 def test_minimality_self(two_sink_automaton):
     s = syntactic(two_sink_automaton)
-    report = verify_syntactic_minimality(two_sink_automaton, s.triple)
+    report = verify_syntactic_minimality(two_sink_automaton, s)
     assert report.verdict == "pass"
 
 
@@ -411,7 +410,7 @@ def test_minimality_join_recognizer(rng):
     lattice = random_lattice(rng, 4)
     a1 = random_automaton(rng, lattice, 2)
     a2 = random_automaton(rng, lattice, 2)
-    triple = _join_recognizer(syntactic(a1), syntactic(a2))
+    triple = product_triple("pjoin", [syntactic(a1), syntactic(a2)])
     joined = product_combine("join", a1, a2)
     report = verify_syntactic_minimality(
         joined, triple, max_target_size=triple.monoid.size
@@ -524,10 +523,10 @@ def test_reports_replay_from_serialized_inputs(rng):
     lattice = random_lattice(rng, 4)
     machine = random_automaton(rng, lattice, 3)
     s = syntactic(machine)
-    first = verify_syntactic_minimality(machine, s.triple)
+    first = verify_syntactic_minimality(machine, s)
     replayed = verify_syntactic_minimality(
         automaton_from_doc(automaton_to_doc(machine)),
-        triple_from_doc(triple_to_doc(s.triple)),
+        triple_from_doc(triple_to_doc(s)),
     )
     assert first.verdict == replayed.verdict == "pass"
 
