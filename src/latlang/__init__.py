@@ -93,6 +93,7 @@ from .syntactic import (
     reconstruct_from_cuts,
     shuffle_ideal_falsify,
     syntactic,
+    syntactic_quotients,
     transition_monoid,
     triple_to_automaton,
 )

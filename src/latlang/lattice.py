@@ -95,10 +95,30 @@ def converse(rows: Sequence[int]) -> tuple[int, ...]:
 def order_from_pairs(
     index: Mapping[str, int], pairs: Iterable[Sequence[int | str]], what: str
 ) -> tuple[int, ...]:
-    """The reflexive-transitive closure of [lo, hi] pairs, as up-set rows."""
+    """The reflexive-transitive closure of [lo, hi] pairs, as up-set rows.
+
+    A list of two-element pairs of names is resolved by one name lookup per
+    entry.  Only a list with some other pair (of positions, or something
+    malformed, unknown or unhashable) is resolved pair by pair, so a bad
+    pair raises the error ``resolve`` or the shape check raises for it.
+    """
     if isinstance(pairs, str) or not isinstance(pairs, Iterable):
         raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
+    pairs = list(pairs)
     rows = [0] * len(index)
+    try:
+        ends = [
+            index.get(end)
+            for pair in pairs
+            if isinstance(pair, (list, tuple)) and len(pair) == 2
+            for end in pair
+        ]
+    except TypeError:
+        ends = [None]
+    if len(ends) == 2 * len(pairs) and None not in ends:
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            rows[lo] |= 1 << hi
+        return closure_bits(rows)
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MalformedDocument(f"order pair {pair!r} must list two elements")

@@ -517,16 +517,18 @@ def _surjection_onto(
     m2: OrderedMonoid,
     carrier: list[int],
     gens: tuple[int, ...],
+    candidates: Iterable[tuple[int, ...]],
 ) -> dict[int, int] | None:
     """Search for a surjective order-preserving morphism from the submonoid
     of ``m2`` with the given carrier (generated by ``gens``) onto ``m1``.
 
-    The mapping is keyed by ambient m2 indices.  Candidates are enumerated
-    by generator images in lexicographic order, so the first witness is
-    deterministic.  Each candidate walks the table of right products by the
-    generators over the carrier, row by row; the carrier is in breadth-first
-    order, so the first edge to reach an element assigns its image, and
-    every other edge must agree with the image already assigned.
+    The mapping is keyed by ambient m2 indices.  ``candidates`` are the
+    tuples of generator images to try, in lexicographic order, so the first
+    witness is deterministic.  Each candidate walks the table of right
+    products by the generators over the carrier, row by row; the carrier is
+    in breadth-first order, so the first edge to reach an element assigns
+    its image, and every other edge must agree with the image already
+    assigned.
     """
     position = {x: i for i, x in enumerate(carrier)}
     edges = [
@@ -535,7 +537,7 @@ def _surjection_onto(
         for k, g in enumerate(gens)
     ]
     leq = [sum(1 << i for i, y in enumerate(carrier) if m2.leq[x] >> y & 1) for x in carrier]
-    for images in itertools.product(range(m1.size), repeat=len(gens)):
+    for images in candidates:
         img = [m1.identity]
         for x, y, k in edges:
             expected = m1.mul[img[x]][images[k]]
@@ -562,9 +564,12 @@ def divides(
     maps onto ``m1`` holds one preimage of each of those r generators, and
     the submonoid they generate still maps onto ``m1``.  So the first
     witness and every verdict are those of the search over all subsets,
-    which visits O(|m2|^r) carriers instead of 2^|m2|.  The search is
-    complete; ``budget_exhausted`` means only that ``m2`` has more than
-    ``max_target_size`` elements, and no search was made.
+    which visits O(|m2|^r) carriers instead of 2^|m2|.  A surjective
+    morphism sends the k generators of its carrier to k elements that
+    generate ``m1``, so only such tuples of images are tried, listed once
+    per k when the first carrier with enough elements needs them.  The
+    search is complete; ``budget_exhausted`` means only that ``m2`` has
+    more than ``max_target_size`` elements, and no search was made.
     """
     if m2.size > max_target_size:
         return DivisionVerdict("budget_exhausted")
@@ -572,6 +577,7 @@ def divides(
     non_identity = [i for i in range(m2.size) if i != m2.identity]
     seen_carriers: set[tuple[int, ...]] = set()
     for k in range(rank + 1):
+        generating = None
         for gens in itertools.combinations(non_identity, k):
             carrier = _closure_of(m2.mul, m2.identity, gens)
             key = tuple(sorted(carrier))
@@ -580,7 +586,13 @@ def divides(
             seen_carriers.add(key)
             if len(carrier) < m1.size:
                 continue
-            img = _surjection_onto(m1, m2, carrier, gens)
+            if generating is None:
+                generating = [
+                    images
+                    for images in itertools.product(range(m1.size), repeat=k)
+                    if len(_closure_of(m1.mul, m1.identity, images)) == m1.size
+                ]
+            img = _surjection_onto(m1, m2, carrier, gens, generating)
             if img is not None:
                 mapping = {
                     m2.elements[x]: m1.elements[img[x]] for x in sorted(img)

@@ -8,7 +8,10 @@ reachable states, this order coincides with the two-sided word-context
 preorder, and on the minimal machine it is antisymmetric, so no quotient
 is needed.  The multiplication table is read off the right Cayley graph
 that the breadth-first search for the word maps already builds, and it
-is validated through its generators.
+is validated through its generators.  A recognizer given by a table
+gets the same triple from the table (``syntactic_quotients``), with no
+machine: the minimal machine's states are the right-context profiles of
+the elements the letters reach.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -52,6 +55,7 @@ from .lattice import cons as cons_morphism
 from .lattice import bit_positions, make_lattice_morphism, orbit, threshold
 from .monoid import (
     OrderedMonoid,
+    _greedy_generators,
     _make_unchecked,
     check_generated,
     identity_is_greatest,
@@ -174,23 +178,24 @@ def _state_preorder(a: LatticeAutomaton) -> list[int]:
 
 def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[int]:
     """Rows of the order m_i <= m_j iff m_i(q) <= m_j(q) under ``pre`` at
-    every state q.
+    every position q.
 
-    Bit j of ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the
-    union of the ``at[q][v]`` over the v in row p of ``pre`` (they are
-    disjoint, so it is their sum), so row i is the intersection over q of
-    ``above[q][m_i(q)]``: one AND per state instead of one comparison per
-    pair of maps.
+    The maps send each of their positions to a point of ``pre``, which may
+    have another number of points (states, or lattice values).  Bit j of
+    ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the union of
+    the ``at[q][v]`` over the v in row p of ``pre`` (they are disjoint, so
+    it is their sum), so row i is the intersection over q of
+    ``above[q][m_i(q)]``: one AND per position instead of one comparison
+    per pair of maps.
     """
-    k, n = len(maps), len(pre)
-    at = [[0] * n for _ in range(n)]
+    k = len(maps)
+    ups = [bit_positions(pre_p) for pre_p in pre]
+    at = [[0] * len(pre) for _ in maps[0]]
     for j, m in enumerate(maps):
         bit = 1 << j
         for at_q, v in zip(at, m):
             at_q[v] |= bit
-    above = [
-        [sum(at_q[v] for v in bit_positions(pre_p)) for pre_p in pre] for at_q in at
-    ]
+    above = [[sum(map(at_q.__getitem__, up)) for up in ups] for at_q in at]
     rows = []
     for m in maps:
         row = (1 << k) - 1
@@ -229,6 +234,83 @@ def syntactic(a: LatticeAutomaton) -> SyntacticResult:
         coloring=make_op_coloring(monoid, a.lattice, values),
         witnesses=tuple(witnesses),
     )
+
+
+def syntactic_quotients(
+    alphabet: Sequence[str],
+    generator_images: Sequence[int],
+    colorings: Sequence[OpColoring],
+) -> list[SyntacticResult]:
+    """The syntactic triple of each coloring's language, read off the table
+    of the one monoid the colorings live on: for the triple t of the letter
+    images and a coloring, ``syntactic(triple_to_automaton(t))`` field for
+    field.  The monoid's table must be associative.
+
+    One ``orbit`` walks the submonoid N that the letter images generate,
+    as the reachable states of the triple's machine, in length-lex order of
+    their least words.  For a coloring c, x in N has the right-context
+    profile (c(xv) for v in N); the distinct profiles are the minimal
+    machine's states, preordered pointwise over the lattice.  Each y in N
+    acts on them by [x] -> [xy]; the distinct actions are the syntactic
+    elements, each listed at its first member in N, so its index, name and
+    witness are those the machine route finds.  The table is read off these
+    first members, and the order is pointwise over the state preorder.
+    Each table is validated through its greedy generators with
+    ``check_generated``; a failure raises InternalInconsistency.
+    """
+    alphabet = tuple(alphabet)
+    mul = colorings[0].monoid.mul
+    gens = tuple(generator_images)
+    members, right = orbit(colorings[0].monoid.identity, lambda x: [mul[x][g] for g in gens])
+    witnesses: list[Word] = [()]
+    for p, row in enumerate(right):
+        for l, y in enumerate(row):
+            if y == len(witnesses):
+                witnesses.append(witnesses[p] + (alphabet[l],))
+    position = {x: i for i, x in enumerate(members)}
+    # products[i][j] is the position in N of members[i] * members[j]
+    products = [
+        tuple(map(position.__getitem__, map(mul[x].__getitem__, members))) for x in members
+    ]
+    results = []
+    for coloring in colorings:
+        colors = [coloring.colors[x] for x in members]
+        profiles: dict[tuple[int, ...], int] = {}
+        state = [
+            profiles.setdefault(tuple(map(colors.__getitem__, row)), len(profiles))
+            for row in products
+        ]
+        # the action of members[j] on the states is column j of these rows
+        action = [tuple(map(state.__getitem__, products[i])) for i in _firsts(state)]
+        classes: dict[tuple[int, ...], int] = {}
+        element = [classes.setdefault(m, len(classes)) for m in zip(*action)]
+        reps = _firsts(element)
+        table = [[element[products[i][j]] for j in reps] for i in reps]
+        pre = _pointwise_order(coloring.lattice.leq, list(profiles))
+        names = tuple(word_name(witnesses[i]) for i in reps)
+        monoid = _make_unchecked(names, 0, table, _pointwise_order(pre, list(classes)))
+        try:
+            check_generated(monoid, _greedy_generators(table, 0))
+        except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
+            raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
+        results.append(SyntacticResult(
+            alphabet=alphabet,
+            monoid=monoid,
+            generator_images=tuple(element[j] for j in right[0]),
+            coloring=make_op_coloring(monoid, coloring.lattice, [colors[i] for i in reps]),
+            witnesses=tuple(witnesses[i] for i in reps),
+        ))
+    return results
+
+
+def _firsts(labels: Sequence[int]) -> list[int]:
+    """The first position of each label, for labels numbered in order of
+    first appearance."""
+    firsts: list[int] = []
+    for i, label in enumerate(labels):
+        if label == len(firsts):
+            firsts.append(i)
+    return firsts
 
 
 def triple_to_automaton(t: RecognitionTriple) -> LatticeAutomaton:

@@ -52,6 +52,7 @@ from .syntactic import (
     product_triple,
     recognizes,
     syntactic,
+    syntactic_quotients,
     triple_to_automaton,
 )
 
@@ -368,12 +369,15 @@ def verify_syntactic_minimality(
     max_target_size: int = 10,
 ) -> VerificationReport:
     """The syntactic monoid must divide the monoid of any recognizer
-    (searched while the recognizer has at most ``max_target_size`` elements)."""
+    (searched while the recognizer has at most ``max_target_size`` elements).
+
+    The syntactic triple depends only on the language, so once the triple
+    recognizes it, it is read off the triple's table."""
     from .serialize import automaton_to_doc, triple_to_doc
 
     if not recognizes(triple, a):
         raise NotARecognizer("triple does not recognize the automaton's language")
-    synt = syntactic(a)
+    synt = syntactic_quotients(triple.alphabet, triple.generator_images, [triple.coloring])[0]
     verdict = divides(synt.monoid, triple.monoid, max_target_size)
     instance = {
         "syntactic_size": synt.monoid.size,
@@ -401,17 +405,23 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     own elements as the alphabet).
 
     Passes iff the induced map is multiplicative, injective, and an order
-    embedding in both directions.
+    embedding in both directions.  The syntactic triples are read off the
+    monoid's table (``syntactic_quotients``), and the map phi sends x to its
+    letter's images.  Both checks run row by row: phi(xy) against
+    phi(x)phi(y) as one row of each factor's table, and the order through
+    each factor's "above" bitsets, the elements whose images lie above an
+    image.  A failure names the first pair in row-major order, the
+    multiplicative check before the order at the same pair.
     """
     from .serialize import monoid_to_doc
 
     if monoid.size > SUBDIRECT_MAX_SIZE:
         raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
+    n = monoid.size
     lat = standard_lattice("chain", 2)
-    colorings = [ideal_coloring(monoid, m, lat) for m in range(monoid.size)]
-    regular = RecognitionTriple(monoid.elements, tuple(range(monoid.size)), monoid, colorings[0])
-    synts = [syntactic(triple_to_automaton(replace(regular, coloring=c))) for c in colorings]
-    phi = [tuple(s.generator_images[x] for s in synts) for x in range(monoid.size)]
+    colorings = [ideal_coloring(monoid, m, lat) for m in range(n)]
+    synts = syntactic_quotients(monoid.elements, range(n), colorings)
+    phi = list(zip(*(s.generator_images for s in synts)))
     instance = {
         "monoid": monoid_to_doc(monoid),
         "factor_sizes": [s.monoid.size for s in synts],
@@ -425,25 +435,35 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     identity_image = tuple(s.monoid.identity for s in synts)
     if phi[monoid.identity] != identity_image:
         return fail("identity", {"element": monoid.elements[monoid.identity]})
-    for x in range(monoid.size):
-        for y in range(monoid.size):
-            expected = tuple(
-                s.monoid.mul[phi[x][i]][phi[y][i]] for i, s in enumerate(synts)
+    everything = (1 << n) - 1
+    # per x: the first y with phi(xy) != phi(x)phi(y), and the y with phi(x) <= phi(y)
+    unmultiplied = [n] * n
+    embedded_above = [everything] * n
+    for s in synts:
+        image, table = s.generator_images, s.monoid.mul
+        products = [list(map(row.__getitem__, image)) for row in table]
+        members = [0] * s.monoid.size
+        for x, c in enumerate(image):
+            members[c] |= 1 << x
+        above = [sum(members[d] for d in bit_positions(row)) for row in s.monoid.leq]
+        for x, row in enumerate(monoid.mul):
+            c = image[x]
+            embedded_above[x] &= above[c]
+            got, expected = list(map(image.__getitem__, row)), products[c]
+            if got != expected:
+                y = next(y for y, (u, v) in enumerate(zip(got, expected)) if u != v)
+                unmultiplied[x] = min(unmultiplied[x], y)
+    for x in range(n):
+        misordered = (embedded_above[x] ^ monoid.leq[x]) & everything
+        y = (misordered & -misordered).bit_length() - 1 if misordered else n
+        if unmultiplied[x] <= y and unmultiplied[x] < n:
+            return fail(
+                "multiplicative",
+                {"pair": [monoid.elements[x], monoid.elements[unmultiplied[x]]]},
             )
-            if phi[monoid.mul[x][y]] != expected:
-                return fail(
-                    "multiplicative",
-                    {"pair": [monoid.elements[x], monoid.elements[y]]},
-                )
-            embedded_le = all(
-                s.monoid.leq[phi[x][i]] >> phi[y][i] & 1 for i, s in enumerate(synts)
-            )
-            if embedded_le != bool(monoid.leq[x] >> y & 1):
-                return fail(
-                    "order_embedding",
-                    {"pair": [monoid.elements[x], monoid.elements[y]]},
-                )
-    if len(set(phi)) != monoid.size:
+        if misordered:
+            return fail("order_embedding", {"pair": [monoid.elements[x], monoid.elements[y]]})
+    if len(set(phi)) != n:
         return fail("injective", {})
     return VerificationReport("subdirect_embedding", instance, "pass")
 

@@ -4,6 +4,7 @@ import json
 import random
 from collections import deque
 from collections.abc import Iterable, Mapping
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,7 @@ from latlang.syntactic import (
     triple_to_automaton,
 )
 from latlang.variety import (
+    SUBDIRECT_MAX_SIZE,
     VerificationReport,
     _unital_associative_tables,
     enumerate_ordered_monoids,
@@ -389,10 +391,63 @@ def reference_reconstruct_from_cuts(a):
     return triple, recognizes(triple, a)
 
 
-def reference_surjection_onto(m1, m2, carrier, gens):
+def reference_subdirect_embedding(monoid, synts=None):
+    """Reference subdirect embedding: one ``syntactic`` call on the
+    |M|-letter machine of each ideal language, then the embedding checked
+    pair by pair.  Given ``synts``, it checks those triples instead."""
+    from latlang.serialize import monoid_to_doc
+
+    if monoid.size > SUBDIRECT_MAX_SIZE:
+        raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
+    if synts is None:
+        lat = standard_lattice("chain", 2)
+        colorings = [ideal_coloring(monoid, m, lat) for m in range(monoid.size)]
+        regular = RecognitionTriple(
+            monoid.elements, tuple(range(monoid.size)), monoid, colorings[0]
+        )
+        synts = [syntactic(triple_to_automaton(replace(regular, coloring=c))) for c in colorings]
+    phi = [tuple(s.generator_images[x] for s in synts) for x in range(monoid.size)]
+    instance = {
+        "monoid": monoid_to_doc(monoid),
+        "factor_sizes": [s.monoid.size for s in synts],
+    }
+
+    def fail(reason, witness):
+        witness = dict(witness)
+        witness["reason"] = reason
+        return VerificationReport("subdirect_embedding", instance, "fail", witness)
+
+    identity_image = tuple(s.monoid.identity for s in synts)
+    if phi[monoid.identity] != identity_image:
+        return fail("identity", {"element": monoid.elements[monoid.identity]})
+    for x in range(monoid.size):
+        for y in range(monoid.size):
+            expected = tuple(
+                s.monoid.mul[phi[x][i]][phi[y][i]] for i, s in enumerate(synts)
+            )
+            if phi[monoid.mul[x][y]] != expected:
+                return fail(
+                    "multiplicative",
+                    {"pair": [monoid.elements[x], monoid.elements[y]]},
+                )
+            embedded_le = all(
+                s.monoid.leq[phi[x][i]] >> phi[y][i] & 1 for i, s in enumerate(synts)
+            )
+            if embedded_le != bool(monoid.leq[x] >> y & 1):
+                return fail(
+                    "order_embedding",
+                    {"pair": [monoid.elements[x], monoid.elements[y]]},
+                )
+    if len(set(phi)) != monoid.size:
+        return fail("injective", {})
+    return VerificationReport("subdirect_embedding", instance, "pass")
+
+
+def reference_surjection_onto(m1, m2, carrier, gens, candidates=None):
     """Reference division step: a deque search per tuple of generator images
     that prunes on order against every image assigned so far, then checks
-    the full map, its surjectivity and its order pair by pair."""
+    the full map, its surjectivity and its order pair by pair.  It tries
+    every tuple, whatever ``candidates`` the search passes."""
     carrier_set = set(carrier)
     for images in itertools.product(range(m1.size), repeat=len(gens)):
         img = {m2.identity: m1.identity}
@@ -457,7 +512,8 @@ def reference_divides(m1, m2, max_target_size=10):
             seen_carriers.add(key)
             if len(carrier) < m1.size:
                 continue
-            img = _surjection_onto(m1, m2, carrier, gens)
+            every = itertools.product(range(m1.size), repeat=len(gens))
+            img = _surjection_onto(m1, m2, carrier, gens, every)
             if img is not None:
                 mapping = {
                     m2.elements[x]: m1.elements[img[x]] for x in sorted(img)

@@ -34,6 +34,7 @@ from latlang.lattice import (
     monotone_violation,
     mutual_pair,
     orbit,
+    order_from_pairs,
     resolve,
 )
 from latlang.markov import make_chain
@@ -45,6 +46,7 @@ from conftest import (
     reference_closure,
     reference_monotone_violation,
     reference_mutual_pair,
+    reference_order_from_pairs,
     rows_of,
 )
 
@@ -362,3 +364,40 @@ def test_order_scans_match_bool_references_on_seeded_lattices():
             assert monotone_violation(src.leq, dst.leq, images) == expected
             monotone[expected is None] += 1
     assert min(monotone.values()) > 30, monotone
+
+
+def test_order_from_pairs_matches_reference_on_mixed_pair_lists():
+    """Seeded pair lists of names, with at most one pair spoiled at a random
+    place (positions, an unknown, unhashable or boolean name, one or three
+    entries, a string or a dict of names for a pair), as lists, tuples and
+    generators: the rows of the reference's closure, or its error
+    document."""
+    rng = random.Random(2323)
+    spoilers = [
+        lambda n: [0, n - 1], lambda n: ("v0", 1), lambda n: ["v0", "zz"],
+        lambda n: [["v0"], "v1"], lambda n: ["v1", True], lambda n: ["v0"],
+        lambda n: ["v0", "v1", "v1"], lambda n: "v0", lambda n: {"v0": "v1"},
+        lambda n: {f"v{n - 1}": 0, "v0": 1}, lambda n: [n, "v0"],
+    ]
+    outcomes = {}
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        index = {f"v{i}": i for i in range(n)}
+        pairs = [
+            [f"v{rng.randrange(n)}", f"v{rng.randrange(n)}"]
+            for _ in range(rng.randint(0, 12))
+        ]
+        if rng.random() < 0.6:
+            pairs.insert(rng.randint(0, len(pairs)), rng.choice(spoilers)(n))
+        shape = rng.choice([list, tuple, iter])
+        try:
+            expected = rows_of(reference_order_from_pairs(index, shape(pairs), "point"))
+        except LatlangError as exc:
+            with pytest.raises(LatlangError) as caught:
+                order_from_pairs(index, shape(pairs), "point")
+            assert caught.value.to_doc() == exc.to_doc()
+            outcomes[exc.kind] = outcomes.get(exc.kind, 0) + 1
+            continue
+        assert order_from_pairs(index, shape(pairs), "point") == expected
+        outcomes["ok"] = outcomes.get("ok", 0) + 1
+    assert min(outcomes.get(k, 0) for k in ("ok", "MalformedDocument", "UnknownElement")) >= 40

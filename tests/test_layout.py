@@ -19,7 +19,9 @@ machine, and the enumeration keys each table, not each (table, order) pair.
 The syntactic order is built from bitsets, not by comparing every pair of
 word maps.  Product recognizers of joins and meets are built by
 ``product_triple`` alone.  No module but ``__init__.py`` imports a name
-it does not read.
+it does not read.  The syntactic triple of a recognizer given by a table
+is read off the table (``syntactic_quotients``), never by running
+``syntactic`` on the triple's machine.
 """
 
 import ast
@@ -53,6 +55,7 @@ KERNEL = {
     "shuffle_ideal_falsify": "syntactic.py",
     "shuffle_verdict": "syntactic.py",
     "product_triple": "syntactic.py",
+    "syntactic_quotients": "syntactic.py",
     "aperiodicity_witness": "monoid.py",
     "orbit": "lattice.py",
 }
@@ -362,3 +365,24 @@ def test_no_unused_imports():
         }
         unused += [(path.name, name) for name in imported if name not in read]
     assert unused == []
+
+
+def test_no_syntactic_monoid_of_a_triple_machine():
+    """No ``syntactic(triple_to_automaton(...))`` in the library: a triple's
+    syntactic monoid comes from ``syntactic_quotients``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            (path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "syntactic"
+            and any(
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id == "triple_to_automaton"
+                for arg in node.args
+            )
+        ]
+    assert found == []

@@ -419,6 +419,37 @@ def test_division_passes_at_most_rank_generators(monkeypatch):
     assert bounded >= 40
 
 
+def test_division_tries_only_generating_images(monkeypatch):
+    """Each carrier of k generators is tried against exactly the k-tuples
+    of ``m1`` elements that generate ``m1``, in lexicographic order."""
+    import itertools
+
+    import latlang.monoid as monoid_module
+
+    search = monoid_module._surjection_onto
+    tried = []
+
+    def recording(m1, m2, carrier, gens, candidates):
+        tried.append((len(gens), list(candidates)))
+        return search(m1, m2, carrier, gens, candidates)
+
+    monkeypatch.setattr(monoid_module, "_surjection_onto", recording)
+    generating = {}
+    filtered = 0
+    for m1, m2, budget in _division_pairs(1717):
+        tried.clear()
+        divides(m1, m2, budget)
+        for k, candidates in tried:
+            if (m1, k) not in generating:
+                every = itertools.product(range(m1.size), repeat=k)
+                generating[m1, k] = [
+                    t for t in every if generated_submonoid(m1, t)[0].size == m1.size
+                ]
+            assert candidates == generating[m1, k]
+            filtered += len(candidates) < m1.size ** k
+    assert filtered >= 100
+
+
 def test_greedy_generators_generate():
     """Each greedy generator is the least element the earlier ones miss,
     and together they generate the monoid."""

@@ -1,6 +1,7 @@
 import importlib
 import random
 import time
+from math import prod
 
 import pytest
 
@@ -29,6 +30,7 @@ from latlang import (
     shuffle_ideal_falsify,
     standard_lattice,
     syntactic,
+    syntactic_quotients,
     transition_monoid,
     triple_to_automaton,
 )
@@ -38,7 +40,11 @@ from latlang.lattice import closure_bits
 from latlang.monoid import product_index
 from latlang.serialize import triple_to_doc
 from latlang.syntactic import _pointwise_order, _state_preorder, shuffle_verdict
-from latlang.variety import random_automaton, random_lattice
+from latlang.variety import (
+    random_automaton,
+    random_coloring,
+    random_lattice,
+)
 
 from conftest import (
     all_words,
@@ -49,6 +55,7 @@ from conftest import (
     reference_transition_monoid,
     reference_word_maps,
     rows_of,
+    small_monoids,
     u1,
 )
 
@@ -111,8 +118,9 @@ def test_tables_match_composition_reference_on_seeded_sweep():
 def test_pointwise_order_matches_pairwise_rows():
     """The bitset order equals the pairwise ``all`` over zipped maps, row by
     row, on the word maps of one-state machines (k = 1) and of
-    200 machines over random lattices, and on 1 to 200 random maps around
-    the 64- and 128-bit boundaries, under preorders of unminimized machines."""
+    200 machines over random lattices, on 1 to 200 random maps around
+    the 64- and 128-bit boundaries, under preorders of unminimized machines,
+    and on maps of 1 to 70 positions into the values of random lattices."""
     rng = random.Random(1717)
     cases = [
         (_state_preorder(a), reference_word_maps(a)[0])
@@ -132,6 +140,11 @@ def test_pointwise_order_matches_pairwise_rows():
         n = len(a.states)
         maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
         cases.append((_state_preorder(a), maps))
+    for length in (1, 2, 5, 64, 70):
+        lattice = random_lattice(rng, 6)
+        lattices.append(lattice)
+        maps = [tuple(rng.randrange(lattice.size) for _ in range(length)) for _ in range(65)]
+        cases.append((lattice.leq, maps))
     assert {len(maps) for _, maps in cases} >= {1, 63, 64, 65, 127, 128, 129}
     assert any(
         not (lat.le(x, y) or lat.le(y, x))
@@ -350,6 +363,63 @@ def test_recognizes_product_construction(rng):
             product_coloring("pjoin", [s1.coloring, s2.coloring]),
         )
         assert recognizes(triple, product_combine("join", a1, a2))
+
+
+def _seeded_monoid(rng, pool, max_size):
+    """One monoid of ``pool`` or a direct product of two or three of them,
+    with at most ``max_size`` elements."""
+    while True:
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if len(factors) == 1:
+            return factors[0]
+        if prod(m.size for m in factors) <= max_size:
+            return direct_product(factors)[0]
+
+
+def _machine_route(alphabet, images, monoid, coloring):
+    return syntactic(triple_to_automaton(RecognitionTriple(alphabet, images, monoid, coloring)))
+
+
+def test_syntactic_quotients_match_machine_route_on_seeded_triples():
+    """The table kernel gives ``syntactic(triple_to_automaton(t))`` field
+    for field, on 400 seeded monoids (enumerated ones and products of up
+    to 64 elements) with 1 to 3 letters of random images and 1 to 3
+    random order-preserving colorings over random lattices of up to 5
+    elements, read in one call per monoid."""
+    rng = random.Random(1919)
+    pool = small_monoids()
+    sizes = set()
+    for _ in range(400):
+        monoid = _seeded_monoid(rng, pool, 64)
+        lattice = random_lattice(rng, 5)
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        images = tuple(rng.randrange(monoid.size) for _ in alphabet)
+        colorings = [random_coloring(rng, monoid, lattice) for _ in range(rng.randint(1, 3))]
+        results = syntactic_quotients(alphabet, images, colorings)
+        assert results == [_machine_route(alphabet, images, monoid, c) for c in colorings]
+        sizes.update(r.monoid.size for r in results)
+    assert max(sizes) >= 16
+
+
+def test_syntactic_quotients_match_machine_route_on_ideal_colorings():
+    """Every ideal coloring of each enumerated monoid of up to 4 elements
+    and of 8 seeded products of 5 to 64 elements, over the monoid's own
+    elements as letters: the kernel gives the machine route's triples."""
+    rng = random.Random(2020)
+    pool = small_monoids()
+    products = []
+    while len(products) < 8:
+        monoid = _seeded_monoid(rng, pool, 64)
+        if monoid.size >= 5:
+            products.append(monoid)
+    lattice = standard_lattice("chain", 2)
+    for monoid in pool + products:
+        letters = tuple(range(monoid.size))
+        colorings = [ideal_coloring(monoid, m, lattice) for m in letters]
+        assert syntactic_quotients(monoid.elements, letters, colorings) == [
+            _machine_route(monoid.elements, letters, monoid, c) for c in colorings
+        ]
+    assert max(m.size for m in products) >= 32
 
 
 def test_product_triple_matches_product_machine_on_seeded_pairs():

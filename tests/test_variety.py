@@ -20,8 +20,9 @@ from latlang import (
 from latlang import cli, variety as variety_module
 from latlang.coloring import OpColoring
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
-from latlang.monoid import _make_unchecked, canonical_key
-from latlang.serialize import monoid_to_doc
+from latlang.lattice import closure_bits
+from latlang.monoid import _make_unchecked, canonical_key, direct_product
+from latlang.serialize import canonical_dumps, monoid_to_doc
 from latlang.syntactic import RecognitionTriple, cut, product_triple
 from latlang.variety import (
     SUITE_LATTICE_MAX,
@@ -45,6 +46,7 @@ from conftest import (
     reference_canonical_key,
     reference_enumerate_ordered_monoids,
     reference_partial_orders,
+    reference_subdirect_embedding,
     reference_unital_associative_tables,
     reference_verify_recog_by_synt,
     rows_of,
@@ -492,6 +494,85 @@ def test_subdirect_flags_incompatible_order():
     report = subdirect_embedding(broken)
     assert report.verdict == "fail"
     assert report.witness is not None and report.witness["reason"]
+
+
+def _subdirect_bytes(embed, monoids):
+    return [canonical_dumps(embed(m).to_doc()) for m in monoids]
+
+
+def test_subdirect_matches_pairwise_reference_on_enumerated_monoids():
+    """Every enumerated monoid of up to 4 elements gets the report bytes of
+    the machine-route reference."""
+    pool = small_monoids()
+    assert _subdirect_bytes(subdirect_embedding, pool) == _subdirect_bytes(
+        reference_subdirect_embedding, pool
+    )
+
+
+def test_subdirect_matches_pairwise_reference_on_seeded_products():
+    """100 seeded direct products of two or three enumerated monoids, every
+    third relabeled to move its identity off index 0, get the report bytes
+    of the machine-route reference.  The reference is cubic in the size,
+    so one in ten products has up to 64 elements and the others up to 16."""
+    rng = random.Random(2121)
+    pool = small_monoids()[1:]
+    products = []
+    while len(products) < 100:
+        factors = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        cap = 64 if len(products) % 10 == 0 else 16
+        if functools.reduce(lambda k, m: k * m.size, factors, 1) <= cap:
+            product = direct_product(factors)[0]
+            products.append(identity_moved(rng, product) if len(products) % 3 == 0 else product)
+    assert max(m.size for m in products) >= 48
+    assert _subdirect_bytes(subdirect_embedding, products) == _subdirect_bytes(
+        reference_subdirect_embedding, products
+    )
+
+
+def test_subdirect_matches_pairwise_reference_on_unchecked_orders():
+    """300 enumerated tables with random closed orders, smuggled past
+    validation (neither antisymmetric nor compatible, as a rule), get the
+    report bytes of the machine-route reference, failures and witnesses
+    included."""
+    rng = random.Random(2222)
+    pool = small_monoids()
+    tables = []
+    for _ in range(300):
+        m = rng.choice(pool)
+        density = rng.choice([0.1, 0.3, 0.6])
+        rows = [sum(1 << y for y in range(m.size) if rng.random() < density) for _ in m.leq]
+        tables.append(_make_unchecked(m.elements, m.identity, m.mul, closure_bits(rows)))
+    reports = _subdirect_bytes(subdirect_embedding, tables)
+    assert reports == _subdirect_bytes(reference_subdirect_embedding, tables)
+    reasons = [json.loads(doc)["witness"] for doc in reports]
+    reasons = [w["reason"] if w else "pass" for w in reasons]
+    assert min(reasons.count(r) for r in ("pass", "order_embedding", "injective")) >= 25
+
+
+def test_subdirect_names_the_first_failing_pair(monkeypatch):
+    """With one factor's letter images redrawn at random, on 300 seeded
+    enumerated monoids, the row-wise checks report the reference's first
+    failure in row-major order: the identity, a multiplicative pair (before
+    the order at the same pair) or an order pair."""
+    rng = random.Random(2424)
+    pool = [m for m in small_monoids() if m.size > 1]
+    quotients = variety_module.syntactic_quotients
+    reasons = []
+    for _ in range(300):
+        monoid = rng.choice(pool)
+        synts = list(quotients(monoid.elements, range(monoid.size), [
+            variety_module.ideal_coloring(monoid, m, standard_lattice("chain", 2))
+            for m in range(monoid.size)
+        ]))
+        i = rng.randrange(monoid.size)
+        images = tuple(rng.randrange(synts[i].monoid.size) for _ in range(monoid.size))
+        synts[i] = replace(synts[i], generator_images=images)
+        monkeypatch.setattr(variety_module, "syntactic_quotients", lambda *args: synts)
+        report = canonical_dumps(subdirect_embedding(monoid).to_doc())
+        assert report == canonical_dumps(reference_subdirect_embedding(monoid, synts).to_doc())
+        witness = json.loads(report)["witness"]
+        reasons.append(witness["reason"] if witness else "pass")
+    assert min(reasons.count(r) for r in ("identity", "multiplicative", "order_embedding")) >= 20
 
 
 # -- the suite -------------------------------------------------------------------
