@@ -14,7 +14,8 @@ such rows; ``bit_positions`` and ``converse`` read them; the antisymmetry
 and monotonicity scans work on them.  Here too are resolving an element
 by position or name, and ``orbit``, the breadth-first closure that lists
 the word maps of a machine with their Cayley graph and the reachable
-states of a machine or product.
+states of a machine or product; ``orbit_words`` reads each element's
+least word off an orbit's first edges.
 """
 
 from __future__ import annotations
@@ -217,6 +218,18 @@ def orbit(
             row.append(j)
         table.append(row)
     return order, table
+
+
+def orbit_words(table: Sequence[Sequence[int]], letters: Sequence) -> list[tuple]:
+    """The word of each element of an ``orbit``, read along the edges that
+    first reached it: its length-lex-least word when successors are listed
+    in letter order."""
+    words = [()]
+    for p, row in enumerate(table):
+        for l, y in enumerate(row):
+            if y == len(words):
+                words.append(words[p] + (letters[l],))
+    return words
 
 
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:

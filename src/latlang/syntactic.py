@@ -7,11 +7,14 @@ is closed under successors).  Because contexts act through state maps and
 reachable states, this order coincides with the two-sided word-context
 preorder, and on the minimal machine it is antisymmetric, so no quotient
 is needed.  The multiplication table is read off the right Cayley graph
-that the breadth-first search for the word maps already builds, and it
-is validated through its generators.  A recognizer given by a table
-gets the same triple from the table (``syntactic_quotients``), with no
-machine: the minimal machine's states are the right-context profiles of
-the elements the letters reach.
+that the breadth-first search for the word maps already builds.  A
+recognizer given by a table gets the same triple from the table
+(``syntactic_quotients``), with no machine: the minimal machine's states
+are the right-context profiles of the elements the letters reach.  Both
+routes end in one tail (``_syntactic_triple``): the witness words come
+from ``orbit_words`` and the table from the Cayley graph, the order is
+pointwise over the state preorder, and the table is validated through
+its greedy generators.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -52,7 +55,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import bit_positions, make_lattice_morphism, orbit, threshold
+from .lattice import Lattice, bit_positions, make_lattice_morphism, orbit, orbit_words, threshold
 from .monoid import (
     OrderedMonoid,
     _greedy_generators,
@@ -115,33 +118,35 @@ class SyntacticResult(RecognitionTriple):
     witnesses: tuple[Word, ...]
 
 
-def _word_maps(a: LatticeAutomaton) -> tuple[list, list[Word], list[int], list[tuple]]:
-    """All state maps of words on a trimmed machine, with length-lex witnesses,
-    the letter images and the multiplication table.
-
-    The maps are the orbit of the identity map under right composition by
-    the letter maps, so the first witness found for a map is its
-    length-lex-least generating word, and the orbit's table is the right
-    Cayley graph.  If y was first reached from p by letter l, then y's
-    witness is p's witness followed by l, and column y of the table is
-    column p read through the graph: x*y = (x*p)*l (Froidure & Pin 1997).
-    """
+def _state_maps(a: LatticeAutomaton) -> tuple[list, list[list[int]]]:
+    """The state maps of words on a trimmed machine, as the orbit of the
+    identity map under right composition by the letter maps, with the
+    orbit's table, which is their right Cayley graph."""
     gens = list(zip(*a.delta))
-    maps, right = orbit(
+    return orbit(
         tuple(range(len(a.states))),
         lambda m: [tuple([g[q] for q in m]) for g in gens],
         TRANSITION_MONOID_CAP,
         "transition monoid",
     )
-    by_letter = list(zip(*right))
-    witnesses: list[Word] = [()]
-    columns: list[Sequence[int]] = [range(len(maps))]
-    for p, row in enumerate(right):
+
+
+def _words_and_table(
+    graph: Sequence[Sequence[int]], alphabet: Sequence[str]
+) -> tuple[list[Word], list[tuple]]:
+    """The least words and the multiplication table of a monoid given by its
+    right Cayley graph in ``orbit`` form.
+
+    If y was first reached from p by letter l, then column y of the table
+    is column p read through the graph: x*y = (x*p)*l (Froidure & Pin 1997).
+    """
+    by_letter = list(zip(*graph))
+    columns: list[Sequence[int]] = [range(len(graph))]
+    for p, row in enumerate(graph):
         for l, y in enumerate(row):
             if y == len(columns):
-                witnesses.append(witnesses[p] + (a.alphabet[l],))
                 columns.append(list(map(by_letter[l].__getitem__, columns[p])))
-    return maps, witnesses, right[0], list(zip(*columns))
+    return orbit_words(graph, alphabet), list(zip(*columns))
 
 
 def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ...]]:
@@ -149,9 +154,10 @@ def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ..
 
     Elements are named by their length-lex-least generating words.
     """
-    maps, witnesses, gen_ids, mul = _word_maps(trim(a))
+    maps, graph = _state_maps(trim(a))
+    witnesses, mul = _words_and_table(graph, a.alphabet)
     names = tuple(word_name(w) for w in witnesses)
-    return _make_unchecked(names, 0, mul, [1 << i for i in range(len(maps))]), tuple(gen_ids)
+    return _make_unchecked(names, 0, mul, [1 << i for i in range(len(maps))]), tuple(graph[0])
 
 
 def _state_preorder(a: LatticeAutomaton) -> list[int]:
@@ -205,46 +211,59 @@ def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[
     return rows
 
 
-def syntactic(a: LatticeAutomaton) -> SyntacticResult:
-    """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
+def _syntactic_triple(
+    alphabet: tuple[str, ...], graph: Sequence[Sequence[int]], maps: Sequence[Sequence[int]],
+    pre: Sequence[int], lattice: Lattice, values: Sequence[int],
+) -> SyntacticResult:
+    """The syntactic triple of the monoid with right Cayley graph ``graph``
+    (in ``orbit`` form), whose elements act on the minimal machine's states
+    by ``maps`` and have colors ``values``; ``pre`` preorders the states.
 
-    Steps: minimize; state preorder; word maps of the minimal machine, named
-    by their length-lex-least words, with the table read off their Cayley
-    graph; pointwise order of the maps, one bitset row per map.  The table
-    is validated through the letter images with ``check_generated``; a
-    failure raises InternalInconsistency since it can only be a bug.
-    TRANSITION_MONOID_CAP caps the number of word maps of the minimal
-    machine.
+    The table is validated through its greedy generators with
+    ``check_generated``; a failure raises InternalInconsistency, since it
+    can only be a bug.
     """
-    a = minimize(a)
-    pre = _state_preorder(a)
-    maps, witnesses, gen_ids, mul = _word_maps(a)
-    leq = _pointwise_order(pre, maps)
+    witnesses, mul = _words_and_table(graph, alphabet)
     names = tuple(word_name(w) for w in witnesses)
-    monoid = _make_unchecked(names, 0, mul, leq)
+    monoid = _make_unchecked(names, 0, mul, _pointwise_order(pre, maps))
     try:
-        check_generated(monoid, gen_ids)
+        check_generated(monoid, _greedy_generators(mul, 0))
     except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
         raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
-    values = [a.output[m[a.initial]] for m in maps]
     return SyntacticResult(
-        alphabet=a.alphabet,
+        alphabet=alphabet,
         monoid=monoid,
-        generator_images=tuple(gen_ids),
-        coloring=make_op_coloring(monoid, a.lattice, values),
+        generator_images=tuple(graph[0]),
+        coloring=make_op_coloring(monoid, lattice, values),
         witnesses=tuple(witnesses),
     )
 
 
+def syntactic(a: LatticeAutomaton) -> SyntacticResult:
+    """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
+
+    Steps: minimize; state preorder; word maps of the minimal machine, with
+    their Cayley graph; then ``_syntactic_triple``, which orders the maps
+    pointwise, one bitset row per map.  TRANSITION_MONOID_CAP caps the
+    number of word maps of the minimal machine.
+    """
+    a = minimize(a)
+    maps, graph = _state_maps(a)
+    values = [a.output[m[a.initial]] for m in maps]
+    return _syntactic_triple(a.alphabet, graph, maps, _state_preorder(a), a.lattice, values)
+
+
 def syntactic_quotients(
     alphabet: Sequence[str],
-    generator_images: Sequence[int],
+    generator_images: Sequence[int | str],
     colorings: Sequence[OpColoring],
 ) -> list[SyntacticResult]:
     """The syntactic triple of each coloring's language, read off the table
     of the one monoid the colorings live on: for the triple t of the letter
     images and a coloring, ``syntactic(triple_to_automaton(t))`` field for
-    field.  The monoid's table must be associative.
+    field.  The monoid's table must be associative.  Letter images are
+    positions or names, one per letter (else MismatchedAlphabet), and
+    every coloring must live on the one monoid (else MismatchedCarrier).
 
     One ``orbit`` walks the submonoid N that the letter images generate,
     as the reachable states of the triple's machine, in length-lex order of
@@ -252,21 +271,23 @@ def syntactic_quotients(
     profile (c(xv) for v in N); the distinct profiles are the minimal
     machine's states, preordered pointwise over the lattice.  Each y in N
     acts on them by [x] -> [xy]; the distinct actions are the syntactic
-    elements, each listed at its first member in N, so its index, name and
-    witness are those the machine route finds.  The table is read off these
-    first members, and the order is pointwise over the state preorder.
-    Each table is validated through its greedy generators with
-    ``check_generated``; a failure raises InternalInconsistency.
+    elements, each listed at its first member in N.  A first member's
+    parent in the orbit is a first member, so the rows of the first members
+    form the syntactic monoid's Cayley graph in ``orbit`` form, and
+    ``_syntactic_triple`` finds the names, witnesses and table the machine
+    route finds.
     """
+    if not colorings:
+        return []
+    monoid = colorings[0].monoid
+    if any(c.monoid != monoid for c in colorings):
+        raise MismatchedCarrier("colorings live on different monoids")
     alphabet = tuple(alphabet)
-    mul = colorings[0].monoid.mul
-    gens = tuple(generator_images)
-    members, right = orbit(colorings[0].monoid.identity, lambda x: [mul[x][g] for g in gens])
-    witnesses: list[Word] = [()]
-    for p, row in enumerate(right):
-        for l, y in enumerate(row):
-            if y == len(witnesses):
-                witnesses.append(witnesses[p] + (alphabet[l],))
+    gens = tuple(map(monoid.index, generator_images))
+    if len(gens) != len(alphabet):
+        raise MismatchedAlphabet("one generator image per letter is required")
+    mul = monoid.mul
+    members, right = orbit(monoid.identity, lambda x: [mul[x][g] for g in gens])
     position = {x: i for i, x in enumerate(members)}
     # products[i][j] is the position in N of members[i] * members[j]
     products = [
@@ -285,20 +306,10 @@ def syntactic_quotients(
         classes: dict[tuple[int, ...], int] = {}
         element = [classes.setdefault(m, len(classes)) for m in zip(*action)]
         reps = _firsts(element)
-        table = [[element[products[i][j]] for j in reps] for i in reps]
+        graph = [[element[y] for y in right[i]] for i in reps]
         pre = _pointwise_order(coloring.lattice.leq, list(profiles))
-        names = tuple(word_name(witnesses[i]) for i in reps)
-        monoid = _make_unchecked(names, 0, table, _pointwise_order(pre, list(classes)))
-        try:
-            check_generated(monoid, _greedy_generators(table, 0))
-        except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
-            raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
-        results.append(SyntacticResult(
-            alphabet=alphabet,
-            monoid=monoid,
-            generator_images=tuple(element[j] for j in right[0]),
-            coloring=make_op_coloring(monoid, coloring.lattice, [colors[i] for i in reps]),
-            witnesses=tuple(witnesses[i] for i in reps),
+        results.append(_syntactic_triple(
+            alphabet, graph, list(classes), pre, coloring.lattice, [colors[i] for i in reps]
         ))
     return results
 

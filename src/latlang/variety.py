@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .automaton import (
     LatticeAutomaton,
-    Word,
     constant_automaton,
     equivalent,
     make_automaton,
@@ -36,6 +35,7 @@ from .lattice import (
     cons as cons_morphism,
     converse,
     orbit,
+    orbit_words,
     standard_lattice,
 )
 from .monoid import (
@@ -309,19 +309,6 @@ def verify_recog_by_synt(
     order, table = orbit(machine.initial, machine.delta.__getitem__)
     reachable = sum(1 << x for x in order)
 
-    def word_to(j: int) -> Word:
-        """The word that first reaches ``order[j]``, read back along the
-        orbit's first edges: the word ``find_difference`` would name."""
-        first: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(table):
-            for l, k in enumerate(row):
-                first.setdefault(k, (i, l))
-        letters = []
-        while j:
-            j, l = first[j]
-            letters.append(machine.alphabet[l])
-        return tuple(reversed(letters))
-
     def fail(which: str, m_index: int, j: int) -> VerificationReport:
         return VerificationReport(
             check="recog_by_synt",
@@ -330,7 +317,7 @@ def verify_recog_by_synt(
             witness={
                 "identity": which,
                 "element": product.elements[m_index],
-                "word": word_name(word_to(j)),
+                "word": word_name(orbit_words(table, machine.alphabet)[j]),
                 "triple": triple_to_doc(triple),
                 "automata": [automaton_to_doc(a) for a in automata],
             },

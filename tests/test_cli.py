@@ -606,10 +606,12 @@ def test_text_format_runs():
 
 def _pinned_commands(tmp_path):
     """(label, argv) for the byte pins: the bundled automaton, seeded random
-    machines over five lattices, and products with one-element factors."""
+    machines over five lattices, products with one-element factors, the
+    subdirect embedding of enumerated monoids and of a 48-element product,
+    the seed-0 suite, and the analysis of two chains."""
     import random
 
-    from latlang import build_lattice, standard_lattice, trivial_monoid
+    from latlang import build_lattice, direct_product, standard_lattice, trivial_monoid
     from latlang.variety import enumerate_ordered_monoids, random_automaton
 
     commands = [
@@ -645,6 +647,26 @@ def _pinned_commands(tmp_path):
                     [pool[0], one, pool[2]], [pool[3], pool[1], one, pool[0], one]):
         label = "product " + " ".join(Path(f).stem for f in factors)
         commands.append((label, ["monoid", "product", *factors]))
+    fours = enumerate_ordered_monoids(4)
+    for k in (0, 7, 40, 150, len(fours) - 1):
+        path = write(tmp_path, f"m4_{k}.json", monoid_to_doc(fours[k]))
+        commands.append((f"subdirect m4_{k}", ["variety", "subdirect", path]))
+    big, _ = direct_product([fours[40], fours[150], enumerate_ordered_monoids(3)[5]])
+    path = write(tmp_path, "big.json", monoid_to_doc(big))
+    commands.append((f"subdirect product of {big.size}", ["variety", "subdirect", path]))
+    commands.append(("suite seed 0", ["variety", "suite", "--seed", "0"]))
+    commands.append(("analyze two sink", ["markov", "analyze", CHAIN]))
+    rows = {
+        "t1": {"t1": "1/2", "a1": "1/4", "t2": "1/4"},
+        "t2": {"b1": "1/3", "c": "2/3"},
+        "a1": {"a2": "1"},
+        "a2": {"a1": "1"},
+        "b1": {"b1": "1/2", "b2": "1/2"},
+        "b2": {"b1": "1"},
+        "c": {"c": "1"},
+    }
+    path = write(tmp_path, "chain7.json", {"states": list(rows), "rows": rows})
+    commands.append(("analyze chain7", ["markov", "analyze", path]))
     return commands
 
 
@@ -769,12 +791,40 @@ PINNED_DIGESTS = {
     "product m3_1 m2_1 one m2_0 one": (
         "dcaa58621e5f3906743c15beaf08297b8a2e0dd784aeb2d0b8aa6daf6e6f951a"
     ),
+    "subdirect m4_0": (
+        "f8e71e43691a77cfa07a8be2e397f17458069ab8e7130a448fda15f2ea6d43c7"
+    ),
+    "subdirect m4_7": (
+        "7297936727865c117c1e6de9fbf5774839c8c2bebddba328b8e54cc8cdc28d6f"
+    ),
+    "subdirect m4_40": (
+        "f96aac77ed466c575eee6107c3fa4d96f66cc350ff813ee990a7d250345d96bd"
+    ),
+    "subdirect m4_150": (
+        "e9e1149860a71da5bd39860b5b974b974b3ea9f1e50cfc639d1714950b99510a"
+    ),
+    "subdirect m4_548": (
+        "2706964b4997becfafb27d90171939d9b74e467b39fce0d82594dbb60e7c2be0"
+    ),
+    "subdirect product of 48": (
+        "e8b847dda2a12aa5686eb6d3c1d314e918325f4f9df017a3a3557c59d5224c2d"
+    ),
+    "suite seed 0": (
+        "fb1d40f029ec9f66bc063029e03a12395aac643cde798f486242ff47f9a46c52"
+    ),
+    "analyze two sink": (
+        "3ddf2d99c30c502ba8602f6a8af7e3984a83afa2b2b148d33d495a39b2f0ebcf"
+    ),
+    "analyze chain7": (
+        "77edd2f240d2b89da88a019537d1d2816698f45a3762ec33f0d9fb57abc849c3"
+    ),
 }
 
 
 def test_pinned_output_bytes(tmp_path):
-    """Exit code and stdout bytes of the cut, syntactic, reconstruct and
-    product commands, as sha256 digests of ``"<code>\\n<stdout>"``."""
+    """Exit code and stdout bytes of the cut, syntactic, reconstruct,
+    product, subdirect, suite and analyze commands, as sha256 digests of
+    ``"<code>\\n<stdout>"``."""
     import hashlib
 
     digests = {}

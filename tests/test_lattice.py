@@ -34,13 +34,15 @@ from latlang.lattice import (
     monotone_violation,
     mutual_pair,
     orbit,
+    orbit_words,
     order_from_pairs,
     resolve,
 )
 from latlang.markov import make_chain
-from latlang.variety import random_lattice
+from latlang.variety import random_automaton, random_lattice
 
 from conftest import (
+    all_words,
     matrix_of,
     reference_build_lattice,
     reference_closure,
@@ -146,6 +148,35 @@ def test_orbit_order_table_and_cap():
     assert orbit(0, successors, 6, "ring") == (order, table)
     with pytest.raises(SizeCapExceeded, match="^ring exceeds cap 5$"):
         orbit(0, successors, 5, "ring")
+
+
+def test_orbit_words_are_the_least_words_on_seeded_orbits():
+    """Each word ``orbit_words`` reads off an orbit is the length-lex-least
+    word that reaches its element, found by running every word in
+    length-lex order: on the reachable states of seeded machines, of
+    products of two machines, and on the word maps of machines, with 1 to
+    3 letters."""
+    rng = random.Random(2020)
+    depths = []
+    for i in range(300):
+        letters = ("a", "b", "c")[: 1 + i % 3]
+        a, b = (random_automaton(rng, POOL[0], (8, 4, 3)[i % 3], letters) for _ in range(2))
+        start, step = [
+            (a.initial, lambda q, l: a.delta[q][l]),
+            ((a.initial, b.initial), lambda s, l: (a.delta[s[0]][l], b.delta[s[1]][l])),
+            (tuple(range(len(a.states))), lambda m, l: tuple(a.delta[q][l] for q in m)),
+        ][i % 3]
+        order, table = orbit(start, lambda x: [step(x, l) for l in range(len(letters))])
+        words = orbit_words(table, letters)
+        least = {}
+        for word in all_words(range(len(letters)), max(map(len, words))):
+            x = start
+            for l in word:
+                x = step(x, l)
+            least.setdefault(x, tuple(letters[l] for l in word))
+        assert words == [least[x] for x in order] and len(least) == len(order)
+        depths.append(len(words[-1]))
+    assert max(depths) >= 6
 
 
 def test_dual_examples():

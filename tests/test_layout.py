@@ -21,7 +21,10 @@ word maps.  Product recognizers of joins and meets are built by
 ``product_triple`` alone.  No module but ``__init__.py`` imports a name
 it does not read.  The syntactic triple of a recognizer given by a table
 is read off the table (``syntactic_quotients``), never by running
-``syntactic`` on the triple's machine.
+``syntactic`` on the triple's machine.  Both routes to a syntactic triple
+end in one tail (``_syntactic_triple``), which alone builds a
+``SyntacticResult`` and raises on a failed validation, and words are read
+off an orbit's first edges by ``orbit_words`` alone.
 """
 
 import ast
@@ -41,6 +44,7 @@ DELETED = {
     "_BITS",
     "_DIGITS",
     "_join_recognizer",
+    "word_to",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -58,6 +62,8 @@ KERNEL = {
     "syntactic_quotients": "syntactic.py",
     "aperiodicity_witness": "monoid.py",
     "orbit": "lattice.py",
+    "orbit_words": "lattice.py",
+    "_syntactic_triple": "syntactic.py",
 }
 
 
@@ -386,3 +392,28 @@ def test_no_syntactic_monoid_of_a_triple_machine():
             )
         ]
     assert found == []
+
+
+def test_one_syntactic_triple_construction():
+    """The library has one ``SyntacticResult(...)`` call and one raise of
+    the syntactic validation failure, both in ``_syntactic_triple``."""
+    calls, raises = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            where = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "SyntacticResult"
+                ):
+                    calls.append(where)
+                if isinstance(node, ast.Raise) and any(
+                    isinstance(inner, ast.Constant)
+                    and isinstance(inner.value, str)
+                    and "syntactic monoid failed validation" in inner.value
+                    for inner in ast.walk(node)
+                ):
+                    raises.append(where)
+    assert calls == raises == [("syntactic.py", "_syntactic_triple")]

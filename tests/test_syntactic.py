@@ -35,7 +35,7 @@ from latlang import (
     triple_to_automaton,
 )
 from latlang.automaton import minimize
-from latlang.errors import MismatchedAlphabet, SizeCapExceeded
+from latlang.errors import MismatchedAlphabet, MismatchedCarrier, SizeCapExceeded, UnknownElement
 from latlang.lattice import closure_bits
 from latlang.monoid import product_index
 from latlang.serialize import triple_to_doc
@@ -420,6 +420,28 @@ def test_syntactic_quotients_match_machine_route_on_ideal_colorings():
             _machine_route(monoid.elements, letters, monoid, c) for c in colorings
         ]
     assert max(m.size for m in products) >= 32
+
+
+def test_syntactic_quotients_checks_its_inputs():
+    """Letter images resolve by position or name, as in
+    ``make_recognition_triple``; one image per letter and one monoid for
+    all colorings are required, and no colorings give no triples."""
+    monoid = u1()
+    lattice = standard_lattice("chain", 2)
+    coloring = ideal_coloring(monoid, "z", lattice)
+    by_position = syntactic_quotients(("a", "b"), (1, 0), [coloring])
+    assert syntactic_quotients(("a", "b"), ("z", "1"), [coloring]) == by_position
+    assert by_position == [_machine_route(("a", "b"), (1, 0), monoid, coloring)]
+    assert syntactic_quotients(("a", "b"), (1, 0), []) == []
+    for images in [(1,), (1, 0, 0)]:
+        with pytest.raises(MismatchedAlphabet):
+            syntactic_quotients(("a", "b"), images, [coloring])
+    for images in [(1, 2), (1, -1), ("x", 0), (True, 0)]:
+        with pytest.raises(UnknownElement):
+            syntactic_quotients(("a", "b"), images, [coloring])
+    other = ideal_coloring(u1("1<z"), "z", lattice)
+    with pytest.raises(MismatchedCarrier):
+        syntactic_quotients(("a", "b"), (1, 0), [coloring, other])
 
 
 def test_product_triple_matches_product_machine_on_seeded_pairs():
