@@ -68,7 +68,7 @@ def _load_json(path: str) -> Any:
     text = _read(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -76,7 +76,7 @@ def _word_argument(raw: str, alphabet) -> tuple[str, ...]:
     if raw.startswith("["):
         try:
             letters = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"invalid word list: {exc}") from exc
         return parse_word(letters, alphabet)
     return parse_word(raw, alphabet)

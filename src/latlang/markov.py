@@ -52,8 +52,11 @@ def parse_fraction(text: str | int) -> Fraction:
     match = _FRACTION_RE.match(text.strip()) if isinstance(text, str) else None
     if not match:
         raise BadFraction(f"not a fraction: {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    try:
+        num = int(match.group(1))
+        den = int(match.group(2)) if match.group(2) else 1
+    except ValueError as exc:
+        raise BadFraction(f"cannot read {text!r}: {exc}") from exc
     if den == 0:
         raise BadFraction(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -153,7 +156,7 @@ def load_chain(text: str) -> MarkovChain:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "states" not in doc or "rows" not in doc:
         raise MalformedDocument('chain document needs "states" and "rows"')

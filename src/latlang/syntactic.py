@@ -1,20 +1,23 @@
 """Recognition by finite ordered monoids and the syntactic ordered monoid.
 
 The syntactic ordered monoid of a language is the transition monoid of its
-minimal machine, with state maps ordered pointwise by the simulation
-preorder on states (the greatest relation refining output comparison that
-is closed under successors).  Because contexts act through state maps and
-reachable states, this order coincides with the two-sided word-context
-preorder, and on the minimal machine it is antisymmetric, so no quotient
-is needed.  The multiplication table is read off the right Cayley graph
-that the breadth-first search for the word maps already builds.  A
-recognizer given by a table gets the same triple from the table
+minimal machine, with state maps ordered pointwise by the state preorder:
+s <= t iff out(s.w) <= out(t.w) for every word w.  This preorder is read
+off the word maps themselves, as the pointwise order over the lattice on
+each state's output profile (its outputs after every word map).  Because
+contexts act through state maps and reachable states, the order on maps
+coincides with the two-sided word-context preorder, and on the minimal
+machine it is antisymmetric, so no quotient is needed.  The
+multiplication table is read off the right Cayley graph that the
+breadth-first search for the word maps already builds.  A recognizer
+given by a table gets the same triple from the table
 (``syntactic_quotients``), with no machine: the minimal machine's states
 are the right-context profiles of the elements the letters reach.  Both
 routes end in one tail (``_syntactic_triple``): the witness words come
-from ``orbit_words`` and the table from the Cayley graph, the order is
-pointwise over the state preorder, and the table is validated through
-its greedy generators.
+from ``orbit_words`` and the table from the Cayley graph, the states are
+preordered on their profiles and the elements pointwise over that
+preorder, both by ``_pointwise_order``, and the table is validated
+through its greedy generators.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -160,28 +163,6 @@ def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ..
     return _make_unchecked(names, 0, mul, [1 << i for i in range(len(maps))]), tuple(graph[0])
 
 
-def _state_preorder(a: LatticeAutomaton) -> list[int]:
-    """Greatest relation R with sRt implying F(s)<=F(t) and successor
-    closure, as rows: bit t of row s is set iff sRt.
-
-    Refined from the output comparison until a pass changes nothing: t
-    leaves row s when some letter sends s and t to a pair outside the
-    relation.  On a complete deterministic machine this is exactly per-word
-    output domination.
-    """
-    leq, out, delta = a.lattice.leq, a.output, a.delta
-    rel = [sum(1 << t for t, v in enumerate(out) if leq[u] >> v & 1) for u in out]
-    changed = True
-    while changed:
-        changed = False
-        for s, (row, targets) in enumerate(zip(rel, delta)):
-            for t in bit_positions(row):
-                if any(not rel[p] >> q & 1 for p, q in zip(targets, delta[t])):
-                    rel[s] ^= 1 << t
-                    changed = True
-    return rel
-
-
 def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[int]:
     """Rows of the order m_i <= m_j iff m_i(q) <= m_j(q) under ``pre`` at
     every position q.
@@ -213,11 +194,14 @@ def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[
 
 def _syntactic_triple(
     alphabet: tuple[str, ...], graph: Sequence[Sequence[int]], maps: Sequence[Sequence[int]],
-    pre: Sequence[int], lattice: Lattice, values: Sequence[int],
+    profiles: Sequence[Sequence[int]], lattice: Lattice, values: Sequence[int],
 ) -> SyntacticResult:
     """The syntactic triple of the monoid with right Cayley graph ``graph``
     (in ``orbit`` form), whose elements act on the minimal machine's states
-    by ``maps`` and have colors ``values``; ``pre`` preorders the states.
+    by ``maps`` and have colors ``values``.  ``profiles`` gives each state's
+    outputs after a common list of contexts: the states are preordered
+    pointwise over ``lattice`` on their profiles, and the elements pointwise
+    over that preorder on their maps.
 
     The table is validated through its greedy generators with
     ``check_generated``; a failure raises InternalInconsistency, since it
@@ -225,6 +209,7 @@ def _syntactic_triple(
     """
     witnesses, mul = _words_and_table(graph, alphabet)
     names = tuple(word_name(w) for w in witnesses)
+    pre = _pointwise_order(lattice.leq, profiles)
     monoid = _make_unchecked(names, 0, mul, _pointwise_order(pre, maps))
     try:
         check_generated(monoid, _greedy_generators(mul, 0))
@@ -242,15 +227,19 @@ def _syntactic_triple(
 def syntactic(a: LatticeAutomaton) -> SyntacticResult:
     """Compute the syntactic ordered monoid, morphism, coloring, and witnesses.
 
-    Steps: minimize; state preorder; word maps of the minimal machine, with
-    their Cayley graph; then ``_syntactic_triple``, which orders the maps
-    pointwise, one bitset row per map.  TRANSITION_MONOID_CAP caps the
+    Steps: minimize; word maps of the minimal machine, with their Cayley
+    graph; then ``_syntactic_triple``.  A state's profile is its output
+    after each word map, taken once per distinct column of outputs; the
+    triple's tail preorders the states on these profiles and orders the
+    maps pointwise, one bitset row each.  TRANSITION_MONOID_CAP caps the
     number of word maps of the minimal machine.
     """
     a = minimize(a)
     maps, graph = _state_maps(a)
-    values = [a.output[m[a.initial]] for m in maps]
-    return _syntactic_triple(a.alphabet, graph, maps, _state_preorder(a), a.lattice, values)
+    out = a.output
+    values = [out[m[a.initial]] for m in maps]
+    profiles = list(zip(*{tuple(map(out.__getitem__, m)) for m in maps}))
+    return _syntactic_triple(a.alphabet, graph, maps, profiles, a.lattice, values)
 
 
 def syntactic_quotients(
@@ -307,9 +296,9 @@ def syntactic_quotients(
         element = [classes.setdefault(m, len(classes)) for m in zip(*action)]
         reps = _firsts(element)
         graph = [[element[y] for y in right[i]] for i in reps]
-        pre = _pointwise_order(coloring.lattice.leq, list(profiles))
         results.append(_syntactic_triple(
-            alphabet, graph, list(classes), pre, coloring.lattice, [colors[i] for i in reps]
+            alphabet, graph, list(classes), list(profiles), coloring.lattice,
+            [colors[i] for i in reps],
         ))
     return results
 

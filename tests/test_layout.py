@@ -24,7 +24,10 @@ is read off the table (``syntactic_quotients``), never by running
 ``syntactic`` on the triple's machine.  Both routes to a syntactic triple
 end in one tail (``_syntactic_triple``), which alone builds a
 ``SyntacticResult`` and raises on a failed validation, and words are read
-off an orbit's first edges by ``orbit_words`` alone.
+off an orbit's first edges by ``orbit_words`` alone.  The state preorder
+is read off the states' output profiles by ``_pointwise_order``, the one
+pointwise-order kernel; no fixpoint refinement (``_state_preorder``)
+comes back.
 """
 
 import ast
@@ -45,6 +48,7 @@ DELETED = {
     "_DIGITS",
     "_join_recognizer",
     "word_to",
+    "_state_preorder",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -64,6 +68,7 @@ KERNEL = {
     "orbit": "lattice.py",
     "orbit_words": "lattice.py",
     "_syntactic_triple": "syntactic.py",
+    "_pointwise_order": "syntactic.py",
 }
 
 

@@ -4,7 +4,9 @@ Every ``serialize.*_from_doc`` loader gets documents with a few nodes
 replaced or deleted, and may only raise ``LatlangError``.  ``cli.run`` gets
 the same documents through the commands that read them, and free text in
 its word and flag arguments; it must never raise, and exit code 1 always
-comes with an ``{"error": ...}`` document.
+comes with an ``{"error": ...}`` document.  Inputs past the interpreter's
+limits (integer literals longer than Python converts from text, brackets
+nested deeper than the JSON parser recurses) give an error document too.
 """
 
 import copy
@@ -13,10 +15,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from latlang import make_recognition_triple, syntactic
 from latlang import serialize as ser
 from latlang.cli import run
-from latlang.errors import LatlangError
+from latlang.errors import BadFraction, LatlangError, MalformedDocument
+from latlang.markov import load_chain, parse_fraction
 
 from conftest import u1
 
@@ -203,3 +208,56 @@ def test_cli_answers_any_word_or_flag(tmp_path, data):
     substitutes = {"{arg}": arg, "{u1}": str(u1_path)}
     code, out = run([substitutes.get(part, part) for part in command])
     _assert_result_or_error_document(code, out)
+
+
+LONG_DIGITS = "1" * 5000
+DEEP = "[" * 100_000 + "]" * 100_000
+# the bundled chain with one probability 1 written as a 5000-digit fraction
+LONG_FRACTION_CHAIN = json.dumps(DOCS["chain"]).replace(
+    '"s12": "1"', f'"s12": "{LONG_DIGITS}/{LONG_DIGITS}"'
+)
+
+
+def _error_kind(code, out):
+    _assert_result_or_error_document(code, out)
+    assert code == 1
+    return json.loads(out)["error"]["kind"]
+
+
+def test_long_integer_literal_gives_an_error_document(tmp_path):
+    path = tmp_path / "monoid.json"
+    text = json.dumps(DOCS["monoid"])
+    path.write_text(text.replace('"identity": "1"', f'"identity": {LONG_DIGITS}'))
+    assert LONG_DIGITS in path.read_text()
+    assert _error_kind(*run(["monoid", "check", str(path)])) == "MalformedDocument"
+    word = f"[{LONG_DIGITS}]"
+    assert _error_kind(*run(["lang", "eval", AUTOMATON, "--word", word])) == "MalformedDocument"
+
+
+@pytest.mark.parametrize("command", [
+    ["lattice", "check", "{doc}"],
+    ["markov", "absorb", "{doc}"],
+    ["lang", "eval", AUTOMATON, "--word", DEEP],
+])
+def test_deep_nesting_gives_an_error_document(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, out = run([str(path) if part == "{doc}" else part for part in command])
+    assert _error_kind(code, out) == "MalformedDocument"
+
+
+def test_long_fraction_gives_an_error_document(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(LONG_FRACTION_CHAIN)
+    for command in ("absorb", "decompose", "analyze"):
+        assert _error_kind(*run(["markov", command, str(path)])) == "BadFraction"
+
+
+def test_chain_loader_refuses_inputs_past_the_limits():
+    with pytest.raises(BadFraction):
+        parse_fraction(f"{LONG_DIGITS}/3")
+    with pytest.raises(BadFraction):
+        load_chain(LONG_FRACTION_CHAIN)
+    for text in (DEEP, f'{{"states": [{LONG_DIGITS}], "rows": {{}}}}'):
+        with pytest.raises(MalformedDocument):
+            load_chain(text)

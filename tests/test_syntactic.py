@@ -39,7 +39,7 @@ from latlang.errors import MismatchedAlphabet, MismatchedCarrier, SizeCapExceede
 from latlang.lattice import closure_bits
 from latlang.monoid import product_index
 from latlang.serialize import triple_to_doc
-from latlang.syntactic import _pointwise_order, _state_preorder, shuffle_verdict
+from latlang.syntactic import _pointwise_order, _state_maps, shuffle_verdict
 from latlang.variety import (
     random_automaton,
     random_coloring,
@@ -123,7 +123,7 @@ def test_pointwise_order_matches_pairwise_rows():
     and on maps of 1 to 70 positions into the values of random lattices."""
     rng = random.Random(1717)
     cases = [
-        (_state_preorder(a), reference_word_maps(a)[0])
+        (rows_of(reference_state_preorder(a)), reference_word_maps(a)[0])
         for a in (
             minimize(constant_automaton(standard_lattice(kind, 2), ("a", "b"), 0))
             for kind in ("boolean", "powerset")
@@ -133,13 +133,13 @@ def test_pointwise_order_matches_pairwise_rows():
     for _ in range(200):
         a = random_automaton(rng, random_lattice(rng, 5), 5)
         lattices.append(a.lattice)
-        cases.append((_state_preorder(a), reference_word_maps(a)[0]))
+        cases.append((rows_of(reference_state_preorder(a)), reference_word_maps(a)[0]))
     for k in (1, 2, 63, 64, 65, 127, 128, 129, 200):
         a = random_automaton(rng, random_lattice(rng, 5), 6, min_states=6)
         lattices.append(a.lattice)
         n = len(a.states)
         maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
-        cases.append((_state_preorder(a), maps))
+        cases.append((rows_of(reference_state_preorder(a)), maps))
     for length in (1, 2, 5, 64, 70):
         lattice = random_lattice(rng, 6)
         lattices.append(lattice)
@@ -161,19 +161,53 @@ def test_pointwise_order_matches_pairwise_rows():
 
 
 def test_state_preorder_matches_bool_fixpoint():
-    """The refinement over bitset rows ends at the bool fixpoint's relation,
+    """The state preorder read off the word maps (each state's outputs
+    after every distinct column of word maps, ordered pointwise over the
+    lattice, as ``syntactic`` builds it) is the bool fixpoint's relation,
     on 300 seeded machines of 1 to 9 states over random lattices, minimal
-    or not, and it is a preorder: reflexive and transitive."""
+    or not, except the few whose word maps pass the cap; and it is a
+    preorder: reflexive and transitive."""
     rng = random.Random(2121)
-    strict = 0
+    strict = checked = 0
     for _ in range(300):
         a = random_automaton(rng, random_lattice(rng, 6), 9)
         for machine in (a, minimize(a)):
-            rows = _state_preorder(machine)
+            try:
+                maps, _ = _state_maps(machine)
+            except SizeCapExceeded:
+                continue
+            out = machine.output
+            profiles = list(zip(*{tuple(map(out.__getitem__, m)) for m in maps}))
+            rows = _pointwise_order(machine.lattice.leq, profiles)
             assert tuple(rows) == rows_of(reference_state_preorder(machine))
             assert tuple(rows) == closure_bits(rows)
             strict += any(row & ~(1 << s) for s, row in enumerate(rows))
+            checked += 1
+    assert checked > 550
     assert strict > 100
+
+
+def _cycle(n):
+    """A cycle of n states: ``a`` sends i to i + 1 mod n, ``b`` resets to
+    state 0, and state n - 1 alone is marked.  It is minimal and has 2n
+    word maps: the rotations and the constant maps."""
+    boolean = standard_lattice("boolean")
+    return make_automaton(
+        boolean, ("a", "b"), [f"q{q}" for q in range(n)], 0,
+        [[(q + 1) % n, 0] for q in range(n)],
+        [boolean.top if q == n - 1 else boolean.bottom for q in range(n)],
+    )
+
+
+def test_syntactic_of_cycles():
+    """Cycles with a reset letter: the syntactic triple equals the
+    reference on 2 to 12 states, and the 200-state cycle, whose preorder a
+    fixpoint refines over many full passes, gives its 400 word maps."""
+    for n in range(2, 13):
+        a = _cycle(n)
+        assert syntactic(a) == reference_syntactic(a)
+        assert syntactic(a).monoid.size == 2 * n
+    assert syntactic(_cycle(200)).monoid.size == 400
 
 
 def test_word_map_cap_matches_reference():
