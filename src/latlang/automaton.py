@@ -143,7 +143,8 @@ def make_automaton(
 ) -> LatticeAutomaton:
     """Validate a complete deterministic lattice automaton."""
     letters = name_tuple(alphabet, "alphabet letters")
-    if len(set(letters)) != len(letters) or not letters:
+    known = set(letters)
+    if len(known) != len(letters) or not letters:
         raise MalformedDocument("alphabet must be a nonempty list of distinct letters")
     names = name_tuple(states, "state names")
     if len(set(names)) != len(names) or not names:
@@ -167,7 +168,7 @@ def make_automaton(
                     )
                 row.append(resolve(state_index, row_map[a], "state"))
             for a in row_map:
-                if a not in set(letters):
+                if a not in known:
                     raise UnknownLetter(f"unknown letter {a!r} in delta", witness=a)
             table.append(row)
     else:
@@ -215,15 +216,22 @@ def evaluate(a: LatticeAutomaton, word: str | Sequence[str]) -> int:
     return a.output[a.run(word)]
 
 
+def _check_agree(automata: Sequence[LatticeAutomaton]) -> None:
+    """Raise MismatchedAlphabet, then MismatchedLattice, unless all the
+    machines share the first one's alphabet and lattice."""
+    first = automata[0]
+    if any(a.alphabet != first.alphabet for a in automata):
+        raise MismatchedAlphabet("automata use different alphabets")
+    if any(a.lattice != first.lattice for a in automata):
+        raise MismatchedLattice("automata use different lattices")
+
+
 def product_combine(kind: str, a1: LatticeAutomaton, a2: LatticeAutomaton) -> LatticeAutomaton:
     """Join or meet of two languages via the product machine.
 
     State (p, q) has index p*|Q2| + q, as in ``monoid.direct_product``.
     """
-    if a1.alphabet != a2.alphabet:
-        raise MismatchedAlphabet("automata use different alphabets")
-    if a1.lattice != a2.lattice:
-        raise MismatchedLattice("automata use different lattices")
+    _check_agree([a1, a2])
     if kind == "join":
         table = a1.lattice.join_table
     elif kind == "meet":
@@ -255,11 +263,8 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
     """
     if not automata:
         raise MalformedDocument("combine_many needs at least one automaton")
+    _check_agree(automata)
     first = automata[0]
-    if any(a.alphabet != first.alphabet for a in automata):
-        raise MismatchedAlphabet("automata use different alphabets")
-    if any(a.lattice != first.lattice for a in automata):
-        raise MismatchedLattice("automata use different lattices")
     if kind == "join":
         fold = first.lattice.join_all
     elif kind == "meet":
@@ -417,10 +422,7 @@ def find_difference(a1: LatticeAutomaton, a2: LatticeAutomaton) -> Word | None:
     ``orbit`` on purpose: it stops at the first pair that differs, while an
     orbit would build the whole product.
     """
-    if a1.alphabet != a2.alphabet:
-        raise MismatchedAlphabet("automata use different alphabets")
-    if a1.lattice != a2.lattice:
-        raise MismatchedLattice("automata use different lattices")
+    _check_agree([a1, a2])
     start = (a1.initial, a2.initial)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = deque([start])

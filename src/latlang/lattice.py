@@ -11,11 +11,14 @@ automata and chains alike.  Every order, preorder and reach relation is
 one int per element, its up-set row: bit b of row a is set iff a <= b (or
 a reaches b).  ``closure_bits`` is the one reflexive-transitive closure of
 such rows; ``bit_positions`` and ``converse`` read them; the antisymmetry
-and monotonicity scans work on them.  Here too are resolving an element
-by position or name, and ``orbit``, the breadth-first closure that lists
-the word maps of a machine with their Cayley graph and the reachable
-states of a machine or product; ``orbit_words`` reads each element's
-least word off an orbit's first edges.
+and monotonicity scans work on them.  ``pointwise_order`` is the one order
+read through maps into a preorder: the syntactic orders, restricted
+submonoid orders, the subdirect order embedding and the recognition
+identities all come off it.  Here too are resolving an element by
+position or name, and ``orbit``, the breadth-first closure that lists the
+word maps of a machine with their Cayley graph and the reachable states
+of a machine or product; ``orbit_words`` reads each element's least word
+off an orbit's first edges.
 """
 
 from __future__ import annotations
@@ -91,6 +94,35 @@ def converse(rows: Sequence[int]) -> tuple[int, ...]:
         for b in bit_positions(row):
             flipped[b] |= 1 << a
     return tuple(flipped)
+
+
+def pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[int]:
+    """Rows of the order m_i <= m_j iff m_i(q) <= m_j(q) under ``pre`` at
+    every position q.
+
+    The maps send each of their positions to a point of ``pre``, which may
+    have another number of points (states, or lattice values).  Bit j of
+    ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the union of
+    the ``at[q][v]`` over the v in row p of ``pre`` (they are disjoint, so
+    it is their sum), so row i is the intersection over q of
+    ``above[q][m_i(q)]``: one AND per position instead of one comparison
+    per pair of maps.
+    """
+    k = len(maps)
+    ups = [bit_positions(pre_p) for pre_p in pre]
+    at = [[0] * len(pre) for _ in maps[0]]
+    for j, m in enumerate(maps):
+        bit = 1 << j
+        for at_q, v in zip(at, m):
+            at_q[v] |= bit
+    above = [[sum(map(at_q.__getitem__, up)) for up in ups] for at_q in at]
+    rows = []
+    for m in maps:
+        row = (1 << k) - 1
+        for above_q, v in zip(above, m):
+            row &= above_q[v]
+        rows.append(row)
+    return rows
 
 
 def order_from_pairs(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -60,6 +61,20 @@ def parse_fraction(text: str | int) -> Fraction:
     if den == 0:
         raise BadFraction(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def fraction_text(value: Fraction) -> str:
+    """A fraction as ``str`` writes it, at any length.
+
+    ``str`` refuses integers past the interpreter's int-to-text digit
+    limit; there each part goes through ``Decimal``, which holds an int
+    exactly and writes the same digits with no such limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -138,7 +153,7 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
         scale = lcm(*(row[t].denominator for t in ts))
         total = sum(row[t].numerator * (scale // row[t].denominator) for t in ts)
         if total != scale:
-            total_text = str(Fraction(total, scale))
+            total_text = fraction_text(Fraction(total, scale))
             raise RowSumNotOne(f"row {s!r} sums to {total_text}", witness=[s, total_text])
     chain = MarkovChain(states=names, matrix=tuple(map(tuple, matrix)))
     # Every positive entry is a listed one, so the cached property is
@@ -264,8 +279,8 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
                 witness=[
                     chain.states[s],
                     chain.states[t],
-                    str(row[t]),
-                    str(Fraction(totals.get(t, 0), scale)),
+                    fraction_text(row[t]),
+                    fraction_text(Fraction(totals.get(t, 0), scale)),
                 ],
             )
 
@@ -520,7 +535,7 @@ def absorption_doc(chain: MarkovChain) -> dict[str, dict[str, str]]:
     """Absorption probabilities as a document: "C1", "C2", ... to state name
     to fraction text, states sorted by name."""
     return {
-        f"C{c + 1}": {state: str(p) for state, p in sorted(per_state.items())}
+        f"C{c + 1}": {state: fraction_text(p) for state, p in sorted(per_state.items())}
         for c, per_state in absorption_probabilities(chain).items()
     }
 
@@ -628,7 +643,7 @@ def analyze(
         "word_measure": {
             "horizon": horizon,
             "masses": {
-                analyzed.lattice.elements[e]: str(m)
+                analyzed.lattice.elements[e]: fraction_text(m)
                 for e, m in sorted(masses.items())
             },
         },

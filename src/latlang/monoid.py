@@ -35,6 +35,7 @@ from .lattice import (
     mapping_images,
     monotone_violation,
     order_from_pairs,
+    pointwise_order,
     product_name,
     resolve,
 )
@@ -335,8 +336,7 @@ def generated_submonoid(
     sub_index = {x: i for i, x in enumerate(carrier)}
     names = tuple(monoid.elements[x] for x in carrier)
     mul = [[sub_index[monoid.mul[a][b]] for b in carrier] for a in carrier]
-    leq = [sum(1 << i for i, y in enumerate(carrier) if monoid.leq[x] >> y & 1) for x in carrier]
-    sub = _make_unchecked(names, 0, mul, leq)
+    sub = _make_unchecked(names, 0, mul, pointwise_order(monoid.leq, [(x,) for x in carrier]))
     embedding = MonoidMorphism(source=sub, target=monoid, mapping=tuple(carrier))
     return sub, embedding
 
@@ -528,7 +528,8 @@ def _surjection_onto(
     products by the generators over the carrier, row by row; the carrier is
     in breadth-first order, so the first edge to reach an element assigns
     its image, and every other edge must agree with the image already
-    assigned.
+    assigned.  The order restricted to the carrier is read once, at the
+    first candidate that passes and is onto ``m1``.
     """
     position = {x: i for i, x in enumerate(carrier)}
     edges = [
@@ -536,7 +537,7 @@ def _surjection_onto(
         for i, x in enumerate(carrier)
         for k, g in enumerate(gens)
     ]
-    leq = [sum(1 << i for i, y in enumerate(carrier) if m2.leq[x] >> y & 1) for x in carrier]
+    leq = None
     for images in candidates:
         img = [m1.identity]
         for x, y, k in edges:
@@ -546,8 +547,10 @@ def _surjection_onto(
             elif img[y] != expected:
                 break
         else:
-            if len(set(img)) == m1.size and monotone_violation(leq, m1.leq, img) is None:
-                return dict(zip(carrier, img))
+            if len(set(img)) == m1.size:
+                leq = leq or pointwise_order(m2.leq, [(x,) for x in carrier])
+                if monotone_violation(leq, m1.leq, img) is None:
+                    return dict(zip(carrier, img))
     return None
 
 

@@ -32,6 +32,7 @@ from .lattice import (
 from .markov import (
     Decomposition,
     MarkovChain,
+    fraction_text,
     make_chain,
     parse_fraction,
 )
@@ -210,7 +211,7 @@ def triple_from_doc(doc: Any) -> RecognitionTriple:
 
 def chain_to_doc(chain: MarkovChain) -> dict:
     rows = {
-        s: {chain.states[t]: str(row[t]) for t in successors}
+        s: {chain.states[t]: fraction_text(row[t]) for t in successors}
         for s, row, successors in zip(chain.states, chain.matrix, chain.successors)
     }
     return {"states": list(chain.states), "rows": rows}
@@ -226,7 +227,7 @@ def decomposition_to_doc(decomposition: Decomposition, chain: MarkovChain) -> di
         "letters": [
             {
                 "name": name,
-                "weight": str(weight),
+                "weight": fraction_text(weight),
                 "map": {
                     chain.states[s]: chain.states[mapping[s]]
                     for s in range(chain.size)

@@ -16,7 +16,7 @@ are the right-context profiles of the elements the letters reach.  Both
 routes end in one tail (``_syntactic_triple``): the witness words come
 from ``orbit_words`` and the table from the Cayley graph, the states are
 preordered on their profiles and the elements pointwise over that
-preorder, both by ``_pointwise_order``, and the table is validated
+preorder, both by ``lattice.pointwise_order``, and the table is validated
 through its greedy generators.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
@@ -58,7 +58,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import Lattice, bit_positions, make_lattice_morphism, orbit, orbit_words, threshold
+from .lattice import Lattice, make_lattice_morphism, orbit, orbit_words, pointwise_order, threshold
 from .monoid import (
     OrderedMonoid,
     _greedy_generators,
@@ -163,35 +163,6 @@ def transition_monoid(a: LatticeAutomaton) -> tuple[OrderedMonoid, tuple[int, ..
     return _make_unchecked(names, 0, mul, [1 << i for i in range(len(maps))]), tuple(graph[0])
 
 
-def _pointwise_order(pre: Sequence[int], maps: Sequence[Sequence[int]]) -> list[int]:
-    """Rows of the order m_i <= m_j iff m_i(q) <= m_j(q) under ``pre`` at
-    every position q.
-
-    The maps send each of their positions to a point of ``pre``, which may
-    have another number of points (states, or lattice values).  Bit j of
-    ``at[q][v]`` is set when m_j(q) = v, and ``above[q][p]`` is the union of
-    the ``at[q][v]`` over the v in row p of ``pre`` (they are disjoint, so
-    it is their sum), so row i is the intersection over q of
-    ``above[q][m_i(q)]``: one AND per position instead of one comparison
-    per pair of maps.
-    """
-    k = len(maps)
-    ups = [bit_positions(pre_p) for pre_p in pre]
-    at = [[0] * len(pre) for _ in maps[0]]
-    for j, m in enumerate(maps):
-        bit = 1 << j
-        for at_q, v in zip(at, m):
-            at_q[v] |= bit
-    above = [[sum(map(at_q.__getitem__, up)) for up in ups] for at_q in at]
-    rows = []
-    for m in maps:
-        row = (1 << k) - 1
-        for above_q, v in zip(above, m):
-            row &= above_q[v]
-        rows.append(row)
-    return rows
-
-
 def _syntactic_triple(
     alphabet: tuple[str, ...], graph: Sequence[Sequence[int]], maps: Sequence[Sequence[int]],
     profiles: Sequence[Sequence[int]], lattice: Lattice, values: Sequence[int],
@@ -209,8 +180,8 @@ def _syntactic_triple(
     """
     witnesses, mul = _words_and_table(graph, alphabet)
     names = tuple(word_name(w) for w in witnesses)
-    pre = _pointwise_order(lattice.leq, profiles)
-    monoid = _make_unchecked(names, 0, mul, _pointwise_order(pre, maps))
+    pre = pointwise_order(lattice.leq, profiles)
+    monoid = _make_unchecked(names, 0, mul, pointwise_order(pre, maps))
     try:
         check_generated(monoid, _greedy_generators(mul, 0))
     except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:

@@ -36,6 +36,7 @@ from .lattice import (
     converse,
     orbit,
     orbit_words,
+    pointwise_order,
     standard_lattice,
 )
 from .monoid import (
@@ -240,17 +241,11 @@ def random_automaton(
 
 
 def random_coloring(rng: random.Random, monoid: OrderedMonoid, lattice: Lattice) -> OpColoring:
-    """Uniform colors repaired upward until order-preserving."""
-    colors = [rng.randrange(lattice.size) for _ in range(monoid.size)]
-    changed = True
-    while changed:
-        changed = False
-        for a, row in enumerate(monoid.leq):
-            for b in bit_positions(row & ~(1 << a)):
-                joined = lattice.join_table[colors[b]][colors[a]]
-                if joined != colors[b]:
-                    colors[b] = joined
-                    changed = True
+    """Uniform colors repaired upward: each element gets the join of the
+    colors drawn over its down-set, the least order-preserving coloring
+    above the drawn one."""
+    drawn = [rng.randrange(lattice.size) for _ in range(monoid.size)]
+    colors = [lattice.join_all(drawn[a] for a in bit_positions(d)) for d in converse(monoid.leq)]
     return make_op_coloring(monoid, lattice, colors)
 
 
@@ -283,7 +278,8 @@ def verify_recog_by_synt(
     (a) for each element m, x is bottom iff x <= m in the product, against
     x is bottom iff every projection has x_i <= m_i, as two bitsets: the
     column of m in the order, and the AND over the projections of the
-    elements whose i-th component is below m_i;
+    elements whose i-th component is below m_i, each projection's order
+    read back along it by ``pointwise_order``;
     (b) the triple's colors, against x -> the meet of P(m) over all m >= x.
     A failure names the first differing state in discovery order and the
     word that first reached it, which is the shortest word on which the
@@ -324,18 +320,13 @@ def verify_recog_by_synt(
         )
 
     below = converse(product.leq)
-    projected = []
-    for p in projections:
-        at = [0] * p.target.size
-        for x, u in enumerate(p.mapping):
-            at[u] |= 1 << x
-        projected.append(
-            [sum(at[u] for u in bit_positions(down)) for down in converse(p.target.leq)]
-        )
+    projected = [
+        pointwise_order(converse(p.target.leq), [(u,) for u in p.mapping]) for p in projections
+    ]
     for m in range(product.size):
         joined = reachable
-        for p, bits in zip(projections, projected):
-            joined &= bits[p.mapping[m]]
+        for rows in projected:
+            joined &= rows[m]
         differs = (below[m] ^ joined) & reachable
         if differs:
             return fail(
@@ -396,9 +387,10 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     monoid's table (``syntactic_quotients``), and the map phi sends x to its
     letter's images.  Both checks run row by row: phi(xy) against
     phi(x)phi(y) as one row of each factor's table, and the order through
-    each factor's "above" bitsets, the elements whose images lie above an
-    image.  A failure names the first pair in row-major order, the
-    multiplicative check before the order at the same pair.
+    each factor's order read back along phi (``pointwise_order``): row x
+    holds the y whose image lies above x's.  A failure names the first pair
+    in row-major order, the multiplicative check before the order at the
+    same pair.
     """
     from .serialize import monoid_to_doc
 
@@ -429,14 +421,10 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     for s in synts:
         image, table = s.generator_images, s.monoid.mul
         products = [list(map(row.__getitem__, image)) for row in table]
-        members = [0] * s.monoid.size
-        for x, c in enumerate(image):
-            members[c] |= 1 << x
-        above = [sum(members[d] for d in bit_positions(row)) for row in s.monoid.leq]
+        above = pointwise_order(s.monoid.leq, [(c,) for c in image])
         for x, row in enumerate(monoid.mul):
-            c = image[x]
-            embedded_above[x] &= above[c]
-            got, expected = list(map(image.__getitem__, row)), products[c]
+            embedded_above[x] &= above[x]
+            got, expected = list(map(image.__getitem__, row)), products[image[x]]
             if got != expected:
                 y = next(y for y, (u, v) in enumerate(zip(got, expected)) if u != v)
                 unmultiplied[x] = min(unmultiplied[x], y)

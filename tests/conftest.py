@@ -874,6 +874,24 @@ def reference_monotone_violation(src_leq, dst_leq, images):
     return None
 
 
+def reference_random_coloring(rng, monoid, lattice):
+    """The repair loop ``random_coloring`` replaced: uniform colors, then
+    passes that join each element's color into the colors of the elements
+    above it, until a pass changes nothing."""
+    colors = [rng.randrange(lattice.size) for _ in range(monoid.size)]
+    changed = True
+    while changed:
+        changed = False
+        for a, row in enumerate(monoid.leq):
+            for b in range(monoid.size):
+                if b != a and row >> b & 1:
+                    joined = lattice.join_table[colors[b]][colors[a]]
+                    if joined != colors[b]:
+                        colors[b] = joined
+                        changed = True
+    return make_op_coloring(monoid, lattice, colors)
+
+
 @functools.cache
 def small_monoids():
     """Every ordered monoid of size 1 to 4, up to isomorphism (591 of them)."""

@@ -24,10 +24,13 @@ is read off the table (``syntactic_quotients``), never by running
 ``syntactic`` on the triple's machine.  Both routes to a syntactic triple
 end in one tail (``_syntactic_triple``), which alone builds a
 ``SyntacticResult`` and raises on a failed validation, and words are read
-off an orbit's first edges by ``orbit_words`` alone.  The state preorder
-is read off the states' output profiles by ``_pointwise_order``, the one
-pointwise-order kernel; no fixpoint refinement (``_state_preorder``)
-comes back.
+off an orbit's first edges by ``orbit_words`` alone.  Every order read
+through a map (the state preorder off the states' output profiles, the
+syntactic order, restricted submonoid orders, the subdirect order
+embedding and the recognition identities) comes off ``pointwise_order``
+in ``lattice.py``, the one pointwise-order kernel; no fixpoint refinement
+(``_state_preorder``) and no private copy (``_pointwise_order``) comes
+back.
 """
 
 import ast
@@ -49,6 +52,7 @@ DELETED = {
     "_join_recognizer",
     "word_to",
     "_state_preorder",
+    "_pointwise_order",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -68,7 +72,7 @@ KERNEL = {
     "orbit": "lattice.py",
     "orbit_words": "lattice.py",
     "_syntactic_triple": "syntactic.py",
-    "_pointwise_order": "syntactic.py",
+    "pointwise_order": "lattice.py",
 }
 
 
@@ -422,3 +426,26 @@ def test_one_syntactic_triple_construction():
                 ):
                     raises.append(where)
     assert calls == raises == [("syntactic.py", "_syntactic_triple")]
+
+
+def test_orders_through_maps_come_off_the_kernel():
+    """Each reader of an order through a map calls ``pointwise_order``."""
+    readers = {
+        "syntactic.py": ["_syntactic_triple"],
+        "variety.py": ["verify_recog_by_synt", "subdirect_embedding"],
+        "monoid.py": ["generated_submonoid", "_surjection_onto"],
+    }
+    missing = []
+    for file, names in readers.items():
+        tree = ast.parse((SRC / file).read_text())
+        bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        missing += [
+            (file, name) for name in names
+            if not any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "pointwise_order"
+                for node in ast.walk(bodies[name])
+            )
+        ]
+    assert missing == []

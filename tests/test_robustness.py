@@ -6,11 +6,13 @@ the same documents through the commands that read them, and free text in
 its word and flag arguments; it must never raise, and exit code 1 always
 comes with an ``{"error": ...}`` document.  Inputs past the interpreter's
 limits (integer literals longer than Python converts from text, brackets
-nested deeper than the JSON parser recurses) give an error document too.
+nested deeper than the JSON parser recurses) give an error document too,
+and exact answers longer than Python converts to text are written in full.
 """
 
 import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from latlang import make_recognition_triple, syntactic
 from latlang import serialize as ser
 from latlang.cli import run
 from latlang.errors import BadFraction, LatlangError, MalformedDocument
-from latlang.markov import load_chain, parse_fraction
+from latlang.markov import fraction_text, load_chain, parse_fraction
 
 from conftest import u1
 
@@ -251,6 +253,64 @@ def test_long_fraction_gives_an_error_document(tmp_path):
     path.write_text(LONG_FRACTION_CHAIN)
     for command in ("absorb", "decompose", "analyze"):
         assert _error_kind(*run(["markov", command, str(path)])) == "BadFraction"
+
+
+def _value_of(digits):
+    """The integer a decimal text of any length writes, read in pieces
+    short enough for ``int``."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        piece = digits[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def _fraction_of(text):
+    num, _, den = text.partition("/")
+    sign = -1 if num.startswith("-") else 1
+    return Fraction(sign * _value_of(num.lstrip("-")), _value_of(den or "1"))
+
+
+def test_long_exact_answer_is_written_out():
+    """An exact word measure past the interpreter's int-to-text limit is
+    printed in full: at horizon 9013 the masses' texts pass 4300 digits,
+    and they still sum to one."""
+    code, out = run(["markov", "analyze", CHAIN, "--horizon", "9013"])
+    _assert_result_or_error_document(code, out)
+    assert code == 0
+    masses = json.loads(out)["word_measure"]["masses"]
+    assert max(map(len, masses.values())) > 8600
+    assert sum(map(_fraction_of, masses.values())) == 1
+
+
+def test_long_row_total_gives_an_error_document(tmp_path):
+    """A row whose entries each parse, but whose total has a denominator of
+    more than 4300 digits, is named with that total written in full."""
+    d1, d3 = 10**2200 + 1, 10**2200 + 3
+    rows = {"s": {"s": f"1/{d1}", "t": f"1/{d3}"}, "t": {"t": "1"}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"states": ["s", "t"], "rows": rows}))
+    expected = Fraction(1, d1) + Fraction(1, d3)
+    for command in ("absorb", "decompose"):
+        code, out = run(["markov", command, str(path)])
+        assert _error_kind(code, out) == "RowSumNotOne"
+        state, total = json.loads(out)["error"]["witness"]
+        assert state == "s" and len(total) > 4400
+        assert _fraction_of(total) == expected
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(0), Fraction(-7, 3), Fraction(10**5000 + 7), Fraction(-(10**4400), 3**9000),
+    Fraction(1, 10**9999), Fraction(123 * 10**6000 + 45, 7**5000),
+])
+def test_fraction_text_is_str_at_any_length(value):
+    """``fraction_text`` is ``str`` where ``str`` works, and past the digit
+    limit writes the same value with no leading zeros."""
+    text = fraction_text(value)
+    if len(text) < 4000:
+        assert text == str(value)
+    assert _fraction_of(text) == value
+    assert not text.lstrip("-").startswith("0") or value == 0
 
 
 def test_chain_loader_refuses_inputs_past_the_limits():

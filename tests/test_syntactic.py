@@ -36,10 +36,10 @@ from latlang import (
 )
 from latlang.automaton import minimize
 from latlang.errors import MismatchedAlphabet, MismatchedCarrier, SizeCapExceeded, UnknownElement
-from latlang.lattice import closure_bits
+from latlang.lattice import closure_bits, pointwise_order
 from latlang.monoid import product_index
 from latlang.serialize import triple_to_doc
-from latlang.syntactic import _pointwise_order, _state_maps, shuffle_verdict
+from latlang.syntactic import _state_maps, shuffle_verdict
 from latlang.variety import (
     random_automaton,
     random_coloring,
@@ -153,7 +153,7 @@ def test_pointwise_order_matches_pairwise_rows():
         for y in range(lat.size)
     )
     for pre, maps in cases:
-        rows = _pointwise_order(pre, maps)
+        rows = pointwise_order(pre, maps)
         assert tuple(rows) == rows_of(
             [all(pre[p] >> q & 1 for p, q in zip(mi, mj)) for mj in maps] for mi in maps
         )
@@ -178,7 +178,7 @@ def test_state_preorder_matches_bool_fixpoint():
                 continue
             out = machine.output
             profiles = list(zip(*{tuple(map(out.__getitem__, m)) for m in maps}))
-            rows = _pointwise_order(machine.lattice.leq, profiles)
+            rows = pointwise_order(machine.lattice.leq, profiles)
             assert tuple(rows) == rows_of(reference_state_preorder(machine))
             assert tuple(rows) == closure_bits(rows)
             strict += any(row & ~(1 << s) for s, row in enumerate(rows))

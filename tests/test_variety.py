@@ -46,6 +46,7 @@ from conftest import (
     reference_canonical_key,
     reference_enumerate_ordered_monoids,
     reference_partial_orders,
+    reference_random_coloring,
     reference_subdirect_embedding,
     reference_unital_associative_tables,
     reference_verify_recog_by_synt,
@@ -617,6 +618,29 @@ def test_suite_includes_constant_class_regression():
     names = [r.check for r in reports]
     assert names[0] == "cons_b_not_closed"
     assert reports[0].verdict == "pass"
+
+
+def test_random_coloring_matches_repair_loop():
+    """One join per element draws the coloring the repair loop drew, from
+    the same draws: on 3000 seeds over the monoids of 1 to 4 elements and
+    a pool of random lattices, the colorings are equal and each generator
+    is left in the same state.  Many of the drawn colorings need repair."""
+    pool = small_monoids()
+    lattice_rng = random.Random(808)
+    lattices = [random_lattice(lattice_rng, 6) for _ in range(30)]
+    repaired = 0
+    for seed in range(3000):
+        monoid = pool[seed % len(pool)]
+        lattice = lattices[seed % len(lattices)]
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        coloring = random_coloring(rng, monoid, lattice)
+        assert coloring == reference_random_coloring(reference_rng, monoid, lattice)
+        assert rng.getstate() == reference_rng.getstate()
+        drawn_rng = random.Random(seed)
+        repaired += list(coloring.colors) != [
+            drawn_rng.randrange(lattice.size) for _ in range(monoid.size)
+        ]
+    assert repaired > 1000
 
 
 def test_random_generators_are_deterministic():
