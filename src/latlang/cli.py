@@ -5,6 +5,17 @@ Exit codes: 0 success or verdict-true; 2 computed-false or witness found;
 (sorted keys, compact separators, lowest-terms fractions), so identical
 invocations produce byte-identical output.  Errors print a machine-readable
 {"error": {"kind": ..., "witness": ...}} document.
+
+Arguments are read off one command table, ``_COMMANDS``.  Argv in the
+canonical layout is read directly: the command path (``group command`` or
+``lang op operation``), then exactly the command's positionals (one or more
+files for ``monoid product``), then ``--flag value`` pairs, each flag one of
+the command's long flags written out in full and given at most once, no
+value starting with ``-``, every value converted and checked as argparse
+would, and every required flag present.  Any other argv goes to the argparse
+parser built from the same table, so help, abbreviated flags,
+``--flag=value``, other orders and every usage error come from argparse with
+the same bytes.
 """
 
 from __future__ import annotations
@@ -13,8 +24,9 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import markov as markov_mod
 from . import serialize as ser
@@ -46,22 +58,107 @@ EXIT_FALSE = 2
 EXIT_BUDGET = 3
 
 
+class _Option(NamedTuple):
+    """One ``--flag value`` option, with argparse's meaning of each field."""
+
+    flag: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] | None = None
+    default: Any = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(self.flag, type=self.type, choices=self.choices,
+                            default=self.default, required=self.required, help=self.help)
+
+
+class _Leaf(NamedTuple):
+    """One command: its positionals' dests, the last one taking ``nargs``
+    values, and its options besides ``--format``."""
+
+    positionals: tuple[str, ...]
+    options: tuple[_Option, ...] = ()
+    nargs: str | None = None
+
+
+_FORMAT = _Option("--format", choices=("json", "text"), default="json")
+_WORD = _Option("--word", required=True)
+_LEFT_RIGHT = ("left", "right")
+
+# Command path -> leaf, in the order the help lists the commands.
+_COMMANDS: dict[tuple[str, ...], _Leaf] = {
+    ("lattice", "check"): _Leaf(("file",)),
+    ("lattice", "dual"): _Leaf(("file",)),
+    ("monoid", "check"): _Leaf(("file",)),
+    ("monoid", "product"): _Leaf(("files",), nargs="+"),
+    ("monoid", "divides"): _Leaf(("dividend", "divisor"), (
+        _Option("--budget", int, default=10,
+                help="largest divisor size searched exhaustively"),
+    )),
+    ("monoid", "aperiodic"): _Leaf(("file",)),
+    ("lang", "eval"): _Leaf(("file",), (_WORD,)),
+    ("lang", "minimize"): _Leaf(("file",)),
+    ("lang", "equiv"): _Leaf(_LEFT_RIGHT),
+    ("lang", "syntactic"): _Leaf(("file",)),
+    ("lang", "op", "join"): _Leaf(_LEFT_RIGHT),
+    ("lang", "op", "meet"): _Leaf(_LEFT_RIGHT),
+    ("lang", "op", "quotl"): _Leaf(("file",), (_WORD,)),
+    ("lang", "op", "quotr"): _Leaf(("file",), (_WORD,)),
+    ("lang", "op", "invhom"): _Leaf(("file",), (_Option("--hom", required=True),)),
+    ("lang", "op", "recolor"): _Leaf(("file",), (_Option("--morphism", required=True),)),
+    ("lang", "cut"): _Leaf(("file",), (_Option("--element", required=True),)),
+    ("lang", "reconstruct"): _Leaf(("file",)),
+    ("lang", "shuffle-check"): _Leaf(("file",), (_Option("--max-len", int, default=8),)),
+    ("variety", "enumerate"): _Leaf((), (_Option("--n", int, required=True),)),
+    ("variety", "suite"): _Leaf((), (_Option("--seed", int, default=0),)),
+    ("variety", "subdirect"): _Leaf(("file",)),
+    ("markov", "analyze"): _Leaf(("file",), (
+        _Option("--decomposition"),
+        _Option("--initial"),
+        _Option("--horizon", int, default=8),
+        _Option("--max-len", int, default=6),
+        _Option("--mode", choices=("basic", "reachable"), default="basic"),
+    )),
+    ("markov", "decompose"): _Leaf(("file",)),
+    ("markov", "absorb"): _Leaf(("file",)),
+}
+
+# The namespace attribute naming each token of a command path.
+_PATH_DESTS = ("group", "command", "operation")
+
+
 class _CliUsage(Exception):
     pass
 
 
+class _Help(Exception):
+    """The help text argparse would print before exiting 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument errors (including unknown flags) map to exit code 1."""
+    """Usage errors (including unknown flags) and help come back to ``run``
+    as exceptions: exit code 1 with an error document, and exit code 0 with
+    the help text."""
 
     def error(self, message: str):
         raise _CliUsage(message)
 
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _load_json(path: str) -> Any:
@@ -89,76 +186,25 @@ def _dumps(doc: Any, fmt: str) -> str:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="latlang", description=__doc__)
-    top = parser.add_subparsers(dest="group", required=True)
-
-    def leaf(sub, name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    lattice = top.add_parser("lattice").add_subparsers(dest="command", required=True)
-    leaf(lattice, "check").add_argument("file")
-    leaf(lattice, "dual").add_argument("file")
-
-    monoid = top.add_parser("monoid").add_subparsers(dest="command", required=True)
-    leaf(monoid, "check").add_argument("file")
-    leaf(monoid, "product").add_argument("files", nargs="+")
-    p = leaf(monoid, "divides")
-    p.add_argument("dividend")
-    p.add_argument("divisor")
-    p.add_argument("--budget", type=int, default=10,
-                   help="largest divisor size searched exhaustively")
-    leaf(monoid, "aperiodic").add_argument("file")
-
-    lang = top.add_parser("lang").add_subparsers(dest="command", required=True)
-    p = leaf(lang, "eval")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    leaf(lang, "minimize").add_argument("file")
-    p = leaf(lang, "equiv")
-    p.add_argument("left")
-    p.add_argument("right")
-    leaf(lang, "syntactic").add_argument("file")
-    op = lang.add_parser("op").add_subparsers(dest="operation", required=True)
-    for kind in ("join", "meet"):
-        p = leaf(op, kind)
-        p.add_argument("left")
-        p.add_argument("right")
-    for kind in ("quotl", "quotr"):
-        p = leaf(op, kind)
-        p.add_argument("file")
-        p.add_argument("--word", required=True)
-    p = leaf(op, "invhom")
-    p.add_argument("file")
-    p.add_argument("--hom", required=True)
-    p = leaf(op, "recolor")
-    p.add_argument("file")
-    p.add_argument("--morphism", required=True)
-    p = leaf(lang, "cut")
-    p.add_argument("file")
-    p.add_argument("--element", required=True)
-    leaf(lang, "reconstruct").add_argument("file")
-    p = leaf(lang, "shuffle-check")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=8)
-
-    variety = top.add_parser("variety").add_subparsers(dest="command", required=True)
-    leaf(variety, "enumerate").add_argument("--n", type=int, required=True)
-    leaf(variety, "suite").add_argument("--seed", type=int, default=0)
-    leaf(variety, "subdirect").add_argument("file")
-
-    markov = top.add_parser("markov").add_subparsers(dest="command", required=True)
-    p = leaf(markov, "analyze")
-    p.add_argument("file")
-    p.add_argument("--decomposition")
-    p.add_argument("--initial")
-    p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--mode", choices=("basic", "reachable"), default="basic")
-    leaf(markov, "decompose").add_argument("file")
-    leaf(markov, "absorb").add_argument("file")
-
+    """The argparse parser of ``_COMMANDS``; its help text shows the first
+    two paragraphs of the module docstring."""
+    description = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
+    parser = _Parser(prog="latlang", description=description)
+    subparsers = {(): parser.add_subparsers(dest=_PATH_DESTS[0], required=True)}
+    for path, leaf in _COMMANDS.items():
+        for depth in range(1, len(path)):
+            if path[:depth] not in subparsers:
+                group = subparsers[path[:depth - 1]].add_parser(path[depth - 1])
+                subparsers[path[:depth]] = group.add_subparsers(
+                    dest=_PATH_DESTS[depth], required=True)
+        p = subparsers[path[:-1]].add_parser(path[-1])
+        _FORMAT.add_to(p)
+        for dest in leaf.positionals[:-1]:
+            p.add_argument(dest)
+        if leaf.positionals:
+            p.add_argument(leaf.positionals[-1], nargs=leaf.nargs)
+        for option in leaf.options:
+            option.add_to(p)
     return parser
 
 
@@ -166,6 +212,49 @@ def build_parser() -> _Parser:
 def _parser() -> _Parser:
     """The parser, built once per process; parsing leaves no state in it."""
     return build_parser()
+
+
+def _canonical(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for argv in the canonical layout (see
+    the module docstring), read off ``_COMMANDS``; None for any other argv."""
+    depth = 2
+    leaf = _COMMANDS.get(tuple(argv[:2]))
+    if leaf is None:
+        depth = 3
+        leaf = _COMMANDS.get(tuple(argv[:3]))
+        if leaf is None:
+            return None
+    rest = argv[depth:]
+    count = len(leaf.positionals)
+    if leaf.nargs == "+":
+        count = next((i for i, arg in enumerate(rest) if arg.startswith("-")), len(rest))
+    values = rest[:count]
+    if len(values) < len(leaf.positionals) or any(v.startswith("-") for v in values):
+        return None
+    args = dict(zip(_PATH_DESTS, argv[:depth]))
+    args.update(zip(leaf.positionals, values))
+    if leaf.nargs == "+":
+        args[leaf.positionals[-1]] = list(values[len(leaf.positionals) - 1:])
+    unread = {o.flag: o for o in (_FORMAT, *leaf.options)}
+    pairs = rest[count:]
+    if len(pairs) % 2:
+        return None
+    for flag, raw in zip(pairs[::2], pairs[1::2]):
+        option = unread.pop(flag, None)
+        if option is None or raw.startswith("-"):
+            return None
+        try:
+            value = option.type(raw)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        args[option.dest] = value
+    for option in unread.values():
+        if option.required:
+            return None
+        args[option.dest] = option.default
+    return argparse.Namespace(**args)
 
 
 def _handle(args: argparse.Namespace) -> tuple[int, Any]:
@@ -352,14 +441,21 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
     raise _CliUsage(f"unknown lang command {command!r}")
 
 
-def run(argv: list[str] | None = None) -> tuple[int, str]:
-    """Parse and execute; returns (exit code, stdout text)."""
+def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
+    """Parse and execute; returns (exit code, stdout text).  ``argv=None``
+    reads ``sys.argv[1:]``; help returns exit code 0 and the help text."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = _canonical(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         for bound in ("max_len", "horizon", "budget"):
             if getattr(args, bound, 0) < 0:
                 raise _CliUsage(f"argument --{bound.replace('_', '-')}: must be non-negative")
         code, doc = _handle(args)
+    except _Help as exc:
+        return EXIT_OK, str(exc)
     except _CliUsage as exc:
         return EXIT_ERROR, _dumps({"error": {"kind": "Usage", "message": str(exc), "witness": None}}, "json")
     except LatlangError as exc:

@@ -541,8 +541,18 @@ def test_cli_determinism():
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
+    """Canonical argv never builds the argparse parser; the first argv that
+    needs it builds it, once per process."""
     import latlang.cli
 
+    canonical = [
+        ["lang", "eval", AUTOMATON, "--word", "ab"],
+        ["lang", "minimize", AUTOMATON, "--format", "text"],
+        ["lang", "op", "quotl", AUTOMATON, "--word", "b"],
+        ["markov", "analyze", CHAIN, "--mode", "reachable", "--horizon", "3"],
+        ["markov", "decompose", CHAIN],
+        ["variety", "enumerate", "--n", "2"],
+    ]
     commands = [
         ["lang", "eval", AUTOMATON, "--word", "ab"],
         ["lang", "eval", AUTOMATON, "--word", "ab", "--nope"],
@@ -567,9 +577,195 @@ def test_parser_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(latlang.cli, "build_parser", counting)
     latlang.cli._parser.cache_clear()
+    assert all(run(argv)[0] == 0 for argv in canonical)
+    assert built == []
     assert [run(argv) for argv in commands] == fresh
     assert len(built) == 1
     latlang.cli._parser.cache_clear()
+
+
+# Values that argparse reads the same way whatever the flag's type.
+_FILES = ["a.json", "b c.json", "", "x=1", "lang"]
+_TEXTS = ["ab", "", '["a"]', "{1}", "a=b", "x y", "json"]
+_INTS = ["0", "7", "07", "+3", "1_0", " 4", "x", "4.5", ""]
+_DASHED = ["-1", "-x", "--", "-", "--format", "-h", "--word=a"]
+
+
+def _argv_variants(rng, path, leaf):
+    """(kind, argv) around one command: the canonical layout, then ways out
+    of it that argparse may accept, read differently, or refuse."""
+    from latlang.cli import _FORMAT
+
+    def value(option):
+        if option.choices:
+            return rng.choice([*option.choices, "xml"])
+        return rng.choice(_INTS if option.type is int else _TEXTS)
+
+    options = [_FORMAT, *leaf.options]
+    positionals = [rng.choice(_FILES) for _ in leaf.positionals]
+    if leaf.nargs == "+":
+        positionals += [rng.choice(_FILES) for _ in range(rng.randint(0, 2))]
+    chosen = [o for o in options if o.required or rng.random() < 0.6]
+    rng.shuffle(chosen)
+    pairs = [[o.flag, value(o)] for o in chosen]
+    flat = [token for pair in pairs for token in pair]
+    path = list(path)
+
+    yield "canonical", [*path, *positionals, *flat]
+    yield "flags first", [*path, *flat, *positionals]
+    if pairs:
+        cut = rng.randint(0, len(positionals))
+        yield "interleaved", [*path, *positionals[:cut], *pairs[0], *positionals[cut:], *flat[2:]]
+        yield "repeated", [*path, *positionals, *flat, *pairs[-1]]
+        flag, raw = pairs[0]
+        if len(flag) > 3:
+            short = flag[:rng.randint(3, len(flag) - 1)]
+            yield "abbreviated", [*path, *positionals, short, raw, *flat[2:]]
+        yield "joined", [*path, *positionals, f"{flag}={raw}", *flat[2:]]
+        yield "dashed value", [*path, *positionals, flag, rng.choice(_DASHED), *flat[2:]]
+        yield "lone flag", [*path, *positionals, *flat, flag]
+    required = [o for o in options if o.required]
+    if required:
+        yield "missing flag", [*path, *positionals, *(
+            t for pair in pairs if pair[0] != required[0].flag for t in pair)]
+    for o in options:
+        yield "other value", [*path, *positionals, o.flag, value(o)]
+    if positionals:
+        dashed = list(positionals)
+        dashed[rng.randrange(len(dashed))] = rng.choice(_DASHED)
+        yield "dashed positional", [*path, *dashed, *flat]
+        yield "missing positional", [*path, *positionals[1:], *flat]
+    yield "extra positional", [*path, *positionals, "extra.json", *flat]
+    yield "extra at end", [*path, *positionals, *flat, "extra.json"]
+    tokens = [*positionals, *flat]
+    at = rng.randint(0, len(tokens))
+    yield "double dash", [*path, *tokens[:at], "--", *tokens[at:]]
+    yield "help", [*path, *tokens[:at], rng.choice(["-h", "--help"]), *tokens[at:]]
+    yield "short path", [*path[:-1], *tokens]
+    yield "unknown command", [*path[:-1], path[-1] + "x", *tokens]
+    yield "no arguments", path
+
+
+def test_canonical_reader_agrees_with_argparse():
+    """On seeded argv around every command, the canonical reader gives
+    argparse's namespace or None, and None whenever argparse refuses the
+    argv or prints help."""
+    import random
+
+    from latlang.cli import _COMMANDS, _canonical, _CliUsage, _Help, build_parser
+
+    parser = build_parser()
+    rng = random.Random(23)
+    read = {}
+    for _ in range(25):
+        for path, leaf in _COMMANDS.items():
+            for kind, argv in _argv_variants(rng, path, leaf):
+                try:
+                    expected = vars(parser.parse_args(argv))
+                except (_CliUsage, _Help):
+                    expected = None
+                got = _canonical(argv)
+                if got is not None:
+                    assert vars(got) == expected, argv
+                    read[kind] = read.get(kind, 0) + 1
+                elif kind == "canonical":
+                    assert expected is None, argv
+    # Every command's canonical argv with valid values is read directly.
+    for path, leaf in _COMMANDS.items():
+        argv = [*path, *(["f"] * len(leaf.positionals))]
+        for option in leaf.options:
+            if option.required:
+                argv += [option.flag, "1"]
+        assert vars(_canonical(argv)) == vars(parser.parse_args(argv))
+    assert read["canonical"] > 300
+    outside = {"repeated", "abbreviated", "joined", "dashed value", "lone flag", "missing flag",
+               "dashed positional", "double dash", "help", "short path", "unknown command"}
+    assert not outside & set(read)
+
+
+def test_monoid_product_reads_flags_only_after_its_files():
+    from latlang.cli import _canonical
+
+    assert vars(_canonical(["monoid", "product", "a", "b", "--format", "text"])) == {
+        "group": "monoid", "command": "product", "files": ["a", "b"], "format": "text",
+    }
+    assert _canonical(["monoid", "product", "a", "--format", "json", "b"]) is None
+    code, out = run(["monoid", "product", "a", "--format", "json", "b"])
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "unrecognized arguments: b"
+
+
+def test_help_is_returned_not_raised():
+    from latlang.cli import build_parser
+
+    code, out = run(["--help"])
+    assert (code, out) == (0, build_parser().format_help())
+    code, out = run(["lang", "op", "join", "-h", "--word"])
+    assert code == 0 and out.startswith("usage: latlang lang op join [-h]")
+
+
+HELP = {
+    ("--help",): """\
+usage: latlang [-h] {lattice,monoid,lang,variety,markov} ...
+
+Batch command-line front end with stable file formats and exit codes. Exit
+codes: 0 success or verdict-true; 2 computed-false or witness found; 3 budget
+exhausted; 1 validation or parse error. JSON output is canonical (sorted keys,
+compact separators, lowest-terms fractions), so identical invocations produce
+byte-identical output. Errors print a machine-readable {"error": {"kind": ...,
+"witness": ...}} document.
+
+positional arguments:
+  {lattice,monoid,lang,variety,markov}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("markov", "analyze", "-h"): """\
+usage: latlang markov analyze [-h] [--format {json,text}]
+                              [--decomposition DECOMPOSITION]
+                              [--initial INITIAL] [--horizon HORIZON]
+                              [--max-len MAX_LEN] [--mode {basic,reachable}]
+                              file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+  --decomposition DECOMPOSITION
+  --initial INITIAL
+  --horizon HORIZON
+  --max-len MAX_LEN
+  --mode {basic,reachable}
+""",
+    ("monoid", "product", "--help"): """\
+usage: latlang monoid product [-h] [--format {json,text}] files [files ...]
+
+positional arguments:
+  files
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_through_main_prints_and_exits_zero(argv):
+    import latlang
+
+    package_root = str(Path(latlang.__file__).parents[1])
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "latlang", *argv], capture_output=True, env=env,
+    )
+    assert result.returncode == 0
+    assert result.stdout == HELP[argv].encode()
+    assert result.stderr == b""
 
 
 def test_console_entry_point():

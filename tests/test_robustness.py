@@ -4,10 +4,11 @@ Every ``serialize.*_from_doc`` loader gets documents with a few nodes
 replaced or deleted, and may only raise ``LatlangError``.  ``cli.run`` gets
 the same documents through the commands that read them, and free text in
 its word and flag arguments; it must never raise, and exit code 1 always
-comes with an ``{"error": ...}`` document.  Inputs past the interpreter's
-limits (integer literals longer than Python converts from text, brackets
-nested deeper than the JSON parser recurses) give an error document too,
-and exact answers longer than Python converts to text are written in full.
+comes with an ``{"error": ...}`` document.  Files that are not UTF-8 and
+inputs past the interpreter's limits (integer literals longer than Python
+converts from text, brackets nested deeper than the JSON parser recurses)
+give an error document too, and exact answers longer than Python converts
+to text are written in full.
 """
 
 import copy
@@ -246,6 +247,25 @@ def test_deep_nesting_gives_an_error_document(tmp_path, command):
     path.write_text(DEEP)
     code, out = run([str(path) if part == "{doc}" else part for part in command])
     assert _error_kind(code, out) == "MalformedDocument"
+
+
+@pytest.mark.parametrize("command", [
+    ["lattice", "check", "{doc}"],
+    ["monoid", "check", "{doc}"],
+    ["lang", "minimize", "{doc}"],
+    ["variety", "subdirect", "{doc}"],
+    ["markov", "absorb", "{doc}"],
+])
+@pytest.mark.parametrize("raw", [
+    b'{"elements": ["\xe9"], "cover": []}',  # Latin-1
+    '{"elements": ["a"], "cover": []}'.encode("utf-16"),  # with its byte-order mark
+], ids=["latin-1", "utf-16"])
+def test_file_not_in_utf8_gives_an_error_document(tmp_path, command, raw):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    code, out = run([str(path) if part == "{doc}" else part for part in command])
+    assert _error_kind(code, out) == "MalformedDocument"
+    assert str(path) in json.loads(out)["error"]["message"]
 
 
 def test_long_fraction_gives_an_error_document(tmp_path):
