@@ -9,8 +9,8 @@ and all operations are pure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -19,7 +19,15 @@ from .errors import (
     MismatchedLattice,
     UnknownLetter,
 )
-from .lattice import Lattice, LatticeMorphism, name_tuple, orbit, product_name, resolve
+from .lattice import (
+    Lattice,
+    LatticeMorphism,
+    combination,
+    name_tuple,
+    orbit,
+    product_name,
+    resolve,
+)
 
 COMBINE_STATE_CAP = 200_000
 
@@ -232,12 +240,7 @@ def product_combine(kind: str, a1: LatticeAutomaton, a2: LatticeAutomaton) -> La
     State (p, q) has index p*|Q2| + q, as in ``monoid.direct_product``.
     """
     _check_agree([a1, a2])
-    if kind == "join":
-        table = a1.lattice.join_table
-    elif kind == "meet":
-        table = a1.lattice.meet_table
-    else:
-        raise MalformedDocument(f"unknown combination kind {kind!r}")
+    table, _ = combination(a1.lattice, kind)
     n2 = len(a2.states)
     return LatticeAutomaton(
         lattice=a1.lattice,
@@ -265,12 +268,7 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
         raise MalformedDocument("combine_many needs at least one automaton")
     _check_agree(automata)
     first = automata[0]
-    if kind == "join":
-        fold = first.lattice.join_all
-    elif kind == "meet":
-        fold = first.lattice.meet_all
-    else:
-        raise MalformedDocument(f"unknown combination kind {kind!r}")
+    table, unit = combination(first.lattice, kind)
     order, delta = orbit(
         tuple(a.initial for a in automata),
         lambda combo: zip(*(a.delta[q] for a, q in zip(automata, combo))),
@@ -281,7 +279,8 @@ def combine_many(kind: str, automata: Sequence[LatticeAutomaton]) -> LatticeAuto
         product_name(a.states[q] for a, q in zip(automata, combo)) for combo in order
     )
     output = tuple(
-        fold(a.output[q] for a, q in zip(automata, combo)) for combo in order
+        reduce(lambda acc, v: table[acc][v], (a.output[q] for a, q in zip(automata, combo)), unit)
+        for combo in order
     )
     return LatticeAutomaton(
         lattice=first.lattice,
@@ -297,23 +296,10 @@ def quotient(side: str, a: LatticeAutomaton, u: str | Sequence[str]) -> LatticeA
     """Word quotient: left moves the start by u, right recolors by the u-successor."""
     word = parse_word(u, a.alphabet)
     if side == "left":
-        return LatticeAutomaton(
-            lattice=a.lattice,
-            alphabet=a.alphabet,
-            states=a.states,
-            initial=a.run(word),
-            delta=a.delta,
-            output=a.output,
-        )
+        return replace(a, initial=a.run(word))
     if side == "right":
-        output = tuple(a.output[a.run(word, start=q)] for q in range(len(a.states)))
-        return LatticeAutomaton(
-            lattice=a.lattice,
-            alphabet=a.alphabet,
-            states=a.states,
-            initial=a.initial,
-            delta=a.delta,
-            output=output,
+        return replace(
+            a, output=tuple(a.output[a.run(word, start=q)] for q in range(len(a.states)))
         )
     raise MalformedDocument(f"unknown quotient side {side!r}")
 
@@ -325,28 +311,14 @@ def inverse_hom(a: LatticeAutomaton, h: FreeMorphism) -> LatticeAutomaton:
     delta = tuple(
         tuple(a.run(img, start=q) for img in h.images) for q in range(len(a.states))
     )
-    return LatticeAutomaton(
-        lattice=a.lattice,
-        alphabet=h.source_alphabet,
-        states=a.states,
-        initial=a.initial,
-        delta=delta,
-        output=a.output,
-    )
+    return replace(a, alphabet=h.source_alphabet, delta=delta)
 
 
 def recolor(a: LatticeAutomaton, alpha: LatticeMorphism) -> LatticeAutomaton:
     """Post-compose the output with a monotone self-map of the lattice."""
     if alpha.lattice != a.lattice:
         raise MismatchedLattice("morphism lattice differs from the automaton's")
-    return LatticeAutomaton(
-        lattice=a.lattice,
-        alphabet=a.alphabet,
-        states=a.states,
-        initial=a.initial,
-        delta=a.delta,
-        output=tuple(alpha.mapping[v] for v in a.output),
-    )
+    return replace(a, output=tuple(alpha.mapping[v] for v in a.output))
 
 
 def trim(a: LatticeAutomaton) -> LatticeAutomaton:
@@ -355,9 +327,8 @@ def trim(a: LatticeAutomaton) -> LatticeAutomaton:
     if len(keep) == len(a.states):
         return a
     remap = {old: new for new, old in enumerate(keep)}
-    return LatticeAutomaton(
-        lattice=a.lattice,
-        alphabet=a.alphabet,
+    return replace(
+        a,
         states=tuple(a.states[q] for q in keep),
         initial=remap[a.initial],
         delta=tuple(tuple(remap[t] for t in a.delta[q]) for q in keep),

@@ -17,7 +17,7 @@ from .errors import (
     MismatchedLattice,
     NotOrderPreserving,
 )
-from .lattice import Lattice, LatticeMorphism, mapping_images, monotone_violation
+from .lattice import Lattice, LatticeMorphism, combination, mapping_images, monotone_violation
 from .monoid import (
     DEFAULT_PRODUCT_CAP,
     MonoidMorphism,
@@ -77,12 +77,7 @@ def combine_colorings(kind: str, p1: OpColoring, p2: OpColoring) -> OpColoring:
         raise MismatchedCarrier("colorings live on different monoids")
     if p1.lattice != p2.lattice:
         raise MismatchedLattice("colorings live on different lattices")
-    if kind == "join":
-        table = p1.lattice.join_table
-    elif kind == "meet":
-        table = p1.lattice.meet_table
-    else:
-        raise MalformedDocument(f"unknown combination kind {kind!r}")
+    table, _ = combination(p1.lattice, kind)
     values = [table[a][b] for a, b in zip(p1.colors, p2.colors)]
     return make_op_coloring(p1.monoid, p1.lattice, values)
 

@@ -463,6 +463,16 @@ def bound(lattice: Lattice, kind: str, subset: Iterable[int | str]) -> int:
     raise MalformedDocument(f"unknown bound kind {kind!r}")
 
 
+def combination(lattice: Lattice, kind: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The table and unit of a combination kind: ``(join_table, bottom)``
+    for ``join``, ``(meet_table, top)`` for ``meet``."""
+    if kind == "join":
+        return lattice.join_table, lattice.bottom
+    if kind == "meet":
+        return lattice.meet_table, lattice.top
+    raise MalformedDocument(f"unknown combination kind {kind!r}")
+
+
 def dual(lattice: Lattice) -> Lattice:
     """The dual lattice: order reversed, join and meet swapped."""
     return Lattice(

@@ -398,6 +398,51 @@ def shuffle_verdict(
     return synt, algebraic, falsifier
 
 
+def _least_superword(a: LatticeAutomaton, max_len: int | None) -> list[int] | None:
+    """The length-lex-least word v, of length at most ``max_len``, that
+    leads some triple (state after w, state after v, whether a letter was
+    skipped) from the start to a violation, as letter indices; None if no
+    such v exists.
+
+    One forward breadth-first search: each triple is reached once, from
+    the first parent and letter, so the search takes O(n^2 * |A|) steps
+    for n states.  Triples that share their least word form a group, and
+    a group is expanded letter by letter, the keep move before the skip
+    move, so groups arise in length-lex order of their words and the
+    first violating triple reached has the least v.  Expanding triple by
+    triple instead would interleave the children of one word.
+    """
+    letters = range(len(a.alphabet))
+    delta, out, leq = a.delta, a.output, a.lattice.leq
+    start = (a.initial, a.initial, 0)
+    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
+    level, depth = [[start]], 0
+    while level and (max_len is None or depth < max_len):
+        depth += 1
+        following = []
+        for group in level:
+            for l in letters:
+                reached = []
+                for t in group:
+                    p, q, s = t
+                    q2 = delta[q][l]
+                    for u in ((delta[p][l], q2, s), (p, q2, 1)):
+                        if u in parents:
+                            continue
+                        parents[u] = (t, l)
+                        if u[2] and not leq[out[q2]] >> out[u[0]] & 1:
+                            v = []
+                            while parents[u] is not None:
+                                u, letter = parents[u]
+                                v.append(letter)
+                            return v[::-1]
+                        reached.append(u)
+                if reached:
+                    following.append(reached)
+        level = following
+    return None
+
+
 def shuffle_ideal_falsify(
     a: LatticeAutomaton, max_len: int | None = None
 ) -> tuple[Word, Word] | None:
@@ -409,57 +454,16 @@ def shuffle_ideal_falsify(
     exists; with ``max_len=None`` the search is unbounded and None proves
     that the language is a shuffle ideal.
 
-    The length of v comes from a backward breadth-first search over triples
-    (state after w, state after v, whether a letter was skipped) from the
-    violating triples, in O(n^2 * |A|) for n states.  v is then built letter
-    by letter through triples at the remaining distance, and w position by
-    position from the states that reach a violation with exactly j letters
-    of v skipped, for the least j.  No step enumerates words.
+    v comes from one forward search over triples (``_least_superword``),
+    and w position by position from the states that reach a violation
+    with exactly j letters of v skipped, for the least j.  No step
+    enumerates words.
     """
-    n = len(a.states)
-    letters = range(len(a.alphabet))
-    delta, out, leq = a.delta, a.output, a.lattice.leq
-    preimages = [[[] for _ in range(n)] for _ in letters]
-    for q in range(n):
-        for l in letters:
-            preimages[l][delta[q][l]].append(q)
-    dist = {
-        (p, q, 1): 0 for p in range(n) for q in range(n) if not leq[out[q]] >> out[p] & 1
-    }
-    start = (a.initial, a.initial, 0)
-    frontier = list(dist)
-    d = 0
-    while frontier and start not in dist and (max_len is None or d < max_len):
-        d += 1
-        reached = []
-        for p2, q2, s2 in frontier:
-            for l in letters:
-                before = [(p, q, s2) for p in preimages[l][p2] for q in preimages[l][q2]]
-                if s2:
-                    before += [(p2, q, s) for q in preimages[l][q2] for s in (0, 1)]
-                for t in before:
-                    if t not in dist:
-                        dist[t] = d
-                        reached.append(t)
-        frontier = reached
-    if start not in dist:
+    v = _least_superword(a, max_len)
+    if v is None:
         return None
-
-    v: list[int] = []
-    current = {start}
-    for remaining in range(dist[start] - 1, -1, -1):
-        for l in letters:
-            following = {
-                t
-                for p, q, s in current
-                for t in ((delta[p][l], delta[q][l], s), (p, delta[q][l], 1))
-                if dist.get(t) == remaining
-            }
-            if following:
-                v.append(l)
-                current = following
-                break
-
+    n = len(a.states)
+    delta, out, leq = a.delta, a.output, a.lattice.leq
     q = a.initial
     for l in v:
         q = delta[q][l]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .automaton import (
@@ -245,7 +245,11 @@ def random_coloring(rng: random.Random, monoid: OrderedMonoid, lattice: Lattice)
     colors drawn over its down-set, the least order-preserving coloring
     above the drawn one."""
     drawn = [rng.randrange(lattice.size) for _ in range(monoid.size)]
-    colors = [lattice.join_all(drawn[a] for a in bit_positions(d)) for d in converse(monoid.leq)]
+    join = lattice.join_table
+    colors = [
+        reduce(lambda acc, a: join[acc][drawn[a]], bit_positions(d), lattice.bottom)
+        for d in converse(monoid.leq)
+    ]
     return make_op_coloring(monoid, lattice, colors)
 
 

@@ -20,7 +20,7 @@ from latlang import (
     simulating_automaton,
     standard_lattice,
 )
-from latlang.automaton import find_difference, minimize, word_name
+from latlang.automaton import Word, find_difference, minimize, word_name
 from latlang.coloring import ideal_coloring, make_op_coloring, postcompose, product_coloring
 from latlang.errors import (
     MalformedDocument,
@@ -248,6 +248,97 @@ def enumerate_falsifier(a, max_len):
                     if not a.lattice.leq[value_v] >> values[w] & 1:
                         return w, v
     return None
+
+
+def reference_shuffle_ideal_falsify(
+    a: LatticeAutomaton, max_len: int | None = None
+) -> tuple[Word, Word] | None:
+    """Reference shuffle-ideal falsifier: the backward search from every
+    violating triple and the walk through its distance layers that
+    ``shuffle_ideal_falsify`` replaced by one forward search.
+
+    The least pair (w, v) with w a proper subword of v and L(v) not below L(w).
+    v is the length-lex-least word that has such a subword, and w the first
+    of its violating subwords by descending length, then lexicographically
+    least positions.  Returns None when no v of length at most ``max_len``
+    exists; with ``max_len=None`` the search is unbounded and None proves
+    that the language is a shuffle ideal.
+
+    The length of v comes from a backward breadth-first search over triples
+    (state after w, state after v, whether a letter was skipped) from the
+    violating triples, in O(n^2 * |A|) for n states.  v is then built letter
+    by letter through triples at the remaining distance, and w position by
+    position from the states that reach a violation with exactly j letters
+    of v skipped, for the least j.  No step enumerates words.
+    """
+    n = len(a.states)
+    letters = range(len(a.alphabet))
+    delta, out, leq = a.delta, a.output, a.lattice.leq
+    preimages = [[[] for _ in range(n)] for _ in letters]
+    for q in range(n):
+        for l in letters:
+            preimages[l][delta[q][l]].append(q)
+    dist = {
+        (p, q, 1): 0 for p in range(n) for q in range(n) if not leq[out[q]] >> out[p] & 1
+    }
+    start = (a.initial, a.initial, 0)
+    frontier = list(dist)
+    d = 0
+    while frontier and start not in dist and (max_len is None or d < max_len):
+        d += 1
+        reached = []
+        for p2, q2, s2 in frontier:
+            for l in letters:
+                before = [(p, q, s2) for p in preimages[l][p2] for q in preimages[l][q2]]
+                if s2:
+                    before += [(p2, q, s) for q in preimages[l][q2] for s in (0, 1)]
+                for t in before:
+                    if t not in dist:
+                        dist[t] = d
+                        reached.append(t)
+        frontier = reached
+    if start not in dist:
+        return None
+
+    v: list[int] = []
+    current = {start}
+    for remaining in range(dist[start] - 1, -1, -1):
+        for l in letters:
+            following = {
+                t
+                for p, q, s in current
+                for t in ((delta[p][l], delta[q][l], s), (p, delta[q][l], 1))
+                if dist.get(t) == remaining
+            }
+            if following:
+                v.append(l)
+                current = following
+                break
+
+    q = a.initial
+    for l in v:
+        q = delta[q][l]
+    violating = [not leq[out[q]] >> out[p] & 1 for p in range(n)]
+    # reach[j][i][p]: from state p, reading v[i:] with exactly j letters
+    # skipped can end in a violating state.
+    reach: list[list[list[bool]]] = []
+    skipped, at_end = [[False] * n] * (len(v) + 1), violating
+    while not reach or not reach[-1][0][a.initial]:
+        column = [at_end]
+        for i in range(len(v) - 1, -1, -1):
+            after = column[-1]
+            column.append([after[delta[p][v[i]]] or skipped[i + 1][p] for p in range(n)])
+        reach.append(column[::-1])
+        skipped, at_end = reach[-1], [False] * n
+    w: list[int] = []
+    p, j = a.initial, len(reach) - 1
+    for i, l in enumerate(v):
+        if reach[j][i + 1][delta[p][l]]:
+            w.append(l)
+            p = delta[p][l]
+        else:
+            j -= 1
+    return tuple(a.alphabet[l] for l in w), tuple(a.alphabet[l] for l in v)
 
 
 def reference_direct_product(monoids, *, max_size=1024):

@@ -5,32 +5,37 @@ Element resolution, the reflexive-transitive closure of order rows
 and compatibility scans, the product constructions and the shuffle-ideal
 falsifier each have one definition; the helpers they replaced stay
 deleted, the falsifier does not go back to enumerating subwords, and the
-product machine does not go back to enumerating state pairs.  Every order
-and reach relation is read as int rows: no module but ``lattice.py`` has
-a closure loop or a ``bytes.maketrans`` bit table, and no order is read
-as a matrix of bools (``leq[a][b]``).  The shuffle
-verdict, the aperiodicity witness and the ergodic classes each have one
-implementation.  Breadth-first closures go through ``orbit``, except the
-two searches kept apart on purpose.  Monoid tables come from a search,
-not a full product, the absorption solver and the word measure build
-fractions only for their answers, each absorption row is built from its
-state's successors alone, the recognition check runs on one
-machine, and the enumeration keys each table, not each (table, order) pair.
-The syntactic order is built from bitsets, not by comparing every pair of
+product machine does not go back to enumerating state pairs.  The
+falsifier finds its superword by one forward search from the start over
+triples, read off the parents it records, with no preimage lists and no
+backward distance map.  Every order and reach relation is read as int
+rows: no module but ``lattice.py`` has a closure loop or a
+``bytes.maketrans`` bit table, and no order is read as a matrix of bools
+(``leq[a][b]``).  The shuffle verdict, the aperiodicity witness and the
+ergodic classes each have one implementation.  Breadth-first closures go
+through ``orbit``, except the two searches kept apart on purpose and the
+falsifier's search, which expands the triples that share a word
+together, one level at a time, so that it reaches words in length-lex
+order; an orbit does not.  Monoid tables come from a search, not a full
+product, the absorption solver and the word measure build fractions only
+for their answers, each absorption row is built from its state's
+successors alone, the recognition check runs on one machine, and the
+enumeration keys each table, not each (table, order) pair.  The
+syntactic order is built from bitsets, not by comparing every pair of
 word maps.  Product recognizers of joins and meets are built by
 ``product_triple`` alone.  No module but ``__init__.py`` imports a name
 it does not read.  The syntactic triple of a recognizer given by a table
 is read off the table (``syntactic_quotients``), never by running
-``syntactic`` on the triple's machine.  Both routes to a syntactic triple
-end in one tail (``_syntactic_triple``), which alone builds a
-``SyntacticResult`` and raises on a failed validation, and words are read
-off an orbit's first edges by ``orbit_words`` alone.  Every order read
-through a map (the state preorder off the states' output profiles, the
-syntactic order, restricted submonoid orders, the subdirect order
+``syntactic`` on the triple's machine.  Both routes to a syntactic
+triple end in one tail (``_syntactic_triple``), which alone builds a
+``SyntacticResult`` and raises on a failed validation, and words are
+read off an orbit's first edges by ``orbit_words`` alone.  Every order
+read through a map (the state preorder off the states' output profiles,
+the syntactic order, restricted submonoid orders, the subdirect order
 embedding and the recognition identities) comes off ``pointwise_order``
-in ``lattice.py``, the one pointwise-order kernel; no fixpoint refinement
-(``_state_preorder``) and no private copy (``_pointwise_order``) comes
-back.
+in ``lattice.py``, the one pointwise-order kernel; no fixpoint
+refinement (``_state_preorder``) and no private copy
+(``_pointwise_order``) comes back.
 """
 
 import ast

@@ -38,7 +38,7 @@ from latlang.automaton import minimize
 from latlang.errors import MismatchedAlphabet, MismatchedCarrier, SizeCapExceeded, UnknownElement
 from latlang.lattice import closure_bits, pointwise_order
 from latlang.monoid import product_index
-from latlang.serialize import triple_to_doc
+from latlang.serialize import automaton_from_doc, triple_to_doc
 from latlang.syntactic import _state_maps, shuffle_verdict
 from latlang.variety import (
     random_automaton,
@@ -50,6 +50,7 @@ from conftest import (
     all_words,
     enumerate_falsifier,
     reference_reconstruct_from_cuts,
+    reference_shuffle_ideal_falsify,
     reference_state_preorder,
     reference_syntactic,
     reference_transition_monoid,
@@ -629,6 +630,45 @@ def test_falsifier_matches_enumerator():
     assert 200 < found < 500
 
 
+def test_falsifier_matches_backward_search_reference():
+    """The forward search gives the same pair as the backward search it
+    replaced, bounded and unbounded."""
+    rng = random.Random(20261019)
+    found = 0
+    for i in range(3000):
+        letters = ("a", "b", "c")[: 1 + i % 3]
+        a = random_automaton(rng, SWEEP_LATTICES[i % 5], 9, letters)
+        if i % 2:
+            a = minimize(a)
+        for max_len in (None, 0, 1, 2, 3, 5):
+            expected = reference_shuffle_ideal_falsify(a, max_len)
+            assert shuffle_ideal_falsify(a, max_len) == expected, (i, max_len)
+            found += expected is not None
+    assert 5000 < found < 15000
+
+
+def test_falsifier_takes_the_least_word_shared_by_several_triples():
+    """The word a reaches two triples.  A search that expands them one
+    after the other reaches the first one's violating child on c, the pair
+    (a, ac), before the second one's on b, which gives the least pair."""
+    a = automaton_from_doc({
+        "lattice": {"elements": ["v0", "v1", "v2"], "cover": [["v0", "v1"], ["v1", "v2"]]},
+        "alphabet": ["a", "b", "c"],
+        "states": ["q0", "q1", "q2", "q3", "q4"],
+        "initial": "q0",
+        "delta": {
+            "q0": {"a": "q2", "b": "q3", "c": "q0"},
+            "q1": {"a": "q1", "b": "q4", "c": "q2"},
+            "q2": {"a": "q4", "b": "q2", "c": "q0"},
+            "q3": {"a": "q0", "b": "q1", "c": "q2"},
+            "q4": {"a": "q4", "b": "q0", "c": "q3"},
+        },
+        "output": {"q0": "v2", "q1": "v0", "q2": "v1", "q3": "v0", "q4": "v1"},
+    })
+    assert shuffle_ideal_falsify(a) == (("b",), ("a", "b"))
+    assert reference_shuffle_ideal_falsify(a) == (("b",), ("a", "b"))
+
+
 def test_unbounded_falsifier_decides_shuffle_ideals():
     rng = random.Random(1018)
     for i in range(200):
@@ -663,6 +703,13 @@ def test_falsifier_has_no_length_bound():
     assert shuffle_ideal_falsify(a, 10_000) == (("a",) * (n - 1), ("a",) * n)
     assert shuffle_ideal_falsify(a, n - 1) is None
     assert time.perf_counter() - started < 1.0
+    # the reset cycle: a goes from i to i + 1, b back to 0, top on the last state
+    n = 200
+    delta = [[(i + 1) % n, 0] for i in range(n)]
+    output = ["1" if i == n - 1 else "0" for i in range(n)]
+    states = [f"q{i}" for i in range(n)]
+    a = make_automaton(standard_lattice("chain", 2), ("a", "b"), states, 0, delta, output)
+    assert shuffle_ideal_falsify(a) == (("a",) * (n - 2), ("a",) * (n - 1))
 
 
 def test_shuffle_consistency_on_worked_example(two_sink_automaton):
