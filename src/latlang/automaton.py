@@ -23,7 +23,9 @@ from .lattice import (
     Lattice,
     LatticeMorphism,
     combination,
+    firsts,
     name_tuple,
+    number,
     orbit,
     product_name,
     resolve,
@@ -92,6 +94,8 @@ def make_free_morphism(
 ) -> FreeMorphism:
     source = tuple(source_alphabet)
     target = tuple(target_alphabet)
+    if not source:
+        raise MalformedDocument("morphism source alphabet must be nonempty")
     missing = [a for a in source if a not in images]
     if missing:
         raise MalformedDocument(f"morphism misses letters {missing!r}")
@@ -337,51 +341,31 @@ def trim(a: LatticeAutomaton) -> LatticeAutomaton:
 
 
 def minimize(a: LatticeAutomaton) -> LatticeAutomaton:
-    """Reachable-trim, then coarsest partition refinement on output values.
+    """Reachable-trim, then coarsest partition refinement on output values
+    (Moore 1956).
 
-    The result is the minimal complete machine for the language; each block
-    is named after its least member state.
+    Blocks start as the states numbered by output; each round numbers the
+    states by their block and the blocks of their letter successors, until
+    a round changes nothing.  ``number`` numbers blocks by their least
+    member, so a block's number is its state in the result and its least
+    member, whose name it takes, is its representative.
     """
     a = trim(a)
-    n = len(a.states)
-    block: list[int] = []
-    seen: dict[int, int] = {}
-    for q in range(n):
-        v = a.output[q]
-        if v not in seen:
-            seen[v] = len(seen)
-        block.append(seen[v])
-    n_letters = len(a.alphabet)
+    columns = list(zip(*a.delta))
+    block = number(a.output)
     while True:
-        sigs: dict[tuple, int] = {}
-        new_block = []
-        for q in range(n):
-            sig = (block[q],) + tuple(block[a.delta[q][l]] for l in range(n_letters))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block.append(sigs[sig])
-        if len(sigs) == len(set(block)):
-            block = new_block
+        refined = number(zip(block, *(map(block.__getitem__, column) for column in columns)))
+        if refined == block:
             break
-        block = new_block
-    members: dict[int, list[int]] = {}
-    for q in range(n):
-        members.setdefault(block[q], []).append(q)
-    reps = sorted(min(qs) for qs in members.values())
-    block_id = {block[rep]: i for i, rep in enumerate(reps)}
-    names = tuple(a.states[rep] for rep in reps)
-    delta = tuple(
-        tuple(block_id[block[a.delta[rep][l]]] for l in range(n_letters))
-        for rep in reps
-    )
-    output = tuple(a.output[rep] for rep in reps)
+        block = refined
+    reps = firsts(block)
     return LatticeAutomaton(
         lattice=a.lattice,
         alphabet=a.alphabet,
-        states=names,
-        initial=block_id[block[a.initial]],
-        delta=delta,
-        output=output,
+        states=tuple(a.states[q] for q in reps),
+        initial=block[a.initial],
+        delta=tuple(tuple(block[t] for t in a.delta[q]) for q in reps),
+        output=tuple(a.output[q] for q in reps),
     )
 
 

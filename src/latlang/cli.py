@@ -429,9 +429,9 @@ def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
                 "value_superword": ser.value_doc(a.lattice.elements[evaluate(a, v)]),
             }
         if not algebraic:
+            identity = synt.monoid.identity
             below_identity = next(
-                x for x in range(synt.monoid.size)
-                if not synt.monoid.le(x, synt.monoid.identity)
+                x for x, row in enumerate(synt.monoid.leq) if not row >> identity & 1
             )
             doc["witness_element"] = synt.monoid.elements[below_identity]
             doc["syntactic_monoid"] = ser.monoid_to_doc(synt.monoid)

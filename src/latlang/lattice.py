@@ -18,7 +18,11 @@ identities all come off it.  Here too are resolving an element by
 position or name, and ``orbit``, the breadth-first closure that lists the
 word maps of a machine with their Cayley graph and the reachable states
 of a machine or product; ``orbit_words`` reads each element's least word
-off an orbit's first edges.
+off an orbit's first edges.  ``number`` is the one way to sort things into
+classes: it numbers keys in order of first appearance, and ``firsts``
+gives each number's first member.  Moore refinement in ``minimize``, the
+ergodic classes of a chain and the syntactic quotients of a table all
+number their blocks through it.
 """
 
 from __future__ import annotations
@@ -262,6 +266,23 @@ def orbit_words(table: Sequence[Sequence[int]], letters: Sequence) -> list[tuple
             if y == len(words):
                 words.append(words[p] + (letters[l],))
     return words
+
+
+def number(keys: Iterable[Hashable]) -> list[int]:
+    """Each key's number, the distinct keys numbered 0, 1, ... in order of
+    first appearance: equal keys get equal numbers."""
+    index: dict = {}
+    return [index.setdefault(key, len(index)) for key in keys]
+
+
+def firsts(labels: Sequence[int]) -> list[int]:
+    """The first position of each label, for labels numbered in order of
+    first appearance (as ``number`` numbers them)."""
+    found: list[int] = []
+    for i, label in enumerate(labels):
+        if label == len(found):
+            found.append(i)
+    return found
 
 
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:

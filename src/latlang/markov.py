@@ -34,7 +34,7 @@ from .errors import (
     SingularSystem,
     UnknownElement,
 )
-from .lattice import Lattice, bit_positions, closure_bits, name_tuple, resolve
+from .lattice import Lattice, closure_bits, name_tuple, number, resolve
 from .lattice import standard_lattice, subset_name
 from .monoid import is_aperiodic
 from .syntactic import shuffle_verdict
@@ -194,19 +194,15 @@ class ErgodicStructure:
 def ergodic_structure(chain: MarkovChain) -> ErgodicStructure:
     """Classes of the positive-probability digraph; ergodic = closed class.
 
-    States s and t share a class iff each reaches the other.  Classes are
-    listed by least state, members sorted.
+    States s and t share a class iff each reaches the other, that is iff
+    they reach the same states, so the classes are the states numbered by
+    their reach rows.  Classes are listed by least state, members sorted.
     """
     n = chain.size
-    reach = chain.reach
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for s in range(n):
-        if class_of[s] < 0:
-            members = tuple(t for t in bit_positions(reach[s]) if reach[t] >> s & 1)
-            for t in members:
-                class_of[t] = len(classes)
-            classes.append(members)
+    class_of = number(chain.reach)
+    classes: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    for s, c in enumerate(class_of):
+        classes[c].append(s)
     dag = sorted(
         {
             (class_of[s], class_of[t])
@@ -221,7 +217,7 @@ def ergodic_structure(chain: MarkovChain) -> ErgodicStructure:
         s for s in range(n) if not ergodic[class_of[s]]
     )
     return ErgodicStructure(
-        classes=tuple(classes),
+        classes=tuple(map(tuple, classes)),
         ergodic=ergodic,
         transient_states=transient,
         class_dag=tuple(dag),

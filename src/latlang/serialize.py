@@ -100,8 +100,19 @@ def lattice_morphism_from_doc(doc: Any, lattice: Lattice) -> LatticeMorphism:
 
 # -- monoids ----------------------------------------------------------------
 
+def _distinct(names: Sequence[str], what: str) -> None:
+    """Raise MalformedDocument naming the first name given twice, if any: a
+    document must not use one name for two of its ``what``."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise MalformedDocument(f"two {what} are named {name!r}", witness=name)
+        seen.add(name)
+
+
 def monoid_to_doc(monoid: OrderedMonoid) -> dict:
     elements = monoid.elements
+    _distinct(elements, "monoid elements")
     return {
         "elements": list(elements),
         "identity": elements[monoid.identity],
@@ -138,6 +149,7 @@ def coloring_from_doc(doc: Any) -> OpColoring:
 # -- automata ----------------------------------------------------------------
 
 def automaton_to_doc(a: LatticeAutomaton) -> dict:
+    _distinct(a.states, "states")
     return {
         "lattice": lattice_to_doc(a.lattice),
         "alphabet": list(a.alphabet),

@@ -58,7 +58,8 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import Lattice, make_lattice_morphism, orbit, orbit_words, pointwise_order, threshold
+from .lattice import Lattice, firsts, make_lattice_morphism, number, orbit, orbit_words
+from .lattice import pointwise_order, threshold
 from .monoid import (
     OrderedMonoid,
     _greedy_generators,
@@ -256,32 +257,19 @@ def syntactic_quotients(
     results = []
     for coloring in colorings:
         colors = [coloring.colors[x] for x in members]
-        profiles: dict[tuple[int, ...], int] = {}
-        state = [
-            profiles.setdefault(tuple(map(colors.__getitem__, row)), len(profiles))
-            for row in products
-        ]
-        # the action of members[j] on the states is column j of these rows
-        action = [tuple(map(state.__getitem__, products[i])) for i in _firsts(state)]
-        classes: dict[tuple[int, ...], int] = {}
-        element = [classes.setdefault(m, len(classes)) for m in zip(*action)]
-        reps = _firsts(element)
+        profiles = [tuple(map(colors.__getitem__, row)) for row in products]
+        state = number(profiles)
+        states = firsts(state)
+        # actions[j] sends each state, read at its first member x, to the state of x * members[j]
+        actions = list(zip(*(map(state.__getitem__, products[i]) for i in states)))
+        element = number(actions)
+        reps = firsts(element)
         graph = [[element[y] for y in right[i]] for i in reps]
         results.append(_syntactic_triple(
-            alphabet, graph, list(classes), list(profiles), coloring.lattice,
-            [colors[i] for i in reps],
+            alphabet, graph, [actions[i] for i in reps], [profiles[i] for i in states],
+            coloring.lattice, [colors[i] for i in reps],
         ))
     return results
-
-
-def _firsts(labels: Sequence[int]) -> list[int]:
-    """The first position of each label, for labels numbered in order of
-    first appearance."""
-    firsts: list[int] = []
-    for i, label in enumerate(labels):
-        if label == len(firsts):
-            firsts.append(i)
-    return firsts
 
 
 def triple_to_automaton(t: RecognitionTriple) -> LatticeAutomaton:

@@ -20,7 +20,7 @@ from latlang import (
     simulating_automaton,
     standard_lattice,
 )
-from latlang.automaton import Word, find_difference, minimize, word_name
+from latlang.automaton import Word, find_difference, trim, word_name
 from latlang.coloring import ideal_coloring, make_op_coloring, postcompose, product_coloring
 from latlang.errors import (
     MalformedDocument,
@@ -395,6 +395,54 @@ def reference_product_combine(kind, a1, a2):
     )
 
 
+def reference_minimize(a: LatticeAutomaton) -> LatticeAutomaton:
+    """Reference minimization: the library's Moore refinement before it
+    numbered blocks through ``lattice.number``, kept verbatim.  Reachable-
+    trim, then coarsest partition refinement on output values; each block
+    is named after its least member state."""
+    a = trim(a)
+    n = len(a.states)
+    block: list[int] = []
+    seen: dict[int, int] = {}
+    for q in range(n):
+        v = a.output[q]
+        if v not in seen:
+            seen[v] = len(seen)
+        block.append(seen[v])
+    n_letters = len(a.alphabet)
+    while True:
+        sigs: dict[tuple, int] = {}
+        new_block = []
+        for q in range(n):
+            sig = (block[q],) + tuple(block[a.delta[q][l]] for l in range(n_letters))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_block.append(sigs[sig])
+        if len(sigs) == len(set(block)):
+            block = new_block
+            break
+        block = new_block
+    members: dict[int, list[int]] = {}
+    for q in range(n):
+        members.setdefault(block[q], []).append(q)
+    reps = sorted(min(qs) for qs in members.values())
+    block_id = {block[rep]: i for i, rep in enumerate(reps)}
+    names = tuple(a.states[rep] for rep in reps)
+    delta = tuple(
+        tuple(block_id[block[a.delta[rep][l]]] for l in range(n_letters))
+        for rep in reps
+    )
+    output = tuple(a.output[rep] for rep in reps)
+    return LatticeAutomaton(
+        lattice=a.lattice,
+        alphabet=a.alphabet,
+        states=names,
+        initial=block_id[block[a.initial]],
+        delta=delta,
+        output=output,
+    )
+
+
 def reference_word_maps(a):
     """Reference word maps: a deque search over state maps with an index dict;
     each new map's witness extends its parent's by the letter that reached it."""
@@ -441,7 +489,7 @@ def reference_transition_monoid(a):
 def reference_syntactic(a):
     """Reference syntactic monoid: the reference word maps of the minimal
     machine, their composition table, and the pointwise state preorder."""
-    a = minimize(a)
+    a = reference_minimize(a)
     pre = reference_state_preorder(a)
     maps, witnesses, gen_ids = reference_word_maps(a)
     leq = rows_of([all(pre[p][q] for p, q in zip(mi, mj)) for mj in maps] for mi in maps)

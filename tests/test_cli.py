@@ -398,6 +398,11 @@ def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
             "MalformedDocument",
             "morphism mapping must be an object or a list",
         ),
+        (
+            invhom + [write(tmp_path, "hom_empty.json", {"images": {}})],
+            "MalformedDocument",
+            "morphism source alphabet must be nonempty",
+        ),
     ]
     for argv, kind, message in cases:
         code, out = run(argv)
@@ -417,6 +422,49 @@ def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
         with pytest.raises(MalformedDocument) as caught:
             loader(bad)
         assert str(caught.value) == message
+
+
+def test_derived_name_clashes_are_error_documents(tmp_path):
+    """A name derived for two elements or two states is refused with an
+    error document that names it, instead of a document no loader accepts:
+    the witness words "ε" of the identity and of the letter "ε", the
+    product names of ("1", "1,1") and ("1,1", "1"), and of the state pairs
+    ("p", "p,p") and ("p,p", "p").  shuffle-check reads the order by
+    position, so it reaches the same refusal.  Names that clash only inside
+    a computation, as in the subdirect factors of ["1", "ε"], still give
+    their report."""
+    boolean = {"elements": ["0", "1"], "cover": [["0", "1"]]}
+    eps = write(tmp_path, "eps.json", {
+        "lattice": boolean, "alphabet": ["ε"], "states": ["q0", "q1"], "initial": "q0",
+        "delta": {"q0": {"ε": "q1"}, "q1": {"ε": "q1"}}, "output": {"q0": "0", "q1": "1"},
+    })
+    m = write(tmp_path, "m.json", {
+        "elements": ["1", "1,1"], "identity": "1", "mul": [["1", "1,1"], ["1,1", "1,1"]],
+    })
+    a = write(tmp_path, "a.json", {
+        "lattice": boolean, "alphabet": ["x"], "states": ["p", "p,p"], "initial": "p",
+        "delta": {"p": {"x": "p,p"}, "p,p": {"x": "p"}}, "output": {"p": "0", "p,p": "1"},
+    })
+    for argv, message, name in (
+        (["lang", "syntactic", eps], "two monoid elements are named 'ε'", "ε"),
+        (["lang", "shuffle-check", eps], "two monoid elements are named 'ε'", "ε"),
+        (["monoid", "product", m, m], "two monoid elements are named '(1,1,1)'", "(1,1,1)"),
+        (["lang", "op", "join", a, a], "two states are named '(p,p,p)'", "(p,p,p)"),
+    ):
+        code, out = run(argv)
+        assert code == 1, argv
+        assert json.loads(out)["error"] == {
+            "kind": "MalformedDocument", "message": message, "witness": name,
+        }, argv
+    s = write(tmp_path, "s.json", {
+        "elements": ["1", "ε"], "identity": "1", "mul": [["1", "ε"], ["ε", "ε"]],
+    })
+    assert run(["variety", "subdirect", s]) == (0, (
+        '{"check":"subdirect_embedding","instance":{"factor_sizes":[2,2],'
+        '"monoid":{"elements":["1","\\u03b5"],"identity":"1",'
+        '"leq":[["1","1"],["\\u03b5","\\u03b5"]],"mul":[["1","\\u03b5"],["\\u03b5","\\u03b5"]]}},'
+        '"verdict":"pass","witness":null}\n'
+    ))
 
 
 def test_divides_budget_exit(tmp_path):

@@ -31,8 +31,10 @@ from latlang.errors import (
 from latlang.lattice import (
     closure_bits,
     converse,
+    firsts,
     monotone_violation,
     mutual_pair,
+    number,
     orbit,
     orbit_words,
     order_from_pairs,
@@ -432,3 +434,21 @@ def test_order_from_pairs_matches_reference_on_mixed_pair_lists():
         assert order_from_pairs(index, shape(pairs), "point") == expected
         outcomes["ok"] = outcomes.get("ok", 0) + 1
     assert min(outcomes.get(k, 0) for k in ("ok", "MalformedDocument", "UnknownElement")) >= 40
+
+
+def test_number_and_firsts():
+    assert number([]) == [] and firsts([]) == []
+    assert number("abacb") == [0, 1, 0, 2, 1]
+    assert firsts([0, 1, 0, 2, 1]) == [0, 1, 3]
+    assert number([(1, 2), (2, 1), (1, 2)]) == [0, 1, 0]
+    assert number(iter([5, 5, 5])) == [0, 0, 0]
+
+
+@given(st.lists(st.integers(-3, 3), max_size=30))
+def test_number_is_first_appearance_order(keys):
+    """Equal keys get equal numbers, numbered 0, 1, ... by first appearance,
+    and each number's first position is its key's first position."""
+    labels = number(keys)
+    distinct = list(dict.fromkeys(keys))
+    assert labels == [distinct.index(key) for key in keys]
+    assert firsts(labels) == [keys.index(key) for key in distinct]

@@ -35,7 +35,13 @@ the syntactic order, restricted submonoid orders, the subdirect order
 embedding and the recognition identities) comes off ``pointwise_order``
 in ``lattice.py``, the one pointwise-order kernel; no fixpoint
 refinement (``_state_preorder``) and no private copy
-(``_pointwise_order``) comes back.
+(``_pointwise_order``) comes back.  Keys are sorted into classes by
+``number`` in ``lattice.py``, which numbers them in order of first
+appearance, and each number's first member is read by ``firsts``:
+Moore refinement in ``minimize``, the ergodic classes and
+``syntactic_quotients`` all go through them, no private copy
+(``syntactic._firsts``) comes back, and no module but ``lattice.py``
+numbers keys by hand with ``d.setdefault(key, len(d))``.
 """
 
 import ast
@@ -58,6 +64,7 @@ DELETED = {
     "word_to",
     "_state_preorder",
     "_pointwise_order",
+    "_firsts",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -78,6 +85,8 @@ KERNEL = {
     "orbit_words": "lattice.py",
     "_syntactic_triple": "syntactic.py",
     "pointwise_order": "lattice.py",
+    "number": "lattice.py",
+    "firsts": "lattice.py",
 }
 
 
@@ -454,3 +463,30 @@ def test_orders_through_maps_come_off_the_kernel():
             )
         ]
     assert missing == []
+
+
+def _numbering_calls(tree):
+    """Line numbers of the ``d.setdefault(key, len(d))`` calls in a module."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setdefault"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Call)
+        and isinstance(node.args[1].func, ast.Name)
+        and node.args[1].func.id == "len"
+        and [ast.dump(arg) for arg in node.args[1].args] == [ast.dump(node.func.value)]
+    ]
+
+
+def test_keys_are_numbered_only_by_the_kernel():
+    """Outside ``lattice.py`` no ``d.setdefault(key, len(d))`` numbers keys
+    by first appearance: that is ``number``'s job, and ``number`` is one."""
+    found = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py")) if path.name != "lattice.py"
+        for line in _numbering_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    assert _numbering_calls(ast.parse((SRC / "lattice.py").read_text()))

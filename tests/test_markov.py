@@ -294,6 +294,50 @@ def test_structure_and_machines_match_tarjan_reference():
     assert reducible >= 250
 
 
+def _layered_chain(rng, n):
+    """Seeded chain on n states under shuffled names: the last few states
+    form closed cycles of 1 to 4 states, and every other state moves only
+    to 1 to 3 later states, now and then also in a pair with the next
+    state, so most classes are transient singletons, a few are transient
+    pairs, and classes are not runs of consecutive states."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [dict() for _ in range(n)]
+    tail = n - rng.randint(5, 20)
+    start = tail
+    while start < n:
+        size = min(rng.randint(1, 4), n - start)
+        for i in range(start, start + size):
+            rows[i][start + (i - start + 1) % size] = 1
+        start += size
+    for i in range(tail):
+        for j in rng.sample(range(i + 1, n), rng.randint(1, min(3, n - i - 1))):
+            rows[i][j] = rng.randint(1, 3)
+        if i + 1 < tail and rng.random() < 0.05:
+            rows[i][i + 1] = rows[i + 1][i] = 1
+    states = [f"p{order[i]}" for i in range(n)]
+    return chain_of(states, {
+        states[i]: {states[j]: str(Fraction(w, sum(row.values()))) for j, w in row.items()}
+        for i, row in enumerate(rows)
+    })
+
+
+def test_structure_of_layered_chains_matches_tarjan_reference():
+    """On layered chains of 200 to 400 states, most of whose classes are
+    transient singletons, the classes numbered by reach rows equal
+    Tarjan's components, listed by least state."""
+    rng = random.Random(9119)
+    pairs = 0
+    for i in range(12):
+        chain = _layered_chain(rng, rng.randint(200, 400))
+        structure = ergodic_structure(chain)
+        assert structure == reference_ergodic_structure(chain), i
+        transient = [c for c, flag in zip(structure.classes, structure.ergodic) if not flag]
+        assert sum(len(c) == 1 for c in transient) >= chain.size // 2, i
+        pairs += sum(len(c) == 2 for c in transient)
+    assert pairs >= 50
+
+
 def _outcome(check, chain, decomposition):
     try:
         check(chain, decomposition)
