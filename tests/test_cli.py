@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -852,7 +853,8 @@ def _pinned_commands(tmp_path):
     """(label, argv) for the byte pins: the bundled automaton, seeded random
     machines over five lattices, products with one-element factors, the
     subdirect embedding of enumerated monoids and of a 48-element product,
-    the seed-0 suite, and the analysis of two chains."""
+    the seed-0 suite, the analysis of two chains, and one argv for each
+    other command, both verdicts for shuffle-check."""
     import random
 
     from latlang import build_lattice, direct_product, standard_lattice, trivial_monoid
@@ -911,6 +913,39 @@ def _pinned_commands(tmp_path):
     }
     path = write(tmp_path, "chain7.json", {"states": list(rows), "rows": rows})
     commands.append(("analyze chain7", ["markov", "analyze", path]))
+    machine0, machine5 = (str(tmp_path / f"machine{i}.json") for i in (0, 5))
+    lattice = str(DATA / "two_sink_lattice.json")
+    hom = write(tmp_path, "hom.json", {"images": {"x": "ab", "y": ["c", "a"]}})
+    morphism = write(tmp_path, "alpha.json", {
+        "mapping": {"{}": "{}", "{1}": "{}", "{2}": "{2}", "{1,2}": "{1,2}"},
+    })
+    contains_a = write(tmp_path, "contains_a.json", {
+        "lattice": {"elements": ["0", "1"], "cover": [["0", "1"]]},
+        "alphabet": ["a", "b"], "states": ["q0", "q1"], "initial": "q0",
+        "delta": {"q0": {"a": "q1", "b": "q0"}, "q1": {"a": "q1", "b": "q1"}},
+        "output": {"q0": "1", "q1": "0"},
+    })
+    commands += [
+        ("lattice check", ["lattice", "check", lattice]),
+        ("lattice dual", ["lattice", "dual", lattice, "--format", "text"]),
+        ("monoid check m3_1", ["monoid", "check", pool[3]]),
+        ("monoid divides m2_0 m2_1", ["monoid", "divides", pool[0], pool[1], "--budget", "4"]),
+        ("monoid aperiodic m3_0", ["monoid", "aperiodic", pool[2]]),
+        ("bundled eval bbc", ["lang", "eval", AUTOMATON, "--word", "bbc"]),
+        ("bundled minimize", ["lang", "minimize", AUTOMATON]),
+        ("equiv machine 0 machine 5", ["lang", "equiv", machine0, machine5]),
+        ("join machine 0 machine 5", ["lang", "op", "join", machine0, machine5]),
+        ("meet machine 0 machine 5", ["lang", "op", "meet", machine0, machine5]),
+        ("bundled quotl a", ["lang", "op", "quotl", AUTOMATON, "--word", "a"]),
+        ("bundled quotr [b,c]", ["lang", "op", "quotr", AUTOMATON, "--word", '["b","c"]']),
+        ("bundled invhom", ["lang", "op", "invhom", AUTOMATON, "--hom", hom]),
+        ("bundled recolor", ["lang", "op", "recolor", AUTOMATON, "--morphism", morphism]),
+        ("bundled shuffle-check", ["lang", "shuffle-check", AUTOMATON, "--max-len", "4"]),
+        ("contains a shuffle-check", ["lang", "shuffle-check", contains_a]),
+        ("enumerate 2", ["variety", "enumerate", "--n", "2"]),
+        ("decompose chain7", ["markov", "decompose", path]),
+        ("absorb chain7", ["markov", "absorb", path]),
+    ]
     return commands
 
 
@@ -1062,12 +1097,68 @@ PINNED_DIGESTS = {
     "analyze chain7": (
         "77edd2f240d2b89da88a019537d1d2816698f45a3762ec33f0d9fb57abc849c3"
     ),
+    "lattice check": (
+        "ff58833d9d1b816d88ada2c3c8b9b4e5995c8ba8f6ce17400592761939e6e821"
+    ),
+    "lattice dual": (
+        "417f6c07a6d15a958204b94ebf5f63b1653505f6fe914caf1d7b7b10ca811096"
+    ),
+    "monoid check m3_1": (
+        "ce23d2f38b58f15f8d6e1b67a62d728f3cf069ab8051556974b2db195224a372"
+    ),
+    "monoid divides m2_0 m2_1": (
+        "1243f611e801970007abb81203bcea6a79dc5ddad5ef4eab76f6c7513cf32e0a"
+    ),
+    "monoid aperiodic m3_0": (
+        "a19cc37697e071ff8c2765157630835b4a782fcb931cc235e6831bc0a6a2d308"
+    ),
+    "bundled eval bbc": (
+        "37192208b7f77f8ed0354bbeee8082ae30d973ce85e5ff84f63a2a29582860a9"
+    ),
+    "bundled minimize": (
+        "e675318e749b50e3155d31f219fb2e116e826d47046e815d6108c72ba6549f94"
+    ),
+    "equiv machine 0 machine 5": (
+        "1fdc732f9ed0567b56a528d0b4a403fa08561bb96247017ae2643ffc33e99d10"
+    ),
+    "join machine 0 machine 5": (
+        "9ff10a0e74a6d2d6d73d5cde9e5f3ece7f5b018e15dc33f08f6241ba9fa5b643"
+    ),
+    "meet machine 0 machine 5": (
+        "199bc6790c65ff6f3b86e569f8c9233c3fd053ad2302481cf57367fb0e3b0e69"
+    ),
+    "bundled quotl a": (
+        "5fdbf797d3229a561989340560bb2ddc1d81bfa6bfbb8bfe839634090726b669"
+    ),
+    "bundled quotr [b,c]": (
+        "29d952cd159bf867cfcd94a9738ca722543492484811a83ce01614ba9d509578"
+    ),
+    "bundled invhom": (
+        "0bbafbdcc976c073f90104b947bf33a94c7c270ac54cde7384d6fb06912a72fd"
+    ),
+    "bundled recolor": (
+        "dbe95744949a270c7c3c5eff59e8b6f769e58bc11b54c043cc25942190f4eedb"
+    ),
+    "bundled shuffle-check": (
+        "9833c5ebe6d7562dcbb5b290f47e6464d20e5a1b8ec79ab2305a36072bd82cb9"
+    ),
+    "contains a shuffle-check": (
+        "d86fc139d1c914e04c25ade77ea460ed836ca5bfc0993ea8ef3e1dfd3ab5e236"
+    ),
+    "enumerate 2": (
+        "c23953655a34f3f9da6ec0100eef86d73c10d997e6795b18116ba8ab3b4e3dd7"
+    ),
+    "decompose chain7": (
+        "681b8fafd04f0b9ca354cad5e8c0fe652fd4cdc3f4f777d73fc4f09210f5d65a"
+    ),
+    "absorb chain7": (
+        "7a203839de4224446a103a3bb103658aaacf1e48ac188a954c2516f559d898cf"
+    ),
 }
 
 
 def test_pinned_output_bytes(tmp_path):
-    """Exit code and stdout bytes of the cut, syntactic, reconstruct,
-    product, subdirect, suite and analyze commands, as sha256 digests of
+    """Exit code and stdout bytes of every command, as sha256 digests of
     ``"<code>\\n<stdout>"``."""
     import hashlib
 
@@ -1076,3 +1167,32 @@ def test_pinned_output_bytes(tmp_path):
         code, out = run(argv)
         digests[label] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def _help_paths(prefix=()):
+    """The command paths argparse's help lists under ``prefix``: the choices
+    of its subcommand positional, or ``prefix`` itself at a command."""
+    code, out = run([*prefix, "--help"])
+    assert code == 0, prefix
+    choices = re.search(r"^  \{(.*)\}$", out, re.M)
+    if choices is None:
+        return [prefix]
+    return [path for name in choices[1].split(",") for path in _help_paths((*prefix, name))]
+
+
+def test_command_table_is_the_help_and_every_command_runs(tmp_path):
+    """The paths of ``_COMMANDS`` are exactly the commands argparse's help
+    lists, in its order, and each one's pinned argv runs to a document."""
+    from latlang.cli import _COMMANDS
+
+    assert _help_paths() == list(_COMMANDS)
+    ran = set()
+    for label, argv in _pinned_commands(tmp_path):
+        path = next(p for p in (tuple(argv[:3]), tuple(argv[:2])) if p in _COMMANDS)
+        ran.add(path)
+        code, out = run(argv)
+        assert code in (0, 2, 3), label
+        # the suite writes one document a line
+        docs = out.splitlines() if path == ("variety", "suite") else [out]
+        assert all("error" not in json.loads(doc) for doc in docs), label
+    assert ran == set(_COMMANDS)
