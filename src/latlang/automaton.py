@@ -135,7 +135,7 @@ class LatticeAutomaton:
         return idx
 
     def state(self, s: int | str) -> int:
-        return resolve(self._state_index, s, "state")
+        return resolve(self._state_index, s, "state", len(self.states))
 
     def run(self, word: str | Sequence[str], start: int | None = None) -> int:
         """The state reached from ``start`` (default: initial) on ``word``."""

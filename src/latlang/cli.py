@@ -6,9 +6,13 @@ Exit codes: 0 success or verdict-true; 2 computed-false or witness found;
 invocations produce byte-identical output.  Errors print a machine-readable
 {"error": {"kind": ..., "witness": ...}} document.
 
-Arguments are read off one command table, ``_COMMANDS``.  Argv in the
-canonical layout is read directly: the command path (``group command`` or
-``lang op operation``), then exactly the command's positionals (one or more
+Each command is one entry of one command table, ``_COMMANDS``: its path
+(``group command`` or ``lang op operation``), its arguments and its handler,
+which turns the parsed namespace into an exit code and a document.  ``run``
+reads the namespace, then calls the handler the table holds for the
+namespace's path; no other code matches a command path.
+
+Argv in the canonical layout is read directly: the command path, then exactly the command's positionals (one or more
 files for ``monoid product``), then ``--flag value`` pairs, each flag one of
 the command's long flags written out in full and given at most once, no
 value starting with ``-``, every value converted and checked as argparse
@@ -78,58 +82,14 @@ class _Option(NamedTuple):
 
 
 class _Leaf(NamedTuple):
-    """One command: its positionals' dests, the last one taking ``nargs``
+    """One command: the handler that turns its parsed namespace into (exit
+    code, document), its positionals' dests, the last one taking ``nargs``
     values, and its options besides ``--format``."""
 
+    handler: Callable[[argparse.Namespace], tuple[int, Any]]
     positionals: tuple[str, ...]
     options: tuple[_Option, ...] = ()
     nargs: str | None = None
-
-
-_FORMAT = _Option("--format", choices=("json", "text"), default="json")
-_WORD = _Option("--word", required=True)
-_LEFT_RIGHT = ("left", "right")
-
-# Command path -> leaf, in the order the help lists the commands.
-_COMMANDS: dict[tuple[str, ...], _Leaf] = {
-    ("lattice", "check"): _Leaf(("file",)),
-    ("lattice", "dual"): _Leaf(("file",)),
-    ("monoid", "check"): _Leaf(("file",)),
-    ("monoid", "product"): _Leaf(("files",), nargs="+"),
-    ("monoid", "divides"): _Leaf(("dividend", "divisor"), (
-        _Option("--budget", int, default=10,
-                help="largest divisor size searched exhaustively"),
-    )),
-    ("monoid", "aperiodic"): _Leaf(("file",)),
-    ("lang", "eval"): _Leaf(("file",), (_WORD,)),
-    ("lang", "minimize"): _Leaf(("file",)),
-    ("lang", "equiv"): _Leaf(_LEFT_RIGHT),
-    ("lang", "syntactic"): _Leaf(("file",)),
-    ("lang", "op", "join"): _Leaf(_LEFT_RIGHT),
-    ("lang", "op", "meet"): _Leaf(_LEFT_RIGHT),
-    ("lang", "op", "quotl"): _Leaf(("file",), (_WORD,)),
-    ("lang", "op", "quotr"): _Leaf(("file",), (_WORD,)),
-    ("lang", "op", "invhom"): _Leaf(("file",), (_Option("--hom", required=True),)),
-    ("lang", "op", "recolor"): _Leaf(("file",), (_Option("--morphism", required=True),)),
-    ("lang", "cut"): _Leaf(("file",), (_Option("--element", required=True),)),
-    ("lang", "reconstruct"): _Leaf(("file",)),
-    ("lang", "shuffle-check"): _Leaf(("file",), (_Option("--max-len", int, default=8),)),
-    ("variety", "enumerate"): _Leaf((), (_Option("--n", int, required=True),)),
-    ("variety", "suite"): _Leaf((), (_Option("--seed", int, default=0),)),
-    ("variety", "subdirect"): _Leaf(("file",)),
-    ("markov", "analyze"): _Leaf(("file",), (
-        _Option("--decomposition"),
-        _Option("--initial"),
-        _Option("--horizon", int, default=8),
-        _Option("--max-len", int, default=6),
-        _Option("--mode", choices=("basic", "reachable"), default="basic"),
-    )),
-    ("markov", "decompose"): _Leaf(("file",)),
-    ("markov", "absorb"): _Leaf(("file",)),
-}
-
-# The namespace attribute naming each token of a command path.
-_PATH_DESTS = ("group", "command", "operation")
 
 
 class _CliUsage(Exception):
@@ -183,6 +143,236 @@ def _dumps(doc: Any, fmt: str) -> str:
     if fmt == "text":
         return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     return ser.canonical_dumps(doc) + "\n"
+
+
+def _monoid(path: str):
+    return ser.monoid_from_doc(_load_json(path))
+
+
+def _machine(path: str):
+    return ser.automaton_from_doc(_load_json(path))
+
+
+def _chain(path: str):
+    return ser.chain_from_doc(_load_json(path))
+
+
+def _value(a, word: Sequence[str]) -> Any:
+    """The value document of a machine's output on a word."""
+    return ser.value_doc(a.lattice.elements[evaluate(a, word)])
+
+
+def _lattice_op(transform):
+    """The handler that loads one lattice and writes ``transform(lattice)``."""
+    return lambda args: (
+        EXIT_OK, ser.lattice_to_doc(transform(ser.lattice_from_doc(_load_json(args.file)))))
+
+
+def _machine_op(transform):
+    """The handler that loads one machine and writes ``transform(machine,
+    args)``."""
+    return lambda args: (EXIT_OK, ser.automaton_to_doc(transform(_machine(args.file), args)))
+
+
+def _quotient(side: str):
+    """The handler of the quotient by ``--word`` on one side."""
+    return _machine_op(lambda a, args: quotient(side, a, _word_argument(args.word, a.alphabet)))
+
+
+def _combine(args: argparse.Namespace) -> tuple[int, Any]:
+    a1, a2 = _machine(args.left), _machine(args.right)
+    return EXIT_OK, ser.automaton_to_doc(product_combine(args.operation, a1, a2))
+
+
+def _product(args: argparse.Namespace) -> tuple[int, Any]:
+    product, _ = direct_product([_monoid(f) for f in args.files])
+    return EXIT_OK, ser.monoid_to_doc(product)
+
+
+def _divides(args: argparse.Namespace) -> tuple[int, Any]:
+    m1, m2 = _monoid(args.dividend), _monoid(args.divisor)
+    verdict = divides(m1, m2, max_target_size=args.budget)
+    doc = verdict.to_doc()
+    if verdict.kind == "yes":
+        return EXIT_OK, doc
+    if verdict.kind == "budget_exhausted":
+        return EXIT_BUDGET, doc
+    doc["witness"] = {"dividend": ser.monoid_to_doc(m1), "divisor": ser.monoid_to_doc(m2)}
+    return EXIT_FALSE, doc
+
+
+def _aperiodic(args: argparse.Namespace) -> tuple[int, Any]:
+    witness = aperiodicity_witness(_monoid(args.file))
+    if witness is None:
+        return EXIT_OK, {"aperiodic": True}
+    return EXIT_FALSE, {"aperiodic": False, "witness": witness}
+
+
+def _eval(args: argparse.Namespace) -> tuple[int, Any]:
+    a = _machine(args.file)
+    return EXIT_OK, {"value": _value(a, _word_argument(args.word, a.alphabet))}
+
+
+def _equiv(args: argparse.Namespace) -> tuple[int, Any]:
+    a1, a2 = _machine(args.left), _machine(args.right)
+    diff = find_difference(a1, a2)
+    if diff is None:
+        return EXIT_OK, {"equivalent": True}
+    return EXIT_FALSE, {
+        "equivalent": False,
+        "witness": {
+            "word": ser.word_doc(diff), "left": _value(a1, diff), "right": _value(a2, diff),
+        },
+    }
+
+
+def _syntactic(args: argparse.Namespace) -> tuple[int, Any]:
+    synt = syntactic(_machine(args.file))
+    coloring = ser.coloring_to_doc(synt.coloring)
+    return EXIT_OK, {
+        "monoid": coloring["monoid"],
+        "images": {
+            letter: synt.monoid.elements[g]
+            for letter, g in zip(synt.alphabet, synt.generator_images)
+        },
+        "coloring": coloring,
+        "witnesses": {
+            synt.monoid.elements[i]: ser.word_doc(w) for i, w in enumerate(synt.witnesses)
+        },
+    }
+
+
+def _reconstruct(args: argparse.Namespace) -> tuple[int, Any]:
+    a = _machine(args.file)
+    triple, equal = reconstruct_from_cuts(a)
+    doc = {"triple": ser.triple_to_doc(triple), "equal": equal}
+    if equal:
+        return EXIT_OK, doc
+    diff = find_difference(triple_to_automaton(triple), a)
+    doc["witness"] = {"word": ser.word_doc(diff or ())}
+    return EXIT_FALSE, doc
+
+
+def _shuffle_check(args: argparse.Namespace) -> tuple[int, Any]:
+    a = _machine(args.file)
+    synt, algebraic, falsifier = shuffle_verdict(a, args.max_len)
+    doc: dict[str, Any] = {"shuffle_ideal": algebraic, "bound": args.max_len, "falsifier": None}
+    if falsifier is not None:
+        w, v = falsifier
+        doc["falsifier"] = {
+            "subword": ser.word_doc(w),
+            "superword": ser.word_doc(v),
+            "value_subword": _value(a, w),
+            "value_superword": _value(a, v),
+        }
+    if algebraic:
+        return EXIT_OK, doc
+    identity = synt.monoid.identity
+    below_identity = next(x for x, row in enumerate(synt.monoid.leq) if not row >> identity & 1)
+    doc["witness_element"] = synt.monoid.elements[below_identity]
+    doc["syntactic_monoid"] = ser.monoid_to_doc(synt.monoid)
+    return EXIT_FALSE, doc
+
+
+def _enumerate(args: argparse.Namespace) -> tuple[int, Any]:
+    if args.n < 1:
+        raise _CliUsage("argument --n: must be positive")
+    monoids = enumerate_ordered_monoids(args.n)
+    return EXIT_OK, {"count": len(monoids), "monoids": [ser.monoid_to_doc(m) for m in monoids]}
+
+
+def _suite(args: argparse.Namespace) -> tuple[int, Any]:
+    reports = run_suite(seed=args.seed)
+    lines = "".join(ser.canonical_dumps(r.to_doc()) + "\n" for r in reports)
+    verdicts = [r.verdict for r in reports]
+    if "fail" in verdicts:
+        return EXIT_FALSE, lines
+    if "budget_exhausted" in verdicts:
+        return EXIT_BUDGET, lines
+    return EXIT_OK, lines
+
+
+def _subdirect(args: argparse.Namespace) -> tuple[int, Any]:
+    report = subdirect_embedding(_monoid(args.file))
+    return (EXIT_OK if report.verdict == "pass" else EXIT_FALSE), report.to_doc()
+
+
+def _analyze(args: argparse.Namespace) -> tuple[int, Any]:
+    chain = _chain(args.file)
+    decomposition = None
+    if args.decomposition:
+        decomposition = ser.decomposition_from_doc(_load_json(args.decomposition), chain)
+    return EXIT_OK, markov_mod.analyze(
+        chain,
+        decomposition=decomposition,
+        initial=args.initial,
+        horizon=args.horizon,
+        falsify_bound=args.max_len,
+        mode=args.mode,
+    )
+
+
+def _decompose(args: argparse.Namespace) -> tuple[int, Any]:
+    chain = _chain(args.file)
+    return EXIT_OK, ser.decomposition_to_doc(markov_mod.decompose(chain), chain)
+
+
+_FORMAT = _Option("--format", choices=("json", "text"), default="json")
+_WORD = _Option("--word", required=True)
+_FILE = ("file",)
+_LEFT_RIGHT = ("left", "right")
+
+# Command path -> leaf, in the order the help lists the commands.  Handlers
+# call library functions by their module-level names, so a rebinding of those
+# names (a tracer's wrapper) is seen when the command runs.
+_COMMANDS: dict[tuple[str, ...], _Leaf] = {
+    ("lattice", "check"): _Leaf(_lattice_op(lambda lat: lat), _FILE),
+    ("lattice", "dual"): _Leaf(_lattice_op(lambda lat: dual(lat)), _FILE),
+    ("monoid", "check"): _Leaf(
+        lambda args: (EXIT_OK, ser.monoid_to_doc(_monoid(args.file))), _FILE),
+    ("monoid", "product"): _Leaf(_product, ("files",), nargs="+"),
+    ("monoid", "divides"): _Leaf(_divides, ("dividend", "divisor"), (
+        _Option("--budget", int, default=10,
+                help="largest divisor size searched exhaustively"),
+    )),
+    ("monoid", "aperiodic"): _Leaf(_aperiodic, _FILE),
+    ("lang", "eval"): _Leaf(_eval, _FILE, (_WORD,)),
+    ("lang", "minimize"): _Leaf(_machine_op(lambda a, args: minimize(a)), _FILE),
+    ("lang", "equiv"): _Leaf(_equiv, _LEFT_RIGHT),
+    ("lang", "syntactic"): _Leaf(_syntactic, _FILE),
+    ("lang", "op", "join"): _Leaf(_combine, _LEFT_RIGHT),
+    ("lang", "op", "meet"): _Leaf(_combine, _LEFT_RIGHT),
+    ("lang", "op", "quotl"): _Leaf(_quotient("left"), _FILE, (_WORD,)),
+    ("lang", "op", "quotr"): _Leaf(_quotient("right"), _FILE, (_WORD,)),
+    ("lang", "op", "invhom"): _Leaf(_machine_op(lambda a, args: inverse_hom(
+        a, ser.free_morphism_from_doc(_load_json(args.hom), a.alphabet))),
+        _FILE, (_Option("--hom", required=True),)),
+    ("lang", "op", "recolor"): _Leaf(_machine_op(lambda a, args: recolor(
+        a, ser.lattice_morphism_from_doc(_load_json(args.morphism), a.lattice))),
+        _FILE, (_Option("--morphism", required=True),)),
+    ("lang", "cut"): _Leaf(_machine_op(lambda a, args: cut(a, args.element)),
+                           _FILE, (_Option("--element", required=True),)),
+    ("lang", "reconstruct"): _Leaf(_reconstruct, _FILE),
+    ("lang", "shuffle-check"): _Leaf(
+        _shuffle_check, _FILE, (_Option("--max-len", int, default=8),)),
+    ("variety", "enumerate"): _Leaf(_enumerate, (), (_Option("--n", int, required=True),)),
+    ("variety", "suite"): _Leaf(_suite, (), (_Option("--seed", int, default=0),)),
+    ("variety", "subdirect"): _Leaf(_subdirect, _FILE),
+    ("markov", "analyze"): _Leaf(_analyze, _FILE, (
+        _Option("--decomposition"),
+        _Option("--initial"),
+        _Option("--horizon", int, default=8),
+        _Option("--max-len", int, default=6),
+        _Option("--mode", choices=("basic", "reachable"), default="basic"),
+    )),
+    ("markov", "decompose"): _Leaf(_decompose, _FILE),
+    ("markov", "absorb"): _Leaf(
+        lambda args: (EXIT_OK, {"absorption": markov_mod.absorption_doc(_chain(args.file))}),
+        _FILE),
+}
+
+# The namespace attribute naming each token of a command path.
+_PATH_DESTS = ("group", "command", "operation")
 
 
 def build_parser() -> _Parser:
@@ -257,190 +447,6 @@ def _canonical(argv: Sequence[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**args)
 
 
-def _handle(args: argparse.Namespace) -> tuple[int, Any]:
-    group = args.group
-    command = getattr(args, "command", None)
-
-    if group == "lattice":
-        lat = ser.lattice_from_doc(_load_json(args.file))
-        if command == "check":
-            return EXIT_OK, ser.lattice_to_doc(lat)
-        return EXIT_OK, ser.lattice_to_doc(dual(lat))
-
-    if group == "monoid":
-        if command == "check":
-            m = ser.monoid_from_doc(_load_json(args.file))
-            return EXIT_OK, ser.monoid_to_doc(m)
-        if command == "product":
-            monoids = [ser.monoid_from_doc(_load_json(f)) for f in args.files]
-            product, _ = direct_product(monoids)
-            return EXIT_OK, ser.monoid_to_doc(product)
-        if command == "divides":
-            m1 = ser.monoid_from_doc(_load_json(args.dividend))
-            m2 = ser.monoid_from_doc(_load_json(args.divisor))
-            verdict = divides(m1, m2, max_target_size=args.budget)
-            doc = verdict.to_doc()
-            if verdict.kind == "yes":
-                return EXIT_OK, doc
-            if verdict.kind == "budget_exhausted":
-                return EXIT_BUDGET, doc
-            doc["witness"] = {
-                "dividend": ser.monoid_to_doc(m1),
-                "divisor": ser.monoid_to_doc(m2),
-            }
-            return EXIT_FALSE, doc
-        m = ser.monoid_from_doc(_load_json(args.file))
-        witness = aperiodicity_witness(m)
-        if witness is None:
-            return EXIT_OK, {"aperiodic": True}
-        return EXIT_FALSE, {"aperiodic": False, "witness": witness}
-
-    if group == "lang":
-        return _handle_lang(args)
-
-    if group == "variety":
-        if command == "enumerate":
-            if args.n < 1:
-                raise _CliUsage("argument --n: must be positive")
-            monoids = enumerate_ordered_monoids(args.n)
-            return EXIT_OK, {
-                "count": len(monoids),
-                "monoids": [ser.monoid_to_doc(m) for m in monoids],
-            }
-        if command == "suite":
-            reports = run_suite(seed=args.seed)
-            lines = "".join(
-                ser.canonical_dumps(r.to_doc()) + "\n" for r in reports
-            )
-            verdicts = [r.verdict for r in reports]
-            if "fail" in verdicts:
-                return EXIT_FALSE, lines
-            if "budget_exhausted" in verdicts:
-                return EXIT_BUDGET, lines
-            return EXIT_OK, lines
-        m = ser.monoid_from_doc(_load_json(args.file))
-        report = subdirect_embedding(m)
-        return (EXIT_OK if report.verdict == "pass" else EXIT_FALSE), report.to_doc()
-
-    if group == "markov":
-        chain = ser.chain_from_doc(_load_json(args.file))
-        if command == "analyze":
-            decomposition = None
-            if args.decomposition:
-                decomposition = ser.decomposition_from_doc(
-                    _load_json(args.decomposition), chain
-                )
-            report = markov_mod.analyze(
-                chain,
-                decomposition=decomposition,
-                initial=args.initial,
-                horizon=args.horizon,
-                falsify_bound=args.max_len,
-                mode=args.mode,
-            )
-            return EXIT_OK, report
-        if command == "decompose":
-            decomposition = markov_mod.decompose(chain)
-            return EXIT_OK, ser.decomposition_to_doc(decomposition, chain)
-        return EXIT_OK, {"absorption": markov_mod.absorption_doc(chain)}
-
-    raise _CliUsage(f"unknown command group {group!r}")
-
-
-def _handle_lang(args: argparse.Namespace) -> tuple[int, Any]:
-    command = args.command
-
-    if command == "op":
-        operation = args.operation
-        if operation in ("join", "meet"):
-            a1 = ser.automaton_from_doc(_load_json(args.left))
-            a2 = ser.automaton_from_doc(_load_json(args.right))
-            return EXIT_OK, ser.automaton_to_doc(product_combine(operation, a1, a2))
-        a = ser.automaton_from_doc(_load_json(args.file))
-        if operation in ("quotl", "quotr"):
-            word = _word_argument(args.word, a.alphabet)
-            side = "left" if operation == "quotl" else "right"
-            return EXIT_OK, ser.automaton_to_doc(quotient(side, a, word))
-        if operation == "invhom":
-            h = ser.free_morphism_from_doc(_load_json(args.hom), a.alphabet)
-            return EXIT_OK, ser.automaton_to_doc(inverse_hom(a, h))
-        morphism = ser.lattice_morphism_from_doc(_load_json(args.morphism), a.lattice)
-        return EXIT_OK, ser.automaton_to_doc(recolor(a, morphism))
-
-    if command == "equiv":
-        a1 = ser.automaton_from_doc(_load_json(args.left))
-        a2 = ser.automaton_from_doc(_load_json(args.right))
-        diff = find_difference(a1, a2)
-        if diff is None:
-            return EXIT_OK, {"equivalent": True}
-        return EXIT_FALSE, {
-            "equivalent": False,
-            "witness": {
-                "word": ser.word_doc(diff),
-                "left": ser.value_doc(a1.lattice.elements[evaluate(a1, diff)]),
-                "right": ser.value_doc(a2.lattice.elements[evaluate(a2, diff)]),
-            },
-        }
-
-    a = ser.automaton_from_doc(_load_json(args.file))
-    if command == "eval":
-        word = _word_argument(args.word, a.alphabet)
-        return EXIT_OK, {"value": ser.value_doc(a.lattice.elements[evaluate(a, word)])}
-    if command == "minimize":
-        return EXIT_OK, ser.automaton_to_doc(minimize(a))
-    if command == "syntactic":
-        synt = syntactic(a)
-        coloring = ser.coloring_to_doc(synt.coloring)
-        return EXIT_OK, {
-            "monoid": coloring["monoid"],
-            "images": {
-                letter: synt.monoid.elements[g]
-                for letter, g in zip(synt.alphabet, synt.generator_images)
-            },
-            "coloring": coloring,
-            "witnesses": {
-                synt.monoid.elements[i]: ser.word_doc(w)
-                for i, w in enumerate(synt.witnesses)
-            },
-        }
-    if command == "cut":
-        return EXIT_OK, ser.automaton_to_doc(cut(a, args.element))
-    if command == "reconstruct":
-        triple, equal = reconstruct_from_cuts(a)
-        doc = {"triple": ser.triple_to_doc(triple), "equal": equal}
-        if equal:
-            return EXIT_OK, doc
-        diff = find_difference(triple_to_automaton(triple), a)
-        doc["witness"] = {"word": ser.word_doc(diff or ())}
-        return EXIT_FALSE, doc
-    if command == "shuffle-check":
-        synt, algebraic, falsifier = shuffle_verdict(a, args.max_len)
-        doc: dict[str, Any] = {
-            "shuffle_ideal": algebraic,
-            "bound": args.max_len,
-            "falsifier": None,
-        }
-        if falsifier is not None:
-            w, v = falsifier
-            doc["falsifier"] = {
-                "subword": ser.word_doc(w),
-                "superword": ser.word_doc(v),
-                "value_subword": ser.value_doc(a.lattice.elements[evaluate(a, w)]),
-                "value_superword": ser.value_doc(a.lattice.elements[evaluate(a, v)]),
-            }
-        if not algebraic:
-            identity = synt.monoid.identity
-            below_identity = next(
-                x for x, row in enumerate(synt.monoid.leq) if not row >> identity & 1
-            )
-            doc["witness_element"] = synt.monoid.elements[below_identity]
-            doc["syntactic_monoid"] = ser.monoid_to_doc(synt.monoid)
-            return EXIT_FALSE, doc
-        return EXIT_OK, doc
-
-    raise _CliUsage(f"unknown lang command {command!r}")
-
-
 def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
     """Parse and execute; returns (exit code, stdout text).  ``argv=None``
     reads ``sys.argv[1:]``; help returns exit code 0 and the help text."""
@@ -453,7 +459,8 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
         for bound in ("max_len", "horizon", "budget"):
             if getattr(args, bound, 0) < 0:
                 raise _CliUsage(f"argument --{bound.replace('_', '-')}: must be non-negative")
-        code, doc = _handle(args)
+        path = tuple(getattr(args, dest) for dest in _PATH_DESTS if hasattr(args, dest))
+        code, doc = _COMMANDS[path].handler(args)
     except _Help as exc:
         return EXIT_OK, str(exc)
     except _CliUsage as exc:

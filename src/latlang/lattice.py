@@ -46,14 +46,18 @@ from .errors import (
 DEFAULT_MAX_SIZE = 64
 
 
-def resolve(index: Mapping[str, int], element: int | str, what: str) -> int:
+def resolve(
+    index: Mapping[str, int], element: int | str, what: str, size: int | None = None
+) -> int:
     """Position of an element given by position or by name.
 
-    ``index`` maps every name to its position, so its length is the size.
-    A boolean is a name, never a position; an unhashable name is unknown.
+    ``index`` maps names to positions.  ``size`` is the number of
+    positions; by default the length of ``index``, which is the size only
+    when no two positions share a name.  A boolean is a name, never a
+    position; an unhashable name is unknown.
     """
     if isinstance(element, int) and not isinstance(element, bool):
-        if 0 <= element < len(index):
+        if 0 <= element < (len(index) if size is None else size):
             return element
         raise UnknownElement(f"{what} index {element} out of range")
     try:
@@ -286,7 +290,10 @@ def firsts(labels: Sequence[int]) -> list[int]:
 
 
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
-    """Names as a tuple; they must be strings.  ``what`` names them in errors."""
+    """Names as a tuple; they must be a list of strings, not one string.
+    ``what`` names them in errors."""
+    if isinstance(names, str):
+        raise MalformedDocument(f"{what} must be a list, not a string")
     if not isinstance(names, Iterable):
         raise MalformedDocument(f"{what} must be a list")
     result = tuple(names)
@@ -328,7 +335,7 @@ class Lattice:
 
     def index(self, element: int | str) -> int:
         """Resolve an element given by index or name."""
-        return resolve(self._name_index, element, "lattice element")
+        return resolve(self._name_index, element, "lattice element", self.size)
 
     def name(self, index: int) -> str:
         return self.elements[index]
@@ -344,17 +351,11 @@ class Lattice:
 
     def join_all(self, elements: Iterable[int | str]) -> int:
         """Join of a (possibly empty) subset; the empty join is bottom."""
-        acc = self.bottom
-        for e in elements:
-            acc = self.join_table[acc][self.index(e)]
-        return acc
+        return _fold(self, self.join_table, self.bottom, elements)
 
     def meet_all(self, elements: Iterable[int | str]) -> int:
         """Meet of a (possibly empty) subset; the empty meet is top."""
-        acc = self.top
-        for e in elements:
-            acc = self.meet_table[acc][self.index(e)]
-        return acc
+        return _fold(self, self.meet_table, self.top, elements)
 
 
 def build_lattice(
@@ -477,11 +478,18 @@ def standard_lattice(kind: str, n: int = 2) -> Lattice:
 
 def bound(lattice: Lattice, kind: str, subset: Iterable[int | str]) -> int:
     """Join or meet of an arbitrary subset (empty join = bottom, empty meet = top)."""
-    if kind == "join":
-        return lattice.join_all(subset)
-    if kind == "meet":
-        return lattice.meet_all(subset)
-    raise MalformedDocument(f"unknown bound kind {kind!r}")
+    return _fold(lattice, *combination(lattice, kind), subset)
+
+
+def _fold(
+    lattice: Lattice, table: Sequence[Sequence[int]], unit: int, elements: Iterable[int | str]
+) -> int:
+    """The elements, each resolved in the lattice, folded into ``unit``
+    through ``table``: their join or meet with the matching unit."""
+    acc = unit
+    for e in elements:
+        acc = table[acc][lattice.index(e)]
+    return acc
 
 
 def combination(lattice: Lattice, kind: str) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -96,7 +96,7 @@ class MarkovChain:
         return {s: i for i, s in enumerate(self.states)}
 
     def state(self, s: int | str) -> int:
-        return resolve(self._state_index, s, "state")
+        return resolve(self._state_index, s, "state", self.size)
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:

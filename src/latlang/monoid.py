@@ -66,7 +66,7 @@ class OrderedMonoid:
         return len(self.elements)
 
     def index(self, element: int | str) -> int:
-        return resolve(self._name_index, element, "monoid element")
+        return resolve(self._name_index, element, "monoid element", self.size)
 
     def name(self, index: int) -> str:
         return self.elements[index]
@@ -116,8 +116,6 @@ def build_ordered_monoid(
     that check fails do they run through every element, so the error names
     the first witness in element order.
     """
-    if isinstance(element_names, str):
-        raise MalformedDocument("element names must be a list, not a string")
     names = check_names(element_names)
     n = len(names)
     if n == 0:

@@ -284,6 +284,7 @@ def test_malformed_lattice_documents_are_errors(tmp_path):
         (dict(chain, cover=["ab"]), "MalformedDocument"),
         (dict(chain, cover=5), "MalformedDocument"),
         (dict(chain, elements=5), "MalformedDocument"),
+        (dict(chain, elements="ab"), "MalformedDocument"),
         (dict(chain, relation="full", leq=5), "MalformedDocument"),
         (dict(chain, cover=[["a", ["b"]]]), "UnknownElement"),
     ):
@@ -342,6 +343,13 @@ def test_malformed_automaton_chain_and_decomposition_documents_are_errors(tmp_pa
     cases = [
         (minimize, dict(automaton, states=["q0", ["x"]]), "state names must be strings"),
         (minimize, dict(automaton, states=5), "state names must be a list"),
+        (minimize, dict(automaton, states="t1"), "state names must be a list, not a string"),
+        (minimize, dict(automaton, alphabet="abc"), "alphabet letters must be a list, not a string"),
+        (
+            minimize,
+            dict(automaton, lattice={"elements": "01", "cover": [["0", "1"]]}),
+            "element names must be a list, not a string",
+        ),
         (minimize, dict(automaton, alphabet=[["a"]]), "alphabet letters must be strings"),
         (minimize, dict(automaton, delta=5), "delta table must be states x alphabet"),
         (
@@ -416,6 +424,11 @@ def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
     for loader, bad, message in (
         (coloring_from_doc, dict(coloring, colors=5), "coloring must be an object or a list"),
         (triple_from_doc, dict(triple, alphabet=5), "alphabet letters must be a list"),
+        (
+            triple_from_doc,
+            dict(triple, alphabet="abc"),
+            "alphabet letters must be a list, not a string",
+        ),
         (triple_from_doc, dict(triple, alphabet=[["x"]]), "alphabet letters must be strings"),
         (triple_from_doc, dict(triple, images=5), "triple images must be an object"),
         (triple_from_doc, dict(triple, images="ab"), "triple images must be an object"),

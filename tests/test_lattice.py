@@ -20,6 +20,7 @@ from latlang import (
 )
 from latlang.errors import (
     LatlangError,
+    MalformedDocument,
     NotALattice,
     NotAntisymmetric,
     NotOrderPreserving,
@@ -124,6 +125,16 @@ def test_bound():
     assert bound(lat, "meet", []) == lat.top
     with pytest.raises(UnknownElement):
         bound(lat, "join", ["nope"])
+
+
+def test_join_all_and_meet_all_fold_like_bound():
+    lat = standard_lattice("powerset", 2)
+    for subset in ([], ["{1}"], ["{1}", "{2}"], [0, "{1,2}", 2]):
+        assert lat.join_all(subset) == bound(lat, "join", subset)
+        assert lat.meet_all(subset) == bound(lat, "meet", subset)
+    with pytest.raises(MalformedDocument) as err:
+        bound(lat, "sup", ["{1}"])
+    assert str(err.value) == "unknown combination kind 'sup'"
 
 
 def test_morphisms():
@@ -237,7 +248,7 @@ RESOLVER_ENTRY_POINTS = {
     "OrderedMonoid.index": ("monoid element", lambda e: trivial_monoid().index(e)),
     "build_ordered_monoid": ("monoid element", lambda e: build_ordered_monoid(["1"], e, [["1"]])),
     "LatticeAutomaton.state": ("state", lambda e: constant_automaton(CHAIN2, "a", 0).state(e)),
-    "make_automaton": ("state", lambda e: make_automaton(CHAIN2, "a", ["q0"], e, [[0]], [0])),
+    "make_automaton": ("state", lambda e: make_automaton(CHAIN2, ["a"], ["q0"], e, [[0]], [0])),
     "MarkovChain.state": ("state", lambda e: make_chain(["s"], {"s": {"s": 1}}).state(e)),
 }
 
@@ -256,6 +267,27 @@ def test_resolver_errors_through_every_entry_point(entry):
         assert err.value.to_doc() == {
             "kind": "UnknownElement", "message": message, "witness": None,
         }
+
+
+def test_positions_resolve_up_to_the_size_when_names_clash():
+    """A position is checked against the number of elements or states, not
+    against the name index, which is short when derived names clash: the
+    witness words "ε" of the identity and of the letter "ε", and the state
+    names of the pairs ("p", "p,p") and ("p,p", "p")."""
+    from latlang.automaton import product_combine
+    from latlang.syntactic import syntactic
+
+    boolean = standard_lattice("chain", 2)
+    eps = make_automaton(boolean, ["ε"], ["q0", "q1"], "q0", [[1], [1]], [0, 1])
+    monoid = syntactic(eps).monoid
+    assert monoid.elements == ("ε", "ε")
+    assert (monoid.le(1, 0), monoid.le(0, 1), monoid.op(1, 0)) == (False, True, 1)
+    x = make_automaton(boolean, ["x"], ["p", "p,p"], "p", [[1], [0]], [0, 1])
+    joined = product_combine("join", x, x)
+    assert len(set(joined.states)) == 3
+    assert [joined.state(q) for q in range(4)] == [0, 1, 2, 3]
+    with pytest.raises(UnknownElement):
+        joined.state(4)
 
 
 def _first_error(index, entries, what):

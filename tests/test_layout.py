@@ -41,7 +41,11 @@ appearance, and each number's first member is read by ``firsts``:
 Moore refinement in ``minimize``, the ergodic classes and
 ``syntactic_quotients`` all go through them, no private copy
 (``syntactic._firsts``) comes back, and no module but ``lattice.py``
-numbers keys by hand with ``d.setdefault(key, len(d))``.
+numbers keys by hand with ``d.setdefault(key, len(d))``.  The CLI's
+command table ``_COMMANDS`` holds each command's path, arguments and
+handler, and ``run`` calls the handler it reads off the table by the
+namespace's path: no dispatcher (``_handle``, ``_handle_lang``) comes back
+to match a command path by string.
 """
 
 import ast
@@ -65,6 +69,8 @@ DELETED = {
     "_state_preorder",
     "_pointwise_order",
     "_firsts",
+    "_handle",
+    "_handle_lang",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -490,3 +496,34 @@ def test_keys_are_numbered_only_by_the_kernel():
     ]
     assert found == []
     assert _numbering_calls(ast.parse((SRC / "lattice.py").read_text()))
+
+
+PATH_NAMES = {"group", "command", "operation"}
+
+
+def _path_comparisons(tree):
+    """Line numbers of the comparisons of a command-path token (a name or
+    an attribute ``group``, ``command`` or ``operation``) with a string or
+    a collection of strings."""
+    def is_path(node):
+        return (isinstance(node, ast.Name) and node.id in PATH_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in PATH_NAMES)
+
+    def is_text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_text(element) for element in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(map(is_path, [node.left, *node.comparators]))
+        and any(map(is_text, [node.left, *node.comparators]))
+    ]
+
+
+def test_cli_dispatches_off_the_command_table():
+    """``cli.py`` compares no command-path token with a string: each
+    command's handler is read off ``_COMMANDS`` by the namespace's path."""
+    assert _path_comparisons(ast.parse((SRC / "cli.py").read_text())) == []
+    assert _path_comparisons(ast.parse('if args.command == "op" or operation in ("a", "b"): pass'))
