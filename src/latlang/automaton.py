@@ -9,9 +9,9 @@ and all operations are pure.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from typing import Mapping, Sequence
 
 from .errors import (
     MalformedDocument,
@@ -216,10 +216,9 @@ def make_automaton(
 
 def constant_automaton(lattice: Lattice, alphabet: Sequence[str], value: int | str) -> LatticeAutomaton:
     """The one-state machine of the constant language."""
-    letters = tuple(alphabet)
     return make_automaton(
-        lattice, letters, ("q0",), "q0",
-        [[0] * len(letters)], [lattice.index(value)],
+        lattice, alphabet, ("q0",), "q0",
+        [[0] * len(alphabet)], [lattice.index(value)],
     )
 
 

@@ -29,7 +29,6 @@ import functools
 import json
 import sys
 from collections.abc import Callable, Sequence
-from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import markov as markov_mod
@@ -113,8 +112,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
+    """The text of a file, decoded as UTF-8 in one step, with CRLF and lone
+    CR turned into LF as text mode turns them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = file.read()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -8,8 +8,8 @@ its result, so a validation failure flags a library bug.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import (
     MalformedDocument,

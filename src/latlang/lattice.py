@@ -3,8 +3,12 @@
 A lattice is built from Hasse covers (or a full relation) and validated:
 the reflexive-transitive closure must be a partial order and every pair of
 elements must have a unique least upper bound and greatest lower bound.
-Element identity is the positional index; names are presentation only.
-All values are immutable after construction.
+The join of a and b is the element whose up-set is the intersection of
+theirs, found by looking that intersection up among the up-set rows (and
+the meet likewise among the down-set rows); only a pair with no unique
+bound is searched, to name its candidates.  Element identity is the
+positional index; names are presentation only.  All values are immutable
+after construction.
 
 The finite-order kernel lives here too, for lattices, monoids, colorings,
 automata and chains alike.  Every order, preorder and reach relation is
@@ -367,10 +371,13 @@ def build_lattice(
     ``pairs`` lists [lo, hi] entries: Hasse covers or any set of order pairs.
     The reflexive-transitive closure is taken, then antisymmetry and the
     existence of unique binary lubs/glbs are checked.  The order's rows are
-    the up-sets and their converse the down-sets: the lubs of a and b are
-    the c in up[a] & up[b] that no other element of it lies below, listed
-    in index order, and the glbs are found in the same way with up and down
-    swapped.
+    the up-sets and their converse the down-sets.  The common upper bounds
+    up[a] & up[b] are an up-set, and they have a least element c exactly
+    when they are up[c]; so each join is one lookup in a dict from up-set
+    row to element, and each meet one lookup in a dict from down-set row to
+    element.  Only a lookup that misses lists the minimal common upper
+    (maximal common lower) bounds, in index order, to name them in the
+    ``NotALattice`` error.
     """
     names = check_names(element_names)
     n = len(names)
@@ -386,26 +393,31 @@ def build_lattice(
         raise TrivialLattice("bottom equals top in a one-element lattice")
 
     down = converse(leq)
+    up_of = {row: c for c, row in enumerate(leq)}
+    down_of = {row: c for c, row in enumerate(down)}
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for a in range(n):
+        up_a, down_a = leq[a], down[a]
         for b in range(a, n):
-            least = _extremes(leq[a] & leq[b], down)
-            if len(least) != 1:
+            common = up_a & leq[b]
+            least = up_of.get(common)
+            if least is None:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique least upper bound",
                     witness={"pair": [names[a], names[b]], "bound": "join",
-                             "candidates": [names[c] for c in least]},
+                             "candidates": [names[c] for c in _extremes(common, down)]},
                 )
-            join_table[a][b] = join_table[b][a] = least[0]
-            greatest = _extremes(down[a] & down[b], leq)
-            if len(greatest) != 1:
+            join_table[a][b] = join_table[b][a] = least
+            common = down_a & down[b]
+            greatest = down_of.get(common)
+            if greatest is None:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no unique greatest lower bound",
                     witness={"pair": [names[a], names[b]], "bound": "meet",
-                             "candidates": [names[c] for c in greatest]},
+                             "candidates": [names[c] for c in _extremes(common, leq)]},
                 )
-            meet_table[a][b] = meet_table[b][a] = greatest[0]
+            meet_table[a][b] = meet_table[b][a] = greatest
 
     top = 0
     bottom = 0

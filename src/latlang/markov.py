@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
 
 from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
 from .errors import (
@@ -119,17 +119,20 @@ class MarkovChain:
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
     """A chain from its state names and, per state, its listed entries.
 
-    Omitted entries are zero.  Only the listed entries are read: each row's
-    total is an integer over the lcm of its listed denominators, and its
-    positive entries are the chain's ``successors``.  A row that does not
-    sum to one is named with its total as a fraction.
+    Omitted entries are zero, and each distinct entry text is parsed once.
+    Only the listed entries are read: each row's total is an integer over
+    the lcm of its listed denominators, and its positive entries are the
+    chain's ``successors``.  A row that does not sum to one is named with
+    its total as a fraction.
     """
     names = () if isinstance(states, str) else name_tuple(states, "state names")
     if not names or len(set(names)) != len(names):
         raise MalformedDocument("states must be a nonempty list of distinct names")
     index = {s: i for i, s in enumerate(names)}
-    matrix = [[Fraction(0)] * len(names) for _ in names]
+    zero = Fraction(0)
+    matrix = [[zero] * len(names) for _ in names]
     listed: list[list[int]] = [[] for _ in names]
+    parsed: dict[str, Fraction] = {}
     if not isinstance(rows, Mapping):
         raise MalformedDocument("rows must be an object")
     for s, row in rows.items():
@@ -141,8 +144,10 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
         for t, p in row.items():
             if t not in index:
                 raise UnknownElement(f"unknown state {t!r} in row {s!r}")
-            value = parse_fraction(p)
-            if value < 0:
+            value = parsed.get(p) if isinstance(p, str) else parse_fraction(p)
+            if value is None:
+                value = parsed[p] = parse_fraction(p)
+            if value.numerator < 0:
                 raise NegativeEntry(
                     f"negative probability {p!r} at ({s!r}, {t!r})",
                     witness=[s, t, str(p)],

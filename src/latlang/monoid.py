@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     MalformedDocument,

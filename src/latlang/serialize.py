@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Sequence
+from collections.abc import Sequence
+from typing import Any
 
 from .automaton import (
     FreeMorphism,
@@ -41,9 +42,17 @@ from .syntactic import RecognitionTriple, make_recognition_triple
 
 _SET_NAME_RE = re.compile(r"^\{.*\}$")
 
+# One encoder for every canonical document: ``json.dumps`` with these
+# arguments builds a new one per call.  A document may hold one dict twice
+# (``lang syntactic`` does) but never holds itself, so the circular-reference
+# check is off.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
+)
+
 
 def canonical_dumps(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL.encode(doc)
 
 
 def _require(doc: Any, keys: list[str], what: str) -> None:

@@ -25,8 +25,8 @@ a concatenation is the product of the maps.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .automaton import (
     LatticeAutomaton,

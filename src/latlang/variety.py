@@ -10,9 +10,9 @@ Each check produces a replayable report rather than raising.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Sequence
 
 from .automaton import (
     LatticeAutomaton,
@@ -237,7 +237,7 @@ def random_automaton(
     states = [f"q{i}" for i in range(n)]
     delta = [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
     output = [rng.randrange(lattice.size) for _ in range(n)]
-    return make_automaton(lattice, tuple(alphabet), states, 0, delta, output)
+    return make_automaton(lattice, alphabet, states, 0, delta, output)
 
 
 def random_coloring(rng: random.Random, monoid: OrderedMonoid, lattice: Lattice) -> OpColoring:

@@ -57,6 +57,20 @@ def test_parse_word_forms(two_sink_automaton):
     assert parse_word("", two_sink_automaton.alphabet) == ()
 
 
+def test_string_alphabet_is_refused_not_split(boolean):
+    """A string is not a list of letters: every builder refuses "ab" as
+    ``make_automaton`` does, rather than reading it as ("a", "b")."""
+    builders = {
+        "make_automaton": lambda: make_automaton(boolean, "ab", ["q0"], 0, [[0, 0]], [0]),
+        "constant_automaton": lambda: constant_automaton(boolean, "ab", 0),
+        "random_automaton": lambda: random_automaton(random.Random(1), boolean, 2, "ab"),
+    }
+    for name, build in builders.items():
+        with pytest.raises(MalformedDocument) as excinfo:
+            build()
+        assert str(excinfo.value) == "alphabet letters must be a list, not a string", name
+
+
 def test_partial_automaton_rejected(boolean):
     with pytest.raises(MalformedDocument):
         make_automaton(

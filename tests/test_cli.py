@@ -585,6 +585,58 @@ def test_missing_file_is_error():
     assert json.loads(out)["error"]["kind"] == "MalformedDocument"
 
 
+def _text_mode_outcome(path):
+    """What a text-mode read gives: the text, or the error document that
+    ``lattice check`` writes for the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path} is not UTF-8: {exc}"
+    except OSError as exc:
+        message = f"cannot read {path}: {exc}"
+    error = {"kind": "MalformedDocument", "message": message, "witness": None}
+    return 1, json.dumps({"error": error}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_read_matches_text_mode(tmp_path):
+    """``_read`` decodes the bytes in one step and turns CRLF and lone CR
+    into LF; on every file below it gives the text a text-mode read gives,
+    or, through ``run``, the same error document."""
+    from latlang.cli import _read
+
+    lattice = json.dumps({"elements": ["0", "1"], "cover": [["0", "1"]]})
+    files = {
+        "crlf.json": lattice.replace(",", ",\r\n").encode(),
+        "cr.json": lattice.replace(",", ",\r").encode(),
+        "crlf-at-8k.json": b"[" + b" " * 8190 + b"\r\n" + b"]",
+        "bom.json": "\ufeff".encode() + lattice.encode(),
+        "bad-first-byte.json": b"\xff" + lattice.encode(),
+        "bad-byte-at-9000.json": b" " * 9000 + b"\xfe" + lattice.encode(),
+        "truncated.json": lattice.encode() + "é".encode()[:1],
+        "empty.json": b"",
+        "ünïcödé ∧ ∨.json": lattice.encode(),
+        "mixed.json": b"[\r\n\r\r\n1\n]",
+    }
+    assert files["crlf-at-8k.json"].index(b"\r") == 8191
+    texts = 0
+    for name, data in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        expected = _text_mode_outcome(str(path))
+        if isinstance(expected, str):
+            assert _read(str(path)) == expected, name
+            texts += 1
+        else:
+            assert run(["lattice", "check", str(path)]) == expected, name
+    assert texts == 7
+    missing = str(tmp_path / "ünïcödé-missing.json")
+    assert run(["lattice", "check", missing]) == _text_mode_outcome(missing)
+    # A path is opened as given: pathlib would drop the trailing slash.
+    slashed = str(tmp_path / "crlf.json") + "/"
+    code, out = run(["lattice", "check", slashed])
+    assert code == 1 and "Not a directory" in json.loads(out)["error"]["message"]
+
+
 def test_cli_determinism():
     commands = [
         ["lang", "eval", AUTOMATON, "--word", "ab"],
@@ -1180,6 +1232,37 @@ def test_pinned_output_bytes(tmp_path):
         code, out = run(argv)
         digests[label] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def test_canonical_dumps_is_json_dumps(tmp_path, monkeypatch):
+    """The one shared encoder writes what ``json.dumps`` with the canonical
+    arguments writes, on every document of the pinned commands (``lang
+    syntactic`` holds its ``"monoid"`` dict twice), of a machine with
+    non-ASCII names and of an error."""
+    ser = importlib.import_module("latlang.serialize")
+    real = ser.canonical_dumps
+    docs = []
+    monkeypatch.setattr(ser, "canonical_dumps", lambda doc: docs.append(doc) or real(doc))
+    non_ascii = write(tmp_path, "non-ascii.json", {
+        "lattice": {"elements": ["⊥", "⊤"], "cover": [["⊥", "⊤"]]},
+        "alphabet": ["ä", "ℓ"],
+        "states": ["α", "β"],
+        "initial": "α",
+        "delta": {"α": {"ä": "β", "ℓ": "α"}, "β": {"ä": "β", "ℓ": "β"}},
+        "output": {"α": "⊥", "β": "⊤"},
+    })
+    argvs = [argv for _, argv in _pinned_commands(tmp_path)]
+    argvs += [["lang", "syntactic", non_ascii], ["lang", "minimize", non_ascii],
+              ["lattice", "check", str(tmp_path / "ünïcödé-missing.json")]]
+    for argv in argvs:
+        run(argv)
+    assert len(docs) >= len(argvs)
+    assert any(isinstance(doc.get("coloring"), dict)
+               and doc["coloring"].get("monoid") is doc.get("monoid") for doc in docs)
+    assert any("error" in doc for doc in docs)
+    for doc in docs:
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert real(doc) == expected
 
 
 def _help_paths(prefix=()):

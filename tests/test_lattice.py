@@ -247,7 +247,7 @@ RESOLVER_ENTRY_POINTS = {
     "build_lattice": ("lattice element", lambda e: build_lattice(["0", "1"], [("0", e)])),
     "OrderedMonoid.index": ("monoid element", lambda e: trivial_monoid().index(e)),
     "build_ordered_monoid": ("monoid element", lambda e: build_ordered_monoid(["1"], e, [["1"]])),
-    "LatticeAutomaton.state": ("state", lambda e: constant_automaton(CHAIN2, "a", 0).state(e)),
+    "LatticeAutomaton.state": ("state", lambda e: constant_automaton(CHAIN2, ("a",), 0).state(e)),
     "make_automaton": ("state", lambda e: make_automaton(CHAIN2, ["a"], ["q0"], e, [[0]], [0])),
     "MarkovChain.state": ("state", lambda e: make_chain(["s"], {"s": {"s": 1}}).state(e)),
 }
@@ -346,34 +346,45 @@ def test_mapping_range_check_keeps_per_entry_errors():
 
 
 def test_build_lattice_matches_frozenset_reference_on_seeded_covers():
-    """Bitset bounds give the reference's lattice, or its error document,
-    on random covers over 2 to 9 elements, most of them not lattices."""
+    """Joins and meets read off the up-set and down-set rows give the
+    reference's lattice (tables, order, top and bottom), or its error
+    document, on random covers and relations over 1 to 9 elements, by
+    position or by name: lattices, and relations that fail each check in
+    turn."""
     rng = random.Random(259)
-    built = failed = 0
-    for _ in range(600):
-        n = rng.randint(2, 9)
+    kinds = {}
+    for _ in range(3000):
+        n = rng.randint(1, 9)
         names = [f"v{i}" for i in range(n)]
+        density = rng.choice((0.1, 0.25, 0.5))
+        upward = rng.random() < 0.7  # only a < b: never a cycle
         pairs = [
             (a, b)
             for a in range(n)
-            for b in range(a + 1, n)
-            if rng.random() < rng.choice((0.2, 0.4, 0.7))
+            for b in range(n)
+            if a != b and (a < b or not upward) and rng.random() < density
         ]
-        if rng.random() < 0.5:  # bounded: more of them are lattices
+        if rng.random() < 0.5:  # a bottom and a top: more of them are lattices
             pairs += [(0, b) for b in range(1, n)] + [(a, n - 1) for a in range(n - 1)]
-        if rng.random() < 0.1 and n > 2:
-            pairs.append((n - 1, 0))  # a cycle: not antisymmetric
+        if rng.random() < 0.5:  # by name, as documents give them
+            pairs = [[names[a], names[b]] for a, b in pairs]
+        rng.shuffle(pairs)
         try:
             expected = reference_build_lattice(names, pairs)
         except LatlangError as exc:
             with pytest.raises(LatlangError) as caught:
                 build_lattice(names, pairs)
             assert caught.value.to_doc() == exc.to_doc()
-            failed += isinstance(exc, NotALattice)
-            continue
-        assert build_lattice(names, pairs) == expected
-        built += 1
-    assert built >= 150 and failed >= 200, (built, failed)
+            kind = exc.kind
+            if kind == "NotALattice":
+                kind += ":" + exc.witness["bound"]
+        else:
+            assert build_lattice(names, pairs) == expected
+            kind = "lattice"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.keys() == {"lattice", "NotALattice:join", "NotALattice:meet",
+                            "NotAntisymmetric", "TrivialLattice"}, kinds
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_closure_bits_matches_triple_loop_on_seeded_relations():

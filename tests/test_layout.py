@@ -45,7 +45,9 @@ numbers keys by hand with ``d.setdefault(key, len(d))``.  The CLI's
 command table ``_COMMANDS`` holds each command's path, arguments and
 handler, and ``run`` calls the handler it reads off the table by the
 namespace's path: no dispatcher (``_handle``, ``_handle_lang``) comes back
-to match a command path by string.
+to match a command path by string.  ``Mapping``, ``Sequence``, ``Iterable``
+and ``Callable`` are imported from ``collections.abc``, never from
+``typing``.
 """
 
 import ast
@@ -527,3 +529,28 @@ def test_cli_dispatches_off_the_command_table():
     command's handler is read off ``_COMMANDS`` by the namespace's path."""
     assert _path_comparisons(ast.parse((SRC / "cli.py").read_text())) == []
     assert _path_comparisons(ast.parse('if args.command == "op" or operation in ("a", "b"): pass'))
+
+
+TYPING_ABCS = {"Mapping", "Sequence", "Iterable", "Callable"}
+
+
+def _typing_abc_imports(tree):
+    """The names of ``TYPING_ABCS`` that a module imports from ``typing``."""
+    return [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "typing"
+        for alias in node.names if alias.name in TYPING_ABCS
+    ]
+
+
+def test_abstract_collections_come_from_collections_abc():
+    """No module imports ``Mapping``, ``Sequence``, ``Iterable`` or
+    ``Callable`` from ``typing``: they come from ``collections.abc``, where
+    an ``isinstance`` check against them skips the alias's indirection."""
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _typing_abc_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    assert _typing_abc_imports(ast.parse("from typing import Any, Mapping"))
