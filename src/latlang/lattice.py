@@ -6,9 +6,10 @@ elements must have a unique least upper bound and greatest lower bound.
 The join of a and b is the element whose up-set is the intersection of
 theirs, found by looking that intersection up among the up-set rows (and
 the meet likewise among the down-set rows); only a pair with no unique
-bound is searched, to name its candidates.  Element identity is the
-positional index; names are presentation only.  All values are immutable
-after construction.
+bound is searched, to name its candidates.  The standard powersets and
+chains are built from their definition, with no validation to do.
+Element identity is the positional index; names are presentation only.
+All values are immutable after construction.
 
 The finite-order kernel lives here too, for lattices, monoids, colorings,
 automata and chains alike.  Every order, preorder and reach relation is
@@ -457,32 +458,43 @@ def standard_lattice(kind: str, n: int = 2) -> Lattice:
 
     Powerset elements are named as sorted subsets of {1..n}; chain elements
     are named "0".."n-1".  ``boolean`` ignores ``n`` and is the 2-chain.
+    Both are built from their definition, with nothing left to validate:
+    the subsets, as bit masks listed by size and then by members, are
+    ordered by inclusion with union as join and intersection as meet; the
+    chain's element i is below i..n-1, with max as join and min as meet.
     """
     if kind == "powerset":
         if n < 1:
             raise SizeOutOfRange(f"powerset lattice needs n >= 1, got {n}")
         if 2 ** n > DEFAULT_MAX_SIZE:
             raise SizeOutOfRange(f"powerset of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
-        subsets = []
-        for mask in range(2 ** n):
-            members = tuple(i + 1 for i in range(n) if mask >> i & 1)
-            subsets.append(members)
-        subsets.sort(key=lambda s: (len(s), s))
-        names = [subset_name(s) for s in subsets]
-        pairs = []
-        for i, small in enumerate(subsets):
-            for j, big in enumerate(subsets):
-                if set(small) <= set(big):
-                    pairs.append((i, j))
-        return build_lattice(names, pairs)
+        members = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(2 ** n)]
+        masks = sorted(range(2 ** n), key=lambda mask: (len(members[mask]), members[mask]))
+        position = {mask: i for i, mask in enumerate(masks)}
+        return Lattice(
+            elements=tuple(subset_name(members[mask]) for mask in masks),
+            leq=tuple(
+                sum(1 << j for j, big in enumerate(masks) if big & small == small)
+                for small in masks
+            ),
+            join_table=tuple(tuple(position[a | b] for b in masks) for a in masks),
+            meet_table=tuple(tuple(position[a & b] for b in masks) for a in masks),
+            top=position[2 ** n - 1],
+            bottom=position[0],
+        )
     if kind == "chain":
         if n < 2:
             raise SizeOutOfRange(f"chain lattice needs n >= 2, got {n}")
         if n > DEFAULT_MAX_SIZE:
             raise SizeOutOfRange(f"chain of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
-        names = [str(i) for i in range(n)]
-        covers = [(i, i + 1) for i in range(n - 1)]
-        return build_lattice(names, covers)
+        return Lattice(
+            elements=tuple(str(i) for i in range(n)),
+            leq=tuple((1 << n) - (1 << i) for i in range(n)),
+            join_table=tuple(tuple(max(i, j) for j in range(n)) for i in range(n)),
+            meet_table=tuple(tuple(min(i, j) for j in range(n)) for i in range(n)),
+            top=n - 1,
+            bottom=0,
+        )
     if kind == "boolean":
         return standard_lattice("chain", 2)
     raise MalformedDocument(f"unknown standard lattice kind {kind!r}")

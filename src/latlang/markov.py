@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
@@ -351,7 +351,8 @@ def simulating_automaton(
     structure = ergodic_structure(chain)
     lattice = ergodic_lattice(structure)
     decomposition = _checked_decomposition(chain, decomposition)
-    return _simulating_automaton(chain, structure, lattice, decomposition, initial, mode)
+    reachable = _simulating_automaton(chain, structure, lattice, decomposition, initial)
+    return reachable if mode == "reachable" else _raised(reachable, structure)
 
 
 def _checked_decomposition(
@@ -370,10 +371,10 @@ def _simulating_automaton(
     lattice: Lattice,
     decomposition: Decomposition,
     initial: int | str | None,
-    mode: str,
 ) -> LatticeAutomaton:
-    """``simulating_automaton`` on a checked mode and decomposition and the
-    chain's ergodic structure and lattice."""
+    """The reachable-mode ``simulating_automaton`` of a checked decomposition
+    and the chain's ergodic structure and lattice, validated by
+    ``make_automaton``."""
     if initial is None:
         start = 0
     else:
@@ -381,13 +382,11 @@ def _simulating_automaton(
             start = chain.state(initial)
         except UnknownElement as exc:
             raise NoInitial(f"unknown initial state {initial!r}") from exc
-    raised = set(structure.transient_states) if mode == "basic" else set()
     # a state that reaches one member of an ergodic class reaches them all
     firsts = [members[0] for members in structure.ergodic_classes()]
     colors = [
-        lattice.elements[lattice.top] if s in raised
-        else subset_name(i + 1 for i, t in enumerate(firsts) if reach >> t & 1)
-        for s, reach in enumerate(chain.reach)
+        subset_name(i + 1 for i, t in enumerate(firsts) if reach >> t & 1)
+        for reach in chain.reach
     ]
     delta = [
         [decomposition.maps[l][s] for l in range(len(decomposition.letters))]
@@ -401,6 +400,15 @@ def _simulating_automaton(
         delta,
         colors,
     )
+
+
+def _raised(reachable: LatticeAutomaton, structure: ErgodicStructure) -> LatticeAutomaton:
+    """The basic-mode machine: the reachable one with every transient
+    state's output raised to the lattice's top."""
+    output = list(reachable.output)
+    for s in structure.transient_states:
+        output[s] = reachable.lattice.top
+    return replace(reachable, output=tuple(output))
 
 
 def _solve_exact(
@@ -487,16 +495,20 @@ def _solve_exact(
     return [[Fraction(v, d) for v in x] for x, d in zip(nums, dens)]
 
 
-def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction]]:
+def absorption_probabilities(
+    chain: MarkovChain, *, structure: ErgodicStructure | None = None
+) -> dict[int, dict[str, Fraction]]:
     """Per ergodic class, the exact absorption probability from every state.
 
     States inside the class get 1, states of other ergodic classes 0, and
     transient states solve x = Pi x with boundary values, by sparse
     fraction-free elimination over the integers.  Each row of
     [I - Q | class sums] is built from the state's successors alone, as
-    integers scaled by the lcm of its row's denominators.
+    integers scaled by the lcm of its row's denominators.  ``structure``
+    is the chain's ``ergodic_structure``, computed when not given.
     """
-    structure = ergodic_structure(chain)
+    if structure is None:
+        structure = ergodic_structure(chain)
     ergodic = structure.ergodic_classes()
     transient = structure.transient_states
     t_index = {s: i for i, s in enumerate(transient)}
@@ -532,12 +544,15 @@ def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction
     return result
 
 
-def absorption_doc(chain: MarkovChain) -> dict[str, dict[str, str]]:
+def absorption_doc(
+    chain: MarkovChain, *, structure: ErgodicStructure | None = None
+) -> dict[str, dict[str, str]]:
     """Absorption probabilities as a document: "C1", "C2", ... to state name
-    to fraction text, states sorted by name."""
+    to fraction text, states sorted by name.  ``structure`` is passed on to
+    ``absorption_probabilities``."""
     return {
         f"C{c + 1}": {state: fraction_text(p) for state, p in sorted(per_state.items())}
-        for c, per_state in absorption_probabilities(chain).items()
+        for c, per_state in absorption_probabilities(chain, structure=structure).items()
     }
 
 
@@ -548,7 +563,10 @@ def word_measure(
 
     Letters are drawn independently with the decomposition weights; the
     state distribution is propagated n steps, never enumerating words, as
-    integers over W^t for the weights' lcm W.  A negative n is taken as 0.
+    integers over W^t for the weights' lcm W.  Before the first step each
+    state's letters are merged by target into moves, one (target, summed
+    weight) per distinct target, so a step costs one product per move, not
+    one per letter.  A negative n is taken as 0.
     """
     if a.alphabet != decomposition.letters:
         raise MismatchedAlphabet(
@@ -556,14 +574,20 @@ def word_measure(
         )
     scale = lcm(*(w.denominator for w in decomposition.weights))
     weights = [w.numerator * (scale // w.denominator) for w in decomposition.weights]
+    moves = []
+    for row in a.delta:
+        merged: dict[int, int] = {}
+        for t, weight in zip(row, weights):
+            merged[t] = merged.get(t, 0) + weight
+        moves.append(tuple(merged.items()))
     steps = max(n, 0)
     dist = [0] * len(a.states)
     dist[a.initial] = 1
     for _ in range(steps):
         nxt = [0] * len(a.states)
-        for s, mass in enumerate(dist):
+        for mass, row in zip(dist, moves):
             if mass:
-                for t, weight in zip(a.delta[s], weights):
+                for t, weight in row:
                     nxt[t] += mass * weight
         dist = nxt
     masses: dict[int, int] = {}
@@ -587,7 +611,11 @@ def analyze(
 
     Both coloring modes appear in the report; ``mode`` picks the language
     that drives the syntactic, shuffle, and word-measure sections.  The
-    report is a plain JSON-ready dict with deterministic content.
+    report is a plain JSON-ready dict with deterministic content.  Each
+    step is done once: the ergodic structure, computed first, also serves
+    the absorption step, and one ``make_automaton`` call validates the
+    reachable machine, whose transient states raised to the top give the
+    basic one.
     """
     from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
 
@@ -596,14 +624,11 @@ def analyze(
     structure = ergodic_structure(chain)
     decomposition = _checked_decomposition(chain, decomposition)
     lattice = ergodic_lattice(structure)
-    basic = _simulating_automaton(chain, structure, lattice, decomposition, initial, "basic")
-    reachable = _simulating_automaton(
-        chain, structure, lattice, decomposition, initial, "reachable"
-    )
+    reachable = _simulating_automaton(chain, structure, lattice, decomposition, initial)
+    basic = _raised(reachable, structure)
     analyzed = basic if mode == "basic" else reachable
     synt, algebraic, falsifier = shuffle_verdict(analyzed, falsify_bound)
-    absorption = absorption_doc(chain)
-    ergodic = structure.ergodic_classes()
+    absorption = absorption_doc(chain, structure=structure)
     masses = word_measure(analyzed, decomposition, horizon)
     return {
         "states": list(chain.states),

@@ -50,6 +50,7 @@ from .monoid import (
 )
 from .syntactic import (
     RecognitionTriple,
+    SyntacticResult,
     product_triple,
     recognizes,
     syntactic,
@@ -272,7 +273,10 @@ class VerificationReport:
 
 
 def verify_recog_by_synt(
-    automata: Sequence[LatticeAutomaton], triple: RecognitionTriple
+    automata: Sequence[LatticeAutomaton],
+    triple: RecognitionTriple,
+    *,
+    synts: Sequence[SyntacticResult] | None = None,
 ) -> VerificationReport:
     """Check the product-of-syntactic-monoids recognition identities.
 
@@ -289,11 +293,13 @@ def verify_recog_by_synt(
     word that first reached it, which is the shortest word on which the
     two outputs differ.  The product order is componentwise and
     transitive, so every coloring compared here is order-preserving by
-    construction.
+    construction.  ``synts`` are the machines' ``syntactic`` results,
+    computed when not given.
     """
     from .serialize import automaton_to_doc, triple_to_doc
 
-    synts = [syntactic(a) for a in automata]
+    if synts is None:
+        synts = [syntactic(a) for a in automata]
     factors = [s.monoid for s in synts]
     product, projections = direct_product(factors)
     if product != triple.monoid:
@@ -491,7 +497,7 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
             if s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
                 break
         triple = product_triple("pjoin", [s1, s2])
-        reports.append(numbered(verify_recog_by_synt([a1, a2], triple), i))
+        reports.append(numbered(verify_recog_by_synt([a1, a2], triple, synts=[s1, s2]), i))
 
     pool = enumerate_ordered_monoids(2) + enumerate_ordered_monoids(3)
     for i in range(SUITE_MINIMALITY_INSTANCES):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 from collections import deque
 from collections.abc import Iterable, Mapping
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, settings
 from latlang import (
     LatticeAutomaton,
     MonoidMorphism,
+    build_lattice,
     build_ordered_monoid,
     load_chain,
     make_automaton,
@@ -1003,6 +1005,25 @@ def reference_build_lattice(element_names, pairs):
     )
 
 
+def reference_standard_lattice(kind, n):
+    """Reference standard lattice: the powerset from every inclusion pair of
+    its subsets, listed by size and then members, and the chain from its
+    covers, each validated by ``build_lattice``."""
+    if kind == "powerset":
+        subsets = sorted(
+            (tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in range(2 ** n)),
+            key=lambda s: (len(s), s),
+        )
+        pairs = [
+            (i, j)
+            for i, small in enumerate(subsets)
+            for j, big in enumerate(subsets)
+            if set(small) <= set(big)
+        ]
+        return build_lattice([subset_name(s) for s in subsets], pairs)
+    return build_lattice([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
 def reference_monotone_violation(src_leq, dst_leq, images):
     """Reference monotonicity scan over every pair (a, b) in row-major order."""
     n = len(images)
@@ -1176,7 +1197,7 @@ def reference_absorption_probabilities(chain):
     return result
 
 
-def reference_word_measure(a, decomposition, n):
+def reference_fraction_word_measure(a, decomposition, n):
     """Reference word measure: the state distribution propagated in
     ``Fraction``s, one product per state and letter."""
     dist = [Fraction(0)] * len(a.states)
@@ -1194,6 +1215,29 @@ def reference_word_measure(a, decomposition, n):
         if mass != 0:
             masses[a.output[s]] = masses.get(a.output[s], Fraction(0)) + mass
     return masses
+
+
+def reference_word_measure(a, decomposition, n):
+    """Reference word measure: the state distribution propagated as integers
+    over W^t, for the weights' lcm W, one product per state and letter (the
+    letter-by-letter loop that merged moves replaced)."""
+    scale = math.lcm(*(w.denominator for w in decomposition.weights))
+    weights = [w.numerator * (scale // w.denominator) for w in decomposition.weights]
+    steps = max(n, 0)
+    dist = [0] * len(a.states)
+    dist[a.initial] = 1
+    for _ in range(steps):
+        nxt = [0] * len(a.states)
+        for s, mass in enumerate(dist):
+            if mass:
+                for t, weight in zip(a.delta[s], weights):
+                    nxt[t] += mass * weight
+        dist = nxt
+    masses = {}
+    for s, mass in enumerate(dist):
+        if mass:
+            masses[a.output[s]] = masses.get(a.output[s], 0) + mass
+    return {e: Fraction(m, scale**steps) for e, m in masses.items()}
 
 
 def reference_decompose(chain):

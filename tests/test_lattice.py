@@ -52,6 +52,7 @@ from conftest import (
     reference_monotone_violation,
     reference_mutual_pair,
     reference_order_from_pairs,
+    reference_standard_lattice,
     rows_of,
 )
 
@@ -115,6 +116,28 @@ def test_standard_chain_and_boolean():
         standard_lattice("chain", 1)
     with pytest.raises(SizeOutOfRange):
         standard_lattice("powerset", 0)
+
+
+def test_standard_lattices_match_build_lattice_reference():
+    """Powersets of 1-6 and chains of 2-64, built from their definition,
+    equal field for field the lattices ``build_lattice`` validates from
+    every inclusion pair and from the covers; the sizes past either end
+    keep their errors."""
+    cases = [("powerset", k) for k in range(1, 7)] + [("chain", n) for n in range(2, 65)]
+    for kind, n in cases:
+        built, expected = standard_lattice(kind, n), reference_standard_lattice(kind, n)
+        for field in ("elements", "leq", "join_table", "meet_table", "top", "bottom"):
+            assert getattr(built, field) == getattr(expected, field), (kind, n, field)
+    errors = {
+        ("powerset", 0): "powerset lattice needs n >= 1, got 0",
+        ("powerset", 7): "powerset of 7 exceeds the size cap 64",
+        ("chain", 1): "chain lattice needs n >= 2, got 1",
+        ("chain", 65): "chain of 65 exceeds the size cap 64",
+    }
+    for (kind, n), message in errors.items():
+        with pytest.raises(SizeOutOfRange) as caught:
+            standard_lattice(kind, n)
+        assert str(caught.value) == message
 
 
 def test_bound():

@@ -1,12 +1,14 @@
 import importlib
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from latlang import (
+    LatticeAutomaton,
     absorption_probabilities,
     analyze,
     decompose,
@@ -14,6 +16,7 @@ from latlang import (
     ergodic_structure,
     evaluate,
     load_chain,
+    make_automaton,
     make_lattice_morphism,
     recolor,
     simulating_automaton,
@@ -29,12 +32,20 @@ from latlang.errors import (
     RowSumNotOne,
     SingularSystem,
 )
-from latlang.markov import Decomposition, _solve_exact, make_chain, parse_fraction
+from latlang.lattice import subset_name
+from latlang.markov import (
+    Decomposition,
+    _solve_exact,
+    ergodic_lattice,
+    make_chain,
+    parse_fraction,
+)
 
 from conftest import (
     reference_absorption_probabilities,
     reference_decompose,
     reference_ergodic_structure,
+    reference_fraction_word_measure,
     reference_make_chain,
     reference_reach,
     reference_solve_exact,
@@ -598,9 +609,29 @@ def test_word_measure_matches_fraction_reference():
         for d in (generated, supplied):
             a = simulating_automaton(chain, ("basic", "reachable")[i % 3 == 0], d)
             for horizon in (-1, 0, 1, 8, 64):
-                expected = list(reference_word_measure(a, d, horizon).items())
+                expected = list(reference_fraction_word_measure(a, d, horizon).items())
                 assert list(word_measure(a, d, horizon).items()) == expected, (i, horizon)
     assert split >= 40
+
+
+def test_word_measure_matches_letter_by_letter_reference():
+    """Stepping through each state's moves merged by target gives the
+    letter-by-letter integer loop's masses, in its order, at every horizon,
+    for generated decompositions and for supplied ones whose split letters
+    share targets."""
+    rng = random.Random(1717)
+    merged = 0
+    for i in range(60):
+        n = rng.randint(2, 8)
+        chain = _coprime_chain(rng, n) if i % 2 else _sparse_chain(rng, n)
+        generated = decompose(chain)
+        for d in (generated, _split_letters(rng, generated)):
+            a = simulating_automaton(chain, ("basic", "reachable")[i % 3 == 0], d)
+            merged += any(len(set(row)) < len(row) for row in a.delta)
+            for horizon in (-3, 0, 1, 2, 8, 64):
+                expected = list(reference_word_measure(a, d, horizon).items())
+                assert list(word_measure(a, d, horizon).items()) == expected, (i, horizon)
+    assert merged >= 60
 
 
 def test_absorption_matches_fraction_reference():
@@ -840,3 +871,73 @@ def test_reach_matches_depth_first_reference():
         expected = tuple(sum(1 << t for t in seen) for seen in reference_reach(chain))
         assert chain.reach == expected, i
     assert max(chain.size for chain in chains) > 150
+
+
+def _basic_colors(chain):
+    """Basic-mode colors from the Tarjan reference: an ergodic class's
+    states get its singleton and every transient state the full set."""
+    structure = reference_ergodic_structure(chain)
+    lattice = ergodic_lattice(structure)
+    singleton = {
+        s: subset_name([i + 1])
+        for i, members in enumerate(structure.ergodic_classes())
+        for s in members
+    }
+    top = lattice.elements[lattice.top]
+    return lattice, [singleton.get(s, top) for s in range(chain.size)]
+
+
+def test_basic_machine_is_the_reachable_machine_raised():
+    """The basic machine, derived from the validated reachable one, equals
+    field for field a ``make_automaton`` build from the basic colors, for
+    generated and supplied decompositions and any initial state."""
+    rng = random.Random(2121)
+    raised = 0
+    for i in range(300):
+        chain = _sparse_chain(rng, rng.randint(1, 12)) if i % 3 else _closed_class_chain(
+            rng, rng.randint(8, 30), 6
+        )
+        d = decompose(chain)
+        if i % 2:
+            d = _split_letters(rng, d)
+        initial = rng.randrange(chain.size)
+        derived = simulating_automaton(chain, "basic", d, initial)
+        lattice, colors = _basic_colors(chain)
+        delta = [[d.maps[l][s] for l in range(len(d.letters))] for s in range(chain.size)]
+        built = make_automaton(lattice, d.letters, chain.states, initial, delta, colors)
+        for field in fields(LatticeAutomaton):
+            assert getattr(derived, field.name) == getattr(built, field.name), (i, field.name)
+        reachable = simulating_automaton(chain, "reachable", d, initial)
+        raised += derived.output != reachable.output
+    assert raised >= 60
+
+
+def test_analyze_computes_structure_and_machine_once(monkeypatch):
+    """One ``analyze`` call computes the ergodic structure once and
+    validates one simulating machine, in either mode, and reports the
+    same as the unwrapped call."""
+    import latlang.markov as markov_module
+
+    calls = {"ergodic_structure": 0, "make_automaton": 0}
+
+    def counted(name):
+        real = getattr(markov_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    rng = random.Random(2323)
+    chains = [_sparse_chain(rng, rng.randint(3, 6)) for _ in range(8)]
+    assert sum(bool(ergodic_structure(chain).transient_states) for chain in chains) >= 4
+    expected = [analyze(chain, mode=mode) for chain in chains for mode in ("basic", "reachable")]
+    for name in calls:
+        monkeypatch.setattr(markov_module, name, counted(name))
+    for chain in chains:
+        for mode in ("basic", "reachable"):
+            for name in calls:
+                calls[name] = 0
+            assert analyze(chain, mode=mode) == expected.pop(0)
+            assert calls == {"ergodic_structure": 1, "make_automaton": 1}, mode

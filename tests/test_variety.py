@@ -587,6 +587,32 @@ def test_suite_all_pass_and_deterministic():
     assert all(r.verdict == "pass" for r in other)
 
 
+def test_suite_computes_each_syntactic_monoid_once(monkeypatch):
+    """``run_suite`` hands the syntactic monoids it sized the product with
+    to the recognition check: one ``syntactic`` call per drawn machine, 6
+    per seed, and the same reports as a check that computes them again."""
+    calls = []
+    real, verify = variety_module.syntactic, variety_module.verify_recog_by_synt
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for seed in range(4):
+        monkeypatch.setattr(
+            variety_module, "verify_recog_by_synt", lambda automata, triple, synts: verify(
+                automata, triple
+            ),
+        )
+        expected = [r.to_doc() for r in run_suite(seed)]
+        monkeypatch.setattr(variety_module, "verify_recog_by_synt", verify)
+        monkeypatch.setattr(variety_module, "syntactic", counted)
+        calls.clear()
+        assert [r.to_doc() for r in run_suite(seed)] == expected
+        assert len(calls) == 6, seed
+        monkeypatch.setattr(variety_module, "syntactic", real)
+
+
 def test_suite_reports_serialize():
     for report in run_suite(seed=0):
         doc = report.to_doc()
