@@ -79,10 +79,18 @@ def fraction_text(value: Fraction) -> str:
 
 @dataclass(frozen=True, repr=False)
 class MarkovChain:
-    """A stochastic matrix over named states, entries as exact fractions."""
+    """A stochastic matrix over named states, each row held as integers
+    over its own denominator.
+
+    ``rows[s]`` lists the positive entries of row s as ``(target,
+    numerator)`` pairs, targets ascending, and ``scales[s]`` is the lcm of
+    that row's listed denominators, so entry (s, t) is its numerator over
+    ``scales[s]`` and the numerators of a row sum to its scale.
+    """
 
     states: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    scales: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"<MarkovChain {list(self.states)!r}>"
@@ -99,39 +107,37 @@ class MarkovChain:
         return resolve(self._state_index, s, "state", self.size)
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, the states it moves to with positive probability.
-
-        ``make_chain`` fills this in from the entries it reads, so a loaded
-        chain never scans its zero entries.
-        """
-        return tuple(
-            tuple(t for t, p in enumerate(row) if p > 0) for row in self.matrix
-        )
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense ``Fraction`` matrix, built from the rows on first read."""
+        dense = []
+        for row, scale in zip(self.rows, self.scales):
+            entries = [Fraction(0)] * self.size
+            for t, v in row:
+                entries[t] = Fraction(v, scale)
+            dense.append(tuple(entries))
+        return tuple(dense)
 
     @cached_property
     def reach(self) -> tuple[int, ...]:
         """Per state, the states it reaches in zero or more steps, as a row:
         bit t of ``reach[s]`` is set iff s reaches t."""
-        return closure_bits(sum(1 << t for t in ts) for ts in self.successors)
+        return closure_bits(sum(1 << t for t, _ in row) for row in self.rows)
 
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
     """A chain from its state names and, per state, its listed entries.
 
     Omitted entries are zero, and each distinct entry text is parsed once.
-    Only the listed entries are read: each row's total is an integer over
-    the lcm of its listed denominators, and its positive entries are the
-    chain's ``successors``.  A row that does not sum to one is named with
-    its total as a fraction.
+    Only the listed entries are read: each row's scale is the lcm of its
+    listed denominators, its entries are integers over that scale, and
+    those integers, zeros dropped, are the chain's row.  A row that does
+    not sum to one is named with its total as a fraction.
     """
     names = () if isinstance(states, str) else name_tuple(states, "state names")
     if not names or len(set(names)) != len(names):
         raise MalformedDocument("states must be a nonempty list of distinct names")
     index = {s: i for i, s in enumerate(names)}
-    zero = Fraction(0)
-    matrix = [[zero] * len(names) for _ in names]
-    listed: list[list[int]] = [[] for _ in names]
+    listed: list[list[tuple[int, Fraction]]] = [[] for _ in names]
     parsed: dict[str, Fraction] = {}
     if not isinstance(rows, Mapping):
         raise MalformedDocument("rows must be an object")
@@ -140,7 +146,7 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
             raise UnknownElement(f"unknown state {s!r} in rows")
         if not isinstance(row, Mapping):
             raise MalformedDocument(f"row {s!r} must be an object", witness=s)
-        matrix_s, listed_s = matrix[index[s]], listed[index[s]]
+        listed_s = listed[index[s]]
         for t, p in row.items():
             if t not in index:
                 raise UnknownElement(f"unknown state {t!r} in row {s!r}")
@@ -152,21 +158,18 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
                     f"negative probability {p!r} at ({s!r}, {t!r})",
                     witness=[s, t, str(p)],
                 )
-            matrix_s[index[t]] = value
-            listed_s.append(index[t])
-    for s, row, ts in zip(names, matrix, listed):
-        scale = lcm(*(row[t].denominator for t in ts))
-        total = sum(row[t].numerator * (scale // row[t].denominator) for t in ts)
+            listed_s.append((index[t], value))
+    sparse, scales = [], []
+    for s, entries in zip(names, listed):
+        scale = lcm(*(p.denominator for _, p in entries))
+        row = sorted((t, p.numerator * (scale // p.denominator)) for t, p in entries if p)
+        total = sum(v for _, v in row)
         if total != scale:
             total_text = fraction_text(Fraction(total, scale))
             raise RowSumNotOne(f"row {s!r} sums to {total_text}", witness=[s, total_text])
-    chain = MarkovChain(states=names, matrix=tuple(map(tuple, matrix)))
-    # Every positive entry is a listed one, so the cached property is
-    # filled in from the listed entries alone.
-    chain.__dict__["successors"] = tuple(
-        tuple(sorted(t for t in ts if row[t])) for row, ts in zip(matrix, listed)
-    )
-    return chain
+        sparse.append(tuple(row))
+        scales.append(scale)
+    return MarkovChain(states=names, rows=tuple(sparse), scales=tuple(scales))
 
 
 def load_chain(text: str) -> MarkovChain:
@@ -212,7 +215,7 @@ def ergodic_structure(chain: MarkovChain) -> ErgodicStructure:
         {
             (class_of[s], class_of[t])
             for s in range(n)
-            for t in chain.successors[s]
+            for t, _ in chain.rows[s]
             if class_of[s] != class_of[t]
         }
     )
@@ -248,10 +251,10 @@ class Decomposition:
 def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> None:
     """Check the convex-reconstruction invariant exactly.
 
-    Totals are integers over the lcm of the chain's and the weights'
-    denominators, summed and compared row by row over the row's support
-    and the letters' targets; the witness is the first differing (s, t) in
-    row-major order.
+    Totals are integers over the lcm of the chain's row scales and the
+    weights' denominators, summed and compared row by row over the row's
+    entries and the letters' targets; the witness is the first differing
+    (s, t) in row-major order.
     """
     if len(set(decomposition.letters)) != len(decomposition.letters):
         raise MalformedDocument("decomposition letters must be distinct")
@@ -259,16 +262,13 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
         raise MalformedDocument("decomposition needs at least one letter")
     if any(w <= 0 for w in decomposition.weights):
         raise NegativeEntry("decomposition weights must be positive")
-    scale = lcm(
-        *(w.denominator for w in decomposition.weights),
-        *(row[t].denominator for row, ts in zip(chain.matrix, chain.successors) for t in ts),
-    )
+    scale = lcm(*(w.denominator for w in decomposition.weights), *chain.scales)
     weights = [w.numerator * (scale // w.denominator) for w in decomposition.weights]
     if sum(weights) != scale:
         raise RowSumNotOne("decomposition weights must sum to one")
     letters = list(zip(decomposition.maps, weights))
-    for s, (row, successors) in enumerate(zip(chain.matrix, chain.successors)):
-        expected = {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
+    for s, (row, row_scale) in enumerate(zip(chain.rows, chain.scales)):
+        expected = {t: v * (scale // row_scale) for t, v in row}
         totals: dict[int, int] = {}
         for mapping, w in letters:
             totals[mapping[s]] = totals.get(mapping[s], 0) + w
@@ -280,7 +280,7 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
                 witness=[
                     chain.states[s],
                     chain.states[t],
-                    fraction_text(row[t]),
+                    fraction_text(Fraction(expected.get(t, 0), scale)),
                     fraction_text(Fraction(totals.get(t, 0), scale)),
                 ],
             )
@@ -289,22 +289,20 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
 def decompose(chain: MarkovChain) -> Decomposition:
     """Greedy convex decomposition into deterministic maps.
 
-    Residuals are integers over the lcm of every entry's denominator.  Each
+    Residuals are integers over the lcm of the chain's row scales.  Each
     round picks, per state, the column with the largest residual (ties to
     the lowest index), uses the minimum of those residuals as the letter
     weight, and subtracts.  Only each row's support is scanned: a row keeps
     the columns whose residual is still positive, starting from its
-    successors, and drops a column once its residual reaches zero.  Rows
+    entries, and drops a column once its residual reaches zero.  Rows
     keep equal residual mass, so the loop ends when the first row's support
     is empty, with an exact reconstruction in at most one step per nonzero
     entry.
     """
-    scale = lcm(
-        *(row[t].denominator for row, ts in zip(chain.matrix, chain.successors) for t in ts)
-    )
+    scale = lcm(*chain.scales)
     residual = [
-        {t: row[t].numerator * (scale // row[t].denominator) for t in successors}
-        for row, successors in zip(chain.matrix, chain.successors)
+        {t: v * (scale // row_scale) for t, v in row}
+        for row, row_scale in zip(chain.rows, chain.scales)
     ]
     letters: list[str] = []
     maps: list[tuple[int, ...]] = []
@@ -503,9 +501,9 @@ def absorption_probabilities(
     States inside the class get 1, states of other ergodic classes 0, and
     transient states solve x = Pi x with boundary values, by sparse
     fraction-free elimination over the integers.  Each row of
-    [I - Q | class sums] is built from the state's successors alone, as
-    integers scaled by the lcm of its row's denominators.  ``structure``
-    is the chain's ``ergodic_structure``, computed when not given.
+    [I - Q | class sums] is built from the state's row alone, its
+    integers taken as they are, over the row's scale.  ``structure`` is
+    the chain's ``ergodic_structure``, computed when not given.
     """
     if structure is None:
         structure = ergodic_structure(chain)
@@ -515,13 +513,9 @@ def absorption_probabilities(
     class_of = {t: c for c, members in enumerate(ergodic) for t in members}
     rows = []
     for s in transient:
-        row = chain.matrix[s]
-        successors = chain.successors[s]
-        scale = lcm(*(row[t].denominator for t in successors))
-        entries = {t_index[s]: scale}
+        entries = {t_index[s]: chain.scales[s]}
         masses = [0] * len(ergodic)
-        for t in successors:
-            v = row[t].numerator * (scale // row[t].denominator)
+        for t, v in chain.rows[s]:
             if t in t_index:
                 i = t_index[t]
                 entries[i] = entries.get(i, 0) - v
@@ -529,19 +523,13 @@ def absorption_probabilities(
                 masses[class_of[t]] += v
         rows.append((entries, masses))
     solved = _solve_exact(rows) if transient else []
-    result: dict[int, dict[str, Fraction]] = {}
-    for c, members in enumerate(ergodic):
-        member_set = set(members)
-        per_state: dict[str, Fraction] = {}
-        for s in range(chain.size):
-            if s in member_set:
-                per_state[chain.states[s]] = Fraction(1)
-            elif s in t_index:
-                per_state[chain.states[s]] = solved[t_index[s]][c]
-            else:
-                per_state[chain.states[s]] = Fraction(0)
-        result[c] = per_state
-    return result
+    return {
+        c: {
+            name: solved[t_index[s]][c] if s in t_index else Fraction(int(class_of[s] == c))
+            for s, name in enumerate(chain.states)
+        }
+        for c in range(len(ergodic))
+    }
 
 
 def absorption_doc(

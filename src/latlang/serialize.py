@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Sequence
+from fractions import Fraction
 from typing import Any
 
 from .automaton import (
@@ -232,8 +233,8 @@ def triple_from_doc(doc: Any) -> RecognitionTriple:
 
 def chain_to_doc(chain: MarkovChain) -> dict:
     rows = {
-        s: {chain.states[t]: fraction_text(row[t]) for t in successors}
-        for s, row, successors in zip(chain.states, chain.matrix, chain.successors)
+        s: {chain.states[t]: fraction_text(Fraction(v, scale)) for t, v in row}
+        for s, row, scale in zip(chain.states, chain.rows, chain.scales)
     }
     return {"states": list(chain.states), "rows": rows}
 

@@ -52,7 +52,6 @@ from latlang.markov import (
     LETTER_PREFIX,
     Decomposition,
     ErgodicStructure,
-    MarkovChain,
     decompose,
     ergodic_lattice,
     ergodic_structure,
@@ -203,8 +202,8 @@ def reference_reach(chain):
         seen = {s}
         stack = [s]
         while stack:
-            for t in chain.successors[stack.pop()]:
-                if t not in seen:
+            for t, p in enumerate(chain.matrix[stack.pop()]):
+                if p and t not in seen:
                     seen.add(t)
                     stack.append(t)
         result.append(frozenset(seen))
@@ -1104,8 +1103,8 @@ def reference_validate_decomposition(chain, decomposition):
 
 
 def reference_make_chain(states, rows):
-    """Reference chain loader: a dense ``Fraction`` matrix, each row summed
-    over all of its entries."""
+    """Reference chain loader: the state names and a dense ``Fraction``
+    matrix, each row summed over all of its entries."""
     names = name_tuple(states, "state names")
     if not names or len(set(names)) != len(names):
         raise MalformedDocument("states must be a nonempty list of distinct names")
@@ -1134,7 +1133,7 @@ def reference_make_chain(states, rows):
             raise RowSumNotOne(
                 f"row {s!r} sums to {total}", witness=[s, str(total)]
             )
-    return MarkovChain(states=names, matrix=tuple(tuple(r) for r in matrix))
+    return names, tuple(map(tuple, matrix))
 
 
 def reference_solve_exact(matrix, rhs):

@@ -47,7 +47,10 @@ handler, and ``run`` calls the handler it reads off the table by the
 namespace's path: no dispatcher (``_handle``, ``_handle_lang``) comes back
 to match a command path by string.  ``Mapping``, ``Sequence``, ``Iterable``
 and ``Callable`` are imported from ``collections.abc``, never from
-``typing``.
+``typing``.  A Markov chain is held once, as sparse integer rows over
+their scales: no code reads its dense ``matrix`` but the property that
+builds it, nothing writes an instance ``__dict__``, and ``make_chain``
+alone takes an lcm of chain-entry denominators.
 """
 
 import ast
@@ -554,3 +557,79 @@ def test_abstract_collections_come_from_collections_abc():
     ]
     assert found == []
     assert _typing_abc_imports(ast.parse("from typing import Any, Mapping"))
+
+
+def _matrix_reads(tree):
+    """Line numbers of the ``.matrix`` reads outside ``MarkovChain.matrix``."""
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "MarkovChain"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name == "matrix"
+        for inner in ast.walk(method)
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix" and id(node) not in inside
+    ]
+
+
+def _dict_writes(tree):
+    """Line numbers of the writes to an instance ``__dict__``: an item
+    stored or deleted, or a method called on it."""
+    def is_dict(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and is_dict(node.value)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and is_dict(node.func.value)
+    ]
+
+
+def _denominator_lcms(tree):
+    """Names of the top-level definitions that take an lcm of denominators
+    other than a decomposition's weights'."""
+    found = []
+    for top in tree.body:
+        for call in ast.walk(top):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "lcm"):
+                continue
+            weights = {
+                comp.target.id for comp in ast.walk(call)
+                if isinstance(comp, ast.comprehension) and isinstance(comp.target, ast.Name)
+                and isinstance(comp.iter, ast.Attribute) and comp.iter.attr == "weights"
+            }
+            if any(
+                isinstance(node, ast.Attribute) and node.attr == "denominator"
+                and not (isinstance(node.value, ast.Name) and node.value.id in weights)
+                for node in ast.walk(call)
+            ):
+                found.append(top.name)
+    return found
+
+
+def test_chain_is_held_once_as_sparse_rows():
+    """Chains are read through ``rows`` and ``scales``: the dense matrix is
+    built only by the ``MarkovChain.matrix`` property, for callers outside
+    the library; nothing fills a cached property by hand through
+    ``__dict__``; and the entries' denominators meet in one lcm per row,
+    in ``make_chain``, every other lcm of denominators being over a
+    decomposition's weights."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert [(file, line) for file, tree in trees.items() for line in _matrix_reads(tree)] == []
+    assert [(file, line) for file, tree in trees.items() for line in _dict_writes(tree)] == []
+    found = [(file, name) for file, tree in trees.items() for name in _denominator_lcms(tree)]
+    assert found == [("markov.py", "make_chain")]
+    assert _matrix_reads(ast.parse("def f(chain):\n    return chain.matrix[0]"))
+    assert len(_dict_writes(ast.parse('x.__dict__["a"] = 1\nx.__dict__.update(b=2)'))) == 2
+    assert _denominator_lcms(ast.parse(
+        "def f(c, d):\n    return lcm(*(w.denominator for w in d.weights), *(p.denominator for p in c))"
+    )) == ["f"]

@@ -40,6 +40,7 @@ from latlang.markov import (
     make_chain,
     parse_fraction,
 )
+from latlang.serialize import chain_from_doc, chain_to_doc
 
 from conftest import (
     reference_absorption_probabilities,
@@ -152,6 +153,38 @@ def test_bad_decomposition_rejected(two_sink_chain, two_sink_decomposition):
     )
     with pytest.raises(MalformedDocument):
         validate_decomposition(two_sink_chain, wrong)
+
+
+@pytest.mark.parametrize(
+    "rows, maps, weights, witness",
+    [
+        # a letter moves mass to a state the row does not list: entry "0"
+        (
+            {"a": {"a": "1/2", "c": "1/2"}, "b": {"b": "1"}, "c": {"c": "1"}},
+            ((0, 1, 2), (1, 1, 2)),
+            (Fraction(1, 2), Fraction(1, 2)),
+            ["a", "b", "0", "1/2"],
+        ),
+        # a row entry written "2/4" is named in lowest terms
+        (
+            {"a": {"a": "2/4", "b": "2/4"}, "b": {"b": "1"}, "c": {"c": "1"}},
+            ((0, 1, 2), (1, 1, 2)),
+            (Fraction(1, 4), Fraction(3, 4)),
+            ["a", "a", "1/2", "1/4"],
+        ),
+    ],
+    ids=["outside-the-row", "lowest-terms"],
+)
+def test_reconstruction_witness(rows, maps, weights, witness):
+    """The witness of a failed reconstruction names the chain's entry and
+    the letters' total at the first differing (s, t), as the dense
+    reference does."""
+    chain = chain_of(["a", "b", "c"], rows)
+    wrong = Decomposition(letters=("x", "y"), maps=maps, weights=weights)
+    for check in (validate_decomposition, reference_validate_decomposition):
+        with pytest.raises(MalformedDocument) as err:
+            check(chain, wrong)
+        assert err.value.witness == witness
 
 
 def test_simulating_automaton_basic(two_sink_chain, two_sink_decomposition):
@@ -403,18 +436,30 @@ def _listed_rows(rng, states):
 
 def _load_outcome(load, states, rows):
     try:
-        chain = load(states, rows)
+        return load(states, rows)
     except LatlangError as exc:
         return exc.to_doc()
-    return chain.states, chain.matrix, chain.successors
+
+
+def _dense_chain(states, rows):
+    """``make_chain``'s states and dense matrix, after checking its rows:
+    positive numerators only, targets ascending, each row summing to its
+    scale, the lcm of the row's denominators."""
+    chain = make_chain(states, rows)
+    for row, scale, entries in zip(chain.rows, chain.scales, chain.matrix):
+        targets = [t for t, _ in row]
+        assert targets == sorted(set(targets))
+        assert all(v > 0 for _, v in row) and sum(v for _, v in row) == scale
+        assert scale == lcm(*(p.denominator for p in entries))
+    return chain.states, chain.matrix
 
 
 def test_make_chain_matches_dense_reference():
-    """Row totals over the listed entries give the dense reference's matrix
-    and successors, or its error document, on seeded chains of 1 to 60
-    states: valid, with a row that sums to something else, with a negative
-    entry, with an unknown state as a target or as a row, and with a
-    missing row."""
+    """Sparse rows over the listed entries give the dense reference's
+    matrix, or its error document, on seeded chains of 1 to 60 states:
+    valid, with a row that sums to something else, with a negative entry,
+    with an unknown state as a target or as a row, and with a missing
+    row."""
     rng = random.Random(9009)
     kinds = {}
     for i in range(200):
@@ -429,11 +474,32 @@ def test_make_chain_matches_dense_reference():
         missing = {u: row for u, row in rows.items() if u != s}
         for case in (rows, off_sum, negative, unknown_target, unknown_row, missing):
             expected = _load_outcome(reference_make_chain, states, case)
-            assert _load_outcome(make_chain, states, case) == expected, i
+            assert _load_outcome(_dense_chain, states, case) == expected, i
             kind = expected["kind"] if isinstance(expected, dict) else "ok"
             kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["ok"] >= 200 and kinds["RowSumNotOne"] >= 300, kinds
     assert kinds["NegativeEntry"] >= 150 and kinds["UnknownElement"] >= 350, kinds
+
+
+def test_chain_document_round_trip():
+    """``chain_to_doc`` writes each row's positive entries in lowest terms
+    and omits its zeros, and reading that document back gives an equal
+    chain, on seeded rows with explicit "0" and integer entries."""
+    rng = random.Random(4242)
+    zeros = 0
+    for i in range(150):
+        states = [f"p{k}" for k in range(rng.randint(1, 30))]
+        rows = _listed_rows(rng, states)
+        chain = make_chain(states, rows)
+        doc = chain_to_doc(chain)
+        names, matrix = reference_make_chain(states, rows)
+        assert doc["rows"] == {
+            s: {t: str(p) for t, p in zip(names, row) if p}
+            for s, row in zip(names, matrix)
+        }, i
+        assert chain_from_doc(doc) == chain, i
+        zeros += sum(p in (0, "0") for row in rows.values() for p in row.values())
+    assert zeros >= 50
 
 
 def test_string_states_are_not_split():
@@ -696,9 +762,11 @@ def test_absorption_is_exact_at_scale():
         table = absorption_probabilities(chain)
         x = [[table[c][name] for name in chain.states] for c in range(len(ergodic))]
         for s in structure.transient_states:
-            row = chain.matrix[s]
             for c in range(len(ergodic)):
-                step = sum((row[t] * x[c][t] for t in chain.successors[s]), Fraction(0))
+                step = sum(
+                    (Fraction(v, chain.scales[s]) * x[c][t] for t, v in chain.rows[s]),
+                    Fraction(0),
+                )
                 assert x[c][s] == step, (chain.states[s], c)
             assert sum(x[c][s] for c in range(len(ergodic))) == 1
         assert len(ergodic) >= 2
