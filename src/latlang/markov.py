@@ -123,6 +123,11 @@ class MarkovChain:
         bit t of ``reach[s]`` is set iff s reaches t."""
         return closure_bits(sum(1 << t for t, _ in row) for row in self.rows)
 
+    @cached_property
+    def structure(self) -> ErgodicStructure:
+        """The chain's ``ergodic_structure``, computed on first read."""
+        return ergodic_structure(self)
+
 
 def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]]) -> MarkovChain:
     """A chain from its state names and, per state, its listed entries.
@@ -237,12 +242,17 @@ class Decomposition:
     """Deterministic maps with positive weights summing to one.
 
     Summing weight * [map(s) = t] over the letters reproduces the transition
-    matrix exactly.
+    matrix exactly.  Letters, maps and weights come in equal numbers, one
+    map and one weight per letter.
     """
 
     letters: tuple[str, ...]
     maps: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.letters) == len(self.maps) == len(self.weights):
+            raise MalformedDocument("decomposition needs one map and one weight per letter")
 
     def __repr__(self) -> str:
         return f"<Decomposition {list(self.letters)!r}>"
@@ -254,8 +264,18 @@ def validate_decomposition(chain: MarkovChain, decomposition: Decomposition) -> 
     Totals are integers over the lcm of the chain's row scales and the
     weights' denominators, summed and compared row by row over the row's
     entries and the letters' targets; the witness is the first differing
-    (s, t) in row-major order.
+    (s, t) in row-major order.  Each map must first list one state index
+    per state of the chain.
     """
+    n = chain.size
+    for letter, mapping in zip(decomposition.letters, decomposition.maps):
+        if len(mapping) != n or {type(t) for t in mapping} != {int} or not (
+            0 <= min(mapping) <= max(mapping) < n
+        ):
+            raise MalformedDocument(
+                f"map of letter {letter!r} must send each of the {n} states to a state index",
+                witness=letter,
+            )
     if len(set(decomposition.letters)) != len(decomposition.letters):
         raise MalformedDocument("decomposition letters must be distinct")
     if not decomposition.letters:
@@ -344,35 +364,29 @@ def simulating_automaton(
     can reach, so an ergodic class gets its singleton; basic mode is the
     same coloring with every transient state raised to the full set.
     """
+    _, reachable, basic = _machines(chain, mode, decomposition, initial)
+    return reachable if mode == "reachable" else basic
+
+
+def _machines(
+    chain: MarkovChain,
+    mode: str,
+    decomposition: Decomposition | None,
+    initial: int | str | None,
+) -> tuple[Decomposition, LatticeAutomaton, LatticeAutomaton]:
+    """The checked decomposition and its reachable and basic machines.
+
+    The mode is checked first, then the greedy decomposition is built or
+    the given one validated.  One ``make_automaton`` call validates the
+    reachable machine; the basic one is a copy with every transient
+    state's output raised to the lattice's top.
+    """
     if mode not in ("basic", "reachable"):
         raise MalformedDocument(f"unknown coloring mode {mode!r}")
-    structure = ergodic_structure(chain)
-    lattice = ergodic_lattice(structure)
-    decomposition = _checked_decomposition(chain, decomposition)
-    reachable = _simulating_automaton(chain, structure, lattice, decomposition, initial)
-    return reachable if mode == "reachable" else _raised(reachable, structure)
-
-
-def _checked_decomposition(
-    chain: MarkovChain, decomposition: Decomposition | None
-) -> Decomposition:
-    """The greedy decomposition, or the given one once it is validated."""
     if decomposition is None:
-        return decompose(chain)
-    validate_decomposition(chain, decomposition)
-    return decomposition
-
-
-def _simulating_automaton(
-    chain: MarkovChain,
-    structure: ErgodicStructure,
-    lattice: Lattice,
-    decomposition: Decomposition,
-    initial: int | str | None,
-) -> LatticeAutomaton:
-    """The reachable-mode ``simulating_automaton`` of a checked decomposition
-    and the chain's ergodic structure and lattice, validated by
-    ``make_automaton``."""
+        decomposition = decompose(chain)
+    else:
+        validate_decomposition(chain, decomposition)
     if initial is None:
         start = 0
     else:
@@ -380,33 +394,25 @@ def _simulating_automaton(
             start = chain.state(initial)
         except UnknownElement as exc:
             raise NoInitial(f"unknown initial state {initial!r}") from exc
+    structure = chain.structure
     # a state that reaches one member of an ergodic class reaches them all
     firsts = [members[0] for members in structure.ergodic_classes()]
     colors = [
         subset_name(i + 1 for i, t in enumerate(firsts) if reach >> t & 1)
         for reach in chain.reach
     ]
-    delta = [
-        [decomposition.maps[l][s] for l in range(len(decomposition.letters))]
-        for s in range(chain.size)
-    ]
-    return make_automaton(
-        lattice,
+    reachable = make_automaton(
+        ergodic_lattice(structure),
         decomposition.letters,
         chain.states,
         start,
-        delta,
+        list(zip(*decomposition.maps)),
         colors,
     )
-
-
-def _raised(reachable: LatticeAutomaton, structure: ErgodicStructure) -> LatticeAutomaton:
-    """The basic-mode machine: the reachable one with every transient
-    state's output raised to the lattice's top."""
     output = list(reachable.output)
     for s in structure.transient_states:
         output[s] = reachable.lattice.top
-    return replace(reachable, output=tuple(output))
+    return decomposition, reachable, replace(reachable, output=tuple(output))
 
 
 def _solve_exact(
@@ -493,20 +499,17 @@ def _solve_exact(
     return [[Fraction(v, d) for v in x] for x, d in zip(nums, dens)]
 
 
-def absorption_probabilities(
-    chain: MarkovChain, *, structure: ErgodicStructure | None = None
-) -> dict[int, dict[str, Fraction]]:
+def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction]]:
     """Per ergodic class, the exact absorption probability from every state.
 
     States inside the class get 1, states of other ergodic classes 0, and
     transient states solve x = Pi x with boundary values, by sparse
     fraction-free elimination over the integers.  Each row of
     [I - Q | class sums] is built from the state's row alone, its
-    integers taken as they are, over the row's scale.  ``structure`` is
-    the chain's ``ergodic_structure``, computed when not given.
+    integers taken as they are, over the row's scale.  The classes are
+    read off ``chain.structure``.
     """
-    if structure is None:
-        structure = ergodic_structure(chain)
+    structure = chain.structure
     ergodic = structure.ergodic_classes()
     transient = structure.transient_states
     t_index = {s: i for i, s in enumerate(transient)}
@@ -532,15 +535,12 @@ def absorption_probabilities(
     }
 
 
-def absorption_doc(
-    chain: MarkovChain, *, structure: ErgodicStructure | None = None
-) -> dict[str, dict[str, str]]:
+def absorption_doc(chain: MarkovChain) -> dict[str, dict[str, str]]:
     """Absorption probabilities as a document: "C1", "C2", ... to state name
-    to fraction text, states sorted by name.  ``structure`` is passed on to
-    ``absorption_probabilities``."""
+    to fraction text, states sorted by name."""
     return {
         f"C{c + 1}": {state: fraction_text(p) for state, p in sorted(per_state.items())}
-        for c, per_state in absorption_probabilities(chain, structure=structure).items()
+        for c, per_state in absorption_probabilities(chain).items()
     }
 
 
@@ -600,23 +600,18 @@ def analyze(
     Both coloring modes appear in the report; ``mode`` picks the language
     that drives the syntactic, shuffle, and word-measure sections.  The
     report is a plain JSON-ready dict with deterministic content.  Each
-    step is done once: the ergodic structure, computed first, also serves
-    the absorption step, and one ``make_automaton`` call validates the
-    reachable machine, whose transient states raised to the top give the
-    basic one.
+    step is done once: the ergodic structure is read off ``chain.structure``,
+    which the absorption step reads too, and both machines come from one
+    ``make_automaton`` call, the basic one being the reachable one with its
+    transient states raised to the top.
     """
     from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
 
-    if mode not in ("basic", "reachable"):
-        raise MalformedDocument(f"unknown coloring mode {mode!r}")
-    structure = ergodic_structure(chain)
-    decomposition = _checked_decomposition(chain, decomposition)
-    lattice = ergodic_lattice(structure)
-    reachable = _simulating_automaton(chain, structure, lattice, decomposition, initial)
-    basic = _raised(reachable, structure)
+    decomposition, reachable, basic = _machines(chain, mode, decomposition, initial)
+    structure = chain.structure
     analyzed = basic if mode == "basic" else reachable
     synt, algebraic, falsifier = shuffle_verdict(analyzed, falsify_bound)
-    absorption = absorption_doc(chain, structure=structure)
+    absorption = absorption_doc(chain)
     masses = word_measure(analyzed, decomposition, horizon)
     return {
         "states": list(chain.states),

@@ -48,6 +48,7 @@ from .monoid import (
     direct_product,
     divides,
 )
+from .serialize import automaton_to_doc, monoid_to_doc, triple_to_doc
 from .syntactic import (
     RecognitionTriple,
     SyntacticResult,
@@ -296,8 +297,6 @@ def verify_recog_by_synt(
     construction.  ``synts`` are the machines' ``syntactic`` results,
     computed when not given.
     """
-    from .serialize import automaton_to_doc, triple_to_doc
-
     if synts is None:
         synts = [syntactic(a) for a in automata]
     factors = [s.monoid for s in synts]
@@ -361,8 +360,6 @@ def verify_syntactic_minimality(
 
     The syntactic triple depends only on the language, so once the triple
     recognizes it, it is read off the triple's table."""
-    from .serialize import automaton_to_doc, triple_to_doc
-
     if not recognizes(triple, a):
         raise NotARecognizer("triple does not recognize the automaton's language")
     synt = syntactic_quotients(triple.alphabet, triple.generator_images, [triple.coloring])[0]
@@ -402,8 +399,6 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     in row-major order, the multiplicative check before the order at the
     same pair.
     """
-    from .serialize import monoid_to_doc
-
     if monoid.size > SUBDIRECT_MAX_SIZE:
         raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
     n = monoid.size

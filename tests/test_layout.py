@@ -50,7 +50,14 @@ and ``Callable`` are imported from ``collections.abc``, never from
 ``typing``.  A Markov chain is held once, as sparse integer rows over
 their scales: no code reads its dense ``matrix`` but the property that
 builds it, nothing writes an instance ``__dict__``, and ``make_chain``
-alone takes an lcm of chain-entry denominators.
+alone takes an lcm of chain-entry denominators.  A chain's ergodic
+structure is read off the chain: only the ``MarkovChain.structure``
+property calls ``ergodic_structure``, and no function in ``markov.py``
+takes a structure next to a chain.  Both simulating machines come from
+one private builder (``_machines``); the helpers it replaced
+(``_checked_decomposition``, ``_simulating_automaton``, ``_raised``) stay
+deleted.  Imports sit at the top of each module, except the one in
+``markov.analyze``, which cannot: ``serialize`` imports ``markov``.
 """
 
 import ast
@@ -76,6 +83,9 @@ DELETED = {
     "_firsts",
     "_handle",
     "_handle_lang",
+    "_checked_decomposition",
+    "_simulating_automaton",
+    "_raised",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -559,16 +569,21 @@ def test_abstract_collections_come_from_collections_abc():
     assert _typing_abc_imports(ast.parse("from typing import Any, Mapping"))
 
 
-def _matrix_reads(tree):
-    """Line numbers of the ``.matrix`` reads outside ``MarkovChain.matrix``."""
-    inside = {
+def _chain_method_nodes(tree, name):
+    """The ids of the nodes inside the method ``MarkovChain.<name>``."""
+    return {
         id(inner)
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef) and node.name == "MarkovChain"
         for method in node.body
-        if isinstance(method, ast.FunctionDef) and method.name == "matrix"
+        if isinstance(method, ast.FunctionDef) and method.name == name
         for inner in ast.walk(method)
     }
+
+
+def _matrix_reads(tree):
+    """Line numbers of the ``.matrix`` reads outside ``MarkovChain.matrix``."""
+    inside = _chain_method_nodes(tree, "matrix")
     return [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "matrix" and id(node) not in inside
@@ -633,3 +648,67 @@ def test_chain_is_held_once_as_sparse_rows():
     assert _denominator_lcms(ast.parse(
         "def f(c, d):\n    return lcm(*(w.denominator for w in d.weights), *(p.denominator for p in c))"
     )) == ["f"]
+
+
+def _structure_calls(tree):
+    """Line numbers of the ``ergodic_structure`` calls outside
+    ``MarkovChain.structure``."""
+    inside = _chain_method_nodes(tree, "structure")
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ergodic_structure" and id(node) not in inside
+    ]
+
+
+def _structure_beside_chain(tree):
+    """Names of the functions that take both a ``chain`` and a
+    ``structure`` parameter."""
+    return [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and {"chain", "structure"} <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+
+
+def test_ergodic_structure_is_read_off_the_chain():
+    """Readers of a chain's ergodic structure read ``chain.structure``: no
+    call of ``ergodic_structure`` in the library outside the property that
+    caches it, and no function that takes a chain also takes a structure
+    to save recomputing it."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert [(file, line) for file, tree in trees.items() for line in _structure_calls(tree)] == []
+    assert _structure_calls(ast.parse("def f(chain):\n    return ergodic_structure(chain)"))
+    assert _structure_beside_chain(trees["markov.py"]) == []
+    assert _structure_beside_chain(ast.parse(
+        "def f(chain, *, structure=None):\n    pass"
+    )) == ["f"]
+
+
+def _nested_imports(tree):
+    """(function, line) of each import inside a function body."""
+    return [
+        (node.name, inner.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_imports_sit_at_module_top():
+    """No module imports inside a function, except ``markov.analyze``,
+    which imports ``serialize`` when called because ``serialize`` imports
+    ``markov``."""
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name, _ in _nested_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [("markov.py", "analyze")]
+    assert _nested_imports(ast.parse("def f():\n    from .x import y\n    import z")) == [
+        ("f", 2), ("f", 3)
+    ]

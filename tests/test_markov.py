@@ -1,7 +1,7 @@
 import importlib
 import json
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import lcm
 
@@ -187,6 +187,36 @@ def test_reconstruction_witness(rows, maps, weights, witness):
         assert err.value.witness == witness
 
 
+def test_decomposition_needs_one_map_and_weight_per_letter():
+    """Letters, maps and weights of different counts are refused when the
+    decomposition is built, not cut short by a ``zip`` later on."""
+    with pytest.raises(MalformedDocument, match="one map and one weight per letter"):
+        Decomposition(("a", "b"), ((1, 1), (0, 0)), (Fraction(1),))
+    with pytest.raises(MalformedDocument, match="one map and one weight per letter"):
+        Decomposition(("a",), ((1, 1), (0, 0)), (Fraction(1, 2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [(1,), (1, 1, 0), (1, 2), (1, -1), (1, True), (1, 1.0)],
+    ids=["short", "long", "past-the-end", "negative", "bool", "float"],
+)
+def test_malformed_map_is_refused(mapping):
+    """A map that does not give each state of the chain a state index in
+    range is refused with ``MalformedDocument``, before any reconstruction
+    check, by every caller that validates a decomposition."""
+    chain = chain_of(["a", "b"], {"a": {"b": "1"}, "b": {"b": "1"}})
+    d = Decomposition(("x",), (mapping,), (Fraction(1),))
+    for check in (
+        validate_decomposition,
+        lambda c, d: simulating_automaton(c, "basic", d),
+        lambda c, d: analyze(c, decomposition=d),
+    ):
+        with pytest.raises(MalformedDocument, match="map of letter 'x'") as err:
+            check(chain, d)
+        assert err.value.witness == "x"
+
+
 def test_simulating_automaton_basic(two_sink_chain, two_sink_decomposition):
     a = simulating_automaton(two_sink_chain, "basic", two_sink_decomposition)
     lat = a.lattice
@@ -330,6 +360,7 @@ def test_structure_and_machines_match_tarjan_reference():
         chain = _sparse_chain(rng, rng.randint(1, 12))
         structure = ergodic_structure(chain)
         assert structure == reference_ergodic_structure(chain), i
+        assert chain.structure == structure and chain.structure is chain.structure, i
         reducible += bool(structure.transient_states)
         for mode in ("basic", "reachable"):
             assert simulating_automaton(chain, mode) == reference_simulating_automaton(
@@ -376,6 +407,7 @@ def test_structure_of_layered_chains_matches_tarjan_reference():
         chain = _layered_chain(rng, rng.randint(200, 400))
         structure = ergodic_structure(chain)
         assert structure == reference_ergodic_structure(chain), i
+        assert chain.structure == structure and chain.structure is chain.structure, i
         transient = [c for c, flag in zip(structure.classes, structure.ergodic) if not flag]
         assert sum(len(c) == 1 for c in transient) >= chain.size // 2, i
         pairs += sum(len(c) == 2 for c in transient)
@@ -857,7 +889,8 @@ def test_analyze_irreducible():
 
 
 def test_analyze_checks_mode_before_decomposing(two_sink_chain, monkeypatch):
-    """An unknown mode is rejected before any decomposition is computed."""
+    """An unknown mode is rejected before any decomposition is computed or
+    a given one is validated, by ``analyze`` and ``simulating_automaton``."""
     import latlang.markov as markov_module
 
     def decompose_called(chain):
@@ -866,6 +899,11 @@ def test_analyze_checks_mode_before_decomposing(two_sink_chain, monkeypatch):
     monkeypatch.setattr(markov_module, "decompose", decompose_called)
     with pytest.raises(MalformedDocument, match="unknown coloring mode"):
         analyze(two_sink_chain, mode="bogus")
+    bad = Decomposition(("x",), ((0,),), (Fraction(1, 2),))
+    with pytest.raises(MalformedDocument, match="unknown coloring mode"):
+        simulating_automaton(two_sink_chain, "weird", bad)
+    with pytest.raises(MalformedDocument, match="unknown coloring mode"):
+        analyze(two_sink_chain, decomposition=bad, mode="weird")
 
 
 def test_analyze_asserts_shuffle_verdict_both_ways(
@@ -981,9 +1019,10 @@ def test_basic_machine_is_the_reachable_machine_raised():
 
 
 def test_analyze_computes_structure_and_machine_once(monkeypatch):
-    """One ``analyze`` call computes the ergodic structure once and
-    validates one simulating machine, in either mode, and reports the
-    same as the unwrapped call."""
+    """One ``analyze`` call on a fresh chain computes the ergodic structure
+    once and validates one simulating machine, in either mode, and reports
+    the same as the unwrapped call; a second call on the same chain reads
+    the structure the chain holds."""
     import latlang.markov as markov_module
 
     calls = {"ergodic_structure": 0, "make_automaton": 0}
@@ -1005,7 +1044,11 @@ def test_analyze_computes_structure_and_machine_once(monkeypatch):
         monkeypatch.setattr(markov_module, name, counted(name))
     for chain in chains:
         for mode in ("basic", "reachable"):
+            fresh = replace(chain)
             for name in calls:
                 calls[name] = 0
-            assert analyze(chain, mode=mode) == expected.pop(0)
+            assert analyze(fresh, mode=mode) == expected[0]
             assert calls == {"ergodic_structure": 1, "make_automaton": 1}, mode
+            calls["ergodic_structure"] = 0
+            assert analyze(fresh, mode=mode) == expected.pop(0)
+            assert calls["ergodic_structure"] == 0, mode
