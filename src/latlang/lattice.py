@@ -295,10 +295,13 @@ def firsts(labels: Sequence[int]) -> list[int]:
 
 
 def name_tuple(names: Iterable[str], what: str) -> tuple[str, ...]:
-    """Names as a tuple; they must be a list of strings, not one string.
-    ``what`` names them in errors."""
+    """Names as a tuple; they must be a list of strings, not one string and
+    not an object, whose keys would pass for names.  ``what`` names them in
+    errors."""
     if isinstance(names, str):
         raise MalformedDocument(f"{what} must be a list, not a string")
+    if isinstance(names, Mapping):
+        raise MalformedDocument(f"{what} must be a list, not an object")
     if not isinstance(names, Iterable):
         raise MalformedDocument(f"{what} must be a list")
     result = tuple(names)

@@ -270,12 +270,17 @@ def direct_product(
 
     Element order is lexicographic in the component indices, so the index of
     a tuple is its mixed-radix value (``product_index``).  The factors are
-    folded in one at a time: element (x, j) of the partial product times M
-    is x*|M| + j, so its products and order come from the partial tables.
-    A one-element factor leaves those tables as they are, so folding it in
-    only extends the element names and adds an all-zero projection.  The
-    order row of (x, j) is row j copied into the |M|-bit block of every
+    folded in one at a time: element (x, j) of the partial product P times
+    M is x*|M| + j, so the row of (x, j) is, for each y in P, the block of
+    |M| entries a*|M| + jk (jk running over row j of M) at a = xy.  The
+    blocks of row j are built once, as |M| strided ranges zipped, and each
+    row is gathered from them by one ``itemgetter`` of row x.  A one-element
+    factor leaves the tables as they are, so folding it in only extends the
+    element names, and folding M into a one-element P gives M's tables.
+    The order row of (x, j) is row j copied into the |M|-bit block of every
     element above x: the row of x spread to one bit per block, times j's.
+    The projection onto a factor of size s with stride t (the product of
+    the later sizes) is the blocks [0]*t, ..., [s-1]*t, repeated.
     """
     if not monoids:
         raise MalformedDocument("direct product needs at least one factor")
@@ -288,27 +293,31 @@ def direct_product(
                 f"product size exceeds cap {max_size}", witness=sizes
             )
     parts: list[tuple[str, ...]] = [()]
-    mul: list[list[int]] = [[0]]
-    leq: list[int] = [1]
-    components: list[list[int]] = []
+    mul: Sequence[tuple[int, ...]] = ((0,),)
+    leq: Sequence[int] = (1,)
     for m in monoids:
-        s = m.size
+        s, n = m.size, len(mul)
         parts = [p + (e,) for p in parts for e in m.elements]
         if s == 1:
-            components.append([0] * len(parts))
             continue
-        mul = [[xy * s + z for xy in x for z in j] for x in mul for j in m.mul]
+        if n == 1:
+            mul, leq = m.mul, m.leq
+            continue
+        shifted = [list(zip(*(range(z, z + n * s, s) for z in j))) for j in m.mul]
+        gathers = [itemgetter(*x) for x in mul]
+        mul = [tuple(itertools.chain.from_iterable(get(row))) for get in gathers for row in shifted]
         blocks = [sum(1 << y * s for y in bit_positions(row)) for row in leq]
         leq = [block * j for block in blocks for j in m.leq]
-        components = [[c for c in proj for _ in range(s)] for proj in components]
-        components.append(list(range(s)) * (len(parts) // s))
     identity = product_index(sizes, [m.identity for m in monoids])
     product = _make_unchecked(tuple(map(product_name, parts)), identity, mul, leq)
-    projections = tuple(
-        MonoidMorphism(source=product, target=m, mapping=tuple(proj))
-        for m, proj in zip(monoids, components)
-    )
-    return product, projections
+    projections = []
+    stride = total
+    for m in monoids:
+        stride //= m.size
+        period = tuple(itertools.chain.from_iterable([c] * stride for c in range(m.size)))
+        mapping = period * (total // len(period))
+        projections.append(MonoidMorphism(source=product, target=m, mapping=mapping))
+    return product, tuple(projections)
 
 
 def product_index(sizes: Sequence[int], combo: Sequence[int]) -> int:

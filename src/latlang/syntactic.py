@@ -17,7 +17,7 @@ routes end in one tail (``_syntactic_triple``): the witness words come
 from ``orbit_words`` and the table from the Cayley graph, the states are
 preordered on their profiles and the elements pointwise over that
 preorder, both by ``lattice.pointwise_order``, and the table is validated
-through its greedy generators.
+through the letter images.
 
 State maps multiply left-to-right (m1*m2 applies m1 first), so the map of
 a concatenation is the product of the maps.
@@ -26,7 +26,8 @@ a concatenation is the product of the maps.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .automaton import (
     LatticeAutomaton,
@@ -58,11 +59,10 @@ from .errors import (
     WitnessNotFound,
 )
 from .lattice import cons as cons_morphism
-from .lattice import Lattice, firsts, make_lattice_morphism, number, orbit, orbit_words
+from .lattice import Lattice, LatticeMorphism, firsts, number, orbit, orbit_words
 from .lattice import pointwise_order, threshold
 from .monoid import (
     OrderedMonoid,
-    _greedy_generators,
     _make_unchecked,
     check_generated,
     identity_is_greatest,
@@ -125,11 +125,18 @@ class SyntacticResult(RecognitionTriple):
 def _state_maps(a: LatticeAutomaton) -> tuple[list, list[list[int]]]:
     """The state maps of words on a trimmed machine, as the orbit of the
     identity map under right composition by the letter maps, with the
-    orbit's table, which is their right Cayley graph."""
+    orbit's table, which is their right Cayley graph.
+
+    A map m's successors gather every letter map at m's entries through one
+    ``itemgetter(*m)``.  On one state that would return a bare int, so the
+    one-state machine returns its fixed point, the identity map, up front.
+    """
     gens = list(zip(*a.delta))
+    if len(a.states) == 1:
+        return [(0,)], [[0] * len(gens)]
     return orbit(
         tuple(range(len(a.states))),
-        lambda m: [tuple([g[q] for q in m]) for g in gens],
+        lambda m: map(itemgetter(*m), gens),
         TRANSITION_MONOID_CAP,
         "transition monoid",
     )
@@ -143,13 +150,15 @@ def _words_and_table(
 
     If y was first reached from p by letter l, then column y of the table
     is column p read through the graph: x*y = (x*p)*l (Froidure & Pin 1997).
+    Each new column is gathered from the graph's column for l by one
+    ``itemgetter(*column p)``; a one-element monoid has no new column.
     """
     by_letter = list(zip(*graph))
     columns: list[Sequence[int]] = [range(len(graph))]
     for p, row in enumerate(graph):
         for l, y in enumerate(row):
             if y == len(columns):
-                columns.append(list(map(by_letter[l].__getitem__, columns[p])))
+                columns.append(itemgetter(*columns[p])(by_letter[l]))
     return orbit_words(graph, alphabet), list(zip(*columns))
 
 
@@ -175,22 +184,29 @@ def _syntactic_triple(
     pointwise over ``lattice`` on their profiles, and the elements pointwise
     over that preorder on their maps.
 
-    The table is validated through its greedy generators with
-    ``check_generated``; a failure raises InternalInconsistency, since it
-    can only be a bug.
+    The table is validated through the letter images ``graph[0]`` other
+    than the identity, with ``check_generated``.  First the table's column
+    at each letter's image must equal the graph's column for that letter,
+    so that every element, reached in the graph by letters from the
+    identity, is a product of images, and Light's test through the images
+    is complete.  A failure raises InternalInconsistency, since it can only
+    be a bug.
     """
     witnesses, mul = _words_and_table(graph, alphabet)
     names = tuple(word_name(w) for w in witnesses)
     pre = pointwise_order(lattice.leq, profiles)
     monoid = _make_unchecked(names, 0, mul, pointwise_order(pre, maps))
+    images = graph[0]
+    if [tuple(map(itemgetter(g), mul)) for g in images] != list(zip(*graph)):
+        raise InternalInconsistency("syntactic table disagrees with its Cayley graph")
     try:
-        check_generated(monoid, _greedy_generators(mul, 0))
+        check_generated(monoid, set(images) - {0})
     except (NotAntisymmetric, NotAssociative, NotCompatible) as exc:
         raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
     return SyntacticResult(
         alphabet=alphabet,
         monoid=monoid,
-        generator_images=tuple(graph[0]),
+        generator_images=tuple(images),
         coloring=make_op_coloring(monoid, lattice, values),
         witnesses=tuple(witnesses),
     )
@@ -250,10 +266,13 @@ def syntactic_quotients(
     mul = monoid.mul
     members, right = orbit(monoid.identity, lambda x: [mul[x][g] for g in gens])
     position = {x: i for i, x in enumerate(members)}
-    # products[i][j] is the position in N of members[i] * members[j]
-    products = [
-        tuple(map(position.__getitem__, map(mul[x].__getitem__, members))) for x in members
-    ]
+    # products[i][j] is the position in N of members[i] * members[j]; the
+    # rows are gathered at the members by one itemgetter, which would
+    # return a bare int on the one-element N = {1}
+    products = [(0,)]
+    if len(members) > 1:
+        gather = itemgetter(*members)
+        products = [tuple(map(position.__getitem__, gather(mul[x]))) for x in members]
     results = []
     for coloring in colorings:
         colors = [coloring.colors[x] for x in members]
@@ -273,11 +292,12 @@ def syntactic_quotients(
 
 
 def triple_to_automaton(t: RecognitionTriple) -> LatticeAutomaton:
-    """The right-regular machine of a triple: states are the monoid elements."""
+    """The right-regular machine of a triple: states are the monoid elements.
+    Its delta is read off the table one letter column at a time; with no
+    letters there are no columns, and each state's row is empty."""
     m = t.monoid
-    delta = tuple(
-        tuple(m.mul[x][g] for g in t.generator_images) for x in range(m.size)
-    )
+    columns = [tuple(map(itemgetter(g), m.mul)) for g in t.generator_images]
+    delta = tuple(zip(*columns)) or ((),) * m.size
     return LatticeAutomaton(
         lattice=t.coloring.lattice,
         alphabet=t.alphabet,
@@ -321,7 +341,14 @@ def cut(a: LatticeAutomaton, value: int | str) -> LatticeAutomaton:
 
     Bottom encodes membership; transitions are unchanged.
     """
-    return recolor(a, threshold(a.lattice, value))
+    return replace(a, output=_cut_output(a, value))
+
+
+def _cut_output(a: LatticeAutomaton, value: int | str) -> tuple[int, ...]:
+    """The output of ``cut(a, value)``: each state's output thresholded at
+    ``value``."""
+    mapping = threshold(a.lattice, value).mapping
+    return tuple(map(mapping.__getitem__, a.output))
 
 
 def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]:
@@ -330,20 +357,23 @@ def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]
     For each lattice value v, take the syntactic triple of the cut language
     with its colors joined with v; the recognizer is their product meet
     (``product_triple``).  A cut keeps the machine and changes only its
-    output, so values with the same cut output share one syntactic monoid,
-    built once; the product still has one factor per value.  The returned
-    flag asserts that the triple recognizes the original language (exact
-    equivalence check).
+    output, so each value's cut output is computed first, and a machine is
+    built and its syntactic monoid computed only for an output not seen
+    before; the product still has one factor per value.  Joining with v
+    is monotone by the lattice laws, so that morphism is built with no
+    check, and ``postcompose`` validates each joined coloring.  The
+    returned flag asserts that the triple recognizes the original language
+    (exact equivalence check).
     """
     lat = a.lattice
     by_output: dict[tuple[int, ...], SyntacticResult] = {}
     factors = []
     for v in range(lat.size):
-        c = cut(a, v)
-        if c.output not in by_output:
-            by_output[c.output] = syntactic(c)
-        s = by_output[c.output]
-        joined = postcompose(make_lattice_morphism(lat, lat.join_table[v]), s.coloring)
+        output = _cut_output(a, v)
+        if output not in by_output:
+            by_output[output] = syntactic(replace(a, output=output))
+        s = by_output[output]
+        joined = postcompose(LatticeMorphism(lat, lat.join_table[v]), s.coloring)
         factors.append(RecognitionTriple(s.alphabet, s.generator_images, s.monoid, joined))
     triple = product_triple("pmeet", factors)
     return triple, recognizes(triple, a)

@@ -39,6 +39,7 @@ from latlang.errors import (
 from latlang.lattice import DEFAULT_MAX_SIZE as LATTICE_MAX_SIZE
 from latlang.lattice import (
     Lattice,
+    bit_positions,
     check_antisymmetric,
     check_names,
     make_lattice_morphism,
@@ -372,6 +373,42 @@ def reference_direct_product(monoids, *, max_size=1024):
     projections = tuple(
         MonoidMorphism(product, m, tuple(combo[i] for combo in tuples))
         for i, m in enumerate(monoids)
+    )
+    return product, projections
+
+
+def reference_fold_direct_product(monoids, *, max_size=1024):
+    """Reference fold: the mixed-radix fold ``direct_product`` ran before its
+    rows were gathered whole, every entry and projection built by a
+    comprehension, with the same one-element shortcut."""
+    if not monoids:
+        raise MalformedDocument("direct product needs at least one factor")
+    sizes = [m.size for m in monoids]
+    total = 1
+    for s in sizes:
+        total *= s
+        if total > max_size:
+            raise SizeCapExceeded(f"product size exceeds cap {max_size}", witness=sizes)
+    parts = [()]
+    mul = [[0]]
+    leq = [1]
+    components = []
+    for m in monoids:
+        s = m.size
+        parts = [p + (e,) for p in parts for e in m.elements]
+        if s == 1:
+            components.append([0] * len(parts))
+            continue
+        mul = [[xy * s + z for xy in x for z in j] for x in mul for j in m.mul]
+        blocks = [sum(1 << y * s for y in bit_positions(row)) for row in leq]
+        leq = [block * j for block in blocks for j in m.leq]
+        components = [[c for c in proj for _ in range(s)] for proj in components]
+        components.append(list(range(s)) * (len(parts) // s))
+    identity = product_index(sizes, [m.identity for m in monoids])
+    product = _make_unchecked(tuple(map(product_name, parts)), identity, mul, leq)
+    projections = tuple(
+        MonoidMorphism(source=product, target=m, mapping=tuple(proj))
+        for m, proj in zip(monoids, components)
     )
     return product, projections
 

@@ -293,6 +293,36 @@ def test_malformed_lattice_documents_are_errors(tmp_path):
         assert json.loads(out)["error"]["kind"] == kind
 
 
+_U1 = {"elements": ["1", "z"], "identity": "1", "mul": [["1", "z"], ["z", "z"]]}
+_CHAIN2 = {"elements": ["a", "b"], "cover": [["a", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "command, path, key, what",
+    [
+        (["lang", "minimize"], AUTOMATON, "alphabet", "alphabet letters"),
+        (["lang", "minimize"], AUTOMATON, "states", "state names"),
+        (["lattice", "check"], _CHAIN2, "elements", "element names"),
+        (["monoid", "check"], _U1, "elements", "element names"),
+        (["markov", "absorb"], CHAIN, "states", "state names"),
+    ],
+    ids=["machine-alphabet", "machine-states", "lattice-elements", "monoid-elements",
+         "chain-states"],
+)
+def test_object_where_names_belong_is_refused(tmp_path, command, path, key, what):
+    """An object whose keys are the right names is refused where a list of
+    names belongs, as a string is; it is not read as its list of keys."""
+    doc = json.loads(Path(path).read_text()) if isinstance(path, str) else path
+    bad = dict(doc, **{key: {name: 5 for name in doc[key]}})
+    code, out = run(command + [write(tmp_path, "bad.json", bad)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "MalformedDocument",
+        "message": f"{what} must be a list, not an object",
+        "witness": None,
+    }
+
+
 def test_string_order_pairs_are_not_split(tmp_path):
     """A string where a list of order pairs belongs is rejected as a whole,
     not read as one pair per character."""

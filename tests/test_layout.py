@@ -58,6 +58,10 @@ one private builder (``_machines``); the helpers it replaced
 (``_checked_decomposition``, ``_simulating_automaton``, ``_raised``) stay
 deleted.  Imports sit at the top of each module, except the one in
 ``markov.analyze``, which cannot: ``serialize`` imports ``markov``.
+The syntactic path's tables (the Froidure & Pin columns, the state-map
+orbit, the direct product's rows and projections) are gathered whole,
+never entry by entry, and the cut reconstruction builds its cut outputs
+and join morphisms directly.
 """
 
 import ast
@@ -712,3 +716,58 @@ def test_imports_sit_at_module_top():
     assert _nested_imports(ast.parse("def f():\n    from .x import y\n    import z")) == [
         ("f", 2), ("f", 3)
     ]
+
+
+def _entry_gathers(body):
+    """The line of each per-entry gather in ``body``: a ``map`` of a
+    ``__getitem__``, or a comprehension whose element is a subscript or
+    itself a comprehension."""
+    comprehensions = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
+    found = []
+    for node in ast.walk(body):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "map"
+            and node.args
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "__getitem__"
+        ) or (
+            isinstance(node, comprehensions)
+            and isinstance(node.elt, (ast.Subscript, *comprehensions))
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_tables_are_gathered_whole():
+    """``_words_and_table``, ``_state_maps`` and ``direct_product`` gather
+    table entries through ``itemgetter`` and whole-row ``map``s, never entry
+    by entry; ``reconstruct_from_cuts`` builds its morphisms and cut
+    outputs directly, with no ``make_lattice_morphism`` or ``recolor``."""
+    bodies = {
+        ("syntactic.py", "_words_and_table"),
+        ("syntactic.py", "_state_maps"),
+        ("syntactic.py", "reconstruct_from_cuts"),
+        ("monoid.py", "direct_product"),
+    }
+    found = {}
+    for file in ("syntactic.py", "monoid.py"):
+        for node in ast.parse((SRC / file).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and (file, node.name) in bodies:
+                found[node.name] = node
+    assert sorted(found) == sorted(name for _, name in bodies)
+    for name in ("_words_and_table", "_state_maps", "direct_product"):
+        assert _entry_gathers(found[name]) == [], name
+    called = {
+        node.func.id for node in ast.walk(found["reconstruct_from_cuts"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"make_lattice_morphism", "recolor"}
+    old = ast.parse(
+        "def f():\n"
+        "    a = list(map(col.__getitem__, rows))\n"
+        "    b = [tuple([g[q] for q in m]) for g in gens]\n"
+        "    c = [[x * s + z for x in r for z in j] for r in mul for j in t]\n"
+    )
+    assert _entry_gathers(old) == [2, 3, 4]

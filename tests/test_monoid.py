@@ -41,6 +41,7 @@ from conftest import (
     reference_check_associative,
     reference_compatibility_violation,
     reference_direct_product,
+    reference_fold_direct_product,
     reference_divides,
     reference_is_aperiodic,
     reference_monoid_to_doc,
@@ -173,6 +174,42 @@ def test_direct_product_with_one_element_factors_matches_reference():
         compared += 1
     assert seen == {"first", "middle", "last", "every"}
     assert compared >= 80 and capped >= 10
+
+
+def test_gathered_direct_product_matches_the_fold_on_seeded_sweep():
+    """Rows gathered whole and projections read off the strides give the
+    per-entry fold's names, table, order, identity and projections, with
+    one-element factors first, last, in between, alone or absent."""
+    pool = small_monoids()
+    rng = random.Random(3232)
+    seen = set()
+    compared = 0
+    for i in range(400):
+        one = trivial_monoid(rng.choice(("1", "e")))
+        others = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+        where = ("first", "between", "last", "alone", "none")[i % 5]
+        if where == "first":
+            factors = [one, *others]
+        elif where == "between":
+            k = rng.randint(1, len(others) - 1)
+            factors = [*others[:k], one, *others[k:]]
+        elif where == "last":
+            factors = [*others, one]
+        elif where == "alone":
+            factors = [one] * rng.randint(1, 3)
+        else:
+            factors = others
+        try:
+            expected = reference_fold_direct_product(factors, max_size=256)
+        except SizeCapExceeded:
+            continue
+        product, projections = direct_product(factors, max_size=256)
+        assert (product, projections) == expected, (i, where)
+        assert all(type(row) is tuple for row in product.mul)
+        seen.add(where)
+        compared += 1
+    assert seen == {"first", "between", "last", "alone", "none"}
+    assert compared >= 200
 
 
 def test_generated_submonoid():

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import time
 from math import prod
@@ -34,13 +35,23 @@ from latlang import (
     transition_monoid,
     triple_to_automaton,
 )
-from latlang.automaton import minimize
-from latlang.errors import MismatchedAlphabet, MismatchedCarrier, SizeCapExceeded, UnknownElement
-from latlang.lattice import closure_bits, pointwise_order
-from latlang.monoid import product_index
+from latlang.automaton import minimize, trim
+from latlang.errors import (
+    InternalInconsistency,
+    MismatchedAlphabet,
+    MismatchedCarrier,
+    NotAntisymmetric,
+    NotAssociative,
+    NotCompatible,
+    SizeCapExceeded,
+    UnknownElement,
+)
+from latlang.lattice import closure_bits, orbit, pointwise_order
+from latlang.monoid import _greedy_generators, _make_unchecked, check_generated, product_index
 from latlang.serialize import automaton_from_doc, triple_to_doc
-from latlang.syntactic import _state_maps, shuffle_verdict
+from latlang.syntactic import _state_maps, _words_and_table, shuffle_verdict
 from latlang.variety import (
+    enumerate_ordered_monoids,
     random_automaton,
     random_coloring,
     random_lattice,
@@ -114,6 +125,106 @@ def test_tables_match_composition_reference_on_seeded_sweep():
     for a in machines + large:
         assert syntactic(a) == reference_syntactic(a)
         assert transition_monoid(a) == reference_transition_monoid(a)
+
+
+def test_state_maps_of_one_state_machines(boolean):
+    """A machine that trims to one state has the identity map alone, a
+    loop on every letter, and the reference's monoids."""
+    chain3 = standard_lattice("chain", 3)
+    for letters in (("a",), ("a", "b"), ("a", "b", "c")):
+        k = len(letters)
+        lone = constant_automaton(boolean, letters, boolean.top)
+        unreachable = make_automaton(
+            chain3, letters, ["s", "t", "u"], "s", [[0] * k, [1] * k, [0] * k], [1, 0, 2]
+        )
+        for a in (lone, unreachable):
+            assert _state_maps(trim(a)) == ([(0,)], [[0] * k])
+            assert reference_word_maps(trim(a))[0] == [(0,)]
+            assert syntactic(a) == reference_syntactic(a)
+            assert transition_monoid(a) == reference_transition_monoid(a)
+
+
+def _submonoid_graph(monoid, images):
+    """The members of the submonoid the images generate, in discovery
+    order, and its right Cayley graph in ``orbit`` form."""
+    return orbit(monoid.identity, lambda x: [monoid.mul[x][g] for g in images])
+
+
+def test_tables_and_quotients_on_one_and_two_element_monoids():
+    """On every ordered monoid of one or two elements and every choice of
+    one or two letter images: the Froidure & Pin table equals the monoid's
+    table on the generated submonoid, and ``syntactic_quotients`` gives the
+    machine route's triple for every order-preserving coloring into the
+    two-element and three-element chains."""
+    lattices = [standard_lattice("chain", 2), standard_lattice("chain", 3)]
+    compared = 0
+    for monoid in enumerate_ordered_monoids(1) + enumerate_ordered_monoids(2):
+        n = monoid.size
+        colorings = [
+            make_op_coloring(monoid, lattice, colors)
+            for lattice in lattices
+            for colors in itertools.product(range(lattice.size), repeat=n)
+            if all(
+                lattice.leq[colors[x]] >> colors[y] & 1
+                for x in range(n) for y in range(n) if monoid.leq[x] >> y & 1
+            )
+        ]
+        for alphabet in (("a",), ("a", "b")):
+            for images in itertools.product(range(n), repeat=len(alphabet)):
+                members, graph = _submonoid_graph(monoid, images)
+                position = {x: i for i, x in enumerate(members)}
+                words, table = _words_and_table(graph, alphabet)
+                assert table == [
+                    tuple(position[monoid.mul[x][y]] for y in members) for x in members
+                ]
+                assert len(words) == len(members)
+                assert syntactic_quotients(alphabet, images, colorings) == [
+                    _machine_route(alphabet, images, monoid, c) for c in colorings
+                ]
+                compared += len(colorings)
+    assert compared >= 50
+
+
+def test_letter_images_refuse_every_table_the_greedy_generators_refuse(monkeypatch):
+    """Corrupt one to three entries of the syntactic table of seeded
+    machines: every corrupted table that ``check_generated`` refuses
+    through ``_greedy_generators`` is refused by ``syntactic``, which
+    validates it through the letter images."""
+    module = importlib.import_module("latlang.syntactic")
+    real = module._words_and_table
+    rng = random.Random(2424)
+    refused = images_hit = 0
+    for i in range(300):
+        a = random_automaton(rng, random_lattice(rng, 4), 4, ("a", "b", "c")[: 1 + i % 3])
+        monkeypatch.setattr(module, "_words_and_table", real)
+        synt = syntactic(a)
+        monoid, images = synt.monoid, set(synt.generator_images)
+        if monoid.size < 2:
+            continue
+        table = [list(row) for row in monoid.mul]
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randrange(monoid.size)
+            y = rng.choice(sorted(images)) if rng.random() < 0.3 else rng.randrange(monoid.size)
+            table[x][y] = rng.randrange(monoid.size)
+        if table == [list(row) for row in monoid.mul]:
+            continue
+        corrupted = _make_unchecked(monoid.elements, 0, table, monoid.leq)
+        try:
+            check_generated(corrupted, _greedy_generators(table, 0))
+        except (NotAntisymmetric, NotAssociative, NotCompatible):
+            pass
+        else:
+            continue
+        monkeypatch.setattr(
+            module, "_words_and_table", lambda graph, alphabet: (real(graph, alphabet)[0], table)
+        )
+        with pytest.raises(InternalInconsistency):
+            syntactic(a)
+        refused += 1
+        images_hit += any(
+            row[g] != orig[g] for row, orig in zip(table, monoid.mul) for g in images
+        )
+    assert refused >= 100 and 0 < images_hit < refused
 
 
 def test_pointwise_order_matches_pairwise_rows():
@@ -310,8 +421,6 @@ def test_syntactic_order_matches_literal_context_quantifier(rng):
     machine by mutual domination, and the classes, their length-lex-least
     names, the order and the products must match ``syntactic``.
     """
-    from latlang import trim
-
     checked = 0
     while checked < 60:
         lattice = random_lattice(rng, 4)
@@ -519,6 +628,27 @@ def test_triple_to_automaton_shapes(boolean, contains_a):
         ("a", "b"), ["(z,1)", "(1,z)"], m, cons_coloring(m, boolean, 0)
     )
     assert len(triple_to_automaton(triple).states) == 4
+
+
+def test_triple_to_automaton_matches_per_entry_delta():
+    """The machine's delta, read column by column, is the table entry
+    x * g for each state x and letter image g, on seeded triples of no
+    letters to three letters over monoids of up to 64 elements."""
+    rng = random.Random(2323)
+    pool = small_monoids()
+    for _ in range(200):
+        monoid = _seeded_monoid(rng, pool, 64)
+        lattice = random_lattice(rng, 4)
+        alphabet = ("a", "b", "c")[: rng.randint(0, 3)]
+        images = tuple(rng.randrange(monoid.size) for _ in alphabet)
+        triple = RecognitionTriple(alphabet, images, monoid, random_coloring(rng, monoid, lattice))
+        machine = triple_to_automaton(triple)
+        assert machine.delta == tuple(
+            tuple(monoid.mul[x][g] for g in images) for x in range(monoid.size)
+        )
+        assert (machine.states, machine.initial, machine.output) == (
+            monoid.elements, monoid.identity, triple.coloring.colors
+        )
 
 
 def test_cut_examples(two_sink_automaton):
