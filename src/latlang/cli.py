@@ -144,7 +144,7 @@ def _word_argument(raw: str, alphabet) -> tuple[str, ...]:
 
 def _dumps(doc: Any, fmt: str) -> str:
     if fmt == "text":
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return ser.text_dumps(doc) + "\n"
     return ser.canonical_dumps(doc) + "\n"
 
 

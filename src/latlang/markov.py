@@ -599,11 +599,12 @@ def analyze(
 
     Both coloring modes appear in the report; ``mode`` picks the language
     that drives the syntactic, shuffle, and word-measure sections.  The
-    report is a plain JSON-ready dict with deterministic content.  Each
-    step is done once: the ergodic structure is read off ``chain.structure``,
-    which the absorption step reads too, and both machines come from one
-    ``make_automaton`` call, the basic one being the reachable one with its
-    transient states raised to the top.
+    report is a document with deterministic content: a dict of names whose
+    monoid table is a ``serialize.Table``, written by ``canonical_dumps``
+    or ``text_dumps``.  Each step is done once: the ergodic structure is
+    read off ``chain.structure``, which the absorption step reads too, and
+    both machines come from one ``make_automaton`` call, the basic one being
+    the reachable one with its transient states raised to the top.
     """
     from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
 

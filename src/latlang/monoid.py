@@ -109,6 +109,7 @@ def build_ordered_monoid(
 ) -> OrderedMonoid:
     """Build and validate an ordered monoid from a multiplication table.
 
+    ``mul_table`` is any sequence of rows, such as a ``serialize.Table``.
     ``leq_pairs`` are arbitrary order pairs; the reflexive-transitive closure
     is computed here.  Antisymmetry failure is an error, never silently
     quotiented.  Associativity and compatibility are checked through the
@@ -123,7 +124,7 @@ def build_ordered_monoid(
     if n > DEFAULT_MAX_SIZE:
         raise SizeCapExceeded(f"monoid size {n} exceeds cap {DEFAULT_MAX_SIZE}")
     index = {name: i for i, name in enumerate(names)}
-    if not isinstance(mul_table, (list, tuple)) or len(mul_table) != n or any(
+    if not isinstance(mul_table, Sequence) or len(mul_table) != n or any(
         not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
     ):
         raise MalformedDocument("multiplication table must be n x n")

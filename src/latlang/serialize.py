@@ -12,6 +12,7 @@ import json
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .automaton import (
@@ -43,17 +44,100 @@ from .syntactic import RecognitionTriple, make_recognition_triple
 
 _SET_NAME_RE = re.compile(r"^\{.*\}$")
 
-# One encoder for every canonical document: ``json.dumps`` with these
-# arguments builds a new one per call.  A document may hold one dict twice
-# (``lang syntactic`` does) but never holds itself, so the circular-reference
-# check is off.
-_CANONICAL = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False
-)
+# A table stands in the C encoder's pass as this one-character string, and
+# its text goes where the string's encoding lands.
+_MARK = "\0"
+_MARK_TEXT = json.dumps(_MARK)
+# Canonical output.  A document may hold one dict twice (``lang syntactic``
+# does) but never holds itself, so the circular-reference check is off.
+_CANONICAL = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": True,
+              "check_circular": False}
+
+
+class Table(Sequence):
+    """A document value for a table of element positions named by ``names``.
+
+    It reads as the nested list of names it stands for: ``len``, indexing
+    and iteration give rows of names, ``==`` holds against another table or
+    a nested list, and ``plain()`` returns the lists.  ``canonical_dumps``
+    writes it from the positions, each name quoted once.
+    """
+
+    __slots__ = ("names", "rows")
+
+    def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
+        self.names = names
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.plain()[i]
+        return list(map(self.names.__getitem__, self.rows[i]))
+
+    def __eq__(self, other: Any) -> bool:
+        return self.plain() == (other.plain() if isinstance(other, Table) else other)
+
+    def __repr__(self) -> str:
+        return f"Table({self.plain()!r})"
+
+    def plain(self) -> list[list[str]]:
+        name = self.names.__getitem__
+        return [list(map(name, row)) for row in self.rows]
+
+    def text(self) -> str:
+        """The table's canonical JSON text: each name quoted once, each row
+        joined whole, and the rows joined in one more join."""
+        quoted = list(map(encode_basestring_ascii, self.names)).__getitem__
+        rows = "],[".join([",".join(map(quoted, row)) for row in self.rows])
+        return f"[[{rows}]]" if self.rows else "[]"
+
+
+def plain(value: Any) -> list[list[str]]:
+    """The ``default`` hook that writes a ``Table`` as its nested lists, so
+    ``json.dumps(doc, default=plain)`` writes any document."""
+    if isinstance(value, Table):
+        return value.plain()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_dumps(doc: Any) -> str:
-    return _CANONICAL.encode(doc)
+    """``json.dumps(doc, default=plain)`` with sorted keys, compact separators
+    and ASCII output, in one C-encoder pass.
+
+    Each table is written as a mark, and the text is split once on the
+    mark's encoding; each table's text, written once per table object, goes
+    into the gaps.  A string of the document that encodes as the mark does
+    gives more gaps than tables, and the document is then written plain.
+    """
+    tables: list[Table] = []
+
+    def mark(value: Any) -> str:
+        if isinstance(value, Table):
+            tables.append(value)
+            return _MARK
+        return plain(value)
+
+    text = json.dumps(doc, default=mark, **_CANONICAL)
+    if not tables:
+        return text
+    parts = text.split(_MARK_TEXT)
+    if len(parts) != len(tables) + 1:
+        return json.dumps(doc, default=plain, **_CANONICAL)
+    texts = {id(table): table for table in tables}
+    texts = {key: table.text() for key, table in texts.items()}
+    pieces = [parts[0]]
+    for table, part in zip(tables, parts[1:]):
+        pieces += (texts[id(table)], part)
+    return "".join(pieces)
+
+
+def text_dumps(doc: Any) -> str:
+    """The ``--format text`` writing of a document: indented, keys sorted,
+    non-ASCII characters as they are."""
+    return json.dumps(doc, default=plain, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def _require(doc: Any, keys: list[str], what: str) -> None:
@@ -126,7 +210,7 @@ def monoid_to_doc(monoid: OrderedMonoid) -> dict:
     return {
         "elements": list(elements),
         "identity": elements[monoid.identity],
-        "mul": [[elements[b] for b in row] for row in monoid.mul],
+        "mul": Table(elements, monoid.mul),
         "leq": _order_doc(elements, monoid.leq),
     }
 

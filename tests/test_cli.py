@@ -23,6 +23,7 @@ from latlang.serialize import (
     lattice_to_doc,
     monoid_from_doc,
     monoid_to_doc,
+    plain,
     triple_from_doc,
     value_doc,
     word_doc,
@@ -36,7 +37,7 @@ DECOMPOSITION = str(DATA / "two_sink_decomposition.json")
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc, default=plain))
     return str(path)
 
 
@@ -1041,6 +1042,25 @@ def _pinned_commands(tmp_path):
         ("decompose chain7", ["markov", "decompose", path]),
         ("absorb chain7", ["markov", "absorb", path]),
     ]
+    text = ["--format", "text"]
+    commands += [
+        ("bundled syntactic text", ["lang", "syntactic", AUTOMATON, *text]),
+        ("bundled reconstruct text", ["lang", "reconstruct", AUTOMATON, *text]),
+        ("bundled shuffle-check text",
+         ["lang", "shuffle-check", AUTOMATON, "--max-len", "4", *text]),
+        ("product m2_0 one m3_0 text", ["monoid", "product", pool[0], one, pool[2], *text]),
+        ("analyze two sink text", ["markov", "analyze", CHAIN, *text]),
+    ]
+    # an element named "\u0000" writes the text the table writer marks its
+    # tables with, so these take the plain encoding
+    nul = write(tmp_path, "nul.json", {
+        "elements": ["1", "\u0000"], "identity": "1",
+        "mul": [["1", "\u0000"], ["\u0000", "\u0000"]], "leq": [["\u0000", "1"]],
+    })
+    commands += [
+        ("monoid check nul", ["monoid", "check", nul]),
+        ("product nul nul", ["monoid", "product", nul, nul]),
+    ]
     return commands
 
 
@@ -1249,6 +1269,27 @@ PINNED_DIGESTS = {
     "absorb chain7": (
         "7a203839de4224446a103a3bb103658aaacf1e48ac188a954c2516f559d898cf"
     ),
+    "bundled syntactic text": (
+        "39c41c4ac8a211dd3f7a5ee25fda53db3720a4967fe0461ae20e8b6ff7344279"
+    ),
+    "bundled reconstruct text": (
+        "8153d9707e9e52b9d12c950906c89adb5286f88b2074a8518c4d3854fcca6fd1"
+    ),
+    "bundled shuffle-check text": (
+        "27378c0b4fcd857450bf3d5ef330103f795d01ff906536f2845581f42d5e38c7"
+    ),
+    "product m2_0 one m3_0 text": (
+        "a01b54370031b28afd7a7819587ae699f6c1e139b2ac46d1c1f87005d3ba7c8d"
+    ),
+    "analyze two sink text": (
+        "bf07351c173a1baa38b9abd9fe262f0463c1d2d7470416ce5702ae135c67c913"
+    ),
+    "monoid check nul": (
+        "f7ad1890f0a12f72db0edc392bc9d728f79cc3142e8fdfff3b50cd9d8ece5dcf"
+    ),
+    "product nul nul": (
+        "e4559a821439850d80ed0ab169297f904913b65885f544dc14b20e01da8ccc54"
+    ),
 }
 
 
@@ -1291,7 +1332,9 @@ def test_canonical_dumps_is_json_dumps(tmp_path, monkeypatch):
                and doc["coloring"].get("monoid") is doc.get("monoid") for doc in docs)
     assert any("error" in doc for doc in docs)
     for doc in docs:
-        expected = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        expected = json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True, default=plain
+        )
         assert real(doc) == expected
 
 

@@ -61,7 +61,9 @@ deleted.  Imports sit at the top of each module, except the one in
 The syntactic path's tables (the Froidure & Pin columns, the state-map
 orbit, the direct product's rows and projections) are gathered whole,
 never entry by entry, and the cut reconstruction builds its cut outputs
-and join morphisms directly.
+and join morphisms directly.  JSON text is written only in
+``serialize.py``, and ``monoid_to_doc`` hands its multiplication table
+over as positions (a ``Table``), never as a comprehension of names.
 """
 
 import ast
@@ -771,3 +773,61 @@ def test_tables_are_gathered_whole():
         "    c = [[x * s + z for x in r for z in j] for r in mul for j in t]\n"
     )
     assert _entry_gathers(old) == [2, 3, 4]
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _json_writers(tree):
+    """The line of each use of a ``json`` writer (``dump``, ``dumps``,
+    ``JSONEncoder``): by attribute, by name or by import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS)
+        or (isinstance(node, ast.Name) and node.id in JSON_WRITERS)
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json")
+            and any(alias.name in JSON_WRITERS for alias in node.names))
+    )
+
+
+def _mul_comprehensions(tree):
+    """The line of each comprehension that iterates over a ``.mul``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, COMPREHENSIONS)
+        and any(
+            isinstance(inner, ast.Attribute) and inner.attr == "mul"
+            for generator in node.generators
+            for inner in ast.walk(generator.iter)
+        )
+    )
+
+
+def test_json_is_written_only_in_serialize():
+    """No module but ``serialize.py`` writes JSON text, so the CLI's
+    ``--format text`` goes through ``serialize.text_dumps``; and
+    ``monoid_to_doc`` puts its table in as a ``Table`` of positions, with
+    no comprehension over ``monoid.mul``."""
+    found = {
+        path.name: _json_writers(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "serialize.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    to_doc = next(
+        node for node in ast.parse((SRC / "serialize.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "monoid_to_doc"
+    )
+    assert _mul_comprehensions(to_doc) == []
+    old = ast.parse(
+        "import json\n"
+        "from json import JSONEncoder\n"
+        "def f(doc, monoid, names):\n"
+        "    text = json.dumps(doc)\n"
+        "    mul = [[names[b] for b in row] for row in monoid.mul]\n"
+    )
+    assert _json_writers(old) == [2, 4]
+    assert _mul_comprehensions(old) == [5]

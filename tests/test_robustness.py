@@ -37,18 +37,25 @@ _automaton = ser.automaton_from_doc(json.loads(Path(AUTOMATON).read_text()))
 _synt = syntactic(_automaton)
 _chain = ser.chain_from_doc(json.loads(Path(CHAIN).read_text()))
 
+
+def _plain(doc):
+    """A written document as it reads back: nested lists where it holds a
+    ``serialize.Table``, so a mutation can reach every table entry."""
+    return json.loads(ser.canonical_dumps(doc))
+
+
 DOCS = {
     "lattice": json.loads((DATA / "two_sink_lattice.json").read_text()),
     "lattice_morphism": {"mapping": {"{}": "{}", "{1}": "{1}", "{2}": "{1,2}", "{1,2}": "{1,2}"}},
-    "monoid": ser.monoid_to_doc(u1()),
-    "coloring": ser.coloring_to_doc(_synt.coloring),
+    "monoid": _plain(ser.monoid_to_doc(u1())),
+    "coloring": _plain(ser.coloring_to_doc(_synt.coloring)),
     "automaton": json.loads(Path(AUTOMATON).read_text()),
     "free_morphism": {"images": {"x": "ab", "y": ["c"], "z": ""}},
-    "triple": ser.triple_to_doc(
+    "triple": _plain(ser.triple_to_doc(
         make_recognition_triple(
             _synt.alphabet, _synt.generator_images, _synt.monoid, _synt.coloring
         )
-    ),
+    )),
     "chain": json.loads(Path(CHAIN).read_text()),
     "decomposition": json.loads(Path(DECOMPOSITION).read_text()),
 }

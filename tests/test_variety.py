@@ -616,7 +616,7 @@ def test_suite_computes_each_syntactic_monoid_once(monkeypatch):
 def test_suite_reports_serialize():
     for report in run_suite(seed=0):
         doc = report.to_doc()
-        assert json.loads(json.dumps(doc)) == doc
+        assert json.loads(canonical_dumps(doc)) == doc
 
 
 def test_reports_replay_from_serialized_inputs(rng):
