@@ -52,6 +52,7 @@ from .lattice import (
     threshold,
 )
 from .markov import (
+    Analysis,
     Decomposition,
     ErgodicStructure,
     MarkovChain,
@@ -59,7 +60,6 @@ from .markov import (
     analyze,
     decompose,
     ergodic_structure,
-    load_chain,
     parse_fraction,
     simulating_automaton,
     validate_decomposition,
@@ -81,6 +81,7 @@ from .monoid import (
     make_monoid_morphism,
     trivial_monoid,
 )
+from .serialize import load_chain
 from .syntactic import (
     RecognitionTriple,
     SyntacticResult,

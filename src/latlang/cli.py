@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Callable, Sequence
 from typing import Any, NamedTuple
@@ -125,20 +124,12 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str) -> Any:
-    text = _read(path)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedDocument(f"invalid JSON in {path}: {exc}") from exc
+    return ser.parse_json(_read(path), f"JSON in {path}")
 
 
 def _word_argument(raw: str, alphabet) -> tuple[str, ...]:
     if raw.startswith("["):
-        try:
-            letters = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedDocument(f"invalid word list: {exc}") from exc
-        return parse_word(letters, alphabet)
+        return parse_word(ser.parse_json(raw, "word list"), alphabet)
     return parse_word(raw, alphabet)
 
 
@@ -195,7 +186,7 @@ def _product(args: argparse.Namespace) -> tuple[int, Any]:
 def _divides(args: argparse.Namespace) -> tuple[int, Any]:
     m1, m2 = _monoid(args.dividend), _monoid(args.divisor)
     verdict = divides(m1, m2, max_target_size=args.budget)
-    doc = verdict.to_doc()
+    doc = ser.verdict_to_doc(verdict)
     if verdict.kind == "yes":
         return EXIT_OK, doc
     if verdict.kind == "budget_exhausted":
@@ -286,18 +277,18 @@ def _enumerate(args: argparse.Namespace) -> tuple[int, Any]:
 
 def _suite(args: argparse.Namespace) -> tuple[int, Any]:
     reports = run_suite(seed=args.seed)
-    lines = "".join(ser.canonical_dumps(r.to_doc()) + "\n" for r in reports)
+    text = "".join(_dumps(ser.report_to_doc(r), args.format) for r in reports)
     verdicts = [r.verdict for r in reports]
     if "fail" in verdicts:
-        return EXIT_FALSE, lines
+        return EXIT_FALSE, text
     if "budget_exhausted" in verdicts:
-        return EXIT_BUDGET, lines
-    return EXIT_OK, lines
+        return EXIT_BUDGET, text
+    return EXIT_OK, text
 
 
 def _subdirect(args: argparse.Namespace) -> tuple[int, Any]:
     report = subdirect_embedding(_monoid(args.file))
-    return (EXIT_OK if report.verdict == "pass" else EXIT_FALSE), report.to_doc()
+    return (EXIT_OK if report.verdict == "pass" else EXIT_FALSE), ser.report_to_doc(report)
 
 
 def _analyze(args: argparse.Namespace) -> tuple[int, Any]:
@@ -305,14 +296,14 @@ def _analyze(args: argparse.Namespace) -> tuple[int, Any]:
     decomposition = None
     if args.decomposition:
         decomposition = ser.decomposition_from_doc(_load_json(args.decomposition), chain)
-    return EXIT_OK, markov_mod.analyze(
+    return EXIT_OK, ser.analysis_to_doc(markov_mod.analyze(
         chain,
         decomposition=decomposition,
         initial=args.initial,
         horizon=args.horizon,
         falsify_bound=args.max_len,
         mode=args.mode,
-    )
+    ))
 
 
 def _decompose(args: argparse.Namespace) -> tuple[int, Any]:
@@ -370,7 +361,8 @@ _COMMANDS: dict[tuple[str, ...], _Leaf] = {
     )),
     ("markov", "decompose"): _Leaf(_decompose, _FILE),
     ("markov", "absorb"): _Leaf(
-        lambda args: (EXIT_OK, {"absorption": markov_mod.absorption_doc(_chain(args.file))}),
+        lambda args: (EXIT_OK, {"absorption": ser.absorption_to_doc(
+            markov_mod.absorption_probabilities(_chain(args.file)))}),
         _FILE),
 }
 

@@ -13,7 +13,6 @@ report rendering.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -22,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
-from .automaton import LatticeAutomaton, evaluate, make_automaton, word_name
+from .automaton import LatticeAutomaton, Word, make_automaton
 from .errors import (
     BadFraction,
     MalformedDocument,
@@ -36,8 +35,7 @@ from .errors import (
 )
 from .lattice import Lattice, closure_bits, name_tuple, number, resolve
 from .lattice import standard_lattice, subset_name
-from .monoid import is_aperiodic
-from .syntactic import shuffle_verdict
+from .syntactic import SyntacticResult, shuffle_verdict
 
 _FRACTION_RE = re.compile(r"^(-?\d+)(?:\s*/\s*(\d+))?$")
 
@@ -175,20 +173,6 @@ def make_chain(states: Sequence[str], rows: Mapping[str, Mapping[str, str | int]
         sparse.append(tuple(row))
         scales.append(scale)
     return MarkovChain(states=names, rows=tuple(sparse), scales=tuple(scales))
-
-
-def load_chain(text: str) -> MarkovChain:
-    """Parse a chain from JSON: {"states": [...], "rows": {s: {t: "p/q"}}}.
-
-    Omitted entries are zero; every row must sum exactly to one.
-    """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "states" not in doc or "rows" not in doc:
-        raise MalformedDocument('chain document needs "states" and "rows"')
-    return make_chain(doc["states"], doc["rows"])
 
 
 @dataclass(frozen=True)
@@ -535,15 +519,6 @@ def absorption_probabilities(chain: MarkovChain) -> dict[int, dict[str, Fraction
     }
 
 
-def absorption_doc(chain: MarkovChain) -> dict[str, dict[str, str]]:
-    """Absorption probabilities as a document: "C1", "C2", ... to state name
-    to fraction text, states sorted by name."""
-    return {
-        f"C{c + 1}": {state: fraction_text(p) for state, p in sorted(per_state.items())}
-        for c, per_state in absorption_probabilities(chain).items()
-    }
-
-
 def word_measure(
     a: LatticeAutomaton, decomposition: Decomposition, n: int
 ) -> dict[int, Fraction]:
@@ -585,6 +560,37 @@ def word_measure(
     return {e: Fraction(m, scale**steps) for e, m in masses.items()}
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """A chain's ergodic-class analysis, as values.
+
+    ``basic`` and ``reachable`` are the two simulating machines of
+    ``decomposition``, and ``mode`` names the one whose language is
+    analyzed (``analyzed``): ``syntactic`` is its syntactic result,
+    ``algebraic`` its shuffle verdict, ``falsifier`` the least falsifying
+    (subword, superword) pair up to length ``bound``, if any, and
+    ``masses`` its word measure at ``horizon``, by lattice element.
+    ``absorption`` is ``absorption_probabilities(chain)``.
+    """
+
+    chain: MarkovChain
+    mode: str
+    decomposition: Decomposition
+    basic: LatticeAutomaton
+    reachable: LatticeAutomaton
+    syntactic: SyntacticResult
+    algebraic: bool
+    falsifier: tuple[Word, Word] | None
+    absorption: dict[int, dict[str, Fraction]]
+    masses: dict[int, Fraction]
+    horizon: int
+    bound: int
+
+    @property
+    def analyzed(self) -> LatticeAutomaton:
+        return self.basic if self.mode == "basic" else self.reachable
+
+
 def analyze(
     chain: MarkovChain,
     *,
@@ -593,68 +599,24 @@ def analyze(
     horizon: int = 8,
     falsify_bound: int = 6,
     mode: str = "basic",
-) -> dict:
-    """Full ergodic-class report: structure, decomposition, simulating machines,
-    syntactic analysis with shuffle verdict and witness, absorption, measures.
+) -> Analysis:
+    """Full ergodic-class analysis: structure, decomposition, simulating
+    machines, syntactic analysis with shuffle verdict and witness,
+    absorption, measures.
 
-    Both coloring modes appear in the report; ``mode`` picks the language
-    that drives the syntactic, shuffle, and word-measure sections.  The
-    report is a document with deterministic content: a dict of names whose
-    monoid table is a ``serialize.Table``, written by ``canonical_dumps``
-    or ``text_dumps``.  Each step is done once: the ergodic structure is
-    read off ``chain.structure``, which the absorption step reads too, and
-    both machines come from one ``make_automaton`` call, the basic one being
+    Both coloring modes' machines are kept; ``mode`` picks the language
+    that drives the syntactic, shuffle, and word-measure parts.  The
+    result is a value; ``serialize.analysis_to_doc`` writes its document.
+    Each step is done once: the ergodic structure is read off
+    ``chain.structure``, which the absorption step reads too, and both
+    machines come from one ``make_automaton`` call, the basic one being
     the reachable one with its transient states raised to the top.
     """
-    from .serialize import automaton_to_doc, decomposition_to_doc, monoid_to_doc
-
     decomposition, reachable, basic = _machines(chain, mode, decomposition, initial)
-    structure = chain.structure
     analyzed = basic if mode == "basic" else reachable
     synt, algebraic, falsifier = shuffle_verdict(analyzed, falsify_bound)
-    absorption = absorption_doc(chain)
-    masses = word_measure(analyzed, decomposition, horizon)
-    return {
-        "states": list(chain.states),
-        "initial": basic.states[basic.initial],
-        "mode": mode,
-        "classes": [
-            {
-                "states": [chain.states[s] for s in members],
-                "ergodic": bool(flag),
-            }
-            for members, flag in zip(structure.classes, structure.ergodic)
-        ],
-        "transient_states": [chain.states[s] for s in structure.transient_states],
-        "class_dag": [list(edge) for edge in structure.class_dag],
-        "decomposition": decomposition_to_doc(decomposition, chain),
-        "automaton_basic": automaton_to_doc(basic),
-        "automaton_reachable": automaton_to_doc(reachable),
-        "syntactic": {
-            "size": synt.monoid.size,
-            "order": [list(p) for p in synt.monoid.order_pairs()],
-            "monoid": monoid_to_doc(synt.monoid),
-            "aperiodic": is_aperiodic(synt.monoid),
-            "identity_is_greatest": algebraic,
-        },
-        "shuffle": {
-            "algebraic": algebraic,
-            "bound": falsify_bound,
-            "falsifier": None
-            if falsifier is None
-            else {
-                "subword": word_name(falsifier[0]),
-                "superword": word_name(falsifier[1]),
-                "value_subword": analyzed.lattice.elements[evaluate(analyzed, falsifier[0])],
-                "value_superword": analyzed.lattice.elements[evaluate(analyzed, falsifier[1])],
-            },
-        },
-        "absorption": absorption,
-        "word_measure": {
-            "horizon": horizon,
-            "masses": {
-                analyzed.lattice.elements[e]: fraction_text(m)
-                for e, m in sorted(masses.items())
-            },
-        },
-    }
+    return Analysis(
+        chain, mode, decomposition, basic, reachable, synt, algebraic, falsifier,
+        absorption_probabilities(chain), word_measure(analyzed, decomposition, horizon),
+        horizon, falsify_bound,
+    )

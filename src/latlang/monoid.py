@@ -486,15 +486,6 @@ class DivisionVerdict:
     generators: tuple[str, ...] | None = None
     mapping: dict[str, str] | None = None
 
-    def to_doc(self) -> dict:
-        doc: dict = {"verdict": self.kind}
-        if self.kind == "yes":
-            doc["witness"] = {
-                "generators": list(self.generators or ()),
-                "mapping": self.mapping,
-            }
-        return doc
-
 
 def _closure_of(
     mul: Sequence[Sequence[int]], identity: int, gens: Sequence[int]

@@ -1,5 +1,10 @@
 """JSON documents for every value type, with canonical serialization.
 
+This module alone builds documents and reads JSON text: the rest of the
+library returns values (a ``markov.Analysis``, a
+``variety.VerificationReport``), which the writers here turn into
+documents.  Only ``cli`` and the package's ``__init__`` import it.
+
 Canonical output sorts object keys, uses compact separators, and writes
 fractions in lowest terms, so identical inputs always serialize to
 identical bytes.  Every document written here re-parses through the
@@ -12,6 +17,7 @@ import json
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import singledispatch
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -19,8 +25,10 @@ from .automaton import (
     FreeMorphism,
     LatticeAutomaton,
     Word,
+    evaluate,
     make_automaton,
     make_free_morphism,
+    word_name,
 )
 from .coloring import OpColoring, make_op_coloring
 from .errors import MalformedDocument
@@ -33,14 +41,16 @@ from .lattice import (
     name_tuple,
 )
 from .markov import (
+    Analysis,
     Decomposition,
     MarkovChain,
     fraction_text,
     make_chain,
     parse_fraction,
 )
-from .monoid import OrderedMonoid, build_ordered_monoid
+from .monoid import DivisionVerdict, OrderedMonoid, build_ordered_monoid, is_aperiodic
 from .syntactic import RecognitionTriple, make_recognition_triple
+from .variety import VerificationReport
 
 _SET_NAME_RE = re.compile(r"^\{.*\}$")
 
@@ -138,6 +148,15 @@ def text_dumps(doc: Any) -> str:
     """The ``--format text`` writing of a document: indented, keys sorted,
     non-ASCII characters as they are."""
     return json.dumps(doc, default=plain, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def parse_json(text: str, what: str = "JSON") -> Any:
+    """The value of a JSON text; text that does not parse, or nests deeper
+    than the parser recurses, is a ``MalformedDocument`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"invalid {what}: {exc}") from exc
 
 
 def _require(doc: Any, keys: list[str], what: str) -> None:
@@ -328,6 +347,15 @@ def chain_from_doc(doc: Any) -> MarkovChain:
     return make_chain(doc["states"], doc["rows"])
 
 
+def load_chain(text: str) -> MarkovChain:
+    """A chain from the text of its document, {"states": [...], "rows": {s:
+    {t: "p/q"}}}: one JSON parse, then ``chain_from_doc``.
+
+    Omitted entries are zero; every row must sum exactly to one.
+    """
+    return chain_from_doc(parse_json(text))
+
+
 def decomposition_to_doc(decomposition: Decomposition, chain: MarkovChain) -> dict:
     return {
         "letters": [
@@ -377,3 +405,104 @@ def decomposition_from_doc(doc: Any, chain: MarkovChain) -> Decomposition:
         maps=tuple(maps),
         weights=tuple(weights),
     )
+
+
+def absorption_to_doc(absorption: dict[int, dict[str, Fraction]]) -> dict[str, dict[str, str]]:
+    """Absorption probabilities (``absorption_probabilities``) as a
+    document: "C1", "C2", ... to state name to fraction text, states
+    sorted by name."""
+    return {
+        f"C{c + 1}": {state: fraction_text(p) for state, p in sorted(per_state.items())}
+        for c, per_state in absorption.items()
+    }
+
+
+def analysis_to_doc(analysis: Analysis) -> dict:
+    """The ``markov analyze`` document of an analysis: the chain's classes,
+    both machines, the analyzed language's syntactic monoid, shuffle
+    verdict, falsifier and word measure, and the absorption
+    probabilities."""
+    chain, basic, analyzed = analysis.chain, analysis.basic, analysis.analyzed
+    structure, synt, falsifier = chain.structure, analysis.syntactic, analysis.falsifier
+    values = analyzed.lattice.elements
+    return {
+        "states": list(chain.states),
+        "initial": basic.states[basic.initial],
+        "mode": analysis.mode,
+        "classes": [
+            {
+                "states": [chain.states[s] for s in members],
+                "ergodic": bool(flag),
+            }
+            for members, flag in zip(structure.classes, structure.ergodic)
+        ],
+        "transient_states": [chain.states[s] for s in structure.transient_states],
+        "class_dag": [list(edge) for edge in structure.class_dag],
+        "decomposition": decomposition_to_doc(analysis.decomposition, chain),
+        "automaton_basic": automaton_to_doc(basic),
+        "automaton_reachable": automaton_to_doc(analysis.reachable),
+        "syntactic": {
+            "size": synt.monoid.size,
+            "order": [list(p) for p in synt.monoid.order_pairs()],
+            "monoid": monoid_to_doc(synt.monoid),
+            "aperiodic": is_aperiodic(synt.monoid),
+            "identity_is_greatest": analysis.algebraic,
+        },
+        "shuffle": {
+            "algebraic": analysis.algebraic,
+            "bound": analysis.bound,
+            "falsifier": None
+            if falsifier is None
+            else {
+                "subword": word_name(falsifier[0]),
+                "superword": word_name(falsifier[1]),
+                "value_subword": values[evaluate(analyzed, falsifier[0])],
+                "value_superword": values[evaluate(analyzed, falsifier[1])],
+            },
+        },
+        "absorption": absorption_to_doc(analysis.absorption),
+        "word_measure": {
+            "horizon": analysis.horizon,
+            "masses": {
+                values[e]: fraction_text(m) for e, m in sorted(analysis.masses.items())
+            },
+        },
+    }
+
+
+# -- verdicts and reports ------------------------------------------------------
+
+def verdict_to_doc(verdict: DivisionVerdict) -> dict:
+    doc: dict = {"verdict": verdict.kind}
+    if verdict.kind == "yes":
+        doc["witness"] = {
+            "generators": list(verdict.generators or ()),
+            "mapping": verdict.mapping,
+        }
+    return doc
+
+
+@singledispatch
+def _report_value(value: Any) -> Any:
+    """A report's instance or witness as a document: each monoid, machine
+    and triple as its document, dicts and lists value by value, and every
+    other value as it is."""
+    return value
+
+
+_report_value.register(OrderedMonoid, monoid_to_doc)
+_report_value.register(LatticeAutomaton, automaton_to_doc)
+_report_value.register(RecognitionTriple, triple_to_doc)
+_report_value.register(list, lambda values: list(map(_report_value, values)))
+_report_value.register(dict, lambda part: {key: _report_value(v) for key, v in part.items()})
+
+
+def report_to_doc(report: VerificationReport) -> dict:
+    """A verification report's document, with each monoid, machine and
+    triple its instance and witness hold written as its document."""
+    return {
+        "check": report.check,
+        "instance": _report_value(report.instance),
+        "verdict": report.verdict,
+        "witness": _report_value(report.witness),
+    }

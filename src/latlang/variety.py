@@ -48,7 +48,6 @@ from .monoid import (
     direct_product,
     divides,
 )
-from .serialize import automaton_to_doc, monoid_to_doc, triple_to_doc
 from .syntactic import (
     RecognitionTriple,
     SyntacticResult,
@@ -259,18 +258,14 @@ def random_coloring(rng: random.Random, monoid: OrderedMonoid, lattice: Lattice)
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One check's verdict on one instance.  The instance and the witness
+    hold values (names, sizes, and the monoids, machines and triples
+    involved); ``serialize.report_to_doc`` writes the report."""
+
     check: str
     instance: dict
     verdict: str  # "pass" | "fail" | "budget_exhausted"
     witness: dict | None = None
-
-    def to_doc(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
 
 
 def verify_recog_by_synt(
@@ -323,8 +318,8 @@ def verify_recog_by_synt(
                 "identity": which,
                 "element": product.elements[m_index],
                 "word": word_name(orbit_words(table, machine.alphabet)[j]),
-                "triple": triple_to_doc(triple),
-                "automata": [automaton_to_doc(a) for a in automata],
+                "triple": triple,
+                "automata": list(automata),
             },
         )
 
@@ -378,8 +373,8 @@ def verify_syntactic_minimality(
     return VerificationReport(
         "syntactic_minimality", instance, "fail",
         witness={
-            "automaton": automaton_to_doc(a),
-            "triple": triple_to_doc(triple),
+            "automaton": a,
+            "triple": triple,
         },
     )
 
@@ -407,7 +402,7 @@ def subdirect_embedding(monoid: OrderedMonoid) -> VerificationReport:
     synts = syntactic_quotients(monoid.elements, range(n), colorings)
     phi = list(zip(*(s.generator_images for s in synts)))
     instance = {
-        "monoid": monoid_to_doc(monoid),
+        "monoid": monoid,
         "factor_sizes": [s.monoid.size for s in synts],
     }
 

@@ -69,7 +69,7 @@ from latlang.monoid import (
     direct_product,
     product_index,
 )
-from latlang.serialize import automaton_to_doc, decomposition_from_doc, triple_to_doc
+from latlang.serialize import decomposition_from_doc
 from latlang.syntactic import (
     TRANSITION_MONOID_CAP,
     RecognitionTriple,
@@ -572,8 +572,6 @@ def reference_subdirect_embedding(monoid, synts=None):
     """Reference subdirect embedding: one ``syntactic`` call on the
     |M|-letter machine of each ideal language, then the embedding checked
     pair by pair.  Given ``synts``, it checks those triples instead."""
-    from latlang.serialize import monoid_to_doc
-
     if monoid.size > SUBDIRECT_MAX_SIZE:
         raise SizeCapExceeded(f"subdirect embedding capped at {SUBDIRECT_MAX_SIZE} elements")
     if synts is None:
@@ -585,7 +583,7 @@ def reference_subdirect_embedding(monoid, synts=None):
         synts = [syntactic(triple_to_automaton(replace(regular, coloring=c))) for c in colorings]
     phi = [tuple(s.generator_images[x] for s in synts) for x in range(monoid.size)]
     instance = {
-        "monoid": monoid_to_doc(monoid),
+        "monoid": monoid,
         "factor_sizes": [s.monoid.size for s in synts],
     }
 
@@ -760,8 +758,8 @@ def reference_verify_recog_by_synt(automata, triple):
                 "identity": which,
                 "element": product.elements[m_index],
                 "word": word_name(word),
-                "triple": triple_to_doc(triple),
-                "automata": [automaton_to_doc(a) for a in automata],
+                "triple": triple,
+                "automata": list(automata),
             },
         )
 

@@ -56,8 +56,14 @@ property calls ``ergodic_structure``, and no function in ``markov.py``
 takes a structure next to a chain.  Both simulating machines come from
 one private builder (``_machines``); the helpers it replaced
 (``_checked_decomposition``, ``_simulating_automaton``, ``_raised``) stay
-deleted.  Imports sit at the top of each module, except the one in
-``markov.analyze``, which cannot: ``serialize`` imports ``markov``.
+deleted.  Imports sit at the top of each module, with none inside a
+function, and the modules import each other without a cycle:
+``serialize`` and ``cli`` sit on top.  Only ``cli.py`` and
+``__init__.py`` import ``serialize``, and no module but
+``serialize.py`` (and ``errors.py``, for error documents) defines a
+``to_doc`` method or a ``*_doc`` function, so ``markov.analyze`` and the
+variety reports return values, and ``serialize`` alone builds their
+documents and reads chain text (``load_chain``).
 The syntactic path's tables (the Froidure & Pin columns, the state-map
 orbit, the direct product's rows and projections) are gathered whole,
 never entry by entry, and the cut reconstruction builds its cut outputs
@@ -92,6 +98,7 @@ DELETED = {
     "_checked_decomposition",
     "_simulating_automaton",
     "_raised",
+    "absorption_doc",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -114,6 +121,7 @@ KERNEL = {
     "pointwise_order": "lattice.py",
     "number": "lattice.py",
     "firsts": "lattice.py",
+    "load_chain": "serialize.py",
 }
 
 
@@ -706,15 +714,13 @@ def _nested_imports(tree):
 
 
 def test_imports_sit_at_module_top():
-    """No module imports inside a function, except ``markov.analyze``,
-    which imports ``serialize`` when called because ``serialize`` imports
-    ``markov``."""
+    """No module imports inside a function."""
     found = [
         (path.name, name)
         for path in sorted(SRC.glob("*.py"))
         for name, _ in _nested_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert found == [("markov.py", "analyze")]
+    assert found == []
     assert _nested_imports(ast.parse("def f():\n    from .x import y\n    import z")) == [
         ("f", 2), ("f", 3)
     ]
@@ -831,3 +837,52 @@ def test_json_is_written_only_in_serialize():
     )
     assert _json_writers(old) == [2, 4]
     assert _mul_comprehensions(old) == [5]
+
+
+def _imports_serialize(tree):
+    """Whether a module imports ``serialize`` or a name from it."""
+    return any(
+        isinstance(node, ast.ImportFrom) and (
+            (node.module or "").endswith("serialize")
+            or any(alias.name == "serialize" for alias in node.names)
+        )
+        or isinstance(node, ast.Import) and any(
+            alias.name.endswith(".serialize") for alias in node.names
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def _document_builders(file):
+    """The names of the ``to_doc`` methods and ``*_doc`` functions that a
+    module defines."""
+    return [
+        name for f, name, _ in _function_defs()
+        if f == file and (name == "to_doc" or name.endswith("_doc"))
+    ]
+
+
+def test_documents_are_built_only_in_serialize():
+    """``serialize`` sits on top: only ``cli.py`` and ``__init__.py`` import
+    it, and no module but ``serialize.py`` and ``errors.py`` defines a
+    ``to_doc`` method or a ``*_doc`` function.  ``markov.py`` reads no
+    JSON."""
+    paths = sorted(SRC.glob("*.py"))
+    importers = [
+        path.name for path in paths
+        if _imports_serialize(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert importers == ["__init__.py", "cli.py"]
+    builders = {
+        path.name: _document_builders(path.name) for path in paths
+        if path.name not in ("serialize.py", "errors.py")
+    }
+    assert {file: names for file, names in builders.items() if names} == {}
+    assert "json" not in _imported_modules("markov.py")
+    assert [
+        _imports_serialize(ast.parse(text)) for text in (
+            "from .serialize import monoid_to_doc", "from . import serialize as ser",
+            "import latlang.serialize", "from .monoid import divides",
+        )
+    ] == [True, True, True, False]
+    assert _document_builders("serialize.py") and _document_builders("errors.py") == ["to_doc"]

@@ -34,13 +34,17 @@ from latlang.errors import (
 )
 from latlang.lattice import subset_name
 from latlang.markov import (
+    Analysis,
     Decomposition,
+    MarkovChain,
     _solve_exact,
     ergodic_lattice,
     make_chain,
     parse_fraction,
 )
-from latlang.serialize import chain_from_doc, chain_to_doc
+from latlang.monoid import OrderedMonoid
+from latlang.serialize import Table, analysis_to_doc, chain_from_doc, chain_to_doc
+from latlang.syntactic import SyntacticResult
 
 from conftest import (
     reference_absorption_probabilities,
@@ -843,7 +847,7 @@ def test_word_measure(two_sink_chain, two_sink_decomposition, two_sink_automaton
 
 
 def test_analyze_worked(two_sink_chain, two_sink_decomposition):
-    report = analyze(two_sink_chain, decomposition=two_sink_decomposition)
+    report = analysis_to_doc(analyze(two_sink_chain, decomposition=two_sink_decomposition))
     assert report["classes"] == [
         {"states": ["t1"], "ergodic": False},
         {"states": ["t2"], "ergodic": False},
@@ -864,9 +868,9 @@ def test_analyze_worked(two_sink_chain, two_sink_decomposition):
 
 
 def test_analyze_reachable_mode(two_sink_chain, two_sink_decomposition):
-    report = analyze(
+    report = analysis_to_doc(analyze(
         two_sink_chain, decomposition=two_sink_decomposition, mode="reachable"
-    )
+    ))
     assert report["mode"] == "reachable"
     # refinement gives L(b)={2}, so (b, ab) falsifies earlier than (a, ba)
     assert report["shuffle"]["falsifier"] == {
@@ -882,10 +886,48 @@ def test_analyze_irreducible():
     chain = chain_of(
         ["a", "b"], {"a": {"b": "1"}, "b": {"a": "1/2", "b": "1/2"}}
     )
-    report = analyze(chain)
+    report = analysis_to_doc(analyze(chain))
     assert [c["ergodic"] for c in report["classes"]] == [True]
     assert report["syntactic"]["size"] == 1
     assert report["shuffle"]["algebraic"] is True
+
+
+def test_analyze_returns_values(two_sink_chain, two_sink_decomposition):
+    """``analyze`` returns values, not a document: a ``SyntacticResult``
+    whose monoid is an ``OrderedMonoid``, two ``LatticeAutomaton``
+    machines, ``Fraction`` absorption probabilities and masses, and no
+    ``serialize.Table`` anywhere in it; ``analysis_to_doc`` writes it."""
+    analysis = analyze(two_sink_chain, decomposition=two_sink_decomposition)
+    assert isinstance(analysis, Analysis)
+    assert isinstance(analysis.syntactic, SyntacticResult)
+    assert isinstance(analysis.syntactic.monoid, OrderedMonoid)
+    assert isinstance(analysis.basic, LatticeAutomaton)
+    assert isinstance(analysis.reachable, LatticeAutomaton)
+    assert analysis.analyzed is analysis.basic
+    assert analysis.chain is two_sink_chain
+    assert analysis.decomposition == two_sink_decomposition
+    masses = list(analysis.masses.values())
+    probabilities = [p for per_state in analysis.absorption.values() for p in per_state.values()]
+    assert masses and probabilities
+    assert all(type(p) is Fraction for p in masses + probabilities)
+    assert analysis.absorption == absorption_probabilities(two_sink_chain)
+    seen, stack = {}, [analysis]
+    while stack:
+        value = stack.pop()
+        assert not isinstance(value, Table)
+        if id(value) in seen or isinstance(value, (str, int, Fraction)):
+            continue
+        seen[id(value)] = type(value)
+        if isinstance(value, dict):
+            stack += [*value.keys(), *value.values()]
+        elif isinstance(value, (list, tuple)):
+            stack += value
+        elif hasattr(value, "__dataclass_fields__"):
+            stack += [getattr(value, f.name) for f in fields(value)]
+    assert {OrderedMonoid, LatticeAutomaton, MarkovChain} <= set(seen.values())
+    reachable = analyze(two_sink_chain, decomposition=two_sink_decomposition, mode="reachable")
+    assert reachable.analyzed is reachable.reachable
+    assert analysis_to_doc(reachable)["mode"] == "reachable"
 
 
 def test_analyze_checks_mode_before_decomposing(two_sink_chain, monkeypatch):
@@ -922,10 +964,10 @@ def test_analyze_asserts_shuffle_verdict_both_ways(
 
     monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", recording)
     report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=4)
-    assert report["shuffle"]["falsifier"] is not None and calls == [None]
+    assert report.falsifier is not None and calls == [None]
     calls.clear()
     report = analyze(two_sink_chain, decomposition=two_sink_decomposition, falsify_bound=1)
-    assert report["shuffle"]["falsifier"] is None and calls == [None]
+    assert report.falsifier is None and calls == [None]
 
     monkeypatch.setattr(syntactic_module, "shuffle_ideal_falsify", lambda a, max_len=None: None)
     with pytest.raises(InternalInconsistency) as caught:

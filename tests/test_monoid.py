@@ -25,7 +25,7 @@ from latlang.monoid import (
     check_generated,
     compatibility_violation,
 )
-from latlang.serialize import monoid_to_doc
+from latlang.serialize import monoid_to_doc, verdict_to_doc
 from latlang.errors import (
     LatlangError,
     NoIdentity,
@@ -378,8 +378,8 @@ def test_divides_matches_deque_reference_on_seeded_sweep(monkeypatch):
     def documents():
         return [
             (
-                divides(m1, m2, max_target_size=16).to_doc(),
-                divides(m2, m1, max_target_size=16).to_doc(),
+                verdict_to_doc(divides(m1, m2, max_target_size=16)),
+                verdict_to_doc(divides(m2, m1, max_target_size=16)),
             )
             for m1, m2 in pairs
         ]
@@ -426,8 +426,8 @@ def test_divides_matches_unbounded_reference_on_seeded_sweep():
     verdict documents of the search over every generator subset."""
     verdicts = {"yes": 0, "no": 0, "budget_exhausted": 0}
     for i, (m1, m2, budget) in enumerate(_division_pairs(1515)):
-        expected = reference_divides(m1, m2, budget).to_doc()
-        assert divides(m1, m2, budget).to_doc() == expected, i
+        expected = verdict_to_doc(reference_divides(m1, m2, budget))
+        assert verdict_to_doc(divides(m1, m2, budget)) == expected, i
         verdicts[expected["verdict"]] += 1
     assert min(verdicts.values()) >= 40, verdicts
 

@@ -20,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from latlang import make_recognition_triple, syntactic
+from latlang import load_chain, make_recognition_triple, syntactic
 from latlang import serialize as ser
 from latlang.cli import run
 from latlang.errors import BadFraction, LatlangError, MalformedDocument
-from latlang.markov import fraction_text, load_chain, parse_fraction
+from latlang.markov import fraction_text, parse_fraction
 
 from conftest import u1
 
@@ -348,3 +348,28 @@ def test_chain_loader_refuses_inputs_past_the_limits():
     for text in (DEEP, f'{{"states": [{LONG_DIGITS}], "rows": {{}}}}'):
         with pytest.raises(MalformedDocument):
             load_chain(text)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    '"x"',
+    '{"states": ["a"]}',
+    '{"states": ["a"], "rows": []}',
+    '{"states": ["a"], "rows": {"a": []}}',
+    '{"states": ["a"], "rows": {"a": {"a": 1.0}}}',
+], ids=["not-json", "list", "string", "no-rows", "list-rows", "list-row", "float-entry"])
+def test_one_chain_reader(tmp_path, text):
+    """``latlang.load_chain`` and ``markov absorb`` read a chain through one
+    reader: on a malformed chain text both give the same error kind,
+    message and witness, but for the file name the CLI adds to a JSON
+    parse error."""
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    code, out = run(["markov", "absorb", str(path)])
+    assert _error_kind(code, out)
+    with pytest.raises(LatlangError) as caught:
+        load_chain(text)
+    expected = caught.value.to_doc()
+    expected["message"] = expected["message"].replace("invalid JSON", f"invalid JSON in {path}")
+    assert json.loads(out)["error"] == expected

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -22,7 +23,7 @@ from latlang.coloring import OpColoring
 from latlang.errors import NotARecognizer, NotOrderPreserving, SizeCapExceeded
 from latlang.lattice import closure_bits
 from latlang.monoid import _make_unchecked, canonical_key, direct_product
-from latlang.serialize import canonical_dumps, monoid_to_doc
+from latlang.serialize import canonical_dumps, monoid_to_doc, report_to_doc
 from latlang.syntactic import RecognitionTriple, cut, product_triple
 from latlang.variety import (
     SUITE_LATTICE_MAX,
@@ -340,8 +341,8 @@ def _suite_triples():
 def _recog_documents(cases):
     return [
         (
-            verify_recog_by_synt(automata, triple).to_doc(),
-            reference_verify_recog_by_synt(automata, triple).to_doc(),
+            report_to_doc(verify_recog_by_synt(automata, triple)),
+            report_to_doc(reference_verify_recog_by_synt(automata, triple)),
         )
         for automata, triple in cases
     ]
@@ -498,7 +499,7 @@ def test_subdirect_flags_incompatible_order():
 
 
 def _subdirect_bytes(embed, monoids):
-    return [canonical_dumps(embed(m).to_doc()) for m in monoids]
+    return [canonical_dumps(report_to_doc(embed(m))) for m in monoids]
 
 
 def test_subdirect_matches_pairwise_reference_on_enumerated_monoids():
@@ -569,11 +570,97 @@ def test_subdirect_names_the_first_failing_pair(monkeypatch):
         images = tuple(rng.randrange(synts[i].monoid.size) for _ in range(monoid.size))
         synts[i] = replace(synts[i], generator_images=images)
         monkeypatch.setattr(variety_module, "syntactic_quotients", lambda *args: synts)
-        report = canonical_dumps(subdirect_embedding(monoid).to_doc())
-        assert report == canonical_dumps(reference_subdirect_embedding(monoid, synts).to_doc())
+        report = canonical_dumps(report_to_doc(subdirect_embedding(monoid)))
+        assert report == canonical_dumps(report_to_doc(reference_subdirect_embedding(monoid, synts)))
         witness = json.loads(report)["witness"]
         reasons.append(witness["reason"] if witness else "pass")
     assert min(reasons.count(r) for r in ("identity", "multiplicative", "order_embedding")) >= 20
+
+
+def _failing_recognition():
+    """The first seeded join recognizer of more than three elements whose
+    coloring, with three colors redrawn past validation, fails a
+    recognition identity."""
+    rng = random.Random(10)
+    while True:
+        lattice = random_lattice(rng, SUITE_LATTICE_MAX)
+        a1 = random_automaton(rng, lattice, SUITE_STATES_MAX)
+        a2 = random_automaton(rng, lattice, SUITE_STATES_MAX)
+        s1, s2 = syntactic(a1), syntactic(a2)
+        if 3 < s1.monoid.size * s2.monoid.size <= SUITE_PRODUCT_CAP:
+            triple = product_triple("pjoin", [s1, s2])
+            colors, redraw = list(triple.coloring.colors), random.Random(11)
+            for _ in range(3):
+                colors[redraw.randrange(len(colors))] = redraw.randrange(lattice.size)
+            coloring = OpColoring(triple.monoid, lattice, tuple(colors))
+            report = verify_recog_by_synt([a1, a2], replace(triple, coloring=coloring))
+            if report.verdict == "fail":
+                return report
+
+
+def _failing_minimality():
+    """The first seeded recognizer, drawn as ``run_suite`` draws them, whose
+    monoid's order, widened to every pair past validation, leaves the
+    syntactic monoid no order-preserving division."""
+    rng = random.Random(5)
+    pool = enumerate_ordered_monoids(2) + enumerate_ordered_monoids(3)
+    while True:
+        monoid = pool[rng.randrange(len(pool))]
+        lattice = random_lattice(rng, SUITE_LATTICE_MAX)
+        coloring = random_coloring(rng, monoid, lattice)
+        images = tuple(rng.randrange(monoid.size) for _ in ("a", "b"))
+        everything = (1 << monoid.size) - 1
+        widened = _make_unchecked(
+            monoid.elements, monoid.identity, monoid.mul, (everything,) * monoid.size
+        )
+        triple = RecognitionTriple(
+            ("a", "b"), images, widened, OpColoring(widened, lattice, coloring.colors)
+        )
+        report = verify_syntactic_minimality(triple_to_automaton(triple), triple)
+        if report.verdict == "fail":
+            return report
+
+
+def _failing_subdirect():
+    """The first seeded three-element monoid with a random closed order,
+    smuggled past validation, that fails the subdirect embedding."""
+    rng = random.Random(2222)
+    pool = enumerate_ordered_monoids(3)
+    while True:
+        m = rng.choice(pool)
+        rows = [sum(1 << y for y in range(m.size) if rng.random() < 0.3) for _ in m.leq]
+        report = subdirect_embedding(
+            _make_unchecked(m.elements, m.identity, m.mul, closure_bits(rows))
+        )
+        if report.verdict == "fail":
+            return report
+
+
+FAILING_REPORT_DIGESTS = {
+    "recog_by_synt": "5f6f94e2813863a119e59cace5a423263569c9a96f4a77014385bf28b534b779",
+    "syntactic_minimality": "0a6fd6ba9992f0a65b43c145ffaba62b72794986bfb8d62ceab00ab28f4b7bef",
+}
+FAILING_SUBDIRECT = (
+    '{"check":"subdirect_embedding","instance":{"factor_sizes":[1,2,1],"monoid":'
+    '{"elements":["m0","m1","m2"],"identity":"m0","leq":[["m0","m0"],["m0","m2"],'
+    '["m1","m0"],["m1","m1"],["m1","m2"],["m2","m0"],["m2","m2"]],"mul":'
+    '[["m0","m1","m2"],["m1","m1","m1"],["m2","m1","m2"]]}},"verdict":"fail",'
+    '"witness":{"reason":"injective"}}'
+)
+
+
+def test_failing_reports_keep_their_bytes():
+    """The written bytes of a failing report of each check, whose instance
+    or witness holds monoids, machines and triples, are those the reports
+    had when they held documents: sha256 digests of the canonical text of
+    a recognition failure (3038 bytes) and a minimality failure (1100
+    bytes), and the subdirect failure's text."""
+    digests = {
+        report.check: hashlib.sha256(canonical_dumps(report_to_doc(report)).encode()).hexdigest()
+        for report in (_failing_recognition(), _failing_minimality())
+    }
+    assert digests == FAILING_REPORT_DIGESTS
+    assert canonical_dumps(report_to_doc(_failing_subdirect())) == FAILING_SUBDIRECT
 
 
 # -- the suite -------------------------------------------------------------------
@@ -582,7 +669,7 @@ def test_suite_all_pass_and_deterministic():
     reports = run_suite(seed=0)
     assert reports and all(r.verdict == "pass" for r in reports)
     again = run_suite(seed=0)
-    assert [r.to_doc() for r in reports] == [r.to_doc() for r in again]
+    assert list(map(report_to_doc, reports)) == list(map(report_to_doc, again))
     other = run_suite(seed=1)
     assert all(r.verdict == "pass" for r in other)
 
@@ -604,19 +691,36 @@ def test_suite_computes_each_syntactic_monoid_once(monkeypatch):
                 automata, triple
             ),
         )
-        expected = [r.to_doc() for r in run_suite(seed)]
+        expected = list(map(report_to_doc, run_suite(seed)))
         monkeypatch.setattr(variety_module, "verify_recog_by_synt", verify)
         monkeypatch.setattr(variety_module, "syntactic", counted)
         calls.clear()
-        assert [r.to_doc() for r in run_suite(seed)] == expected
+        assert list(map(report_to_doc, run_suite(seed))) == expected
         assert len(calls) == 6, seed
         monkeypatch.setattr(variety_module, "syntactic", real)
 
 
 def test_suite_reports_serialize():
     for report in run_suite(seed=0):
-        doc = report.to_doc()
+        doc = report_to_doc(report)
         assert json.loads(canonical_dumps(doc)) == doc
+
+
+def test_suite_text_format_writes_the_json_reports():
+    """``variety suite --format text`` writes one indented document per
+    report, each followed by a newline; read back one by one, they are the
+    reports that the JSON output writes one per line."""
+    code, text = cli.run(["variety", "suite", "--seed", "1", "--format", "text"])
+    json_code, lines = cli.run(["variety", "suite", "--seed", "1"])
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        doc, at = decoder.raw_decode(text, at)
+        assert text[at] == "\n"
+        docs.append(doc)
+        at += 1
+    assert code == json_code == 0
+    assert docs == [json.loads(line) for line in lines.splitlines()]
+    assert len(docs) > 1 and "\n  " in text
 
 
 def test_reports_replay_from_serialized_inputs(rng):
