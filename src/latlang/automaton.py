@@ -128,12 +128,6 @@ class LatticeAutomaton:
     def _state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
-    def letter(self, a: str) -> int:
-        idx = self._letter_index.get(a)
-        if idx is None:
-            raise UnknownLetter(f"unknown letter {a!r}", witness=a)
-        return idx
-
     def state(self, s: int | str) -> int:
         return resolve(self._state_index, s, "state", len(self.states))
 

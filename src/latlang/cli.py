@@ -33,7 +33,6 @@ from typing import Any, NamedTuple
 from . import markov as markov_mod
 from . import serialize as ser
 from .automaton import (
-    evaluate,
     find_difference,
     inverse_hom,
     minimize,
@@ -151,11 +150,6 @@ def _chain(path: str):
     return ser.chain_from_doc(_load_json(path))
 
 
-def _value(a, word: Sequence[str]) -> Any:
-    """The value document of a machine's output on a word."""
-    return ser.value_doc(a.lattice.elements[evaluate(a, word)])
-
-
 def _lattice_op(transform):
     """The handler that loads one lattice and writes ``transform(lattice)``."""
     return lambda args: (
@@ -204,7 +198,7 @@ def _aperiodic(args: argparse.Namespace) -> tuple[int, Any]:
 
 def _eval(args: argparse.Namespace) -> tuple[int, Any]:
     a = _machine(args.file)
-    return EXIT_OK, {"value": _value(a, _word_argument(args.word, a.alphabet))}
+    return EXIT_OK, {"value": ser.output_doc(a, _word_argument(args.word, a.alphabet))}
 
 
 def _equiv(args: argparse.Namespace) -> tuple[int, Any]:
@@ -215,23 +209,9 @@ def _equiv(args: argparse.Namespace) -> tuple[int, Any]:
     return EXIT_FALSE, {
         "equivalent": False,
         "witness": {
-            "word": ser.word_doc(diff), "left": _value(a1, diff), "right": _value(a2, diff),
-        },
-    }
-
-
-def _syntactic(args: argparse.Namespace) -> tuple[int, Any]:
-    synt = syntactic(_machine(args.file))
-    coloring = ser.coloring_to_doc(synt.coloring)
-    return EXIT_OK, {
-        "monoid": coloring["monoid"],
-        "images": {
-            letter: synt.monoid.elements[g]
-            for letter, g in zip(synt.alphabet, synt.generator_images)
-        },
-        "coloring": coloring,
-        "witnesses": {
-            synt.monoid.elements[i]: ser.word_doc(w) for i, w in enumerate(synt.witnesses)
+            "word": ser.word_doc(diff),
+            "left": ser.output_doc(a1, diff),
+            "right": ser.output_doc(a2, diff),
         },
     }
 
@@ -256,15 +236,15 @@ def _shuffle_check(args: argparse.Namespace) -> tuple[int, Any]:
         doc["falsifier"] = {
             "subword": ser.word_doc(w),
             "superword": ser.word_doc(v),
-            "value_subword": _value(a, w),
-            "value_superword": _value(a, v),
+            "value_subword": ser.output_doc(a, w),
+            "value_superword": ser.output_doc(a, v),
         }
     if algebraic:
         return EXIT_OK, doc
     identity = synt.monoid.identity
     below_identity = next(x for x, row in enumerate(synt.monoid.leq) if not row >> identity & 1)
-    doc["witness_element"] = synt.monoid.elements[below_identity]
-    doc["syntactic_monoid"] = ser.monoid_to_doc(synt.monoid)
+    doc["syntactic_monoid"] = monoid = ser.monoid_to_doc(synt.monoid)
+    doc["witness_element"] = monoid["elements"][below_identity]
     return EXIT_FALSE, doc
 
 
@@ -333,7 +313,8 @@ _COMMANDS: dict[tuple[str, ...], _Leaf] = {
     ("lang", "eval"): _Leaf(_eval, _FILE, (_WORD,)),
     ("lang", "minimize"): _Leaf(_machine_op(lambda a, args: minimize(a)), _FILE),
     ("lang", "equiv"): _Leaf(_equiv, _LEFT_RIGHT),
-    ("lang", "syntactic"): _Leaf(_syntactic, _FILE),
+    ("lang", "syntactic"): _Leaf(
+        lambda args: (EXIT_OK, ser.syntactic_to_doc(syntactic(_machine(args.file)))), _FILE),
     ("lang", "op", "join"): _Leaf(_combine, _LEFT_RIGHT),
     ("lang", "op", "meet"): _Leaf(_combine, _LEFT_RIGHT),
     ("lang", "op", "quotl"): _Leaf(_quotient("left"), _FILE, (_WORD,)),

@@ -345,9 +345,6 @@ class Lattice:
         """Resolve an element given by index or name."""
         return resolve(self._name_index, element, "lattice element", self.size)
 
-    def name(self, index: int) -> str:
-        return self.elements[index]
-
     def le(self, a: int | str, b: int | str) -> bool:
         return bool(self.leq[self.index(a)] >> self.index(b) & 1)
 

@@ -68,9 +68,6 @@ class OrderedMonoid:
     def index(self, element: int | str) -> int:
         return resolve(self._name_index, element, "monoid element", self.size)
 
-    def name(self, index: int) -> str:
-        return self.elements[index]
-
     def op(self, a: int | str, b: int | str) -> int:
         return self.mul[self.index(a)][self.index(b)]
 

@@ -5,6 +5,11 @@ library returns values (a ``markov.Analysis``, a
 ``variety.VerificationReport``), which the writers here turn into
 documents.  Only ``cli`` and the package's ``__init__`` import it.
 
+It alone turns labels into document names: every writer names a monoid's
+elements and a machine's states by ``document_names``, which keeps the
+labels when they are distinct and otherwise writes each as
+``<label>#<position>``.
+
 Canonical output sorts object keys, uses compact separators, and writes
 fractions in lowest terms, so identical inputs always serialize to
 identical bytes.  Every document written here re-parses through the
@@ -49,7 +54,7 @@ from .markov import (
     parse_fraction,
 )
 from .monoid import DivisionVerdict, OrderedMonoid, build_ordered_monoid, is_aperiodic
-from .syntactic import RecognitionTriple, make_recognition_triple
+from .syntactic import RecognitionTriple, SyntacticResult, make_recognition_triple
 from .variety import VerificationReport
 
 _SET_NAME_RE = re.compile(r"^\{.*\}$")
@@ -213,24 +218,23 @@ def lattice_morphism_from_doc(doc: Any, lattice: Lattice) -> LatticeMorphism:
 
 # -- monoids ----------------------------------------------------------------
 
-def _distinct(names: Sequence[str], what: str) -> None:
-    """Raise MalformedDocument naming the first name given twice, if any: a
-    document must not use one name for two of its ``what``."""
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise MalformedDocument(f"two {what} are named {name!r}", witness=name)
-        seen.add(name)
+def document_names(labels: Sequence[str]) -> Sequence[str]:
+    """The names a document gives a monoid's elements or a machine's
+    states, by position: the labels as they are when they are distinct,
+    else every label followed by ``#`` and its position.  The text after
+    the last ``#`` is the position, so the names are distinct either way."""
+    if len(set(labels)) == len(labels):
+        return labels
+    return [f"{label}#{i}" for i, label in enumerate(labels)]
 
 
 def monoid_to_doc(monoid: OrderedMonoid) -> dict:
-    elements = monoid.elements
-    _distinct(elements, "monoid elements")
+    names = document_names(monoid.elements)
     return {
-        "elements": list(elements),
-        "identity": elements[monoid.identity],
-        "mul": Table(elements, monoid.mul),
-        "leq": _order_doc(elements, monoid.leq),
+        "elements": list(names),
+        "identity": names[monoid.identity],
+        "mul": Table(names, monoid.mul),
+        "leq": _order_doc(names, monoid.leq),
     }
 
 
@@ -241,14 +245,18 @@ def monoid_from_doc(doc: Any) -> OrderedMonoid:
     )
 
 
+def _colors_doc(names: Sequence[str], coloring: OpColoring) -> dict:
+    """The coloring's lattice value of each element, by the element's name."""
+    values = coloring.lattice.elements
+    return {name: values[c] for name, c in zip(names, coloring.colors)}
+
+
 def coloring_to_doc(coloring: OpColoring) -> dict:
+    monoid = monoid_to_doc(coloring.monoid)
     return {
-        "monoid": monoid_to_doc(coloring.monoid),
+        "monoid": monoid,
         "lattice": lattice_to_doc(coloring.lattice),
-        "colors": {
-            e: coloring.lattice.elements[c]
-            for e, c in zip(coloring.monoid.elements, coloring.colors)
-        },
+        "colors": _colors_doc(monoid["elements"], coloring),
     }
 
 
@@ -262,23 +270,24 @@ def coloring_from_doc(doc: Any) -> OpColoring:
 # -- automata ----------------------------------------------------------------
 
 def automaton_to_doc(a: LatticeAutomaton) -> dict:
-    _distinct(a.states, "states")
+    names = document_names(a.states)
+    values = a.lattice.elements
     return {
         "lattice": lattice_to_doc(a.lattice),
         "alphabet": list(a.alphabet),
-        "states": list(a.states),
-        "initial": a.states[a.initial],
+        "states": list(names),
+        "initial": names[a.initial],
         "delta": {
-            s: {
-                letter: a.states[a.delta[q][l]]
-                for l, letter in enumerate(a.alphabet)
-            }
-            for q, s in enumerate(a.states)
+            s: {letter: names[t] for letter, t in zip(a.alphabet, row)}
+            for s, row in zip(names, a.delta)
         },
-        "output": {
-            s: a.lattice.elements[a.output[q]] for q, s in enumerate(a.states)
-        },
+        "output": {s: values[c] for s, c in zip(names, a.output)},
     }
+
+
+def output_doc(a: LatticeAutomaton, word: Word) -> Any:
+    """The value document of a machine's output on a word."""
+    return value_doc(a.lattice.elements[evaluate(a, word)])
 
 
 def automaton_from_doc(doc: Any) -> LatticeAutomaton:
@@ -297,20 +306,36 @@ def free_morphism_from_doc(doc: Any, target_alphabet: tuple[str, ...]) -> FreeMo
     return make_free_morphism(list(images.keys()), target_alphabet, images)
 
 
+def _images_doc(names: Sequence[str], t: RecognitionTriple) -> dict:
+    """Each letter's image, by the image's name."""
+    return {a: names[g] for a, g in zip(t.alphabet, t.generator_images)}
+
+
 def triple_to_doc(t: RecognitionTriple) -> dict:
+    monoid = monoid_to_doc(t.monoid)
+    names = monoid["elements"]
     return {
         "alphabet": list(t.alphabet),
-        "images": {
-            a: t.monoid.elements[g] for a, g in zip(t.alphabet, t.generator_images)
-        },
-        "monoid": monoid_to_doc(t.monoid),
+        "images": _images_doc(names, t),
+        "monoid": monoid,
         "coloring": {
-            "colors": {
-                e: t.coloring.lattice.elements[c]
-                for e, c in zip(t.monoid.elements, t.coloring.colors)
-            },
+            "colors": _colors_doc(names, t.coloring),
             "lattice": lattice_to_doc(t.coloring.lattice),
         },
+    }
+
+
+def syntactic_to_doc(synt: SyntacticResult) -> dict:
+    """The ``lang syntactic`` document: the syntactic monoid, the letters'
+    images, the coloring and each element's least word, all by the
+    monoid's names."""
+    coloring = coloring_to_doc(synt.coloring)
+    names = coloring["monoid"]["elements"]
+    return {
+        "monoid": coloring["monoid"],
+        "images": _images_doc(names, synt),
+        "coloring": coloring,
+        "witnesses": {name: word_doc(w) for name, w in zip(names, synt.witnesses)},
     }
 
 
@@ -422,12 +447,14 @@ def analysis_to_doc(analysis: Analysis) -> dict:
     both machines, the analyzed language's syntactic monoid, shuffle
     verdict, falsifier and word measure, and the absorption
     probabilities."""
-    chain, basic, analyzed = analysis.chain, analysis.basic, analysis.analyzed
+    chain, analyzed = analysis.chain, analysis.analyzed
     structure, synt, falsifier = chain.structure, analysis.syntactic, analysis.falsifier
     values = analyzed.lattice.elements
+    basic, monoid = automaton_to_doc(analysis.basic), monoid_to_doc(synt.monoid)
+    names = monoid["elements"]
     return {
         "states": list(chain.states),
-        "initial": basic.states[basic.initial],
+        "initial": basic["initial"],
         "mode": analysis.mode,
         "classes": [
             {
@@ -439,12 +466,16 @@ def analysis_to_doc(analysis: Analysis) -> dict:
         "transient_states": [chain.states[s] for s in structure.transient_states],
         "class_dag": [list(edge) for edge in structure.class_dag],
         "decomposition": decomposition_to_doc(analysis.decomposition, chain),
-        "automaton_basic": automaton_to_doc(basic),
+        "automaton_basic": basic,
         "automaton_reachable": automaton_to_doc(analysis.reachable),
         "syntactic": {
             "size": synt.monoid.size,
-            "order": [list(p) for p in synt.monoid.order_pairs()],
-            "monoid": monoid_to_doc(synt.monoid),
+            "order": [
+                [names[a], names[b]]
+                for a, row in enumerate(synt.monoid.leq)
+                for b in bit_positions(row & ~(1 << a))
+            ],
+            "monoid": monoid,
             "aperiodic": is_aperiodic(synt.monoid),
             "identity_is_greatest": analysis.algebraic,
         },

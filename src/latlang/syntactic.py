@@ -398,7 +398,7 @@ def shuffle_verdict(
     every word: a pair refutes a true verdict, and a false one must have a
     pair.  Either disagreement raises InternalInconsistency.  The least
     pair is then dropped when its superword is longer than ``max_len``,
-    which leaves what the bounded search returns.
+    as ``shuffle_ideal_falsify(a, max_len)`` drops it.
     """
     synt = syntactic(a)
     algebraic = identity_is_greatest(synt.monoid)
@@ -416,11 +416,10 @@ def shuffle_verdict(
     return synt, algebraic, falsifier
 
 
-def _least_superword(a: LatticeAutomaton, max_len: int | None) -> list[int] | None:
-    """The length-lex-least word v, of length at most ``max_len``, that
-    leads some triple (state after w, state after v, whether a letter was
-    skipped) from the start to a violation, as letter indices; None if no
-    such v exists.
+def _least_superword(a: LatticeAutomaton) -> list[int] | None:
+    """The length-lex-least word v that leads some triple (state after w,
+    state after v, whether a letter was skipped) from the start to a
+    violation, as letter indices; None if no such v exists.
 
     One forward breadth-first search: each triple is reached once, from
     the first parent and letter, so the search takes O(n^2 * |A|) steps
@@ -434,9 +433,8 @@ def _least_superword(a: LatticeAutomaton, max_len: int | None) -> list[int] | No
     delta, out, leq = a.delta, a.output, a.lattice.leq
     start = (a.initial, a.initial, 0)
     parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
-    level, depth = [[start]], 0
-    while level and (max_len is None or depth < max_len):
-        depth += 1
+    level = [[start]]
+    while level:
         following = []
         for group in level:
             for l in letters:
@@ -469,16 +467,17 @@ def shuffle_ideal_falsify(
     v is the length-lex-least word that has such a subword, and w the first
     of its violating subwords by descending length, then lexicographically
     least positions.  Returns None when no v of length at most ``max_len``
-    exists; with ``max_len=None`` the search is unbounded and None proves
-    that the language is a shuffle ideal.
+    exists; with ``max_len=None`` None proves that the language is a
+    shuffle ideal.
 
     v comes from one forward search over triples (``_least_superword``),
-    and w position by position from the states that reach a violation
-    with exactly j letters of v skipped, for the least j.  No step
-    enumerates words.
+    which has no bound: v is the least superword, so when it is longer
+    than ``max_len`` no shorter one exists.  w comes position by position
+    from the states that reach a violation with exactly j letters of v
+    skipped, for the least j.  No step enumerates words.
     """
-    v = _least_superword(a, max_len)
-    if v is None:
+    v = _least_superword(a)
+    if v is None or max_len is not None and len(v) > max_len:
         return None
     n = len(a.states)
     delta, out, leq = a.delta, a.output, a.lattice.leq

@@ -469,19 +469,35 @@ def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
         assert str(caught.value) == message
 
 
-def test_derived_name_clashes_are_error_documents(tmp_path):
-    """A name derived for two elements or two states is refused with an
-    error document that names it, instead of a document no loader accepts:
-    the witness words "ε" of the identity and of the letter "ε", the
-    product names of ("1", "1,1") and ("1,1", "1"), and of the state pairs
-    ("p", "p,p") and ("p,p", "p").  shuffle-check reads the order by
-    position, so it reaches the same refusal.  Names that clash only inside
-    a computation, as in the subdirect factors of ["1", "ε"], still give
-    their report."""
+def _renamed_names(names):
+    """Whether ``names`` are distinct and each is a label followed by
+    ``#`` and its position."""
+    return len(set(names)) == len(names) and all(
+        name.rpartition("#")[2] == str(i) for i, name in enumerate(names)
+    )
+
+
+def test_derived_name_clashes_are_renamed_in_documents(tmp_path):
+    """A label derived for two elements or two states is written as
+    ``<label>#<position>`` for every element of that monoid or state of that
+    machine, and the document loads back: the witness words "ε" of the
+    identity and of the letter "ε", and "ab" of a·b and of the letter ab,
+    the product names of ("1", "1,1") and ("1,1", "1"), and of the state
+    pairs ("p", "p,p") and ("p,p", "p").  Names that clash only inside a
+    computation, as in the subdirect factors of ["1", "ε"], never reach a
+    document."""
     boolean = {"elements": ["0", "1"], "cover": [["0", "1"]]}
     eps = write(tmp_path, "eps.json", {
         "lattice": boolean, "alphabet": ["ε"], "states": ["q0", "q1"], "initial": "q0",
         "delta": {"q0": {"ε": "q1"}, "q1": {"ε": "q1"}}, "output": {"q0": "0", "q1": "1"},
+    })
+    ab = write(tmp_path, "ab.json", {
+        "lattice": boolean, "alphabet": ["a", "b", "ab"], "states": ["q0", "q1", "q2"],
+        "initial": "q0",
+        "delta": {"q0": {"a": "q0", "b": "q1", "ab": "q2"},
+                  "q1": {"a": "q0", "b": "q0", "ab": "q2"},
+                  "q2": {"a": "q0", "b": "q2", "ab": "q2"}},
+        "output": {"q0": "0", "q1": "1", "q2": "0"},
     })
     m = write(tmp_path, "m.json", {
         "elements": ["1", "1,1"], "identity": "1", "mul": [["1", "1,1"], ["1,1", "1,1"]],
@@ -490,17 +506,61 @@ def test_derived_name_clashes_are_error_documents(tmp_path):
         "lattice": boolean, "alphabet": ["x"], "states": ["p", "p,p"], "initial": "p",
         "delta": {"p": {"x": "p,p"}, "p,p": {"x": "p"}}, "output": {"p": "0", "p,p": "1"},
     })
-    for argv, message, name in (
-        (["lang", "syntactic", eps], "two monoid elements are named 'ε'", "ε"),
-        (["lang", "shuffle-check", eps], "two monoid elements are named 'ε'", "ε"),
-        (["monoid", "product", m, m], "two monoid elements are named '(1,1,1)'", "(1,1,1)"),
-        (["lang", "op", "join", a, a], "two states are named '(p,p,p)'", "(p,p,p)"),
-    ):
+    chain = write(tmp_path, "chain.json", {
+        "states": ["s0", "s1", "s2", "s3", "s4", "s5"],
+        "rows": {"s0": {"s1": "1/4", "s3": "1/4", "s5": "1/2"}, "s1": {"s0": "1/4", "s3": "3/4"},
+                 "s2": {"s2": "1/2", "s3": "1/4", "s4": "1/4"}, "s3": {"s0": "1/2", "s5": "1/2"},
+                 "s4": {"s4": "1"}, "s5": {"s5": "1"}},
+    })
+    maps = {"a": [1, 0, 3, 0, 4, 5], "b": [3, 3, 4, 0, 4, 5], "ab": [5, 3, 2, 5, 4, 5]}
+    weights = {"a": "1/4", "b": "1/4", "ab": "1/2"}
+    decomposition = write(tmp_path, "d.json", {"letters": [
+        {"name": name, "weight": weights[name],
+         "map": {f"s{s}": f"s{t}" for s, t in enumerate(targets)}}
+        for name, targets in maps.items()
+    ]})
+
+    def ok(argv):
         code, out = run(argv)
-        assert code == 1, argv
-        assert json.loads(out)["error"] == {
-            "kind": "MalformedDocument", "message": message, "witness": name,
-        }, argv
+        assert code == 0, (argv, out)
+        return json.loads(out)
+
+    def renamed_monoid(doc):
+        assert _renamed_names(doc["elements"]), doc["elements"]
+        monoid_from_doc(doc)
+        return doc["elements"]
+
+    for machine, size in ((eps, 2), (ab, 5)):
+        doc = ok(["lang", "syntactic", machine])
+        names = renamed_monoid(doc["monoid"])
+        assert len(names) == size
+        coloring_from_doc(doc["coloring"])
+        assert doc["coloring"]["monoid"] == doc["monoid"]
+        assert set(doc["witnesses"]) == set(doc["coloring"]["colors"]) == set(names)
+        assert set(doc["images"].values()) <= set(names)
+
+        code, out = run(["lang", "shuffle-check", machine])
+        doc = json.loads(out)
+        assert code == 2 and doc["witness_element"] in renamed_monoid(doc["syntactic_monoid"])
+
+        doc = ok(["lang", "reconstruct", machine])["triple"]
+        assert set(doc["images"].values()) <= set(renamed_monoid(doc["monoid"]))
+        triple_from_doc(doc)
+
+    assert len(renamed_monoid(ok(["monoid", "product", m, m]))) == 4
+    for operation in ("join", "meet"):
+        doc = ok(["lang", "op", operation, a, a])
+        assert _renamed_names(doc["states"]) and len(doc["states"]) == 4
+        automaton_from_doc(doc)
+
+    doc = ok(["markov", "analyze", chain, "--decomposition", decomposition,
+              "--initial", "s0", "--mode", "basic"])
+    names = renamed_monoid(doc["syntactic"]["monoid"])
+    assert len(names) == 26 and {"ab#3", "ab#5"} <= set(names)
+    assert {name for pair in doc["syntactic"]["order"] for name in pair} <= set(names)
+    for part in ("automaton_basic", "automaton_reachable"):
+        automaton_from_doc(doc[part])
+
     s = write(tmp_path, "s.json", {
         "elements": ["1", "ε"], "identity": "1", "mul": [["1", "ε"], ["ε", "ε"]],
     })

@@ -70,6 +70,10 @@ never entry by entry, and the cut reconstruction builds its cut outputs
 and join morphisms directly.  JSON text is written only in
 ``serialize.py``, and ``monoid_to_doc`` hands its multiplication table
 over as positions (a ``Table``), never as a comprehension of names.
+``serialize`` alone turns labels into document names: its one naming
+function, ``document_names``, names every monoid element and machine
+state a document holds, no refusal of clashing names (``_distinct``)
+comes back, and ``cli.py`` reads no ``.elements`` or ``.states``.
 """
 
 import ast
@@ -99,6 +103,7 @@ DELETED = {
     "_simulating_automaton",
     "_raised",
     "absorption_doc",
+    "_distinct",
 }
 KERNEL = {
     "resolve": "lattice.py",
@@ -122,6 +127,7 @@ KERNEL = {
     "number": "lattice.py",
     "firsts": "lattice.py",
     "load_chain": "serialize.py",
+    "document_names": "serialize.py",
 }
 
 
@@ -886,3 +892,20 @@ def test_documents_are_built_only_in_serialize():
         )
     ] == [True, True, True, False]
     assert _document_builders("serialize.py") and _document_builders("errors.py") == ["to_doc"]
+
+
+def _label_reads(tree):
+    """The line of each ``.elements`` or ``.states`` attribute read."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("elements", "states")
+    )
+
+
+def test_only_serialize_names_elements_and_states():
+    """``cli.py`` reads no labels: the documents it writes take every
+    element and state name from ``serialize``."""
+    assert _label_reads(ast.parse((SRC / "cli.py").read_text())) == []
+    assert _label_reads(ast.parse(
+        "names = synt.monoid.elements\nfirst = doc['elements'][0]\nq = a.states[0]\n"
+    )) == [1, 3]

@@ -27,7 +27,7 @@ from latlang.serialize import (
 )
 from latlang.variety import enumerate_ordered_monoids, random_automaton, random_lattice
 
-from conftest import small_monoids
+from conftest import reference_monoid_to_doc, small_monoids
 
 CANONICAL = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": True}
 # quotes, backslashes, non-ASCII (one outside the BMP), control characters,
@@ -120,6 +120,32 @@ def test_writer_matches_json_dumps_on_syntactic_monoids():
         # ``lang syntactic`` holds its monoid document twice
         _check({"coloring": coloring, "monoid": coloring["monoid"]})
         _check(triple_to_doc(synt))
+
+
+def test_syntactic_labels_are_names_or_renamed_by_position():
+    """Over letters of several characters, the syntactic labels (least
+    words) can clash.  Distinct labels are the document's names, byte for
+    byte as the plain-name document; clashing ones are each written as
+    ``<label>#<position>``, and the documents load back."""
+    rng = random.Random(3304)
+    seen = {"distinct": 0, "renamed": 0}
+    for i in range(90):
+        alphabet = (("a", "b", "ab"), ("x", "xx"), ("ε", "a"))[i % 3]
+        lattice = random_lattice(rng, 3)
+        synt = syntactic(random_automaton(rng, lattice, 4, alphabet))
+        m = synt.monoid
+        doc = monoid_to_doc(m)
+        if len(set(m.elements)) == m.size:
+            seen["distinct"] += 1
+            assert canonical_dumps(doc) == json.dumps(reference_monoid_to_doc(m), **CANONICAL)
+        else:
+            seen["renamed"] += 1
+            assert doc["elements"] == [f"{label}#{p}" for p, label in enumerate(m.elements)]
+        loaded = ser.monoid_from_doc(doc)
+        assert (loaded.mul, loaded.leq) == (m.mul, m.leq)
+        assert ser.triple_from_doc(triple_to_doc(synt)).generator_images == synt.generator_images
+        assert ser.coloring_from_doc(coloring_to_doc(synt.coloring)).colors == synt.coloring.colors
+    assert min(seen.values()) > 10, seen
 
 
 def test_one_table_object_is_written_once(calls):
