@@ -11,13 +11,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    MalformedDocument,
-    MismatchedCarrier,
-    MismatchedLattice,
-    NotOrderPreserving,
-)
-from .lattice import Lattice, LatticeMorphism, combination, mapping_images, monotone_violation
+from .errors import MalformedDocument, MismatchedCarrier, MismatchedLattice
+from .lattice import Lattice, LatticeMorphism, combination, order_preserving
 from .monoid import (
     DEFAULT_PRODUCT_CAP,
     MonoidMorphism,
@@ -51,18 +46,10 @@ def make_op_coloring(
     colors: Mapping[str, int | str] | Sequence[int | str],
 ) -> OpColoring:
     """Validate an op-coloring given as a dict over element names or a sequence."""
-    values = mapping_images(colors, monoid.elements, lattice.size, lattice.index, "coloring")
-    bad = monotone_violation(monoid.leq, lattice.leq, values)
-    if bad is not None:
-        a, b = bad
-        raise NotOrderPreserving(
-            f"{monoid.elements[a]!r} <= {monoid.elements[b]!r} "
-            "but colors are not ordered",
-            witness={
-                "pair": [monoid.elements[a], monoid.elements[b]],
-                "colors": [lattice.elements[values[a]], lattice.elements[values[b]]],
-            },
-        )
+    values = order_preserving(
+        colors, monoid.elements, monoid.leq, lattice.elements, lattice.leq, lattice.index,
+        "coloring", "colors",
+    )
     return OpColoring(monoid=monoid, lattice=lattice, colors=values)
 
 
@@ -92,20 +79,20 @@ def product_coloring(
 
     ``(pjoin)(m) = V_i P_i(m_i)`` and ``(pmeet)(m) = A_i P_i(m_i)``; the
     result lives on the direct product of the component monoids, and the
-    colors are folded in factor by factor in its element order.
+    colors are folded in factor by factor in its element order, through
+    the table and from the unit that ``combination`` gives for ``join`` or
+    ``meet``.
     """
     if not colorings:
         raise MalformedDocument("product coloring needs at least one factor")
     lattice = colorings[0].lattice
     if any(p.lattice != lattice for p in colorings):
         raise MismatchedLattice("product coloring factors use different lattices")
-    if kind == "pjoin":
-        table, values = lattice.join_table, [lattice.bottom]
-    elif kind == "pmeet":
-        table, values = lattice.meet_table, [lattice.top]
-    else:
+    if kind not in ("pjoin", "pmeet"):
         raise MalformedDocument(f"unknown product coloring kind {kind!r}")
+    table, unit = combination(lattice, kind[1:])
     product, _ = direct_product([p.monoid for p in colorings], max_size=max_size)
+    values = [unit]
     for p in colorings:
         values = [table[v][c] for v in values for c in p.colors]
     return make_op_coloring(product, lattice, values)

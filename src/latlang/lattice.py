@@ -16,7 +16,10 @@ automata and chains alike.  Every order, preorder and reach relation is
 one int per element, its up-set row: bit b of row a is set iff a <= b (or
 a reaches b).  ``closure_bits`` is the one reflexive-transitive closure of
 such rows; ``bit_positions`` and ``converse`` read them; the antisymmetry
-and monotonicity scans work on them.  ``pointwise_order`` is the one order
+and monotonicity scans work on them.  ``order_preserving`` is the one
+check that a map given by a document or a caller preserves an order:
+lattice morphisms, colorings and monoid morphisms all read and check
+their images through it.  ``pointwise_order`` is the one order
 read through maps into a preorder: the syntactic orders, restricted
 submonoid orders, the subdirect order embedding and the recognition
 identities all come off it.  Here too are resolving an element by
@@ -234,6 +237,37 @@ def mapping_images(
     if set(map(type, images)) == {int} and 0 <= min(images) and max(images) < size:
         return tuple(images)
     return tuple(map(lookup, images))
+
+
+def order_preserving(
+    mapping: Mapping[str, int | str] | Sequence[int | str],
+    names: Sequence[str],
+    leq: Sequence[int],
+    target_names: Sequence[str],
+    target_leq: Sequence[int],
+    lookup: Callable[[int | str], int],
+    what: str,
+    noun: str,
+) -> tuple[int, ...]:
+    """Images of ``names`` under ``mapping`` (read by ``mapping_images``),
+    checked to preserve the order ``leq`` into ``target_leq``.
+
+    The first pair a <= b whose images are not ordered raises
+    NotOrderPreserving, with the pair and its images, the latter named by
+    ``noun`` (as in "images" or "colors").
+    """
+    images = mapping_images(mapping, names, len(target_names), lookup, what)
+    bad = monotone_violation(leq, target_leq, images)
+    if bad is not None:
+        a, b = bad
+        raise NotOrderPreserving(
+            f"{names[a]!r} <= {names[b]!r} but {noun} are not ordered",
+            witness={
+                "pair": [names[a], names[b]],
+                noun: [target_names[images[a]], target_names[images[b]]],
+            },
+        )
+    return images
 
 
 def orbit(
@@ -549,9 +583,6 @@ class LatticeMorphism:
         images = [self.lattice.elements[i] for i in self.mapping]
         return f"<LatticeMorphism {images!r}>"
 
-    def __call__(self, element: int | str) -> int:
-        return self.mapping[self.lattice.index(element)]
-
     def then(self, other: "LatticeMorphism") -> "LatticeMorphism":
         """Composition: apply this map first, then ``other``."""
         if other.lattice != self.lattice:
@@ -565,19 +596,10 @@ def make_lattice_morphism(
     lattice: Lattice, mapping: Mapping[str, int | str] | Sequence[int | str]
 ) -> LatticeMorphism:
     """Validate an order-preserving self-map given as a dict or a sequence."""
-    images = mapping_images(
-        mapping, lattice.elements, lattice.size, lattice.index, "morphism mapping"
+    names, leq = lattice.elements, lattice.leq
+    images = order_preserving(
+        mapping, names, leq, names, leq, lattice.index, "morphism mapping", "images"
     )
-    bad = monotone_violation(lattice.leq, lattice.leq, images)
-    if bad is not None:
-        a, b = bad
-        raise NotOrderPreserving(
-            f"{lattice.elements[a]!r} <= {lattice.elements[b]!r} but images are not ordered",
-            witness={
-                "pair": [lattice.elements[a], lattice.elements[b]],
-                "images": [lattice.elements[images[a]], lattice.elements[images[b]]],
-            },
-        )
     return LatticeMorphism(lattice=lattice, mapping=images)
 
 

@@ -352,9 +352,7 @@ def triple_from_doc(doc: Any) -> RecognitionTriple:
     missing = [a for a in alphabet if a not in images]
     if missing:
         raise MalformedDocument(f"triple misses images for letters {missing!r}")
-    return make_recognition_triple(
-        alphabet, [images[a] for a in alphabet], monoid, coloring
-    )
+    return make_recognition_triple(alphabet, [images[a] for a in alphabet], coloring)
 
 
 # -- Markov chains -------------------------------------------------------------

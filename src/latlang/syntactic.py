@@ -74,15 +74,20 @@ TRANSITION_MONOID_CAP = 10_000
 
 @dataclass(frozen=True, repr=False)
 class RecognitionTriple:
-    """A morphism from words (by letter images), a monoid, and a coloring.
+    """A morphism from words (by letter images) into the monoid of a
+    coloring, and the coloring.
 
-    The recognized language sends a word to the color of its image.
+    The recognized language sends a word to the color of its image.  The
+    monoid is read off the coloring, so there is no other to disagree with.
     """
 
     alphabet: tuple[str, ...]
     generator_images: tuple[int, ...]
-    monoid: OrderedMonoid
     coloring: OpColoring
+
+    @property
+    def monoid(self) -> OrderedMonoid:
+        return self.coloring.monoid
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} over {list(self.alphabet)!r} on {self.monoid!r}>"
@@ -98,20 +103,15 @@ class RecognitionTriple:
 def make_recognition_triple(
     alphabet: Sequence[str],
     generator_images: Sequence[int | str],
-    monoid: OrderedMonoid,
     coloring: OpColoring,
 ) -> RecognitionTriple:
-    if coloring.monoid != monoid:
-        raise MismatchedCarrier("coloring does not live on the triple's monoid")
-    images = tuple(monoid.index(g) for g in generator_images)
-    if len(images) != len(tuple(alphabet)):
+    """The triple of letter images given by position or name in the
+    coloring's monoid, one per letter (else MismatchedAlphabet)."""
+    images = tuple(map(coloring.monoid.index, generator_images))
+    alphabet = tuple(alphabet)
+    if len(images) != len(alphabet):
         raise MismatchedAlphabet("one generator image per letter is required")
-    return RecognitionTriple(
-        alphabet=tuple(alphabet),
-        generator_images=images,
-        monoid=monoid,
-        coloring=coloring,
-    )
+    return RecognitionTriple(alphabet, images, coloring)
 
 
 @dataclass(frozen=True, repr=False)
@@ -205,7 +205,6 @@ def _syntactic_triple(
         raise InternalInconsistency(f"syntactic monoid failed validation: {exc}") from exc
     return SyntacticResult(
         alphabet=alphabet,
-        monoid=monoid,
         generator_images=tuple(images),
         coloring=make_op_coloring(monoid, lattice, values),
         witnesses=tuple(witnesses),
@@ -238,9 +237,9 @@ def syntactic_quotients(
     """The syntactic triple of each coloring's language, read off the table
     of the one monoid the colorings live on: for the triple t of the letter
     images and a coloring, ``syntactic(triple_to_automaton(t))`` field for
-    field.  The monoid's table must be associative.  Letter images are
-    positions or names, one per letter (else MismatchedAlphabet), and
-    every coloring must live on the one monoid (else MismatchedCarrier).
+    field.  The monoid's table must be associative.  Every coloring must
+    live on the one monoid (else MismatchedCarrier), and the letter images
+    are read as ``make_recognition_triple`` reads them.
 
     One ``orbit`` walks the submonoid N that the letter images generate,
     as the reachable states of the triple's machine, in length-lex order of
@@ -259,10 +258,8 @@ def syntactic_quotients(
     monoid = colorings[0].monoid
     if any(c.monoid != monoid for c in colorings):
         raise MismatchedCarrier("colorings live on different monoids")
-    alphabet = tuple(alphabet)
-    gens = tuple(map(monoid.index, generator_images))
-    if len(gens) != len(alphabet):
-        raise MismatchedAlphabet("one generator image per letter is required")
+    triple = make_recognition_triple(alphabet, generator_images, colorings[0])
+    alphabet, gens = triple.alphabet, triple.generator_images
     mul = monoid.mul
     members, right = orbit(monoid.identity, lambda x: [mul[x][g] for g in gens])
     position = {x: i for i, x in enumerate(members)}
@@ -324,7 +321,7 @@ def product_triple(kind: str, triples: Sequence[RecognitionTriple]) -> Recogniti
     images = tuple(
         product_index(sizes, letter) for letter in zip(*(t.generator_images for t in triples))
     )
-    return RecognitionTriple(alphabet, images, coloring.monoid, coloring)
+    return RecognitionTriple(alphabet, images, coloring)
 
 
 def recognizes(t: RecognitionTriple, a: LatticeAutomaton) -> bool:
@@ -374,7 +371,7 @@ def reconstruct_from_cuts(a: LatticeAutomaton) -> tuple[RecognitionTriple, bool]
             by_output[output] = syntactic(replace(a, output=output))
         s = by_output[output]
         joined = postcompose(LatticeMorphism(lat, lat.join_table[v]), s.coloring)
-        factors.append(RecognitionTriple(s.alphabet, s.generator_images, s.monoid, joined))
+        factors.append(RecognitionTriple(s.alphabet, s.generator_images, joined))
     triple = product_triple("pmeet", factors)
     return triple, recognizes(triple, a)
 
@@ -529,7 +526,7 @@ def ideal_language_construction(
     colors = s.coloring.colors
     mi = monoid.index(m)
     direct = triple_to_automaton(
-        RecognitionTriple(s.alphabet, s.generator_images, monoid, ideal_coloring(monoid, mi, lat))
+        RecognitionTriple(s.alphabet, s.generator_images, ideal_coloring(monoid, mi, lat))
     )
     strictly_above = [y for y, row in enumerate(monoid.leq) if not row >> mi & 1]
     if not strictly_above:

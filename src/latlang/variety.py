@@ -495,7 +495,7 @@ def run_suite(seed: int = 0) -> list[VerificationReport]:
         lattice = random_lattice(rng, SUITE_LATTICE_MAX)
         coloring = random_coloring(rng, monoid, lattice)
         images = tuple(rng.randrange(monoid.size) for _ in ("a", "b"))
-        triple = RecognitionTriple(("a", "b"), images, monoid, coloring)
+        triple = RecognitionTriple(("a", "b"), images, coloring)
         machine = triple_to_automaton(triple)
         reports.append(numbered(verify_syntactic_minimality(machine, triple), i))
 

@@ -535,7 +535,6 @@ def reference_syntactic(a):
     monoid = _make_unchecked(names, 0, reference_composition_table(maps), leq)
     return SyntacticResult(
         alphabet=a.alphabet,
-        monoid=monoid,
         generator_images=tuple(gen_ids),
         coloring=make_op_coloring(monoid, a.lattice, [a.output[m[a.initial]] for m in maps]),
         witnesses=tuple(witnesses),
@@ -562,7 +561,6 @@ def reference_reconstruct_from_cuts(a):
     triple = RecognitionTriple(
         alphabet=a.alphabet,
         generator_images=images,
-        monoid=coloring.monoid,
         coloring=coloring,
     )
     return triple, recognizes(triple, a)
@@ -578,7 +576,7 @@ def reference_subdirect_embedding(monoid, synts=None):
         lat = standard_lattice("chain", 2)
         colorings = [ideal_coloring(monoid, m, lat) for m in range(monoid.size)]
         regular = RecognitionTriple(
-            monoid.elements, tuple(range(monoid.size)), monoid, colorings[0]
+            monoid.elements, tuple(range(monoid.size)), colorings[0]
         )
         synts = [syntactic(triple_to_automaton(replace(regular, coloring=c))) for c in colorings]
     phi = [tuple(s.generator_images[x] for s in synts) for x in range(monoid.size)]
@@ -766,7 +764,7 @@ def reference_verify_recog_by_synt(automata, triple):
     for m in range(product.size):
         lhs = triple_to_automaton(
             RecognitionTriple(
-                triple.alphabet, triple.generator_images, product,
+                triple.alphabet, triple.generator_images,
                 ideal_coloring(product, m, lat),
             )
         )
@@ -781,7 +779,7 @@ def reference_verify_recog_by_synt(automata, triple):
         ]
         rhs = triple_to_automaton(
             RecognitionTriple(
-                triple.alphabet, triple.generator_images, product,
+                triple.alphabet, triple.generator_images,
                 make_op_coloring(product, lat, rhs_colors),
             )
         )
@@ -800,7 +798,7 @@ def reference_verify_recog_by_synt(automata, triple):
     ]
     rebuilt = triple_to_automaton(
         RecognitionTriple(
-            triple.alphabet, triple.generator_images, product,
+            triple.alphabet, triple.generator_images,
             make_op_coloring(product, lat, combo_colors),
         )
     )

@@ -218,7 +218,7 @@ def test_criterion_05_syntactic_minimality():
             for g1, g2 in zip(s1.generator_images, s2.generator_images)
         )
         triple = RecognitionTriple(
-            s1.alphabet, images, product,
+            s1.alphabet, images,
             product_coloring("pjoin", [s1.coloring, s2.coloring]),
         )
         joined = product_combine("join", a1, a2)
@@ -234,7 +234,6 @@ def test_criterion_05_syntactic_minimality():
         triple = RecognitionTriple(
             ("a", "b"),
             (rng.randrange(monoid.size), rng.randrange(monoid.size)),
-            monoid,
             random_coloring(rng, monoid, lattice),
         )
         machine = triple_to_automaton(triple)

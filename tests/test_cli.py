@@ -469,6 +469,53 @@ def test_malformed_words_morphisms_colorings_and_triples_are_errors(tmp_path):
         assert str(caught.value) == message
 
 
+def test_malformed_machines_and_letter_maps_give_pinned_error_documents(tmp_path):
+    """A machine whose alphabet repeats a letter or is empty, whose delta
+    names a letter outside it, or whose output misses a state or has the
+    wrong length, and a decomposition letter whose map misses a state,
+    each give its error document, byte for byte."""
+    automaton = json.loads(Path(AUTOMATON).read_text())
+    letter, *others = json.loads(Path(DECOMPOSITION).read_text())["letters"]
+    delta = dict(automaton["delta"], t1=dict(automaton["delta"]["t1"], d="t2"))
+    output = {s: v for s, v in automaton["output"].items() if s != "s22"}
+    minimize = ["lang", "minimize"]
+    analyze = ["markov", "analyze", CHAIN, "--decomposition"]
+    alphabet_error = (
+        '{"error":{"kind":"MalformedDocument",'
+        '"message":"alphabet must be a nonempty list of distinct letters","witness":null}}\n'
+    )
+    cases = [
+        (minimize, dict(automaton, alphabet=["a", "b", "a"]), alphabet_error),
+        (minimize, dict(automaton, alphabet=[]), alphabet_error),
+        (
+            minimize,
+            dict(automaton, delta=delta),
+            '{"error":{"kind":"UnknownLetter","message":"unknown letter \'d\' in delta",'
+            '"witness":"d"}}\n',
+        ),
+        (
+            minimize,
+            dict(automaton, output=output),
+            '{"error":{"kind":"MalformedDocument",'
+            '"message":"output misses states [\'s22\']","witness":null}}\n',
+        ),
+        (
+            minimize,
+            dict(automaton, output=list(output.values())),
+            '{"error":{"kind":"MalformedDocument",'
+            '"message":"output has the wrong length","witness":null}}\n',
+        ),
+        (
+            analyze,
+            {"letters": [dict(letter, map=dict(list(letter["map"].items())[:-1]))] + others},
+            '{"error":{"kind":"MalformedDocument",'
+            '"message":"letter \'a\' misses states [\'s22\']","witness":null}}\n',
+        ),
+    ]
+    for command, bad, expected in cases:
+        assert run(command + [write(tmp_path, "bad.json", bad)]) == (1, expected)
+
+
 def _renamed_names(names):
     """Whether ``names`` are distinct and each is a label followed by
     ``#`` and its position."""
@@ -612,6 +659,48 @@ def test_variety_commands(tmp_path):
     code, out = run(["variety", "subdirect", u1_path])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_suite_exit_codes_follow_the_worst_verdict(monkeypatch):
+    """``variety suite`` writes every report and exits 2 when one fails,
+    else 3 when one exhausted its budget."""
+    cli_module = importlib.import_module("latlang.cli")
+    from latlang import VerificationReport
+
+    def reports(*verdicts):
+        return [VerificationReport("check", {"index": i}, v) for i, v in enumerate(verdicts)]
+
+    for verdicts, code in [
+        (("pass", "budget_exhausted", "fail"), 2),
+        (("budget_exhausted", "pass"), 3),
+        (("pass",), 0),
+    ]:
+        monkeypatch.setattr(cli_module, "run_suite", lambda seed=0: reports(*verdicts))
+        assert run(["variety", "suite", "--seed", "0"]) == (code, "".join(
+            f'{{"check":"check","instance":{{"index":{i}}},"verdict":"{v}","witness":null}}\n'
+            for i, v in enumerate(verdicts)
+        ))
+
+
+def test_reconstruct_exits_2_with_a_witness_word(monkeypatch):
+    """A reconstruction that does not recognize the language exits 2 and
+    names the least word on which the two differ."""
+    from latlang import RecognitionTriple, cons_coloring, reconstruct_from_cuts
+
+    cli_module = importlib.import_module("latlang.cli")
+
+    def top_everywhere(a):
+        triple, _ = reconstruct_from_cuts(a)
+        lattice = triple.coloring.lattice
+        coloring = cons_coloring(triple.monoid, lattice, lattice.top)
+        return RecognitionTriple(triple.alphabet, triple.generator_images, coloring), False
+
+    monkeypatch.setattr(cli_module, "reconstruct_from_cuts", top_everywhere)
+    code, out = run(["lang", "reconstruct", AUTOMATON])
+    doc = json.loads(out)
+    assert (code, doc["equal"], doc["witness"]) == (2, False, {"word": "a"})
+    written = triple_from_doc(doc["triple"]).coloring
+    assert set(written.colors) == {written.lattice.top}
 
 
 def test_markov_commands():

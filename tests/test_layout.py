@@ -74,6 +74,14 @@ over as positions (a ``Table``), never as a comprehension of names.
 function, ``document_names``, names every monoid element and machine
 state a document holds, no refusal of clashing names (``_distinct``)
 comes back, and ``cli.py`` reads no ``.elements`` or ``.states``.
+A recognition triple holds each fact once: ``RecognitionTriple`` declares
+only ``alphabet``, ``generator_images`` and ``coloring``, and reads its
+monoid off the coloring.  ``syntactic_quotients`` resolves its letter
+images through ``make_recognition_triple``.  Every map that must preserve
+an order (lattice morphisms, colorings, monoid morphisms) is checked by
+``lattice.order_preserving``, the one place that raises
+``NotOrderPreserving``.  Neither ``LatticeMorphism`` nor ``MonoidMorphism``
+defines ``__call__``, and ``MonoidMorphism`` defines no ``then``.
 """
 
 import ast
@@ -128,6 +136,7 @@ KERNEL = {
     "firsts": "lattice.py",
     "load_chain": "serialize.py",
     "document_names": "serialize.py",
+    "order_preserving": "lattice.py",
 }
 
 
@@ -909,3 +918,107 @@ def test_only_serialize_names_elements_and_states():
     assert _label_reads(ast.parse(
         "names = synt.monoid.elements\nfirst = doc['elements'][0]\nq = a.states[0]\n"
     )) == [1, 3]
+
+
+def _class_body(tree, name):
+    """The statements of the class ``name`` in a module."""
+    return next(
+        node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def _declared_fields(tree, name):
+    """The names the class ``name`` declares with an annotation."""
+    return [
+        node.target.id for node in _class_body(tree, name)
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def test_triple_reads_its_monoid_off_its_coloring():
+    """``RecognitionTriple`` declares no ``monoid`` beside its coloring."""
+    tree = ast.parse((SRC / "syntactic.py").read_text())
+    assert _declared_fields(tree, "RecognitionTriple") == [
+        "alphabet", "generator_images", "coloring"
+    ]
+    old = ast.parse(
+        "class RecognitionTriple:\n"
+        "    alphabet: tuple\n"
+        "    generator_images: tuple\n"
+        "    monoid: OrderedMonoid\n"
+        "    coloring: OpColoring\n"
+    )
+    assert "monoid" in _declared_fields(old, "RecognitionTriple")
+
+
+def _raisers(tree, error):
+    """The top-level function around each ``raise error(...)`` in a module."""
+    return [
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id == error
+    ]
+
+
+def test_one_place_raises_not_order_preserving():
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _raisers(ast.parse(path.read_text(), filename=str(path)), "NotOrderPreserving")
+    ]
+    assert found == [("lattice.py", "order_preserving")]
+    old = ast.parse(
+        "def make_op_coloring(monoid, lattice, colors):\n"
+        "    if bad is not None:\n"
+        "        raise NotOrderPreserving('colors are not ordered', witness=bad)\n"
+    )
+    assert _raisers(old, "NotOrderPreserving") == ["make_op_coloring"]
+
+
+def _methods(tree, name):
+    """The names of the methods the class ``name`` defines."""
+    return {node.name for node in _class_body(tree, name) if isinstance(node, ast.FunctionDef)}
+
+
+def test_morphisms_are_not_called_or_composed_as_methods():
+    """Maps are read through their ``mapping``: no ``__call__`` on either
+    morphism class, and no ``MonoidMorphism.then``."""
+    lattice = _methods(ast.parse((SRC / "lattice.py").read_text()), "LatticeMorphism")
+    monoid = _methods(ast.parse((SRC / "monoid.py").read_text()), "MonoidMorphism")
+    assert "__call__" not in lattice
+    assert not {"__call__", "then"} & monoid
+    old = ast.parse(
+        "class MonoidMorphism:\n"
+        "    def __call__(self, element):\n"
+        "        return self.mapping[self.source.index(element)]\n"
+        "    def then(self, other):\n"
+        "        return other\n"
+    )
+    assert {"__call__", "then"} <= _methods(old, "MonoidMorphism")
+
+
+def _calls_in(tree, function):
+    """The names called by plain name inside the top-level ``function``."""
+    body = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    return {
+        node.func.id for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_quotients_resolve_letter_images_as_a_triple_does():
+    tree = ast.parse((SRC / "syntactic.py").read_text())
+    assert "make_recognition_triple" in _calls_in(tree, "syntactic_quotients")
+    old = ast.parse(
+        "def syntactic_quotients(alphabet, generator_images, colorings):\n"
+        "    gens = tuple(map(monoid.index, generator_images))\n"
+        "    if len(gens) != len(alphabet):\n"
+        "        raise MismatchedAlphabet('one generator image per letter is required')\n"
+    )
+    assert "make_recognition_triple" not in _calls_in(old, "syntactic_quotients")

@@ -53,7 +53,7 @@ DOCS = {
     "free_morphism": {"images": {"x": "ab", "y": ["c"], "z": ""}},
     "triple": _plain(ser.triple_to_doc(
         make_recognition_triple(
-            _synt.alphabet, _synt.generator_images, _synt.monoid, _synt.coloring
+            _synt.alphabet, _synt.generator_images, _synt.coloring
         )
     )),
     "chain": json.loads(Path(CHAIN).read_text()),

@@ -48,7 +48,7 @@ from latlang.errors import (
 )
 from latlang.lattice import closure_bits, orbit, pointwise_order
 from latlang.monoid import _greedy_generators, _make_unchecked, check_generated, product_index
-from latlang.serialize import automaton_from_doc, triple_to_doc
+from latlang.serialize import automaton_from_doc, triple_from_doc, triple_to_doc
 from latlang.syntactic import _state_maps, _words_and_table, shuffle_verdict
 from latlang.variety import (
     enumerate_ordered_monoids,
@@ -481,7 +481,6 @@ def test_recognizes_rejects_constant(two_sink_automaton):
     constant = RecognitionTriple(
         s.alphabet,
         s.generator_images,
-        s.monoid,
         cons_coloring(s.monoid, two_sink_automaton.lattice, 0),
     )
     assert not recognizes(constant, two_sink_automaton)
@@ -503,7 +502,7 @@ def test_recognizes_product_construction(rng):
             for g1, g2 in zip(s1.generator_images, s2.generator_images)
         )
         triple = RecognitionTriple(
-            s1.alphabet, images, product,
+            s1.alphabet, images,
             product_coloring("pjoin", [s1.coloring, s2.coloring]),
         )
         assert recognizes(triple, product_combine("join", a1, a2))
@@ -521,7 +520,7 @@ def _seeded_monoid(rng, pool, max_size):
 
 
 def _machine_route(alphabet, images, monoid, coloring):
-    return syntactic(triple_to_automaton(RecognitionTriple(alphabet, images, monoid, coloring)))
+    return syntactic(triple_to_automaton(RecognitionTriple(alphabet, images, coloring)))
 
 
 def test_syntactic_quotients_match_machine_route_on_seeded_triples():
@@ -625,9 +624,33 @@ def test_triple_to_automaton_shapes(boolean, contains_a):
 
     m, _ = direct_product([u1(), u1()])
     triple = make_recognition_triple(
-        ("a", "b"), ["(z,1)", "(1,z)"], m, cons_coloring(m, boolean, 0)
+        ("a", "b"), ["(z,1)", "(1,z)"], cons_coloring(m, boolean, 0)
     )
     assert len(triple_to_automaton(triple).states) == 4
+
+
+def test_triple_reads_its_monoid_off_its_coloring(boolean, contains_a, two_sink_automaton):
+    """A triple takes no monoid apart from its coloring's: every triple the
+    library builds has ``t.monoid is t.coloring.monoid``, its machine has
+    one output per state, and its document loads back to it."""
+    s = syntactic(two_sink_automaton)
+    m, _ = direct_product([u1(), u1()])
+    triples = [
+        s,
+        syntactic_quotients(s.alphabet, s.generator_images, [s.coloring])[0],
+        product_triple("pjoin", [syntactic(contains_a), syntactic(contains_a)]),
+        reconstruct_from_cuts(two_sink_automaton)[0],
+        make_recognition_triple(("a", "b"), ["(z,1)", "(1,z)"], cons_coloring(m, boolean, 0)),
+    ]
+    for t in triples + [triple_from_doc(triple_to_doc(t)) for t in triples]:
+        assert t.monoid is t.coloring.monoid
+        machine = triple_to_automaton(t)
+        assert len(machine.states) == len(machine.output) == t.monoid.size
+        assert triple_from_doc(triple_to_doc(t)) == RecognitionTriple(
+            t.alphabet, t.generator_images, t.coloring
+        )
+    with pytest.raises(TypeError):
+        RecognitionTriple(s.alphabet, s.generator_images, s.monoid, s.coloring)
 
 
 def test_triple_to_automaton_matches_per_entry_delta():
@@ -641,7 +664,7 @@ def test_triple_to_automaton_matches_per_entry_delta():
         lattice = random_lattice(rng, 4)
         alphabet = ("a", "b", "c")[: rng.randint(0, 3)]
         images = tuple(rng.randrange(monoid.size) for _ in alphabet)
-        triple = RecognitionTriple(alphabet, images, monoid, random_coloring(rng, monoid, lattice))
+        triple = RecognitionTriple(alphabet, images, random_coloring(rng, monoid, lattice))
         machine = triple_to_automaton(triple)
         assert machine.delta == tuple(
             tuple(monoid.mul[x][g] for g in images) for x in range(monoid.size)
@@ -864,7 +887,7 @@ def test_ideal_language_contains_a(contains_a):
     assert equal
     direct = triple_to_automaton(
         RecognitionTriple(
-            s.alphabet, s.generator_images, s.monoid,
+            s.alphabet, s.generator_images,
             ideal_coloring(s.monoid, z, contains_a.lattice),
         )
     )
@@ -891,7 +914,7 @@ def test_recognition_lifts_through_divisors(rng):
     for _ in range(5):
         coloring = random_coloring(rng, sub, lattice)
         images = (rng.randrange(sub.size), rng.randrange(sub.size))
-        triple = RecognitionTriple(("a", "b"), images, sub, coloring)
+        triple = RecognitionTriple(("a", "b"), images, coloring)
         machine = triple_to_automaton(triple)
         lifted_colors = [
             lattice.join_all(
@@ -904,7 +927,6 @@ def test_recognition_lifts_through_divisors(rng):
         lifted = RecognitionTriple(
             ("a", "b"),
             tuple(embedding.mapping[g] for g in images),
-            ambient,
             make_op_coloring(ambient, lattice, lifted_colors),
         )
         assert recognizes(lifted, machine)
@@ -919,12 +941,11 @@ def test_recognition_lifts_through_divisors(rng):
     for _ in range(5):
         coloring = random_coloring(rng, quotient_monoid, lattice)
         images = (rng.randrange(2), rng.randrange(2))
-        triple = RecognitionTriple(("a", "b"), images, quotient_monoid, coloring)
+        triple = RecognitionTriple(("a", "b"), images, coloring)
         machine = triple_to_automaton(triple)
         lifted = RecognitionTriple(
             ("a", "b"),
             tuple(section[g] for g in images),
-            sub,
             make_op_coloring(
                 sub, lattice,
                 [coloring.colors[surjection[x]] for x in range(sub.size)],

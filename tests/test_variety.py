@@ -283,7 +283,6 @@ def test_recog_by_synt_single_language(rng):
     triple = RecognitionTriple(
         s.alphabet,
         tuple(product.index(f"({s.monoid.elements[g]})") for g in s.generator_images),
-        product,
         make_op_coloring(product, lattice, list(s.coloring.colors)),
     )
     report = verify_recog_by_synt([a], triple)
@@ -317,7 +316,7 @@ def test_recog_by_synt_wrong_monoid(contains_a, boolean):
 
     s = syntactic(contains_a)
     triple = RecognitionTriple(
-        s.alphabet, s.generator_images, s.monoid, s.coloring
+        s.alphabet, s.generator_images, s.coloring
     )
     with pytest.raises(MismatchedCarrier):
         verify_recog_by_synt([contains_a, contains_a], triple)
@@ -394,7 +393,7 @@ def test_recog_by_synt_matches_reference_on_narrowed_product(monkeypatch):
     for automata, triple in _suite_triples()[:60]:
         monoid = _equality_ordered(triple.monoid)
         coloring = OpColoring(monoid, triple.coloring.lattice, triple.coloring.colors)
-        cases.append((automata, replace(triple, monoid=monoid, coloring=coloring)))
+        cases.append((automata, replace(triple, coloring=coloring)))
     documents = _recog_documents(cases)
     assert all(doc == ref for doc, ref in documents)
     failures = [doc["witness"]["identity"] for doc, _ in documents if doc["verdict"] == "fail"]
@@ -430,7 +429,6 @@ def test_minimality_roundtrip_pool(rng):
         triple = RecognitionTriple(
             ("a", "b"),
             (rng.randrange(monoid.size), rng.randrange(monoid.size)),
-            monoid,
             random_coloring(rng, monoid, lattice),
         )
         machine = triple_to_automaton(triple)
@@ -441,7 +439,7 @@ def test_minimality_roundtrip_pool(rng):
 def test_minimality_requires_recognizer(contains_a):
     s = syntactic(contains_a)
     wrong = RecognitionTriple(
-        s.alphabet, s.generator_images, s.monoid,
+        s.alphabet, s.generator_images,
         cons_coloring(s.monoid, contains_a.lattice, contains_a.lattice.top),
     )
     with pytest.raises(NotARecognizer):
@@ -472,7 +470,7 @@ def test_subdirect_implies_division(rng):
         syntactic(
             triple_to_automaton(
                 RecognitionTriple(
-                    monoid.elements, identity.mapping, monoid,
+                    monoid.elements, identity.mapping,
                     ideal_coloring(monoid, m, lat),
                 )
             )
@@ -614,7 +612,7 @@ def _failing_minimality():
             monoid.elements, monoid.identity, monoid.mul, (everything,) * monoid.size
         )
         triple = RecognitionTriple(
-            ("a", "b"), images, widened, OpColoring(widened, lattice, coloring.colors)
+            ("a", "b"), images, OpColoring(widened, lattice, coloring.colors)
         )
         report = verify_syntactic_minimality(triple_to_automaton(triple), triple)
         if report.verdict == "fail":
