@@ -29,6 +29,7 @@ from .lattice import (
     orbit,
     product_name,
     resolve,
+    resolve_all,
 )
 
 COMBINE_STATE_CAP = 200_000
@@ -157,7 +158,7 @@ def make_automaton(
         raise MalformedDocument("states must be a nonempty list of distinct names")
     state_index = {s: i for i, s in enumerate(names)}
 
-    table: list[list[int]] = []
+    table: list[Sequence[int]] = []
     if isinstance(delta, Mapping):
         for s in names:
             row_map = delta.get(s)
@@ -184,19 +185,19 @@ def make_automaton(
             or any(not isinstance(r, Sequence) or len(r) != len(letters) for r in delta)
         ):
             raise MalformedDocument("delta table must be states x alphabet")
-        table = [[resolve(state_index, t, "state") for t in row] for row in delta]
+        table = [resolve_all(row, len(names), lambda: state_index, "state") for row in delta]
 
     if isinstance(output, Mapping):
         missing = [s for s in names if s not in output]
         if missing:
             raise MalformedDocument(f"output misses states {missing!r}")
-        values = [lattice.index(output[s]) for s in names]
+        values = lattice.indices([output[s] for s in names])
     elif not isinstance(output, Sequence):
         raise MalformedDocument("output must be an object or a list")
     else:
         if len(output) != len(names):
             raise MalformedDocument("output has the wrong length")
-        values = [lattice.index(v) for v in output]
+        values = lattice.indices(output)
 
     return LatticeAutomaton(
         lattice=lattice,

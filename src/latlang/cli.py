@@ -449,8 +449,10 @@ def run(argv: Sequence[str] | None = None) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run and write the output's UTF-8 bytes to stdout, whatever the
+    locale, as ``_read`` reads input files."""
     code, output = run(argv)
-    sys.stdout.write(output)
+    sys.stdout.buffer.write(output.encode("utf-8"))
     return code
 
 

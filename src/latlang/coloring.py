@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedDocument, MismatchedCarrier, MismatchedLattice
 from .lattice import Lattice, LatticeMorphism, combination, order_preserving
-from .monoid import (
-    DEFAULT_PRODUCT_CAP,
-    MonoidMorphism,
-    OrderedMonoid,
-    direct_product,
-)
+from .monoid import MonoidMorphism, OrderedMonoid, direct_product
 
 
 @dataclass(frozen=True, repr=False)
@@ -46,10 +41,7 @@ def make_op_coloring(
     colors: Mapping[str, int | str] | Sequence[int | str],
 ) -> OpColoring:
     """Validate an op-coloring given as a dict over element names or a sequence."""
-    values = order_preserving(
-        colors, monoid.elements, monoid.leq, lattice.elements, lattice.leq, lattice.index,
-        "coloring", "colors",
-    )
+    values = order_preserving(colors, monoid, lattice, "coloring", "colors")
     return OpColoring(monoid=monoid, lattice=lattice, colors=values)
 
 
@@ -69,12 +61,7 @@ def combine_colorings(kind: str, p1: OpColoring, p2: OpColoring) -> OpColoring:
     return make_op_coloring(p1.monoid, p1.lattice, values)
 
 
-def product_coloring(
-    kind: str,
-    colorings: Sequence[OpColoring],
-    *,
-    max_size: int = DEFAULT_PRODUCT_CAP,
-) -> OpColoring:
+def product_coloring(kind: str, colorings: Sequence[OpColoring]) -> OpColoring:
     """Product join/meet: fold the component colors over the product monoid.
 
     ``(pjoin)(m) = V_i P_i(m_i)`` and ``(pmeet)(m) = A_i P_i(m_i)``; the
@@ -91,7 +78,7 @@ def product_coloring(
     if kind not in ("pjoin", "pmeet"):
         raise MalformedDocument(f"unknown product coloring kind {kind!r}")
     table, unit = combination(lattice, kind[1:])
-    product, _ = direct_product([p.monoid for p in colorings], max_size=max_size)
+    product, _ = direct_product([p.monoid for p in colorings])
     values = [unit]
     for p in colorings:
         values = [table[v][c] for v in values for c in p.colors]

@@ -16,17 +16,31 @@ automata and chains alike.  Every order, preorder and reach relation is
 one int per element, its up-set row: bit b of row a is set iff a <= b (or
 a reaches b).  ``closure_bits`` is the one reflexive-transitive closure of
 such rows; ``bit_positions`` and ``converse`` read them; the antisymmetry
-and monotonicity scans work on them.  ``order_preserving`` is the one
-check that a map given by a document or a caller preserves an order:
-lattice morphisms, colorings and monoid morphisms all read and check
-their images through it.  ``pointwise_order`` is the one order
-read through maps into a preorder: the syntactic orders, restricted
-submonoid orders, the subdirect order embedding and the recognition
-identities all come off it.  Here too are resolving an element by
-position or name, and ``orbit``, the breadth-first closure that lists the
-word maps of a machine with their Cayley graph and the reachable states
-of a machine or product; ``orbit_words`` reads each element's least word
-off an orbit's first edges.  ``number`` is the one way to sort things into
+and monotonicity scans work on them.  ``order_preserving(mapping, source,
+target, what, noun)`` is the one reader and checker of a map between two
+carriers (each a ``Lattice`` or an ``OrderedMonoid``): it reads the map
+as an object keyed by name or a list in element order, resolves its
+images in the target, and checks that they preserve the order.  Lattice
+morphisms, colorings and monoid morphisms all go through it.
+``pointwise_order`` is the one order read through maps into a preorder:
+the syntactic orders, restricted submonoid orders, the subdirect order
+embedding and the recognition identities all come off it.
+
+Here too is resolving elements by position or name: ``resolve`` takes
+one, and ``resolve_all`` a batch.  Every batch of references goes
+through ``resolve_all``: table rows, order pairs, a machine's delta rows
+and outputs, letter images, generators, the elements of a join or meet,
+and the images of colorings and morphisms.  A batch of positions is
+range-checked once, by its least and greatest entry, and builds no name
+index; a batch of names takes one lookup per entry; any other batch is
+resolved entry by entry, so the first bad entry raises its own error.
+``Lattice.indices`` and ``OrderedMonoid.indices`` hand it their carrier's
+size and name index.
+
+``orbit`` is the breadth-first closure that lists the word maps of a
+machine with their Cayley graph and the reachable states of a machine or
+product; ``orbit_words`` reads each element's least word off an orbit's
+first edges.  ``number`` is the one way to sort things into
 classes: it numbers keys in order of first appearance, and ``firsts``
 gives each number's first member.  Moore refinement in ``minimize``, the
 ergodic classes of a chain and the syntactic quotients of a table all
@@ -51,7 +65,7 @@ from .errors import (
     UnknownElement,
 )
 
-DEFAULT_MAX_SIZE = 64
+DEFAULT_MAX_SIZE = 1024
 
 
 def resolve(
@@ -75,6 +89,39 @@ def resolve(
     if position is None:
         raise UnknownElement(f"unknown {what} {element!r}")
     return position
+
+
+def resolve_all(
+    entries: Iterable[int | str],
+    size: int,
+    index: Callable[[], Mapping[str, int]],
+    what: str,
+) -> tuple[int, ...]:
+    """Positions of a batch of elements given by position or by name.
+
+    A batch that starts with a plain int (booleans are names) is read as
+    positions: if every entry is a plain int, the batch is range-checked
+    once, by its least and greatest entry, without calling ``index``,
+    which returns the name index and may have to build it.  Any other
+    batch is read as names, one lookup per entry.  A batch that is
+    neither goes through ``resolve`` entry by entry, so its first bad
+    entry raises the error ``resolve`` raises for it.
+    """
+    entries = tuple(entries)
+    if not entries:
+        return entries
+    if type(entries[0]) is int:
+        if set(map(type, entries)) == {int} and 0 <= min(entries) and max(entries) < size:
+            return entries
+    else:
+        try:
+            positions = tuple(map(index().get, entries))
+        except TypeError:
+            positions = (None,)
+        if None not in positions:
+            return positions
+    names = index()
+    return tuple(resolve(names, e, what, size) for e in entries)
 
 
 def closure_bits(rows: Iterable[int]) -> tuple[int, ...]:
@@ -146,33 +193,22 @@ def order_from_pairs(
 ) -> tuple[int, ...]:
     """The reflexive-transitive closure of [lo, hi] pairs, as up-set rows.
 
-    A list of two-element pairs of names is resolved by one name lookup per
-    entry.  Only a list with some other pair (of positions, or something
-    malformed, unknown or unhashable) is resolved pair by pair, so a bad
-    pair raises the error ``resolve`` or the shape check raises for it.
+    The pairs' ends are resolved as one batch by ``resolve_all``.  A
+    malformed pair is refused only once the ends before it are resolved,
+    so the first bad entry or pair raises its error.
     """
     if isinstance(pairs, str) or not isinstance(pairs, Iterable):
         raise MalformedDocument(f"order pairs must be a list, not {pairs!r}")
-    pairs = list(pairs)
-    rows = [0] * len(index)
-    try:
-        ends = [
-            index.get(end)
-            for pair in pairs
-            if isinstance(pair, (list, tuple)) and len(pair) == 2
-            for end in pair
-        ]
-    except TypeError:
-        ends = [None]
-    if len(ends) == 2 * len(pairs) and None not in ends:
-        for lo, hi in zip(ends[::2], ends[1::2]):
-            rows[lo] |= 1 << hi
-        return closure_bits(rows)
+    ends: list[int | str] = []
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            resolve_all(ends, len(index), lambda: index, what)
             raise MalformedDocument(f"order pair {pair!r} must list two elements")
-        lo, hi = pair
-        rows[resolve(index, lo, what)] |= 1 << resolve(index, hi, what)
+        ends += pair
+    positions = resolve_all(ends, len(index), lambda: index, what)
+    rows = [0] * len(index)
+    for lo, hi in zip(positions[::2], positions[1::2]):
+        rows[lo] |= 1 << hi
     return closure_bits(rows)
 
 
@@ -208,63 +244,42 @@ def monotone_violation(
     return None
 
 
-def mapping_images(
+def order_preserving(
     mapping: Mapping[str, int | str] | Sequence[int | str],
-    names: Sequence[str],
-    size: int,
-    lookup: Callable[[int | str], int],
+    source: Lattice | OrderedMonoid,
+    target: Lattice | OrderedMonoid,
     what: str,
+    noun: str,
 ) -> tuple[int, ...]:
-    """Images of ``names`` under a map given as an object keyed by name or
-    as a list in order, into a target of ``size`` elements.
+    """The images of ``source``'s elements under a map into ``target``,
+    checked to preserve the order.
 
-    Images that are all plain ints (bools are names) are range-checked in
-    one step, by their least and greatest; any others, or an int out of
-    range, go through ``lookup`` entry by entry, so a bad entry raises the
-    error ``lookup`` raises for it.
+    The map is an object keyed by element name or a list in element
+    order; its images, by position or name, are read by ``target.indices``.
+    The first pair a <= b whose images are not ordered raises
+    NotOrderPreserving, with the pair and its images, the latter named by
+    ``noun`` (as in "images" or "colors").
     """
+    names = source.elements
     if isinstance(mapping, Mapping):
         missing = [e for e in names if e not in mapping]
         if missing:
             raise MalformedDocument(f"{what} misses elements {missing!r}")
-        images = [mapping[e] for e in names]
+        images = target.indices([mapping[e] for e in names])
     elif isinstance(mapping, str) or not isinstance(mapping, Sequence):
         raise MalformedDocument(f"{what} must be an object or a list")
     elif len(mapping) != len(names):
         raise MalformedDocument(f"{what} has the wrong length")
     else:
-        images = mapping
-    if set(map(type, images)) == {int} and 0 <= min(images) and max(images) < size:
-        return tuple(images)
-    return tuple(map(lookup, images))
-
-
-def order_preserving(
-    mapping: Mapping[str, int | str] | Sequence[int | str],
-    names: Sequence[str],
-    leq: Sequence[int],
-    target_names: Sequence[str],
-    target_leq: Sequence[int],
-    lookup: Callable[[int | str], int],
-    what: str,
-    noun: str,
-) -> tuple[int, ...]:
-    """Images of ``names`` under ``mapping`` (read by ``mapping_images``),
-    checked to preserve the order ``leq`` into ``target_leq``.
-
-    The first pair a <= b whose images are not ordered raises
-    NotOrderPreserving, with the pair and its images, the latter named by
-    ``noun`` (as in "images" or "colors").
-    """
-    images = mapping_images(mapping, names, len(target_names), lookup, what)
-    bad = monotone_violation(leq, target_leq, images)
+        images = target.indices(mapping)
+    bad = monotone_violation(source.leq, target.leq, images)
     if bad is not None:
         a, b = bad
         raise NotOrderPreserving(
             f"{names[a]!r} <= {names[b]!r} but {noun} are not ordered",
             witness={
                 "pair": [names[a], names[b]],
-                noun: [target_names[images[a]], target_names[images[b]]],
+                noun: [target.elements[images[a]], target.elements[images[b]]],
             },
         )
     return images
@@ -378,6 +393,12 @@ class Lattice:
     def index(self, element: int | str) -> int:
         """Resolve an element given by index or name."""
         return resolve(self._name_index, element, "lattice element", self.size)
+
+    def indices(self, elements: Iterable[int | str]) -> tuple[int, ...]:
+        """Resolve a batch of elements given by index or name (``resolve_all``)."""
+        return resolve_all(
+            elements, len(self.elements), lambda: self._name_index, "lattice element"
+        )
 
     def le(self, a: int | str, b: int | str) -> bool:
         return bool(self.leq[self.index(a)] >> self.index(b) & 1)
@@ -501,7 +522,9 @@ def standard_lattice(kind: str, n: int = 2) -> Lattice:
         if n < 1:
             raise SizeOutOfRange(f"powerset lattice needs n >= 1, got {n}")
         if 2 ** n > DEFAULT_MAX_SIZE:
-            raise SizeOutOfRange(f"powerset of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
+            raise SizeOutOfRange(
+                f"powerset of {n} exceeds the size cap {DEFAULT_MAX_SIZE}", witness=n
+            )
         members = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(2 ** n)]
         masks = sorted(range(2 ** n), key=lambda mask: (len(members[mask]), members[mask]))
         position = {mask: i for i, mask in enumerate(masks)}
@@ -520,7 +543,9 @@ def standard_lattice(kind: str, n: int = 2) -> Lattice:
         if n < 2:
             raise SizeOutOfRange(f"chain lattice needs n >= 2, got {n}")
         if n > DEFAULT_MAX_SIZE:
-            raise SizeOutOfRange(f"chain of {n} exceeds the size cap {DEFAULT_MAX_SIZE}")
+            raise SizeOutOfRange(
+                f"chain of {n} exceeds the size cap {DEFAULT_MAX_SIZE}", witness=n
+            )
         return Lattice(
             elements=tuple(str(i) for i in range(n)),
             leq=tuple((1 << n) - (1 << i) for i in range(n)),
@@ -542,11 +567,11 @@ def bound(lattice: Lattice, kind: str, subset: Iterable[int | str]) -> int:
 def _fold(
     lattice: Lattice, table: Sequence[Sequence[int]], unit: int, elements: Iterable[int | str]
 ) -> int:
-    """The elements, each resolved in the lattice, folded into ``unit``
-    through ``table``: their join or meet with the matching unit."""
+    """The elements, resolved in the lattice as one batch, folded into
+    ``unit`` through ``table``: their join or meet with the matching unit."""
     acc = unit
-    for e in elements:
-        acc = table[acc][lattice.index(e)]
+    for e in lattice.indices(elements):
+        acc = table[acc][e]
     return acc
 
 
@@ -596,10 +621,7 @@ def make_lattice_morphism(
     lattice: Lattice, mapping: Mapping[str, int | str] | Sequence[int | str]
 ) -> LatticeMorphism:
     """Validate an order-preserving self-map given as a dict or a sequence."""
-    names, leq = lattice.elements, lattice.leq
-    images = order_preserving(
-        mapping, names, leq, names, leq, lattice.index, "morphism mapping", "images"
-    )
+    images = order_preserving(mapping, lattice, lattice, "morphism mapping", "images")
     return LatticeMorphism(lattice=lattice, mapping=images)
 
 

@@ -37,6 +37,7 @@ from .lattice import (
     pointwise_order,
     product_name,
     resolve,
+    resolve_all,
 )
 
 DEFAULT_MAX_SIZE = 512
@@ -66,6 +67,12 @@ class OrderedMonoid:
 
     def index(self, element: int | str) -> int:
         return resolve(self._name_index, element, "monoid element", self.size)
+
+    def indices(self, elements: Iterable[int | str]) -> tuple[int, ...]:
+        """Resolve a batch of elements given by index or name (``resolve_all``)."""
+        return resolve_all(
+            elements, len(self.elements), lambda: self._name_index, "monoid element"
+        )
 
     def op(self, a: int | str, b: int | str) -> int:
         return self.mul[self.index(a)][self.index(b)]
@@ -124,7 +131,7 @@ def build_ordered_monoid(
         not isinstance(row, (list, tuple)) or len(row) != n for row in mul_table
     ):
         raise MalformedDocument("multiplication table must be n x n")
-    mul = [_resolve_row(index, row) for row in mul_table]
+    mul = [resolve_all(row, n, lambda: index, "monoid element") for row in mul_table]
     ident = resolve(index, identity, "monoid element")
 
     for x in range(n):
@@ -140,22 +147,6 @@ def build_ordered_monoid(
     _check_through(gens, n, _check_order, names, mul, leq)
 
     return _make_unchecked(names, ident, mul, leq)
-
-
-def _resolve_row(index: Mapping[str, int], row: Sequence[int | str]) -> list[int]:
-    """A table row's entries as positions, by one name lookup per entry.
-
-    Only a row with an entry that is not a name (a position, or something
-    unknown or unhashable) goes through ``resolve`` entry by entry, so a
-    bad entry raises the error ``resolve`` raises for it.
-    """
-    try:
-        resolved = list(map(index.get, row))
-    except TypeError:
-        resolved = [None]
-    if None in resolved:
-        return [resolve(index, e, "monoid element") for e in row]
-    return resolved
 
 
 def _check_through(gens: Sequence[int], n: int, check, *table) -> None:
@@ -261,7 +252,7 @@ def trivial_monoid(name: str = "1") -> OrderedMonoid:
 
 
 def direct_product(
-    monoids: Sequence[OrderedMonoid], *, max_size: int = DEFAULT_PRODUCT_CAP
+    monoids: Sequence[OrderedMonoid],
 ) -> tuple[OrderedMonoid, tuple["MonoidMorphism", ...]]:
     """Componentwise product with componentwise order; projections returned alongside.
 
@@ -285,9 +276,9 @@ def direct_product(
     total = 1
     for s in sizes:
         total *= s
-        if total > max_size:
+        if total > DEFAULT_PRODUCT_CAP:
             raise SizeCapExceeded(
-                f"product size exceeds cap {max_size}", witness=sizes
+                f"product size exceeds cap {DEFAULT_PRODUCT_CAP}", witness=sizes
             )
     parts: list[tuple[str, ...]] = [()]
     mul: Sequence[tuple[int, ...]] = ((0,),)
@@ -334,9 +325,7 @@ def generated_submonoid(
     morphism into the ambient monoid.  Elements are listed in breadth-first
     discovery order starting from the identity.
     """
-    carrier = _closure_of(
-        monoid.mul, monoid.identity, [monoid.index(g) for g in generators]
-    )
+    carrier = _closure_of(monoid.mul, monoid.identity, monoid.indices(generators))
     sub_index = {x: i for i, x in enumerate(carrier)}
     names = tuple(monoid.elements[x] for x in carrier)
     mul = [[sub_index[monoid.mul[a][b]] for b in carrier] for a in carrier]
@@ -367,10 +356,7 @@ def make_monoid_morphism(
     mapping: Mapping[str, int | str] | Sequence[int | str],
 ) -> MonoidMorphism:
     """Validate a morphism: order preservation, unit, multiplicativity."""
-    images = order_preserving(
-        mapping, source.elements, source.leq, target.elements, target.leq, target.index,
-        "morphism mapping", "images",
-    )
+    images = order_preserving(mapping, source, target, "morphism mapping", "images")
     if images[source.identity] != target.identity:
         raise NotAMorphism("identity is not preserved")
     for a in range(source.size):

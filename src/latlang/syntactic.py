@@ -107,7 +107,7 @@ def make_recognition_triple(
 ) -> RecognitionTriple:
     """The triple of letter images given by position or name in the
     coloring's monoid, one per letter (else MismatchedAlphabet)."""
-    images = tuple(map(coloring.monoid.index, generator_images))
+    images = coloring.monoid.indices(generator_images)
     alphabet = tuple(alphabet)
     if len(images) != len(alphabet):
         raise MismatchedAlphabet("one generator image per letter is required")

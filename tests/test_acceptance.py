@@ -94,7 +94,8 @@ def test_criterion_01_lattice_laws():
     _passed(1, "lattice-laws")
 
 
-def test_criterion_02_coloring_algebra_closure():
+def test_criterion_02_coloring_algebra_closure(monkeypatch):
+    monkeypatch.setattr("latlang.monoid.DEFAULT_PRODUCT_CAP", 4096)
     rng = random.Random(202)
     pool = _monoid_pool()
     for i in range(200):
@@ -129,8 +130,8 @@ def test_criterion_02_coloring_algebra_closure():
         # every constructor output passes validation (constructors validate)
         combine_colorings("join", p, q)
         combine_colorings("meet", p, q)
-        product_coloring("pjoin", [p, q], max_size=4096)
-        product_coloring("pmeet", [p, q], max_size=4096)
+        product_coloring("pjoin", [p, q])
+        product_coloring("pmeet", [p, q])
         quotient_coloring("left", p, rng.randrange(target.size))
         quotient_coloring("right", p, rng.randrange(target.size))
         composed = precompose(p, eta)

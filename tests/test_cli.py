@@ -1062,21 +1062,43 @@ def test_help_through_main_prints_and_exits_zero(argv):
     assert result.stderr == b""
 
 
-def test_console_entry_point():
+ENTRY_POINT_COMMANDS = {
+    "lattice dual": ["lattice", "dual", str(DATA / "two_sink_lattice.json")],
+    "monoid aperiodic": ["monoid", "aperiodic", "u1.json"],
+    "lang eval": ["lang", "eval", AUTOMATON, "--word", "ab"],
+    "variety enumerate": ["variety", "enumerate", "--n", "2"],
+    "markov absorb": ["markov", "absorb", CHAIN],
+    "error document": ["lang", "eval", AUTOMATON, "--word", "az"],
+    "text": ["markov", "decompose", CHAIN, "--format", "text"],
+}
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "latin-1"])
+@pytest.mark.parametrize("label", sorted(ENTRY_POINT_COMMANDS))
+def test_console_entry_point(label, encoding, tmp_path, monkeypatch):
+    """``main`` writes the UTF-8 bytes of ``run``'s text and its exit code,
+    whatever the encoding of stdout: one command per group, an error
+    document, and text output that names the letter ``ℓ1``."""
     import latlang
 
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "u1.json", _U1)
+    argv = ENTRY_POINT_COMMANDS[label]
     # the child imports the same latlang as this process, however pytest found it
     package_root = str(Path(latlang.__file__).parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "latlang", "lang", "eval", AUTOMATON, "--word", "ab"],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "latlang", *argv], capture_output=True, env=env,
     )
-    assert result.returncode == 0
-    assert result.stdout == '{"value":["1"]}\n'
+    code, out = run(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode("utf-8"), b"")
+    if label == "lang eval":
+        assert out == '{"value":["1"]}\n'
+    if label == "error document":
+        assert code == 1 and out.startswith('{"error":')
+    if label == "text":
+        assert "ℓ1" in out
 
 
 def test_lattice_roundtrip_canonical(tmp_path):

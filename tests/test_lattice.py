@@ -10,11 +10,13 @@ from latlang import (
     cons,
     constant_automaton,
     dual,
+    generated_submonoid,
     identity_morphism,
     make_automaton,
     make_lattice_morphism,
     make_monoid_morphism,
     make_op_coloring,
+    make_recognition_triple,
     standard_lattice,
     trivial_monoid,
 )
@@ -130,9 +132,9 @@ def test_standard_lattices_match_build_lattice_reference():
             assert getattr(built, field) == getattr(expected, field), (kind, n, field)
     errors = {
         ("powerset", 0): "powerset lattice needs n >= 1, got 0",
-        ("powerset", 7): "powerset of 7 exceeds the size cap 64",
+        ("powerset", 11): "powerset of 11 exceeds the size cap 1024",
         ("chain", 1): "chain lattice needs n >= 2, got 1",
-        ("chain", 65): "chain of 65 exceeds the size cap 64",
+        ("chain", 1025): "chain of 1025 exceeds the size cap 1024",
     }
     for (kind, n), message in errors.items():
         with pytest.raises(SizeOutOfRange) as caught:
@@ -273,6 +275,28 @@ RESOLVER_ENTRY_POINTS = {
     "LatticeAutomaton.state": ("state", lambda e: constant_automaton(CHAIN2, ("a",), 0).state(e)),
     "make_automaton": ("state", lambda e: make_automaton(CHAIN2, ["a"], ["q0"], e, [[0]], [0])),
     "MarkovChain.state": ("state", lambda e: make_chain(["s"], {"s": {"s": 1}}).state(e)),
+    "monoid table row": ("monoid element", lambda e: build_ordered_monoid(["1"], "1", [[e]])),
+    "order pair": (
+        "monoid element", lambda e: build_ordered_monoid(["1"], "1", [["1"]], [[e, "1"]])
+    ),
+    "make_automaton delta list": (
+        "state", lambda e: make_automaton(CHAIN2, ["a"], ["q0"], "q0", [[e]], [0])
+    ),
+    "make_automaton output list": (
+        "lattice element", lambda e: make_automaton(CHAIN2, ["a"], ["q0"], "q0", [[0]], [e])
+    ),
+    "make_automaton output object": (
+        "lattice element",
+        lambda e: make_automaton(CHAIN2, ["a"], ["q0"], "q0", [[0]], {"q0": e}),
+    ),
+    "make_recognition_triple": (
+        "monoid element",
+        lambda e: make_recognition_triple(
+            ["a"], [e], make_op_coloring(trivial_monoid(), CHAIN2, [0])
+        ),
+    ),
+    "generated_submonoid": ("monoid element", lambda e: generated_submonoid(trivial_monoid(), [e])),
+    "join_all": ("lattice element", lambda e: CHAIN2.join_all([e])),
 }
 
 
@@ -313,59 +337,90 @@ def test_positions_resolve_up_to_the_size_when_names_clash():
         joined.state(4)
 
 
-def _first_error(index, entries, what):
+def _first_error(index, entries, what, size=None):
     """The error that resolving ``entries`` one at a time raises, or None."""
     try:
         for e in entries:
-            resolve(index, e, what)
+            resolve(index, e, what, size)
     except UnknownElement as exc:
         return exc.to_doc()
     return None
 
 
 def _mapping_entry_points():
-    """(name, target name index, element kind, source names, call) per
-    validated map that resolves its images into a target."""
+    """(name, target labels, element kind, valid positions, source names or
+    None, call) per batch of references resolved into a target: the call
+    returns the positions it resolved, and the source names key the batch
+    as an object where the entry point takes one."""
+    from latlang.syntactic import syntactic
+
     lattice = standard_lattice("chain", 3)
     monoid = build_ordered_monoid(["1", "z"], "1", [["1", "z"], ["z", "z"]])
     source = build_ordered_monoid(
         ["1", "a", "b"], "1", [["1", "a", "b"], ["a", "a", "b"], ["b", "b", "b"]]
     )
+    states = ["p", "q", "r"]
+    coloring = make_op_coloring(monoid, lattice, [0, 0])
+    # the identity and the letter "ε" share the label "ε": positions resolve up to the size
+    eps = syntactic(make_automaton(CHAIN2, ["ε"], ["q0", "q1"], "q0", [[1], [1]], [0, 1]))
     return [
-        ("make_op_coloring", lattice._name_index, "lattice element", monoid.elements,
+        ("make_op_coloring", lattice.elements, "lattice element", (0, 0), monoid.elements,
          lambda colors: make_op_coloring(monoid, lattice, colors).colors),
-        ("make_lattice_morphism", lattice._name_index, "lattice element", lattice.elements,
-         lambda images: make_lattice_morphism(lattice, images).mapping),
-        ("make_monoid_morphism", monoid._name_index, "monoid element", source.elements,
+        ("make_lattice_morphism", lattice.elements, "lattice element", (0, 0, 0),
+         lattice.elements, lambda images: make_lattice_morphism(lattice, images).mapping),
+        ("make_monoid_morphism", monoid.elements, "monoid element", (0, 0, 0), source.elements,
          lambda images: make_monoid_morphism(source, monoid, images).mapping),
+        ("monoid table row", monoid.elements, "monoid element", (1, 1), None,
+         lambda row: build_ordered_monoid(["1", "z"], "1", [["1", "z"], row]).mul[1]),
+        ("make_automaton delta list", states, "state", (2, 0, 1), None,
+         lambda row: make_automaton(
+             lattice, ["a", "b", "c"], states, "p", [row, [0] * 3, [0] * 3], [0] * 3
+         ).delta[0]),
+        ("make_automaton output", lattice.elements, "lattice element", (2, 0, 1), states,
+         lambda output: make_automaton(
+             lattice, ["a"], states, "p", [[0], [0], [0]], output
+         ).output),
+        ("make_recognition_triple", monoid.elements, "monoid element", (1, 0, 1), None,
+         lambda images: make_recognition_triple(["a", "b", "c"], images, coloring)
+         .generator_images),
+        ("make_recognition_triple, clashing labels", eps.monoid.elements, "monoid element",
+         (1, 0), None,
+         lambda images: make_recognition_triple(["a", "b"], images, eps.coloring)
+         .generator_images),
     ]
 
 
 def test_mapping_range_check_keeps_per_entry_errors():
-    """Lists of positions, names and bad entries, as lists and as objects
-    keyed by name, give the positions or the first error that resolving
-    each entry in turn gives."""
+    """Batches of positions, names and bad entries, as lists and as objects
+    keyed by name where an entry point takes them, give the positions or
+    the first error that resolving each entry in turn gives; a batch of
+    positions builds no name index."""
     rng = random.Random(116)
-    for name, index, what, sources, call in _mapping_entry_points():
-        n, size = len(sources), len(index)
-        names = list(index)
+    for name, labels, what, base, keys, call in _mapping_entry_points():
+        n, size = len(base), len(labels)
+        index = {label: i for i, label in enumerate(labels)}
         failed = 0
         for _ in range(200):
-            images = [0] * n  # the constant map to position 0 is valid for each target
+            images = list(base)
             for k in rng.sample(range(n), rng.randint(1, n)):
                 images[k] = rng.choice(
-                    [0, names[0], size, size + 5, -1, True, False, 0.0, "nope", ["x"], None]
+                    [base[k], labels[base[k]], size, size + 5, -1, True, False, 0.0, "nope",
+                     ["x"], None]
                 )
-            expected = _first_error(index, images, what)
-            for form in (images, dict(zip(sources, images))):
+            expected = _first_error(index, images, what, size)
+            forms = [images] if keys is None else [images, dict(zip(keys, images))]
+            for form in forms:
                 if expected is None:
-                    assert call(form) == tuple(resolve(index, e, what) for e in images)
+                    assert call(form) == tuple(resolve(index, e, what, size) for e in images)
                 else:
                     with pytest.raises(UnknownElement) as err:
                         call(form)
                     assert err.value.to_doc() == expected, (name, images)
             failed += expected is not None
         assert 100 <= failed < 200, name
+    fresh = standard_lattice("chain", 3)
+    make_op_coloring(trivial_monoid(), fresh, [2])
+    assert "_name_index" not in vars(fresh)
 
 
 def test_build_lattice_matches_frozenset_reference_on_seeded_covers():

@@ -80,8 +80,17 @@ monoid off the coloring.  ``syntactic_quotients`` resolves its letter
 images through ``make_recognition_triple``.  Every map that must preserve
 an order (lattice morphisms, colorings, monoid morphisms) is checked by
 ``lattice.order_preserving``, the one place that raises
-``NotOrderPreserving``.  Neither ``LatticeMorphism`` nor ``MonoidMorphism``
-defines ``__call__``, and ``MonoidMorphism`` defines no ``then``.
+``NotOrderPreserving``; it reads the map itself, as an object keyed by
+name or a list, from the two carriers it is given, and no helper
+(``mapping_images``) reads it apart.  Neither ``LatticeMorphism`` nor
+``MonoidMorphism`` defines ``__call__``, and ``MonoidMorphism`` defines no
+``then``.  Every batch of element references (table rows, order pairs,
+a machine's list delta and its outputs, letter images, generators, the
+elements of a join or meet, and the images of colorings and morphisms)
+becomes positions through one kernel, ``resolve_all`` in ``lattice.py``:
+no row resolver (``_resolve_row``) comes back, and outside the kernel no
+code maps an ``.index`` method over entries and no comprehension calls
+``.index(`` or ``resolve(`` per entry.
 """
 
 import ast
@@ -112,9 +121,12 @@ DELETED = {
     "_raised",
     "absorption_doc",
     "_distinct",
+    "_resolve_row",
+    "mapping_images",
 }
 KERNEL = {
     "resolve": "lattice.py",
+    "resolve_all": "lattice.py",
     "closure_bits": "lattice.py",
     "order_from_pairs": "lattice.py",
     "mutual_pair": "lattice.py",
@@ -1022,3 +1034,50 @@ def test_quotients_resolve_letter_images_as_a_triple_does():
         "        raise MismatchedAlphabet('one generator image per letter is required')\n"
     )
     assert "make_recognition_triple" not in _calls_in(old, "syntactic_quotients")
+
+
+def _per_entry_resolutions(tree):
+    """The line of each per-entry resolution outside ``resolve_all``: a
+    ``map`` of an ``.index`` method, or a comprehension that calls
+    ``.index(`` or ``resolve(``."""
+    comprehensions = (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == "resolve_all":
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "map"
+                and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "index"
+            ) or isinstance(node, comprehensions) and any(
+                isinstance(call, ast.Call)
+                and (
+                    isinstance(call.func, ast.Attribute) and call.func.attr == "index"
+                    or isinstance(call.func, ast.Name) and call.func.id == "resolve"
+                )
+                for call in ast.walk(node)
+            ):
+                found.append(node.lineno)
+    return found
+
+
+def test_batches_of_references_resolve_through_the_kernel():
+    found = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _per_entry_resolutions(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    old = ast.parse(
+        "def generated_submonoid(monoid, generators):\n"
+        "    gens = [monoid.index(g) for g in generators]\n"
+        "def make_recognition_triple(alphabet, generator_images, coloring):\n"
+        "    images = tuple(map(coloring.monoid.index, generator_images))\n"
+        "def make_automaton(delta, state_index):\n"
+        "    table = [[resolve(state_index, t, 'state') for t in row] for row in delta]\n"
+    )
+    assert _per_entry_resolutions(old) == [2, 4, 6, 6]

@@ -32,7 +32,8 @@ from latlang.errors import (
     RowSumNotOne,
     SingularSystem,
 )
-from latlang.lattice import subset_name
+from latlang.cli import run
+from latlang.lattice import standard_lattice, subset_name
 from latlang.markov import (
     Analysis,
     Decomposition,
@@ -43,7 +44,13 @@ from latlang.markov import (
     parse_fraction,
 )
 from latlang.monoid import OrderedMonoid
-from latlang.serialize import Table, analysis_to_doc, chain_from_doc, chain_to_doc
+from latlang.serialize import (
+    Table,
+    analysis_to_doc,
+    automaton_from_doc,
+    chain_from_doc,
+    chain_to_doc,
+)
 from latlang.syntactic import SyntacticResult
 
 from conftest import (
@@ -53,6 +60,7 @@ from conftest import (
     reference_fraction_word_measure,
     reference_make_chain,
     reference_reach,
+    reference_reachable_sets,
     reference_solve_exact,
     reference_simulating_automaton,
     reference_validate_decomposition,
@@ -890,6 +898,30 @@ def test_analyze_irreducible():
     assert [c["ergodic"] for c in report["classes"]] == [True]
     assert report["syntactic"]["size"] == 1
     assert report["shuffle"]["algebraic"] is True
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_analyze_up_to_ten_ergodic_classes(tmp_path, k):
+    """A transient state that moves to each of k sinks with probability 1/k
+    is analyzed, its colors drawn from the powerset of k classes (up to
+    2^10 elements): the absorption section is ``markov absorb``'s, the
+    reachable machine's colors are the reference reachable sets, and the
+    document's lattice and machines load back as the library builds them."""
+    states = ["t"] + [f"c{i}" for i in range(1, k + 1)]
+    rows = {"t": {c: f"1/{k}" for c in states[1:]}, **{c: {c: "1"} for c in states[1:]}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"states": states, "rows": rows}))
+    code, out = run(["markov", "analyze", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert {"absorption": doc["absorption"]} == json.loads(run(["markov", "absorb", str(path)])[1])
+    chain = load_chain(path.read_text())
+    reachable = reference_reachable_sets(chain, reference_ergodic_structure(chain))
+    assert doc["automaton_reachable"]["output"] == dict(zip(states, map(subset_name, reachable)))
+    basic = automaton_from_doc(doc["automaton_basic"])
+    assert basic.lattice == standard_lattice("powerset", k)
+    assert basic == simulating_automaton(chain, "basic")
+    assert automaton_from_doc(doc["automaton_reachable"]) == simulating_automaton(chain, "reachable")
 
 
 def test_analyze_returns_values(two_sink_chain, two_sink_decomposition):

@@ -116,10 +116,10 @@ def test_product_with_trivial_is_isomorphic():
 def test_product_cap():
     m, _ = direct_product([u1()] * 3)
     with pytest.raises(SizeCapExceeded):
-        direct_product([m] * 5, max_size=100)
+        direct_product([m] * 5)
 
 
-def test_direct_product_matches_reference_on_seeded_sweep():
+def test_direct_product_matches_reference_on_seeded_sweep(monkeypatch):
     """The mixed-radix fold gives the reference's product, projections and cap errors."""
     pool = small_monoids()
     rng = random.Random(505)
@@ -127,20 +127,21 @@ def test_direct_product_matches_reference_on_seeded_sweep():
     for _ in range(300):
         factors = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         cap = rng.choice((16, 64, 128))
+        monkeypatch.setattr("latlang.monoid.DEFAULT_PRODUCT_CAP", cap)
         try:
             expected = reference_direct_product(factors, max_size=cap)
         except SizeCapExceeded as exc:
             with pytest.raises(SizeCapExceeded) as caught:
-                direct_product(factors, max_size=cap)
+                direct_product(factors)
             assert caught.value.to_doc() == exc.to_doc()
             capped += 1
             continue
-        assert direct_product(factors, max_size=cap) == expected
+        assert direct_product(factors) == expected
         compared += 1
     assert compared >= 150 and capped >= 30
 
 
-def test_direct_product_with_one_element_factors_matches_reference():
+def test_direct_product_with_one_element_factors_matches_reference(monkeypatch):
     """One-element factors first, in the middle, last or as every factor
     give the reference's product, projections and cap errors."""
     pool = small_monoids()
@@ -161,27 +162,29 @@ def test_direct_product_with_one_element_factors_matches_reference():
         else:
             factors = [one] * rng.randint(1, 4)
         cap = rng.choice((16, 64, 128))
+        monkeypatch.setattr("latlang.monoid.DEFAULT_PRODUCT_CAP", cap)
         try:
             expected = reference_direct_product(factors, max_size=cap)
         except SizeCapExceeded as exc:
             with pytest.raises(SizeCapExceeded) as caught:
-                direct_product(factors, max_size=cap)
+                direct_product(factors)
             assert caught.value.to_doc() == exc.to_doc()
             capped += 1
             continue
-        assert direct_product(factors, max_size=cap) == expected, (i, where)
+        assert direct_product(factors) == expected, (i, where)
         seen.add(where)
         compared += 1
     assert seen == {"first", "middle", "last", "every"}
     assert compared >= 80 and capped >= 10
 
 
-def test_gathered_direct_product_matches_the_fold_on_seeded_sweep():
+def test_gathered_direct_product_matches_the_fold_on_seeded_sweep(monkeypatch):
     """Rows gathered whole and projections read off the strides give the
     per-entry fold's names, table, order, identity and projections, with
     one-element factors first, last, in between, alone or absent."""
     pool = small_monoids()
     rng = random.Random(3232)
+    monkeypatch.setattr("latlang.monoid.DEFAULT_PRODUCT_CAP", 256)
     seen = set()
     compared = 0
     for i in range(400):
@@ -203,7 +206,7 @@ def test_gathered_direct_product_matches_the_fold_on_seeded_sweep():
             expected = reference_fold_direct_product(factors, max_size=256)
         except SizeCapExceeded:
             continue
-        product, projections = direct_product(factors, max_size=256)
+        product, projections = direct_product(factors)
         assert (product, projections) == expected, (i, where)
         assert all(type(row) is tuple for row in product.mul)
         seen.add(where)

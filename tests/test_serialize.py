@@ -95,14 +95,15 @@ def test_writer_matches_json_dumps_on_small_monoids():
         _check(monoid_to_doc(_renamed(m, rng.sample(ODD_NAMES, m.size))))
 
 
-def test_writer_matches_json_dumps_on_products():
+def test_writer_matches_json_dumps_on_products(monkeypatch):
+    monkeypatch.setattr("latlang.monoid.DEFAULT_PRODUCT_CAP", 64)
     pool = small_monoids()
     rng = random.Random(3302)
     sizes = []
     for _ in range(40):
         factors = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         try:
-            product, _ = direct_product(factors, max_size=64)
+            product, _ = direct_product(factors)
         except SizeCapExceeded:
             continue
         sizes.append(product.size)
